@@ -8,6 +8,7 @@ counts that bound length-spectrum multiplicities.
 
 from stablenorm.errors import (
     ConstructionError,
+    InvariantError,
     SearchBudgetError,
     ValidationError,
     WindowTooSmallError,
@@ -77,6 +78,7 @@ __all__ = [
     "EIGHT_PI_SQUARED_FLOOR",
     "Ellipse",
     "IntegralClass",
+    "InvariantError",
     "LatticePolygon",
     "MinAreaResult",
     "MultiplicityProfile",

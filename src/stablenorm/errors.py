@@ -31,3 +31,9 @@ class WindowTooSmallError(ValueError):
 class ConstructionError(RuntimeError):
     """A geometric construction (arc-polygon rounding, sharpness witness)
     could not be completed within its documented parameter range."""
+
+
+class InvariantError(RuntimeError):
+    """A result failed the package's own consistency check (a search
+    length that its exact recompute does not reproduce, a seed loop of
+    the wrong class); a bug to report, not bad input."""

@@ -392,7 +392,9 @@ def _sorted_box_classes(
             if keep(h):
                 out.append((h, eval_norm(norm, h)))
     out.sort(key=lambda e: (e[1], e[0].tie_key()))
-    # equal lengths up to float noise must be grouped before tie keys apply
+    # equal lengths up to float noise must be grouped before tie keys
+    # apply; every member takes the group's smallest value, so the
+    # values stay nondecreasing across the tie-key reordering
     i = 0
     while i < len(out):
         j = i + 1
@@ -401,7 +403,7 @@ def _sorted_box_classes(
             j += 1
         if j - i > 1:
             grp = sorted(out[i:j], key=lambda e: e[0].tie_key())
-            out[i:j] = grp
+            out[i:j] = [(h, v0) for h, _v in grp]
         i = j
     return out
 
@@ -432,7 +434,9 @@ def enumerate_classes(norm: NormSpec, count: int) -> EnumeratedClasses:
     """First `count` unoriented integral classes ordered by norm value.
 
     The trivial class (0,0) opens the list with value 0.  Ties within
-    relative tolerance 1e-9 are ordered by the canonical tie key.
+    relative tolerance 1e-9 are ordered by the canonical tie key and
+    all carry the smallest value of their group, so the values are
+    nondecreasing.
     """
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
@@ -457,7 +461,8 @@ def enumerate_classes(norm: NormSpec, count: int) -> EnumeratedClasses:
 
 
 def leading_primitive_classes(norm: NormSpec, k: int) -> list[tuple[IntegralClass, float]]:
-    """First k primitive canonical classes by (norm value, tie key)."""
+    """First k primitive canonical classes by (norm value, tie key);
+    near ties share one value as in `enumerate_classes`."""
     if k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
     ranked = _complete_prefix(norm, k, keep=lambda h: h.is_primitive)

@@ -22,13 +22,17 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from stablenorm.errors import ValidationError, WindowTooSmallError
+from stablenorm.errors import (
+    ConstructionError,
+    InvariantError,
+    ValidationError,
+    WindowTooSmallError,
+)
 from stablenorm.norms import IntegralClass
 from stablenorm.toral_graph import ToralGeodesicGraph
 
@@ -109,17 +113,82 @@ class PeriodicWeightedGraph:
     def min_edge_weight(self) -> float:
         return min(e.weight for e in self.edges)
 
+    @cached_property
+    def search_index(self) -> SearchIndex:
+        """Per-graph data of the cover search, built on the first query
+        and kept for the life of the graph."""
+        return _compile_search_index(self)
 
-def _adjacency(pg: PeriodicWeightedGraph):
-    adj: dict[NodeId, list] = {n: [] for n in pg.nodes}
+
+@dataclass(frozen=True)
+class SearchIndex:
+    """What every cover search on one graph reads, computed once.
+
+    Nodes are numbered by their place in `PeriodicWeightedGraph.nodes`;
+    searches run on these numbers and map back to node ids only when
+    they build a witness.  `adj[i]` lists the steps out of node i as
+    (neighbor, weight, dx, dy, edge index), in edge order, both
+    orientations of every edge.  `x_starts` and `y_starts` are the
+    endpoints of edges crossing the x and y period, in search order.
+    """
+
+    node_index: Mapping[NodeId, int]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+    adj: tuple[tuple[tuple[int, float, int, int, int], ...], ...]
+    rates: tuple[float, float, float]
+    normals: Optional[tuple[tuple[float, float], ...]]
+    x_starts: tuple[int, ...]
+    y_starts: tuple[int, ...]
+    min_weight: float
+
+
+def _compile_search_index(pg: PeriodicWeightedGraph) -> SearchIndex:
+    index = {node: i for i, node in enumerate(pg.nodes)}
+    xs = tuple(pg.positions[n][0] for n in pg.nodes)
+    ys = tuple(pg.positions[n][1] for n in pg.nodes)
+    adj: list[list[tuple[int, float, int, int, int]]] = [[] for _ in pg.nodes]
+    # distinct (lifted x, lifted y, weight) per edge, in edge order; the
+    # grid makes up most edges but only a handful of distinct lifts
+    lifts: dict[tuple[float, float, float], None] = {}
+    x_ends: set[NodeId] = set()
+    y_ends: set[NodeId] = set()
     for idx, e in enumerate(pg.edges):
-        adj[e.u].append((e.v, e.weight, e.disp, idx))
-        adj[e.v].append((e.u, e.weight, (-e.disp[0], -e.disp[1]), idx))
-    return adj
+        u = index[e.u]
+        v = index[e.v]
+        dx, dy = e.disp
+        adj[u].append((v, e.weight, dx, dy, idx))
+        adj[v].append((u, e.weight, -dx, -dy, idx))
+        lifts[(xs[v] + dx - xs[u], ys[v] + dy - ys[u], e.weight)] = None
+        # every cycle with nonzero x-displacement uses an edge whose
+        # disp has a nonzero x component, so it passes through one of
+        # these endpoints; starting only there loses nothing
+        if dx != 0:
+            x_ends.update((e.u, e.v))
+        if dy != 0:
+            y_ends.update((e.u, e.v))
+
+    def search_order(ends: set[NodeId]) -> tuple[int, ...]:
+        # corridor starts first: they bound the optimum early and let the
+        # heuristic close off the background almost immediately
+        return tuple(index[n] for n in sorted(ends, key=lambda node: (node[0] == "g", node)))
+
+    return SearchIndex(
+        node_index=index,
+        xs=xs,
+        ys=ys,
+        adj=tuple(tuple(steps) for steps in adj),
+        rates=_crossing_rates(lifts),
+        normals=_gauge_normals(lifts),
+        x_starts=search_order(x_ends),
+        y_starts=search_order(y_ends),
+        min_weight=pg.min_edge_weight(),
+    )
 
 
-def _crossing_rates(pg: PeriodicWeightedGraph) -> tuple[float, float, float]:
-    """Cheapest cost per unit of lifted x, y, and x+y advance.
+def _crossing_rates(lifts: Iterable[tuple[float, float, float]]) -> tuple[float, float, float]:
+    """Cheapest cost per unit of lifted x, y, and x+y advance, over
+    the edges' (lifted x, lifted y, weight) triples.
 
     Any cycle of homology (a, b) moves its lift by exactly a in x, so
     its length is at least |a| times the x rate; same in y.  The rates
@@ -130,25 +199,25 @@ def _crossing_rates(pg: PeriodicWeightedGraph) -> tuple[float, float, float]:
     rate_x = math.inf
     rate_y = math.inf
     rate_1 = math.inf
-    for e in pg.edges:
-        ux, uy = pg.positions[e.u]
-        vx, vy = pg.positions[e.v]
-        dx = abs(vx + e.disp[0] - ux)
-        dy = abs(vy + e.disp[1] - uy)
+    for lx, ly, w in lifts:
+        dx = abs(lx)
+        dy = abs(ly)
         if dx > 1e-15:
-            rate_x = min(rate_x, e.weight / dx)
+            rate_x = min(rate_x, w / dx)
         if dy > 1e-15:
-            rate_y = min(rate_y, e.weight / dy)
+            rate_y = min(rate_y, w / dy)
         if dx + dy > 1e-15:
-            rate_1 = min(rate_1, e.weight / (dx + dy))
+            rate_1 = min(rate_1, w / (dx + dy))
     return rate_x, rate_y, rate_1
 
 
-def _gauge_normals(pg: PeriodicWeightedGraph) -> Optional[tuple[tuple[float, float], ...]]:
+def _gauge_normals(
+    lifts: Iterable[tuple[float, float, float]],
+) -> Optional[tuple[tuple[float, float], ...]]:
     """Facet normals of the displacement-per-cost hull.
 
-    Every edge contributes its lifted displacement divided by its
-    weight, both orientations.  The gauge of that hull evaluated on a
+    Every edge's (lifted x, lifted y, weight) triple contributes its
+    lifted displacement divided by its weight, both orientations.  The gauge of that hull evaluated on a
     remaining displacement lower-bounds the cost of any path closing
     it: each step's rate point lies in the hull, so its weight is at
     least the gauge of its displacement, and the gauge is subadditive.
@@ -156,11 +225,9 @@ def _gauge_normals(pg: PeriodicWeightedGraph) -> Optional[tuple[tuple[float, flo
     fall back to the axis rates.
     """
     reps: dict[tuple[float, float], tuple[float, float]] = {}
-    for e in pg.edges:
-        ux, uy = pg.positions[e.u]
-        vx, vy = pg.positions[e.v]
-        dx = (vx + e.disp[0] - ux) / e.weight
-        dy = (vy + e.disp[1] - uy) / e.weight
+    for lx, ly, w in lifts:
+        dx = lx / w
+        dy = ly / w
         if abs(dx) + abs(dy) <= 1e-15:
             continue
         for px, py in ((dx, dy), (-dx, -dy)):
@@ -303,7 +370,11 @@ def build_canyon_graph(
             if piece == pieces:
                 node: NodeId = ("v", ge.head)
                 expected = (lift[0] % 1, lift[1] % 1)
-                assert expected == tuple(graph.vertices[ge.head]), "corridor endpoint drifted"
+                if expected != tuple(graph.vertices[ge.head]):
+                    raise ConstructionError(
+                        f"corridor endpoint drifted: segment {edge_idx} ends at "
+                        f"{expected}, not at vertex {ge.head}"
+                    )
             else:
                 node = ("c", edge_idx, piece)
                 nodes.append(node)
@@ -389,38 +460,41 @@ def _certified_window(pg: PeriodicWeightedGraph, h: IntegralClass) -> tuple[int,
             "build it with build_canyon_graph or uniform_grid"
         )
     upper = abs(h.a) * pg.row_loop_cost + abs(h.b) * pg.col_loop_cost
-    window = math.ceil(upper / pg.min_edge_weight())
+    window = math.ceil(upper / pg.search_index.min_weight)
     return max(window, abs(h.a), abs(h.b)), upper
 
 
-def _grid_loop_seed(pg: PeriodicWeightedGraph, adj, h: IntegralClass):
+def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     """Concrete cycle of class h from grid row and column loops.
 
-    Returns (cost, witness states, path edges) or None when the graph
-    has no background grid.  Seeding the search with it means classes
-    whose optimum ties the background bound finish without exploring
-    the tie plateau at all.
+    Returns (cost, witness states, path edge indices) or None when the
+    graph has no background grid; states use node numbers of the search
+    index.  Seeding the search with it means classes whose optimum ties
+    the background bound finish without exploring the tie plateau at
+    all.
     """
     n = pg.grid_resolution
-    start: NodeId = ("g", 0, 0)
-    if n is None or start not in pg.positions:
+    ix = pg.search_index
+    start = ix.node_index.get(("g", 0, 0))
+    if n is None or start is None:
         return None
     states = [(start, 0, 0)]
-    path_edges: list[tuple[int, int]] = []
+    path_edges: list[int] = []
     cost = 0.0
     cur = start
     sx = sy = 0
 
     def step(nxt: NodeId, disp: IntVec) -> bool:
         nonlocal cur, sx, sy, cost
-        for (nbr, w, d, idx) in adj[cur]:
-            if nbr == nxt and d == disp:
+        target = ix.node_index.get(nxt)
+        for (nbr, w, dx, dy, idx) in ix.adj[cur]:
+            if nbr == target and (dx, dy) == disp:
                 cur = nbr
-                sx += d[0]
-                sy += d[1]
+                sx += dx
+                sy += dy
                 cost += w
                 states.append((cur, sx, sy))
-                path_edges.append((idx, 1))
+                path_edges.append(idx)
                 return True
         return False
 
@@ -439,34 +513,12 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, adj, h: IntegralClass):
                 disp = (0, 1 if j == n - 1 else 0)
             if not step(nxt, disp):
                 return None
-    assert (sx, sy) == (h.a, h.b)
+    if (sx, sy) != (h.a, h.b):
+        raise InvariantError(f"grid loop seed for class {h} shifted by {(sx, sy)}")
     return cost, tuple(states), path_edges
 
 
-def _cycle_starts(pg: PeriodicWeightedGraph, h: IntegralClass) -> list[NodeId]:
-    """Endpoints of period-crossing edges in one coordinate.
-
-    Every cycle with nonzero x-displacement uses an edge whose disp has
-    a nonzero x component, so the shortest cycle passes through one of
-    these endpoints; restricting the start set this way loses nothing.
-    """
-    xs: set[NodeId] = set()
-    ys: set[NodeId] = set()
-    for e in pg.edges:
-        if e.disp[0] != 0:
-            xs.update((e.u, e.v))
-        if e.disp[1] != 0:
-            ys.update((e.u, e.v))
-    if h.a != 0 and (h.b == 0 or len(xs) <= len(ys)):
-        chosen = xs
-    else:
-        chosen = ys
-    # corridor starts first: they bound the optimum early and let the
-    # heuristic close off the background almost immediately
-    return sorted(chosen, key=lambda node: (node[0] == "g", node))
-
-
-def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[tuple[int, int]]) -> float:
+def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[int]) -> float:
     """Recompute a witness length from exact corridor shares.
 
     Corridor shares accumulate as Fractions per class and multiply the
@@ -475,15 +527,16 @@ def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[tuple[int, int
     """
     shares: dict[int, Fraction] = {}
     counts: dict[float, int] = {}
-    for edge_idx, _sign in path_edges:
+    for edge_idx in path_edges:
         e = pg.edges[edge_idx]
         if e.corridor is not None:
             idx, share = e.corridor
             shares[idx] = shares.get(idx, Fraction(0)) + share
         else:
             counts[e.weight] = counts.get(e.weight, 0) + 1
+    if shares and pg.class_lengths is None:
+        raise ValidationError("corridor edges need the graph's class lengths; none are set")
     total = 0.0
-    assert pg.class_lengths is not None or not shares
     for idx in sorted(shares):
         total += float(shares[idx]) * pg.class_lengths[idx][1]
     for w in sorted(counts):
@@ -503,7 +556,8 @@ def marked_min_length(
     only from endpoints of period-crossing edges, which every such
     cycle must visit, and is guided by the admissible rate-hull gauge
     heuristic; a certified window derived from the background loop
-    bound caps the deck shifts.
+    bound caps the deck shifts.  The graph's search index is built on
+    the first query and reused by every later one.
     """
     if not isinstance(h, IntegralClass):
         h = IntegralClass(int(h[0]), int(h[1]))
@@ -521,28 +575,33 @@ def marked_min_length(
             window=needed,
         )
 
-    adj = _adjacency(pg)
-    rate_x, rate_y, rate_1 = _crossing_rates(pg)
-    normals = _gauge_normals(pg)
+    ix = pg.search_index
+    adj = ix.adj
+    xs = ix.xs
+    ys = ix.ys
+    normals = ix.normals
+    rate_x, rate_y, rate_1 = ix.rates
     cutoff = upper * (1 + SEARCH_RTOL)
     best = math.inf
     best_states: Optional[tuple] = None
-    best_edges: Optional[list[tuple[int, int]]] = None
-    seed = _grid_loop_seed(pg, adj, h)
+    best_edges: Optional[list[int]] = None
+    seed = _grid_loop_seed(pg, h)
     if seed is not None:
         best, best_states, best_edges = seed
 
+    if h.a != 0 and (h.b == 0 or len(ix.x_starts) <= len(ix.y_starts)):
+        starts = ix.x_starts
+    else:
+        starts = ix.y_starts
     deflate = 1 - _HEUR_DEFLATE
-    for start in _cycle_starts(pg, h):
-        sx0, sy0 = pg.positions[start]
-        goal_x = sx0 + h.a
-        goal_y = sy0 + h.b
+    for start in starts:
+        goal_x = xs[start] + h.a
+        goal_y = ys[start] + h.b
         bar = min(best * (1 - _PRUNE_RTOL), cutoff)
 
-        def heuristic(node: NodeId, sx: int, sy: int) -> float:
-            px, py = pg.positions[node]
-            dx = goal_x - (px + sx)
-            dy = goal_y - (py + sy)
+        def heuristic(node: int, sx: int, sy: int) -> float:
+            dx = goal_x - (xs[node] + sx)
+            dy = goal_y - (ys[node] + sy)
             if normals is not None:
                 return max(ax * dx + ay * dy for ax, ay in normals) * deflate
             dx = abs(dx)
@@ -552,8 +611,8 @@ def marked_min_length(
             h1 = rate_1 * (dx + dy) if math.isfinite(rate_1) else 0.0
             return max(hx, hy, h1) * deflate
 
-        dist: dict[tuple, float] = {}
-        pred: dict[tuple, tuple] = {}
+        dist: dict[tuple[int, int, int], float] = {}
+        pred: dict[tuple[int, int, int], tuple] = {}
         state0 = (start, 0, 0)
         target = (start, h.a, h.b)
         dist[state0] = 0.0
@@ -570,15 +629,15 @@ def marked_min_length(
                 path = []
                 cur = state
                 while cur != state0:
-                    prev, edge_idx, sign = pred[cur]
-                    path.append((cur, edge_idx, sign))
+                    prev, edge_idx = pred[cur]
+                    path.append((cur, edge_idx))
                     cur = prev
                 path.reverse()
-                best_states = (state0,) + tuple(st for (st, _e, _s) in path)
-                best_edges = [(e, s) for (_st, e, s) in path]
+                best_states = (state0,) + tuple(st for (st, _e) in path)
+                best_edges = [e for (_st, e) in path]
                 break
             node, sx, sy = state
-            for (nbr, w, (dx, dy), edge_idx) in adj[node]:
+            for (nbr, w, dx, dy, edge_idx) in adj[node]:
                 nsx = sx + dx
                 nsy = sy + dy
                 if abs(nsx) > window or abs(nsy) > window:
@@ -590,8 +649,7 @@ def marked_min_length(
                     if nf >= bar:
                         continue
                     dist[nstate] = ng
-                    sign = 1 if pg.edges[edge_idx].u == node else -1
-                    pred[nstate] = (state, edge_idx, sign)
+                    pred[nstate] = (state, edge_idx)
                     tick += 1
                     heapq.heappush(heap, (nf, tick, ng, nstate))
 
@@ -601,8 +659,13 @@ def marked_min_length(
             "the graph may not wrap in that direction"
         )
     exact = _exact_length(pg, best_edges)
-    assert abs(exact - best) <= 1e-9 * max(1.0, best), "exact recompute drifted"
-    return SpectrumEntry(cls=h, length=exact, witness=best_states)
+    if abs(exact - best) > 1e-9 * max(1.0, best):
+        raise InvariantError(
+            f"exact recompute drifted for class {h}: search found {best!r}, "
+            f"corridor shares give {exact!r}"
+        )
+    witness = tuple((pg.nodes[node], sx, sy) for (node, sx, sy) in best_states)
+    return SpectrumEntry(cls=h, length=exact, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -684,19 +747,6 @@ class SpectrumResult:
         }
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SNL_THREADS", "").strip()
-    if env:
-        try:
-            v = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"SNL_THREADS must be an integer, got {env!r}") from exc
-        if v < 1:
-            raise ValidationError(f"SNL_THREADS must be positive, got {v}")
-        return v
-    return min(4, os.cpu_count() or 1)
-
-
 def spectrum(
     pg: PeriodicWeightedGraph,
     norm_bound: float,
@@ -707,8 +757,8 @@ def spectrum(
 
     Candidate classes come from the crossing-rate lower bound, so the
     enumeration box provably contains every class whose marked length
-    can be at or below the bound.  Classes are measured independently
-    (in a thread pool; see SNL_THREADS) and sorted deterministically by
+    can be at or below the bound.  Classes are measured one by one on
+    the graph's shared search index and sorted deterministically by
     (length, class); ties group under the declared relative tolerance.
     """
     if not norm_bound > 0:
@@ -716,7 +766,7 @@ def spectrum(
     rtol = GROUP_RTOL if group_rtol is None else float(group_rtol)
     if rtol < 0:
         raise ValidationError(f"grouping tolerance must be nonnegative, got {rtol}")
-    rate_x, rate_y, _rate_1 = _crossing_rates(pg)
+    rate_x, rate_y, _rate_1 = pg.search_index.rates
     amax = math.floor(norm_bound / rate_x + 1e-9) if math.isfinite(rate_x) else 0
     bmax = math.floor(norm_bound / rate_y + 1e-9) if math.isfinite(rate_y) else 0
     candidates = [IntegralClass(0, b) for b in range(1, bmax + 1)]
@@ -726,8 +776,7 @@ def spectrum(
         for b in range(-bmax, bmax + 1)
     )
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        measured = list(pool.map(lambda c: marked_min_length(pg, c, window), candidates))
+    measured = [marked_min_length(pg, c, window) for c in candidates]
 
     entries = [marked_min_length(pg, IntegralClass(0, 0))]
     entries.extend(e for e in measured if e.length <= norm_bound * (1 + SEARCH_RTOL))
@@ -764,29 +813,6 @@ def spectrum(
         norm_bound=float(norm_bound),
         group_rtol=rtol,
     )
-
-
-def quotient_distance(pg: PeriodicWeightedGraph, u: NodeId, v: NodeId) -> float:
-    """Shortest-path distance on the quotient graph, ignoring shifts."""
-    if u not in pg.positions or v not in pg.positions:
-        raise ValidationError("both endpoints must be graph nodes")
-    adj = _adjacency(pg)
-    dist = {u: 0.0}
-    heap = [(0.0, 0, u)]
-    tick = 0
-    while heap:
-        d, _t, node = heapq.heappop(heap)
-        if node == v:
-            return d
-        if d > dist.get(node, math.inf):
-            continue
-        for (nbr, w, _disp, _idx) in adj[node]:
-            nd = d + w
-            if nd < dist.get(nbr, math.inf):
-                dist[nbr] = nd
-                tick += 1
-                heapq.heappush(heap, (nd, tick, nbr))
-    raise ValidationError(f"node {v} unreachable from {u}")
 
 
 def spectrum_csv_rows(result: SpectrumResult) -> list[tuple[int, int, float, int]]:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stablenorm.errors import ValidationError
 from stablenorm.norms import (
@@ -210,6 +210,7 @@ class TestEnumerateClasses:
 
     @given(norm_specs(), st.integers(2, 16))
     @settings(deadline=None, max_examples=40)
+    @example(NormSpec(Ellipse(1, 1e-12, 1)), 5)
     def test_lengths_nondecreasing(self, norm, count):
         entries = enumerate_classes(norm, count).entries
         values = [v for _, v in entries]

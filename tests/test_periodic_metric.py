@@ -5,21 +5,23 @@ expected values without any tolerance.  Canyon assertions distinguish
 bitwise-exact corridor lengths from grid-level bracket checks.
 """
 
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablenorm.errors import ValidationError, WindowTooSmallError
+from stablenorm import periodic_metric
+from stablenorm.errors import InvariantError, ValidationError, WindowTooSmallError
 from stablenorm.norms import IntegralClass, euclidean, leading_primitive_classes
 from stablenorm.periodic_metric import (
     PeriodicEdge,
     PeriodicWeightedGraph,
     build_canyon_graph,
     marked_min_length,
-    quotient_distance,
     spectrum,
     spectrum_csv_rows,
     stable_norm_estimate,
@@ -419,34 +421,86 @@ class TestSpectrum:
         plain = res.to_jsonable()
         assert all("witness" not in e for e in plain["entries"])
 
-    def test_thread_override(self, grid16, monkeypatch):
-        monkeypatch.setenv("SNL_THREADS", "2")
-        res = spectrum(grid16, 1.1)
-        assert [g.length for g in res.groups] == [0.0, 1.0]
-
-    def test_thread_override_invalid(self, grid16, monkeypatch):
-        monkeypatch.setenv("SNL_THREADS", "zero")
-        with pytest.raises(ValidationError, match="SNL_THREADS"):
-            spectrum(grid16, 1.1)
-        monkeypatch.setenv("SNL_THREADS", "-2")
-        with pytest.raises(ValidationError, match="SNL_THREADS"):
-            spectrum(grid16, 1.1)
 
 
-class TestQuotientDistance:
-    def test_self_distance(self, grid16):
-        assert quotient_distance(grid16, ("g", 3, 3), ("g", 3, 3)) == 0.0
+class TestSearchIndex:
+    """The per-graph search index is built lazily, once, and changes no
+    result: cold, warm and differently warmed graphs answer alike."""
 
-    def test_triangle_inequality(self, grid16):
-        rng = random.Random(20260817)
-        nodes = list(grid16.nodes)
-        for _ in range(25):
-            a, b, c = rng.sample(nodes, 3)
-            d_ab = quotient_distance(grid16, a, b)
-            d_bc = quotient_distance(grid16, b, c)
-            d_ac = quotient_distance(grid16, a, c)
-            assert d_ac <= d_ab + d_bc + 1e-12
+    def test_built_on_first_query_and_kept(self):
+        graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0)])
+        canyon = build_canyon_graph(graph, theta=0.14, background_systole=1.0, grid_resolution=64)
+        assert "search_index" not in vars(canyon)
+        marked_min_length(canyon, (1, 0))
+        index = canyon.search_index
+        marked_min_length(canyon, (1, 1))
+        spectrum(canyon, 1.5)
+        assert canyon.search_index is index
 
-    def test_missing_node(self, grid16):
-        with pytest.raises(ValidationError):
-            quotient_distance(grid16, ("g", 0, 0), ("nope",))
+    def test_repeat_query_identical(self, euclid3):
+        _classes, _graph, _consts, canyon = euclid3
+        cold = dataclasses.replace(canyon)
+        assert "search_index" not in vars(cold)
+        for ab in [(2, 1), (1, 0), (1, -2)]:
+            first = marked_min_length(cold, ab)
+            again = marked_min_length(cold, ab)
+            warm = marked_min_length(canyon, ab)
+            for other in (again, warm):
+                assert other.length.hex() == first.length.hex()
+                assert other.witness == first.witness
+
+    def test_spectrum_independent_of_warm_up(self, euclid3):
+        classes, _graph, _consts, canyon = euclid3
+        bound = 1.05 * max(length for _cls, length in classes)
+        fresh = spectrum(dataclasses.replace(canyon), bound)
+        warmed = dataclasses.replace(canyon)
+        probes = [(a, b) for a in range(3) for b in range(-2, 3)]
+        random.Random(20261018).shuffle(probes)
+        for ab in probes:
+            marked_min_length(warmed, ab)
+        assert spectrum(warmed, bound) == fresh
+        assert spectrum(warmed, bound) == fresh
+
+    def test_distinct_lifts_give_same_bounds(self, euclid3):
+        # the index keeps each (lifted x, lifted y, weight) once; the
+        # rates and hull normals must equal those over every edge
+        _classes, _graph, _consts, canyon = euclid3
+        every_edge = []
+        for e in canyon.edges:
+            ux, uy = canyon.positions[e.u]
+            vx, vy = canyon.positions[e.v]
+            every_edge.append((vx + e.disp[0] - ux, vy + e.disp[1] - uy, e.weight))
+        index = canyon.search_index
+        assert periodic_metric._crossing_rates(every_edge) == index.rates
+        assert periodic_metric._gauge_normals(every_edge) == index.normals
+
+    def test_equal_graphs_stay_equal(self):
+        queried = uniform_grid(8)
+        untouched = uniform_grid(8)
+        marked_min_length(queried, (1, 1))
+        assert queried == untouched
+        assert untouched == queried
+
+
+class TestInvariantErrors:
+    def test_exact_recompute_drift_raises(self, grid16, monkeypatch):
+        exact = periodic_metric._exact_length
+        monkeypatch.setattr(
+            periodic_metric, "_exact_length", lambda pg, path: exact(pg, path) + 1e-3
+        )
+        with pytest.raises(InvariantError, match="drifted"):
+            marked_min_length(grid16, (1, 0))
+
+    def test_corridor_edges_need_class_lengths(self):
+        pg = PeriodicWeightedGraph(
+            nodes=(("a",), ("b",)),
+            positions={("a",): (0.0, 0.0), ("b",): (0.5, 0.0)},
+            edges=(
+                PeriodicEdge(("a",), ("b",), 0.5, (0, 0), "corridor", corridor=(0, Fraction(1, 2))),
+                PeriodicEdge(("b",), ("a",), 0.5, (1, 0), "corridor", corridor=(0, Fraction(1, 2))),
+            ),
+            row_loop_cost=1.0,
+            col_loop_cost=1.0,
+        )
+        with pytest.raises(ValidationError, match="class lengths"):
+            marked_min_length(pg, (1, 0))
