@@ -174,14 +174,12 @@ class _Args:
         self.subcommand = ns.subcommand
         self.format = ns.format
         self.out = ns.out
-        unknown = set(scenario) - set(defaults) - {"seed"}
+        unknown = set(scenario) - set(defaults)
         if unknown:
             raise ValidationError(
                 f"scenario keys {sorted(unknown)} are not accepted by "
                 f"{ns.subcommand!r}; allowed: {sorted(defaults)}"
             )
-        if "seed" in scenario:
-            _int(scenario["seed"], "seed")
 
     def __getattr__(self, key):
         v = getattr(self._ns, key, None)
@@ -556,7 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--scenario", default=None, help="JSON file with parameter values")
-        p.add_argument("--seed", type=int, default=None, help="recorded for reproducibility")
         for args, kwargs in flags:
             p.add_argument(*args, **kwargs)
         return p

@@ -1,0 +1,283 @@
+"""Shortest closed walks of a given class in the Z^2-cover of a graph.
+
+One search answers the question both graph families ask: the shortest
+loop in a homology class.  On the toral geodesic graph it checks that
+nothing beats the prescribed lengths; on the canyon graph it measures
+the marked lengths the corridors realise.
+
+A graph is compiled once into a `SearchIndex`: nodes numbered 0..n-1,
+their positions in the unit square, both orientations of every edge as
+labelled steps with their integer period shifts, and the lower bounds
+that guide the search.  `shortest_cover_cycle` then runs A* from each
+endpoint of a period-crossing edge, which every cycle of a nonzero
+class must visit, guided by the gauge of the hull of the steps'
+displacement-per-cost points and pruned by the best cycle so far.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Optional, Sequence
+
+#: Relative slack for float comparisons in the cover search.
+SEARCH_RTOL = 1e-12
+
+#: The heuristic is deflated by this factor to stay admissible under
+#: float rounding.
+_HEUR_DEFLATE = 1e-12
+
+#: Paths within this relative margin of the incumbent are treated as
+#: ties and pruned.  Strictly wider than the heuristic deflation, so a
+#: tie plateau never survives the bar; returned lengths are minimal up
+#: to this relative tolerance.
+_PRUNE_RTOL = 4e-12
+
+Point = tuple[float, float]
+
+
+@dataclass(frozen=True)
+class SearchIndex:
+    """What every cover search on one graph reads, computed once.
+
+    `adj[i]` lists the steps out of node i as (neighbor, weight, dx, dy,
+    label), in edge order, both orientations of every edge; (dx, dy)
+    counts the periods the step's lift crosses.  `x_starts` and
+    `y_starts` are the endpoints of edges crossing the x and y period,
+    in search order.
+    """
+
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+    adj: tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]
+    rates: tuple[float, float, float]
+    normals: Optional[tuple[Point, ...]]
+    x_starts: tuple[int, ...]
+    y_starts: tuple[int, ...]
+    min_weight: float
+
+
+def build_search_index(
+    positions: Sequence[Point],
+    edges: Iterable[tuple[int, int, float, int, int, Hashable, Hashable]],
+    start_key: Optional[Callable[[int], object]] = None,
+) -> SearchIndex:
+    """Compile a periodic graph for `shortest_cover_cycle`.
+
+    `positions[i]` places node i in the unit square.  Each edge is
+    (u, v, weight, dx, dy, forward, backward): going from u to v its
+    lift crosses (dx, dy) periods; the step u -> v carries the label
+    `forward` and the step v -> u the label `backward`.  Start lists are
+    sorted by `start_key` on node numbers, by number when it is None.
+    """
+    xs = tuple(x for x, _y in positions)
+    ys = tuple(y for _x, y in positions)
+    adj: list[list[tuple[int, float, int, int, Hashable]]] = [[] for _ in xs]
+    # distinct (lifted x, lifted y, weight) per edge, in edge order; a
+    # background grid makes up most edges but only a handful of lifts
+    lifts: dict[tuple[float, float, float], None] = {}
+    x_ends: set[int] = set()
+    y_ends: set[int] = set()
+    for u, v, w, dx, dy, forward, backward in edges:
+        adj[u].append((v, w, dx, dy, forward))
+        adj[v].append((u, w, -dx, -dy, backward))
+        lifts[(xs[v] + dx - xs[u], ys[v] + dy - ys[u], w)] = None
+        # every cycle with nonzero x-displacement uses an edge whose
+        # shift has a nonzero x component, so it passes through one of
+        # these endpoints; starting only there loses nothing
+        if dx != 0:
+            x_ends.update((u, v))
+        if dy != 0:
+            y_ends.update((u, v))
+    return SearchIndex(
+        xs=xs,
+        ys=ys,
+        adj=tuple(map(tuple, adj)),
+        rates=_crossing_rates(lifts),
+        normals=_gauge_normals(lifts),
+        x_starts=tuple(sorted(x_ends, key=start_key)),
+        y_starts=tuple(sorted(y_ends, key=start_key)),
+        min_weight=min((w for _lx, _ly, w in lifts), default=math.inf),
+    )
+
+
+def _crossing_rates(lifts: Iterable[tuple[float, float, float]]) -> tuple[float, float, float]:
+    """Cheapest cost per unit of lifted x, y, and x+y advance, over
+    the edges' (lifted x, lifted y, weight) triples.
+
+    Any cycle of homology (a, b) moves its lift by exactly a in x, so
+    its length is at least |a| times the x rate; same in y.  The rates
+    combine only through max, never sum, because a single edge may
+    advance both coordinates at once; the third rate prices combined
+    L^1 advance and is sound on its own.
+    """
+    rate_x = math.inf
+    rate_y = math.inf
+    rate_1 = math.inf
+    for lx, ly, w in lifts:
+        dx = abs(lx)
+        dy = abs(ly)
+        if dx > 1e-15:
+            rate_x = min(rate_x, w / dx)
+        if dy > 1e-15:
+            rate_y = min(rate_y, w / dy)
+        if dx + dy > 1e-15:
+            rate_1 = min(rate_1, w / (dx + dy))
+    return rate_x, rate_y, rate_1
+
+
+def _gauge_normals(
+    lifts: Iterable[tuple[float, float, float]],
+) -> Optional[tuple[Point, ...]]:
+    """Facet normals of the displacement-per-cost hull.
+
+    Every edge's (lifted x, lifted y, weight) triple contributes its
+    lifted displacement divided by its weight, both orientations.  The
+    gauge of that hull evaluated on a remaining displacement
+    lower-bounds the cost of any path closing it: each step's rate
+    point lies in the hull, so its weight is at least the gauge of its
+    displacement, and the gauge is subadditive.  Returns None when the
+    rays do not surround the origin; callers fall back to the axis
+    rates.
+    """
+    reps: dict[Point, Point] = {}
+    for lx, ly, w in lifts:
+        dx = lx / w
+        dy = ly / w
+        if abs(dx) + abs(dy) <= 1e-15:
+            continue
+        for px, py in ((dx, dy), (-dx, -dy)):
+            reps.setdefault((round(px, 12), round(py, 12)), (px, py))
+    hull = convex_hull(reps.values())
+    if len(hull) < 3:
+        return None
+    normals = []
+    for i, (px, py) in enumerate(hull):
+        qx, qy = hull[(i + 1) % len(hull)]
+        t = qx * py - qy * px
+        if abs(t) < 1e-18:
+            return None
+        # a . p = a . q = 1, so a . r is the gauge on this facet's cone
+        normals.append(((py - qy) / t, (qx - px) / t))
+    return tuple(normals)
+
+
+def convex_hull(points: Iterable[Point]) -> list[Point]:
+    """Vertices of the convex hull, counterclockwise from the lowest-x
+    point (Andrew's monotone chain); collinear points are dropped, and
+    fewer than three distinct points come back sorted."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        out: list[Point] = []
+        for p in seq:
+            while len(out) >= 2:
+                (ox, oy), (px, py) = out[-2], out[-1]
+                if (px - ox) * (p[1] - oy) - (py - oy) * (p[0] - ox) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def shortest_cover_cycle(
+    ix: SearchIndex,
+    a: int,
+    b: int,
+    window: int,
+    upper: float,
+    incumbent: float = math.inf,
+) -> Optional[tuple[float, tuple[tuple[int, int, int], ...], list[Hashable]]]:
+    """Shortest closed walk whose lift crosses (a, b) != (0, 0) periods.
+
+    Equals the minimum over start nodes of the cover distance from the
+    node's origin lift to its (a, b)-translate, with every deck shift
+    along the way within `window`.  Walks costing more than `upper`
+    (up to SEARCH_RTOL) or not beating `incumbent` by more than
+    _PRUNE_RTOL are never completed.
+
+    Returns (length, states, labels) for the best walk found, or None
+    when nothing beats both bounds: `states` are its (node, shift x,
+    shift y) lifts from the start, `labels` its steps' labels.
+    """
+    adj = ix.adj
+    xs = ix.xs
+    ys = ix.ys
+    normals = ix.normals
+    rate_x, rate_y, rate_1 = ix.rates
+    cutoff = upper * (1 + SEARCH_RTOL)
+    best = incumbent
+    found = None
+
+    if a != 0 and (b == 0 or len(ix.x_starts) <= len(ix.y_starts)):
+        starts = ix.x_starts
+    else:
+        starts = ix.y_starts
+    deflate = 1 - _HEUR_DEFLATE
+    for start in starts:
+        goal_x = xs[start] + a
+        goal_y = ys[start] + b
+        bar = min(best * (1 - _PRUNE_RTOL), cutoff)
+
+        def heuristic(node: int, sx: int, sy: int) -> float:
+            dx = goal_x - (xs[node] + sx)
+            dy = goal_y - (ys[node] + sy)
+            if normals is not None:
+                return max(ax * dx + ay * dy for ax, ay in normals) * deflate
+            dx = abs(dx)
+            dy = abs(dy)
+            hx = rate_x * dx if math.isfinite(rate_x) else 0.0
+            hy = rate_y * dy if math.isfinite(rate_y) else 0.0
+            h1 = rate_1 * (dx + dy) if math.isfinite(rate_1) else 0.0
+            return max(hx, hy, h1) * deflate
+
+        dist: dict[tuple[int, int, int], float] = {}
+        pred: dict[tuple[int, int, int], tuple] = {}
+        state0 = (start, 0, 0)
+        target = (start, a, b)
+        dist[state0] = 0.0
+        tick = 0
+        heap = [(heuristic(start, 0, 0), tick, 0.0, state0)]
+        while heap:
+            f, _t, g, state = heapq.heappop(heap)
+            if f >= bar:
+                break
+            if g > dist.get(state, math.inf):
+                continue
+            if state == target:
+                best = g
+                path = []
+                cur = state
+                while cur != state0:
+                    prev, label = pred[cur]
+                    path.append((cur, label))
+                    cur = prev
+                path.reverse()
+                states = (state0,) + tuple(st for (st, _l) in path)
+                found = (g, states, [label for (_st, label) in path])
+                break
+            node, sx, sy = state
+            for (nbr, w, dx, dy, label) in adj[node]:
+                nsx = sx + dx
+                nsy = sy + dy
+                if abs(nsx) > window or abs(nsy) > window:
+                    continue
+                ng = g + w
+                nstate = (nbr, nsx, nsy)
+                if ng < dist.get(nstate, math.inf):
+                    nf = ng + heuristic(nbr, nsx, nsy)
+                    if nf >= bar:
+                        continue
+                    dist[nstate] = ng
+                    pred[nstate] = (state, label)
+                    tick += 1
+                    heapq.heappush(heap, (nf, tick, ng, nstate))
+    return found

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from stablenorm.cover import convex_hull
 from stablenorm.errors import ValidationError
 from stablenorm.norms import (
     IntegralClass,
@@ -36,28 +37,6 @@ DEFAULT_PINNED = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
 
 #: Slack for the pairwise Lipschitz comparison.
 LIPSCHITZ_TOL = 1e-9
-
-
-def _convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return list(pts)
-
-    def half(seq):
-        out: list[tuple[float, float]] = []
-        for p in seq:
-            while len(out) >= 2:
-                (ox, oy), (px, py) = out[-2], out[-1]
-                if (px - ox) * (p[1] - oy) - (py - oy) * (p[0] - ox) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
 
 
 def hull_gauge(hull: Sequence[tuple[float, float]], u: tuple[float, float]) -> float:
@@ -202,7 +181,7 @@ def run_convergence(
             est = stable_norm_estimate(canyon, cls, n_max).estimate
             devs.append(PinnedDeviation(cls=cls, estimate=est, target=eval_norm(norm, cls)))
 
-        hull = _convex_hull(
+        hull = convex_hull(
             [(c.a / length, c.b / length) for c, length in classes]
             + [(-c.a / length, -c.b / length) for c, length in classes]
         )

@@ -28,7 +28,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from stablenorm.errors import ConstructionError, SearchBudgetError, ValidationError
+from stablenorm.errors import (
+    ConstructionError,
+    InvariantError,
+    SearchBudgetError,
+    ValidationError,
+)
 
 IntVec = tuple[int, int]
 
@@ -212,7 +217,8 @@ def canonical_form(
                 rotated = tuple(pts[(start + i) % n] for i in range(n))
                 if best is None or rotated < best:
                     best = rotated
-    assert best is not None
+    if best is None:
+        raise InvariantError("canonical form found no symmetry image")
     return best
 
 
@@ -415,7 +421,8 @@ def _pick_area_witness(slot: AreaSlot) -> tuple[int, LatticePolygon]:
         score = (spread, poly.vertices)
         if best is None or score < best[0]:
             best = (score, poly)
-    assert best is not None
+    if best is None:
+        raise InvariantError(f"optimal area {Fraction(c2, 2)} has no witness chain")
     return c2, best[1]
 
 
@@ -618,7 +625,8 @@ def min_interior_symmetric(
             else:
                 cr = wx * dy - wy * dx
                 # directions confined to a half-plane sweep strictly left
-                assert cr > 0, "half-plane chain lost convexity"
+                if cr <= 0:
+                    raise InvariantError("half-plane chain lost convexity")
             for mult in range(1, mult_cap + 1):
                 sweep.ops += 1
                 additions.append(
@@ -668,7 +676,8 @@ def min_interior_symmetric(
         score = (spread, poly.vertices)
         if best_pick is None or score < best_pick[0]:
             best_pick = (score, poly, prim)
-    assert best_pick is not None
+    if best_pick is None:
+        raise InvariantError(f"minimal symmetric {two_m}-gon has no witness chain")
     witness = best_pick[1]
     prim = best_pick[2]
     counts = pick_counts(witness)

@@ -169,6 +169,8 @@ def multiplicity_profile(
 
     _warn_if_coarse(entries, tol)
     raw_groups = _group_entries(entries, tol)
+    # one polygon sweep per distinct multiplicity, not per tie group
+    f_memo: dict[int, int] = {}
     groups: list[ProfileGroup] = []
     shorter = 0
     for bucket in raw_groups:
@@ -179,7 +181,9 @@ def multiplicity_profile(
             f_bound = None
             ok = True
         else:
-            f_bound = f_of_m(m)
+            if m not in f_memo:
+                f_memo[m] = f_of_m(m)
+            f_bound = f_memo[m]
             ok = shorter >= f_bound
         groups.append(
             ProfileGroup(

@@ -477,59 +477,6 @@ def lipschitz_bound(v1: float, v2: float) -> float:
     return math.hypot(v1, v2)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-norm sup deviation from the limit on a compact grid, plus a
-    shared-Lipschitz verification with the first violating triple."""
-
-    deviations: tuple[float, ...]
-    lipschitz_constants: tuple[float, ...]
-    lipschitz_ok: bool
-    witness: Optional[tuple[int, Vec, Vec]]
-
-
-def compact_convergence_check(
-    norm_sequence: Sequence[Callable[[Vec], float]],
-    limit: NormSpec,
-    grid: Sequence[Vec],
-    tolerance: float = 1e-9,
-) -> ConvergenceReport:
-    """Compare a sequence of norm evaluators against a limit norm.
-
-    Each entry of `norm_sequence` is a callable on 2-vectors (a NormSpec
-    can be wrapped via functools.partial(eval_norm, spec)).  Deviations
-    are sup over the grid of |f_j(x) - ||x|||.  Each f_j must also be
-    B_j-Lipschitz on sampled grid pairs, B_j = sqrt(f_j(e1)^2 + f_j(e2)^2).
-    """
-    if not grid:
-        raise ValidationError("grid must be a nonempty compact sample")
-    devs: list[float] = []
-    consts: list[float] = []
-    witness: Optional[tuple[int, Vec, Vec]] = None
-    m = len(grid)
-    strides = sorted({1, max(1, m // 7), max(1, m // 3)})
-    for j, f in enumerate(norm_sequence):
-        dev = max(abs(f(x) - eval_norm(limit, x)) for x in grid)
-        devs.append(dev)
-        bj = lipschitz_bound(f((1.0, 0.0)), f((0.0, 1.0)))
-        consts.append(bj)
-        if witness is None:
-            for s in strides:
-                for i in range(m):
-                    x, y = grid[i], grid[(i + s) % m]
-                    if abs(f(x) - f(y)) > bj * math.hypot(x[0] - y[0], x[1] - y[1]) + tolerance:
-                        witness = (j, x, y)
-                        break
-                if witness is not None:
-                    break
-    return ConvergenceReport(
-        deviations=tuple(devs),
-        lipschitz_constants=tuple(consts),
-        lipschitz_ok=witness is None,
-        witness=witness,
-    )
-
-
 def _ccw_sorted(vertices: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(((int(x), int(y)) for x, y in vertices), key=lambda v: math.atan2(v[1], v[0])))
 

@@ -20,13 +20,18 @@ loop reports the prescribed length bit for bit.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
+from stablenorm.cover import (
+    SEARCH_RTOL,
+    SearchIndex,
+    build_search_index,
+    shortest_cover_cycle,
+)
 from stablenorm.errors import (
     ConstructionError,
     InvariantError,
@@ -38,19 +43,6 @@ from stablenorm.toral_graph import ToralGeodesicGraph
 
 NodeId = tuple
 IntVec = tuple[int, int]
-
-#: Relative slack for float comparisons in the cover search.
-SEARCH_RTOL = 1e-12
-
-#: The heuristic is deflated by this factor to stay admissible under
-#: float rounding.
-_HEUR_DEFLATE = 1e-12
-
-#: Paths within this relative margin of the incumbent are treated as
-#: ties and pruned.  Strictly wider than the heuristic deflation, so a
-#: tie plateau never survives the bar; returned lengths are minimal up
-#: to this relative tolerance, then recomputed exactly.
-_PRUNE_RTOL = 4e-12
 
 #: Default relative tolerance when grouping spectrum lengths.
 GROUP_RTOL = 1e-6
@@ -114,154 +106,27 @@ class PeriodicWeightedGraph:
         return min(e.weight for e in self.edges)
 
     @cached_property
+    def node_index(self) -> Mapping[NodeId, int]:
+        """Node numbers of the search index: places in `nodes`."""
+        return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
     def search_index(self) -> SearchIndex:
         """Per-graph data of the cover search, built on the first query
-        and kept for the life of the graph."""
-        return _compile_search_index(self)
-
-
-@dataclass(frozen=True)
-class SearchIndex:
-    """What every cover search on one graph reads, computed once.
-
-    Nodes are numbered by their place in `PeriodicWeightedGraph.nodes`;
-    searches run on these numbers and map back to node ids only when
-    they build a witness.  `adj[i]` lists the steps out of node i as
-    (neighbor, weight, dx, dy, edge index), in edge order, both
-    orientations of every edge.  `x_starts` and `y_starts` are the
-    endpoints of edges crossing the x and y period, in search order.
-    """
-
-    node_index: Mapping[NodeId, int]
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    adj: tuple[tuple[tuple[int, float, int, int, int], ...], ...]
-    rates: tuple[float, float, float]
-    normals: Optional[tuple[tuple[float, float], ...]]
-    x_starts: tuple[int, ...]
-    y_starts: tuple[int, ...]
-    min_weight: float
-
-
-def _compile_search_index(pg: PeriodicWeightedGraph) -> SearchIndex:
-    index = {node: i for i, node in enumerate(pg.nodes)}
-    xs = tuple(pg.positions[n][0] for n in pg.nodes)
-    ys = tuple(pg.positions[n][1] for n in pg.nodes)
-    adj: list[list[tuple[int, float, int, int, int]]] = [[] for _ in pg.nodes]
-    # distinct (lifted x, lifted y, weight) per edge, in edge order; the
-    # grid makes up most edges but only a handful of distinct lifts
-    lifts: dict[tuple[float, float, float], None] = {}
-    x_ends: set[NodeId] = set()
-    y_ends: set[NodeId] = set()
-    for idx, e in enumerate(pg.edges):
-        u = index[e.u]
-        v = index[e.v]
-        dx, dy = e.disp
-        adj[u].append((v, e.weight, dx, dy, idx))
-        adj[v].append((u, e.weight, -dx, -dy, idx))
-        lifts[(xs[v] + dx - xs[u], ys[v] + dy - ys[u], e.weight)] = None
-        # every cycle with nonzero x-displacement uses an edge whose
-        # disp has a nonzero x component, so it passes through one of
-        # these endpoints; starting only there loses nothing
-        if dx != 0:
-            x_ends.update((e.u, e.v))
-        if dy != 0:
-            y_ends.update((e.u, e.v))
-
-    def search_order(ends: set[NodeId]) -> tuple[int, ...]:
-        # corridor starts first: they bound the optimum early and let the
-        # heuristic close off the background almost immediately
-        return tuple(index[n] for n in sorted(ends, key=lambda node: (node[0] == "g", node)))
-
-    return SearchIndex(
-        node_index=index,
-        xs=xs,
-        ys=ys,
-        adj=tuple(tuple(steps) for steps in adj),
-        rates=_crossing_rates(lifts),
-        normals=_gauge_normals(lifts),
-        x_starts=search_order(x_ends),
-        y_starts=search_order(y_ends),
-        min_weight=pg.min_edge_weight(),
-    )
-
-
-def _crossing_rates(lifts: Iterable[tuple[float, float, float]]) -> tuple[float, float, float]:
-    """Cheapest cost per unit of lifted x, y, and x+y advance, over
-    the edges' (lifted x, lifted y, weight) triples.
-
-    Any cycle of homology (a, b) moves its lift by exactly a in x, so
-    its length is at least |a| times the x rate; same in y.  The rates
-    combine only through max, never sum, because a single edge may
-    advance both coordinates at once; the third rate prices combined
-    L^1 advance and is sound on its own.
-    """
-    rate_x = math.inf
-    rate_y = math.inf
-    rate_1 = math.inf
-    for lx, ly, w in lifts:
-        dx = abs(lx)
-        dy = abs(ly)
-        if dx > 1e-15:
-            rate_x = min(rate_x, w / dx)
-        if dy > 1e-15:
-            rate_y = min(rate_y, w / dy)
-        if dx + dy > 1e-15:
-            rate_1 = min(rate_1, w / (dx + dy))
-    return rate_x, rate_y, rate_1
-
-
-def _gauge_normals(
-    lifts: Iterable[tuple[float, float, float]],
-) -> Optional[tuple[tuple[float, float], ...]]:
-    """Facet normals of the displacement-per-cost hull.
-
-    Every edge's (lifted x, lifted y, weight) triple contributes its
-    lifted displacement divided by its weight, both orientations.  The gauge of that hull evaluated on a
-    remaining displacement lower-bounds the cost of any path closing
-    it: each step's rate point lies in the hull, so its weight is at
-    least the gauge of its displacement, and the gauge is subadditive.
-    Returns None when the rays do not surround the origin; callers
-    fall back to the axis rates.
-    """
-    reps: dict[tuple[float, float], tuple[float, float]] = {}
-    for lx, ly, w in lifts:
-        dx = lx / w
-        dy = ly / w
-        if abs(dx) + abs(dy) <= 1e-15:
-            continue
-        for px, py in ((dx, dy), (-dx, -dy)):
-            reps.setdefault((round(px, 12), round(py, 12)), (px, py))
-    pts = sorted(reps.values())
-    if len(pts) < 3:
-        return None
-
-    def half(seq):
-        out: list[tuple[float, float]] = []
-        for p in seq:
-            while len(out) >= 2:
-                (ox, oy), (px, py) = out[-2], out[-1]
-                if (px - ox) * (p[1] - oy) - (py - oy) * (p[0] - ox) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return None
-    normals = []
-    for i, (px, py) in enumerate(hull):
-        qx, qy = hull[(i + 1) % len(hull)]
-        t = qx * py - qy * px
-        if abs(t) < 1e-18:
-            return None
-        # a . p = a . q = 1, so a . r is the gauge on this facet's cone
-        normals.append(((py - qy) / t, (qx - px) / t))
-    return tuple(normals)
+        and kept for the life of the graph.  Each step's label is its
+        edge index; corridor nodes come first in the start lists, since
+        they bound the optimum early and let the heuristic close off
+        the background almost immediately."""
+        index = self.node_index
+        nodes = self.nodes
+        return build_search_index(
+            [self.positions[n] for n in nodes],
+            (
+                (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
+                for i, e in enumerate(self.edges)
+            ),
+            start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
+        )
 
 
 def uniform_grid(resolution: int, edge_weight: Optional[float] = None) -> PeriodicWeightedGraph:
@@ -475,7 +340,8 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     """
     n = pg.grid_resolution
     ix = pg.search_index
-    start = ix.node_index.get(("g", 0, 0))
+    node_index = pg.node_index
+    start = node_index.get(("g", 0, 0))
     if n is None or start is None:
         return None
     states = [(start, 0, 0)]
@@ -486,7 +352,7 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
 
     def step(nxt: NodeId, disp: IntVec) -> bool:
         nonlocal cur, sx, sy, cost
-        target = ix.node_index.get(nxt)
+        target = node_index.get(nxt)
         for (nbr, w, dx, dy, idx) in ix.adj[cur]:
             if nbr == target and (dx, dy) == disp:
                 cur = nbr
@@ -575,89 +441,15 @@ def marked_min_length(
             window=needed,
         )
 
-    ix = pg.search_index
-    adj = ix.adj
-    xs = ix.xs
-    ys = ix.ys
-    normals = ix.normals
-    rate_x, rate_y, rate_1 = ix.rates
-    cutoff = upper * (1 + SEARCH_RTOL)
-    best = math.inf
-    best_states: Optional[tuple] = None
-    best_edges: Optional[list[int]] = None
     seed = _grid_loop_seed(pg, h)
-    if seed is not None:
-        best, best_states, best_edges = seed
-
-    if h.a != 0 and (h.b == 0 or len(ix.x_starts) <= len(ix.y_starts)):
-        starts = ix.x_starts
-    else:
-        starts = ix.y_starts
-    deflate = 1 - _HEUR_DEFLATE
-    for start in starts:
-        goal_x = xs[start] + h.a
-        goal_y = ys[start] + h.b
-        bar = min(best * (1 - _PRUNE_RTOL), cutoff)
-
-        def heuristic(node: int, sx: int, sy: int) -> float:
-            dx = goal_x - (xs[node] + sx)
-            dy = goal_y - (ys[node] + sy)
-            if normals is not None:
-                return max(ax * dx + ay * dy for ax, ay in normals) * deflate
-            dx = abs(dx)
-            dy = abs(dy)
-            hx = rate_x * dx if math.isfinite(rate_x) else 0.0
-            hy = rate_y * dy if math.isfinite(rate_y) else 0.0
-            h1 = rate_1 * (dx + dy) if math.isfinite(rate_1) else 0.0
-            return max(hx, hy, h1) * deflate
-
-        dist: dict[tuple[int, int, int], float] = {}
-        pred: dict[tuple[int, int, int], tuple] = {}
-        state0 = (start, 0, 0)
-        target = (start, h.a, h.b)
-        dist[state0] = 0.0
-        tick = 0
-        heap = [(heuristic(start, 0, 0), tick, 0.0, state0)]
-        while heap:
-            f, _t, g, state = heapq.heappop(heap)
-            if f >= bar:
-                break
-            if g > dist.get(state, math.inf):
-                continue
-            if state == target:
-                best = g
-                path = []
-                cur = state
-                while cur != state0:
-                    prev, edge_idx = pred[cur]
-                    path.append((cur, edge_idx))
-                    cur = prev
-                path.reverse()
-                best_states = (state0,) + tuple(st for (st, _e) in path)
-                best_edges = [e for (_st, e) in path]
-                break
-            node, sx, sy = state
-            for (nbr, w, dx, dy, edge_idx) in adj[node]:
-                nsx = sx + dx
-                nsy = sy + dy
-                if abs(nsx) > window or abs(nsy) > window:
-                    continue
-                ng = g + w
-                nstate = (nbr, nsx, nsy)
-                if ng < dist.get(nstate, math.inf):
-                    nf = ng + heuristic(nbr, nsx, nsy)
-                    if nf >= bar:
-                        continue
-                    dist[nstate] = ng
-                    pred[nstate] = (state, edge_idx)
-                    tick += 1
-                    heapq.heappush(heap, (nf, tick, ng, nstate))
-
-    if best_states is None or best_edges is None:
+    incumbent = math.inf if seed is None else seed[0]
+    found = shortest_cover_cycle(pg.search_index, h.a, h.b, window, upper, incumbent) or seed
+    if found is None:
         raise ValidationError(
             f"no cycle of class {h} found within the certified window; "
             "the graph may not wrap in that direction"
         )
+    best, best_states, best_edges = found
     exact = _exact_length(pg, best_edges)
     if abs(exact - best) > 1e-9 * max(1.0, best):
         raise InvariantError(

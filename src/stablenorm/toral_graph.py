@@ -10,21 +10,22 @@ identities (sum of q over a class is 1, displacements sum to h_i) hold
 exactly, not approximately.
 
 Cycle machinery: shortest representatives of integral classes via
-Dijkstra in the Z^2-cover, and a depth-first enumeration of cyclically
-reduced cycles up to an edge bound that yields the minimal excess
-length over the prescribed norm along with the tube constants zeta,
-epsilon, theta used by the corridor metric construction.
+the certified A* search of `stablenorm.cover` in the Z^2-cover, and a
+depth-first enumeration of cyclically reduced cycles up to an edge
+bound that yields the minimal excess length over the prescribed norm
+along with the tube constants zeta, epsilon, theta used by the
+corridor metric construction.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from stablenorm.cover import SearchIndex, build_search_index, shortest_cover_cycle
 from stablenorm.errors import SearchBudgetError, ValidationError, WindowTooSmallError
 from stablenorm.norms import IntegralClass, NormSpec, eval_norm
 
@@ -80,6 +81,19 @@ class ToralGeodesicGraph:
     @cached_property
     def shifts(self) -> tuple[tuple[int, int], ...]:
         return tuple(e.shift(self.vertices) for e in self.edges)
+
+    @cached_property
+    def search_index(self) -> SearchIndex:
+        """Cover-search data, built on the first `minimal_cycle` call:
+        vertex coordinates as positions, deck shifts as step shifts,
+        and (edge index, orientation) as step labels."""
+        return build_search_index(
+            [(float(x), float(y)) for x, y in self.vertices],
+            (
+                (e.tail, e.head, e.length, sx, sy, (i, 1), (i, -1))
+                for i, (e, (sx, sy)) in enumerate(zip(self.edges, self.shifts))
+            ),
+        )
 
     @cached_property
     def min_speed(self) -> float:
@@ -379,10 +393,11 @@ def minimal_cycle(
 ) -> Optional[tuple[Cycle, float]]:
     """Shortest cycle in the graph with homology class h.
 
-    Runs Dijkstra in the Z^2-cover restricted to deck shifts bounded by
-    `window`, from every start vertex.  With `window=None` a provably
-    sufficient window is derived from an explicit cycle decomposition of
-    h, so the returned minimum is certified global.
+    Runs the A* search of `stablenorm.cover` in the Z^2-cover, from the
+    endpoints of period-crossing edges, with deck shifts bounded by
+    `window` and lengths by an explicit cycle decomposition of h.  With
+    `window=None` a provably sufficient window is derived from that
+    decomposition, so the returned minimum is certified global.
 
     Returns:
         (cycle, length), or None when h is outside the integer span of
@@ -408,54 +423,19 @@ def minimal_cycle(
             window=window,
         )
 
-    best: Optional[tuple[float, int, tuple]] = None
-    nv = len(graph.vertices)
-    for s0 in range(nv):
-        start = (s0, 0, 0)
-        target = (s0, h.a, h.b)
-        dist: dict[tuple, float] = {start: 0.0}
-        pred: dict[tuple, tuple] = {}
-        heap: list[tuple[float, int, tuple]] = [(0.0, 0, start)]
-        tick = 0
-        while heap:
-            d, _, state = heapq.heappop(heap)
-            if d > dist.get(state, math.inf):
-                continue
-            if state == target:
-                break
-            v, mx, my = state
-            for e, sg, w in graph.oriented[v]:
-                sx, sy = graph.shifts[e]
-                nxt = (w, mx + sg * sx, my + sg * sy)
-                if abs(nxt[1]) > win or abs(nxt[2]) > win:
-                    continue
-                nd = d + graph.edges[e].length
-                if nd < dist.get(nxt, math.inf) - 1e-15:
-                    dist[nxt] = nd
-                    pred[nxt] = (state, e, sg)
-                    tick += 1
-                    heapq.heappush(heap, (nd, tick, nxt))
-        if target in dist and (best is None or dist[target] < best[0] - 1e-15):
-            steps = []
-            cur = target
-            while cur != start:
-                prev, e, sg = pred[cur]
-                steps.append((e, sg))
-                cur = prev
-            best = (dist[target], s0, tuple(reversed(steps)))
-
-    if best is None:
+    found = shortest_cover_cycle(graph.search_index, h.a, h.b, win, upper)
+    if found is None:
         raise WindowTooSmallError(
             f"no representative of {h} within window {win}; a window of {auto} suffices",
             window=win,
         )
-    length, _, steps = best
+    length, _states, steps = found
     if length > (win - 1) * speed + LENGTH_SLACK:
         raise WindowTooSmallError(
             f"window {win} cannot certify the minimum for {h}; use window >= {auto}",
             window=win,
         )
-    return Cycle(steps), length
+    return Cycle(tuple(steps)), length
 
 
 @dataclass(frozen=True)

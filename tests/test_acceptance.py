@@ -242,7 +242,7 @@ def test_criterion_5_canyon_marked_spectrum():
         found = minimal_cycle(graph, cls)
         assert found is not None
         # Exact equality convention: per-class rational share totals,
-        # one float rounding each.  The raw Dijkstra accumulation may
+        # one float rounding each.  The raw search accumulation may
         # sit an ulp away and is only sanity-checked.
         assert found[0].length_exact(graph) == length
         assert abs(found[1] - length) <= 4.0 * SEARCH_RTOL * length

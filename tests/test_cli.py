@@ -168,7 +168,7 @@ class TestFormats:
 class TestScenario:
     def test_scenario_supplies_values(self, capsys, tmp_path):
         f = tmp_path / "s.json"
-        f.write_text(json.dumps({"norm": "euclidean", "k": 2, "seed": 7}), encoding="utf-8")
+        f.write_text(json.dumps({"norm": "euclidean", "k": 2}), encoding="utf-8")
         _, from_scenario, _ = run_cli(capsys, "graph-epsilon", "--scenario", str(f))
         _, from_flags, _ = run_cli(capsys, "graph-epsilon", "--norm", "euclidean", "--k", "2")
         assert from_scenario == from_flags
@@ -192,10 +192,11 @@ class TestScenario:
 
     def test_unknown_scenario_key_rejected(self, capsys, tmp_path):
         f = tmp_path / "s.json"
-        f.write_text(json.dumps({"grid": 64}), encoding="utf-8")
-        code, _, err = run_cli(capsys, "graph-build", "--scenario", str(f))
-        assert code == 2
-        assert "grid" in json.loads(err)["error"]["message"]
+        for key in ("grid", "seed"):
+            f.write_text(json.dumps({key: 64}), encoding="utf-8")
+            code, _, err = run_cli(capsys, "graph-build", "--scenario", str(f))
+            assert code == 2
+            assert key in json.loads(err)["error"]["message"]
 
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "graph-build", "--scenario", str(tmp_path / "absent.json"))

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from stablenorm.cover import convex_hull
 from stablenorm.errors import ValidationError
 from stablenorm.experiments import (
     LIPSCHITZ_TOL,
-    _convex_hull,
     hull_gauge,
     run_convergence,
 )
@@ -16,25 +16,25 @@ from stablenorm.norms import euclidean, eval_norm, hexagonal
 
 class TestHullGauge:
     def test_diamond_is_l1(self):
-        hull = _convex_hull([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+        hull = convex_hull([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
         assert len(hull) == 4
         for u, want in [((1.0, 0.0), 1.0), ((0.5, 0.5), 1.0), ((2.0, -1.0), 3.0)]:
             assert hull_gauge(hull, u) == pytest.approx(want, abs=1e-12)
 
     def test_vertices_sit_on_the_unit_level(self):
         pts = [(1.0, 0.0), (0.7, 0.7), (0.0, 1.0)]
-        hull = _convex_hull(pts + [(-x, -y) for x, y in pts])
+        hull = convex_hull(pts + [(-x, -y) for x, y in pts])
         for p in pts:
             assert hull_gauge(hull, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_points_dropped(self):
-        hull = _convex_hull(
+        hull = convex_hull(
             [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.1, 0.1)]
         )
         assert (0.1, 0.1) not in hull
 
     def test_zero_vector(self):
-        hull = _convex_hull([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+        hull = convex_hull([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
         assert hull_gauge(hull, (0.0, 0.0)) == 0.0
 
     def test_gauge_dominates_euclidean_norm_on_inscribed_hull(self):
@@ -43,7 +43,7 @@ class TestHullGauge:
             (math.cos(a), math.sin(a))
             for a in [k * math.pi / 6 for k in range(12)]
         ]
-        hull = _convex_hull(pts)
+        hull = convex_hull(pts)
         for j in range(40):
             u = (math.cos(j * 0.157 + 0.05), math.sin(j * 0.157 + 0.05))
             assert hull_gauge(hull, u) >= eval_norm(euclidean(), u) - 1e-12

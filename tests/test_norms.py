@@ -14,7 +14,6 @@ from stablenorm.norms import (
     IntegralClass,
     NormSpec,
     PNorm,
-    compact_convergence_check,
     enumerate_classes,
     euclidean,
     eval_norm,
@@ -274,35 +273,6 @@ class TestLipschitz:
         b = lipschitz_bound(eval_norm(norm, (1.0, 0.0)), eval_norm(norm, (0.0, 1.0)))
         lhs = abs(eval_norm(norm, x) - eval_norm(norm, y))
         assert lhs <= b * math.hypot(x[0] - y[0], x[1] - y[1]) + 1e-9
-
-
-class TestCompactConvergence:
-    @staticmethod
-    def circle_grid(n=48):
-        return [(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n)) for j in range(n)]
-
-    def test_constant_sequence(self):
-        limit = hexagonal()
-        fs = [lambda v, s=limit: eval_norm(s, v)] * 3
-        report = compact_convergence_check(fs, limit, self.circle_grid())
-        assert report.deviations == (0.0, 0.0, 0.0)
-        assert report.lipschitz_ok
-
-    def test_scaled_euclidean_deviation_is_one_over_j(self):
-        limit = euclidean()
-        fs = [lambda v, j=j: (1.0 + 1.0 / j) * eval_norm(limit, v) for j in range(1, 5)]
-        report = compact_convergence_check(fs, limit, self.circle_grid())
-        for j, dev in zip(range(1, 5), report.deviations):
-            assert dev == pytest.approx(1.0 / j, rel=1e-12)
-        assert report.lipschitz_ok
-
-    def test_lipschitz_violation_is_witnessed(self):
-        limit = euclidean()
-        broken = lambda v: 0.01 if v[0] > 0.99 else eval_norm(limit, v)
-        report = compact_convergence_check([broken], limit, self.circle_grid())
-        assert not report.lipschitz_ok
-        j, x, y = report.witness
-        assert j == 0
 
 
 class TestIntegralClass:

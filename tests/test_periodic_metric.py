@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablenorm import periodic_metric
+from stablenorm import cover, periodic_metric
 from stablenorm.errors import InvariantError, ValidationError, WindowTooSmallError
 from stablenorm.norms import IntegralClass, euclidean, leading_primitive_classes
 from stablenorm.periodic_metric import (
@@ -471,8 +471,8 @@ class TestSearchIndex:
             vx, vy = canyon.positions[e.v]
             every_edge.append((vx + e.disp[0] - ux, vy + e.disp[1] - uy, e.weight))
         index = canyon.search_index
-        assert periodic_metric._crossing_rates(every_edge) == index.rates
-        assert periodic_metric._gauge_normals(every_edge) == index.normals
+        assert cover._crossing_rates(every_edge) == index.rates
+        assert cover._gauge_normals(every_edge) == index.normals
 
     def test_equal_graphs_stay_equal(self):
         queried = uniform_grid(8)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablenorm.errors import SearchBudgetError, ValidationError, WindowTooSmallError
-from stablenorm.norms import IntegralClass, euclidean, eval_norm
+from stablenorm import cover
+from stablenorm.norms import IntegralClass, euclidean, eval_norm, leading_primitive_classes
 from stablenorm.toral_graph import (
     Cycle,
     ToralGeodesicGraph,
@@ -27,6 +28,7 @@ def euclid_classes(*pairs):
 SQUARE = build_graph(euclid_classes((1, 0), (0, 1)))
 THREE = build_graph(euclid_classes((1, 0), (0, 1), (1, 1)))
 SKEW = build_graph(euclid_classes((1, 2), (2, 1)))
+TOP5 = build_graph(leading_primitive_classes(E, 5))
 
 
 def all_closed_walks(graph, max_edges):
@@ -51,11 +53,11 @@ def all_closed_walks(graph, max_edges):
     return out
 
 
-def oracle_min_length(graph, h, max_edges):
-    best = math.inf
+def oracle_min_lengths(graph, max_edges):
+    """Oracle: shortest closed walk of each class up to max_edges edges."""
+    best = {}
     for cls, length, _ in all_closed_walks(graph, max_edges):
-        if cls == (h.a, h.b):
-            best = min(best, length)
+        best[cls] = min(best.get(cls, math.inf), length)
     return best
 
 
@@ -184,25 +186,38 @@ class TestMinimalCycle:
         assert length == 0.0 and len(cycle) == 0
 
     def test_matches_exhaustive_enumeration(self):
-        for graph, bound in ((SQUARE, 5), (THREE, 4), (SKEW, 6)):
+        for graph, bound in ((SQUARE, 5), (THREE, 4), (SKEW, 6), (TOP5, 5)):
+            oracle = oracle_min_lengths(graph, bound)
+            # a cycle of more than `bound` edges is longer than this
+            certified = bound * min(e.length for e in graph.edges)
             for a in range(-2, 3):
                 for b in range(-2, 3):
                     h = IntegralClass(a, b)
-                    expected = oracle_min_length(graph, h, bound)
+                    expected = oracle.get((a, b), math.inf)
                     got = minimal_cycle(graph, h)
                     if got is None:
                         assert math.isinf(expected)
+                    elif not h.is_trivial and got[1] <= certified:
+                        assert got[1] == pytest.approx(expected, abs=1e-12), (graph, h)
                     else:
                         # the oracle is edge-bounded so it can only overestimate
                         assert got[1] <= expected + 1e-12
 
+    def test_prescribed_classes_exact(self):
+        for graph in (SQUARE, THREE, SKEW, TOP5):
+            for h, ell in graph.classes:
+                cycle, length = minimal_cycle(graph, h)
+                assert cycle.length_exact(graph) == ell
+                assert length == pytest.approx(ell, rel=4 * cover.SEARCH_RTOL)
+
     def test_square_exact_against_oracle(self):
+        oracle = oracle_min_lengths(SQUARE, 6)
         for a in range(-2, 3):
             for b in range(-2, 3):
                 if (a, b) == (0, 0):
                     continue
                 got = minimal_cycle(SQUARE, IntegralClass(a, b))
-                assert got[1] == pytest.approx(oracle_min_length(SQUARE, IntegralClass(a, b), 6), abs=1e-12)
+                assert got[1] == pytest.approx(oracle[(a, b)], abs=1e-12)
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmallError):
@@ -239,6 +254,29 @@ class TestMinimalCycle:
                     assert cycle.is_closed(graph)
                     assert cycle.homology(graph) == IntegralClass(a, b)
                     assert cycle.class_by_crossings(graph) == IntegralClass(a, b)
+
+
+class TestSearchIndex:
+    def test_built_on_first_minimal_cycle_and_kept(self):
+        # build_graph and the tube constants never query the cover
+        graph = build_graph(euclid_classes((1, 0), (0, 1), (1, 1)))
+        compute_zeta_epsilon_theta(graph, E, math.sqrt(2.0))
+        assert "search_index" not in vars(graph)
+        minimal_cycle(graph, IntegralClass(2, 1))
+        index = graph.search_index
+        minimal_cycle(graph, IntegralClass(1, -1))
+        assert graph.search_index is index
+
+    def test_steps_mirror_oriented_edges(self):
+        for graph in (SQUARE, THREE, SKEW, TOP5):
+            index = graph.search_index
+            for v, steps in enumerate(index.adj):
+                assert [(label, nbr) for nbr, _w, _dx, _dy, label in steps] == [
+                    ((e, s), w) for e, s, w in graph.oriented[v]
+                ]
+                for nbr, w, dx, dy, (e, s) in steps:
+                    sx, sy = graph.shifts[e]
+                    assert (w, dx, dy) == (graph.edges[e].length, s * sx, s * sy)
 
 
 class TestTubeConstants:
