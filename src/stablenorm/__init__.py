@@ -11,7 +11,6 @@ from stablenorm.errors import (
     InvariantError,
     SearchBudgetError,
     ValidationError,
-    WindowTooSmallError,
 )
 from stablenorm.experiments import ConvergenceReport, StageReport, run_convergence
 from stablenorm.lattice_polygons import (
@@ -67,7 +66,6 @@ from stablenorm.toral_graph import (
     build_graph,
     compute_zeta_epsilon_theta,
     minimal_cycle,
-    verify_strict_inequality,
 )
 
 __all__ = [
@@ -95,7 +93,6 @@ __all__ = [
     "ToralGeodesicGraph",
     "TubeConstants",
     "ValidationError",
-    "WindowTooSmallError",
     "build_canyon_graph",
     "build_graph",
     "canonical_form",
@@ -123,7 +120,6 @@ __all__ = [
     "strict_convexity_check",
     "uniform_grid",
     "verify_sharpness",
-    "verify_strict_inequality",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Every subcommand prints one JSON document to stdout (or CSV with
 --format=csv where a flat table exists) and is deterministic: the same
 scenario produces the same bytes.  Exact rationals are serialized as
 "p/q" strings.  Validation failures exit 2, exhausted search budgets
-exit 3, both with a structured JSON error on stderr.
+exit 3 and failed internal consistency checks exit 4, each with a
+structured JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Optional, Sequence
 
 from stablenorm.errors import (
     ConstructionError,
+    InvariantError,
     SearchBudgetError,
     ValidationError,
-    WindowTooSmallError,
 )
 from stablenorm.experiments import run_convergence
 from stablenorm.lattice_polygons import (
@@ -634,7 +635,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         scenario = _load_scenario(ns.scenario)
         handler(_Args(ns, scenario, defaults))
-    except (ValidationError, WindowTooSmallError, ConstructionError) as exc:
+    except (ValidationError, ConstructionError) as exc:
         _fail({"type": "validation", "message": str(exc)})
         return 2
     except SearchBudgetError as exc:
@@ -647,6 +648,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             }
         )
         return 3
+    except InvariantError as exc:
+        _fail({"type": "invariant", "message": str(exc)})
+        return 4
     return 0
 
 

@@ -19,15 +19,6 @@ class SearchBudgetError(RuntimeError):
         self.budget = budget
 
 
-class WindowTooSmallError(ValueError):
-    """A shortest-cycle search window was too small to certify the
-    minimum; the caller should widen it."""
-
-    def __init__(self, message: str, *, window: int):
-        super().__init__(message)
-        self.window = window
-
-
 class ConstructionError(RuntimeError):
     """A geometric construction (arc-polygon rounding, sharpness witness)
     could not be completed within its documented parameter range."""

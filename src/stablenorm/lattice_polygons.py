@@ -117,9 +117,6 @@ class LatticePolygon:
         """Vertex multiset closed under negation (symmetry about the origin)."""
         return sorted(self.vertices) == sorted((-x, -y) for (x, y) in self.vertices)
 
-    def translated(self, dx: int, dy: int) -> "LatticePolygon":
-        return LatticePolygon(tuple((x + dx, y + dy) for (x, y) in self.vertices))
-
     def to_jsonable(self) -> list[list[int]]:
         return [[x, y] for (x, y) in self.vertices]
 
@@ -153,7 +150,7 @@ def pick_counts(p: LatticePolygon, self_check: bool = False) -> PickCounts:
     if self_check:
         got_i, got_b = _scan_counts(v)
         if (got_i, got_b) != (interior, boundary):
-            raise AssertionError(
+            raise InvariantError(
                 "point scan disagrees with Pick: "
                 f"formula ({interior}, {boundary}), scan ({got_i}, {got_b})"
             )
@@ -489,7 +486,7 @@ def min_area_convex_kgon(
     area = Fraction(c2, 2)
     check = pick_counts(witness)
     if check.area != area:
-        raise AssertionError(
+        raise InvariantError(
             f"witness area {check.area} disagrees with search result {area}"
         )
     certified = area == Fraction(k, 2) - 1
@@ -548,10 +545,10 @@ def i_of_k(k: int, **search_kwargs) -> int:
     res = min_area_convex_kgon(k, **search_kwargs)
     value = res.area + Fraction(2 - k, 2)
     if value.denominator != 1 or value < 0:
-        raise AssertionError(f"interior count for k={k} came out as {value}")
+        raise InvariantError(f"interior count for k={k} came out as {value}")
     counts = pick_counts(res.witness, self_check=True)
     if counts.boundary != k or counts.interior != int(value):
-        raise AssertionError(
+        raise InvariantError(
             f"minimal {k}-gon witness has counts {counts}, "
             f"inconsistent with interior {value}"
         )
@@ -659,7 +656,7 @@ def min_interior_symmetric(
         )
     interior = min_cost + 1
     if interior < 1:
-        raise AssertionError(f"interior count {interior} below the origin floor")
+        raise InvariantError(f"interior count {interior} below the origin floor")
     want_prim = prefer_primitive and prim_ties
 
     best_pick: Optional[tuple[tuple, LatticePolygon, bool]] = None
@@ -682,11 +679,11 @@ def min_interior_symmetric(
     prim = best_pick[2]
     counts = pick_counts(witness)
     if counts.interior != interior:
-        raise AssertionError(
+        raise InvariantError(
             f"witness interior {counts.interior} disagrees with search cost {interior}"
         )
     if not witness.is_centrally_symmetric():
-        raise AssertionError("witness lost its central symmetry")
+        raise InvariantError("witness lost its central symmetry")
     return SymmetricInteriorResult(
         two_m=two_m,
         interior=interior,
@@ -706,7 +703,7 @@ def f_of_m(m: int, **search_kwargs) -> int:
         raise ValidationError(f"m must be an integer in 1..8, got {m!r}")
     res = min_interior_symmetric(2 * m, **search_kwargs)
     if res.interior % 2 != 1:
-        raise AssertionError(
+        raise InvariantError(
             f"symmetric minimum interior count {res.interior} is even"
         )
     return (res.interior + 1) // 2

@@ -24,16 +24,13 @@ from stablenorm.lattice_polygons import f_of_m, min_interior_symmetric
 from stablenorm.norms import (
     Ellipse,
     IntegralClass,
+    LENGTH_TIE_RTOL,
     NormSpec,
     enumerate_classes,
     make_arc_polygon,
     strict_convexity_check,
 )
 from stablenorm.periodic_metric import SpectrumResult
-
-#: Default relative tie tolerance for analytic norms.  Grid spectra
-#: must state their own; their discretization error is not ours to guess.
-ANALYTIC_TIE_RTOL = 1e-9
 
 #: Fraction of distinct consecutive values a tolerance may merge before
 #: the profile warns that it is probably too coarse.
@@ -136,16 +133,17 @@ def multiplicity_profile(
     """Group a spectrum into tied lengths and check n >= f(m) per group.
 
     A NormSpec is evaluated at its first `class_budget` canonical
-    classes (tolerance defaults to the analytic 1e-9); a SpectrumResult
-    from the periodic module brings its own measured entries and must
-    state an explicit tolerance.  The zero-length group is exempt from
-    the bound: the trivial class is not a geodesic.
+    classes (tolerance defaults to the analytic `LENGTH_TIE_RTOL`); a
+    SpectrumResult from the periodic module brings its own measured
+    entries and must state an explicit tolerance, since its
+    discretization error is not ours to guess.  The zero-length group
+    is exempt from the bound: the trivial class is not a geodesic.
     """
     if isinstance(source, NormSpec):
         if class_budget is None:
             raise ValidationError("a norm profile needs a class budget")
         entries = list(enumerate_classes(source, class_budget).entries)
-        tol = ANALYTIC_TIE_RTOL if tie_tolerance is None else float(tie_tolerance)
+        tol = LENGTH_TIE_RTOL if tie_tolerance is None else float(tie_tolerance)
         kind = "norm"
     elif isinstance(source, SpectrumResult):
         if tie_tolerance is None:

@@ -434,9 +434,9 @@ def enumerate_classes(norm: NormSpec, count: int) -> EnumeratedClasses:
     """First `count` unoriented integral classes ordered by norm value.
 
     The trivial class (0,0) opens the list with value 0.  Ties within
-    relative tolerance 1e-9 are ordered by the canonical tie key and
-    all carry the smallest value of their group, so the values are
-    nondecreasing.
+    relative tolerance `LENGTH_TIE_RTOL` are ordered by the canonical
+    tie key and all carry the smallest value of their group, so the
+    values are nondecreasing.
     """
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")

@@ -32,19 +32,14 @@ from stablenorm.cover import (
     build_search_index,
     shortest_cover_cycle,
 )
-from stablenorm.errors import (
-    ConstructionError,
-    InvariantError,
-    ValidationError,
-    WindowTooSmallError,
-)
+from stablenorm.errors import ConstructionError, InvariantError, ValidationError
 from stablenorm.norms import IntegralClass
 from stablenorm.toral_graph import ToralGeodesicGraph
 
 NodeId = tuple
 IntVec = tuple[int, int]
 
-#: Default relative tolerance when grouping spectrum lengths.
+#: Relative tolerance when grouping spectrum lengths.
 GROUP_RTOL = 1e-6
 
 _MIN_GRID_RESOLUTION = 64
@@ -129,21 +124,15 @@ class PeriodicWeightedGraph:
         )
 
 
-def uniform_grid(resolution: int, edge_weight: Optional[float] = None) -> PeriodicWeightedGraph:
-    """4-neighbor N x N torus grid with equal edge weights.
-
-    The default weight 1/N makes the marked lengths the L^1 norm of the
-    class, a convenient exactly-known baseline.
-    """
-    n = resolution
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"grid resolution must be an integer >= 2, got {n!r}")
-    w = 1.0 / n if edge_weight is None else float(edge_weight)
-    if w <= 0:
-        raise ValidationError(f"edge weight must be positive, got {w}")
-    nodes = []
-    positions = {}
-    edges = []
+def _add_torus_grid(
+    n: int,
+    weight: float,
+    nodes: list[NodeId],
+    positions: dict[NodeId, tuple[float, float]],
+    edges: list[PeriodicEdge],
+) -> None:
+    """Append the 4-neighbor N x N torus grid: nodes ("g", i, j) row by
+    row, then a right and an up edge of the given weight per node."""
     for i in range(n):
         for j in range(n):
             node = ("g", i, j)
@@ -153,8 +142,24 @@ def uniform_grid(resolution: int, edge_weight: Optional[float] = None) -> Period
         for j in range(n):
             right = ("g", (i + 1) % n, j)
             up = ("g", i, (j + 1) % n)
-            edges.append(PeriodicEdge(("g", i, j), right, w, (1 if i == n - 1 else 0, 0), "grid"))
-            edges.append(PeriodicEdge(("g", i, j), up, w, (0, 1 if j == n - 1 else 0), "grid"))
+            edges.append(PeriodicEdge(("g", i, j), right, weight, (1 if i == n - 1 else 0, 0), "grid"))
+            edges.append(PeriodicEdge(("g", i, j), up, weight, (0, 1 if j == n - 1 else 0), "grid"))
+
+
+def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
+    """4-neighbor N x N torus grid with edge weight 1/N.
+
+    Its marked lengths are the L^1 norm of the class, a convenient
+    exactly-known baseline.
+    """
+    n = resolution
+    if not isinstance(n, int) or n < 2:
+        raise ValidationError(f"grid resolution must be an integer >= 2, got {n!r}")
+    w = 1.0 / n
+    nodes: list[NodeId] = []
+    positions: dict[NodeId, tuple[float, float]] = {}
+    edges: list[PeriodicEdge] = []
+    _add_torus_grid(n, w, nodes, positions, edges)
     return PeriodicWeightedGraph(
         nodes=tuple(nodes),
         positions=positions,
@@ -263,18 +268,7 @@ def build_canyon_graph(
             lift_prev = lift
             prev_node = node
 
-    for i in range(n):
-        for j in range(n):
-            node = ("g", i, j)
-            nodes.append(node)
-            positions[node] = (i / n, j / n)
-    gw = b / n
-    for i in range(n):
-        for j in range(n):
-            right = ("g", (i + 1) % n, j)
-            up = ("g", i, (j + 1) % n)
-            edges.append(PeriodicEdge(("g", i, j), right, gw, (1 if i == n - 1 else 0, 0), "grid"))
-            edges.append(PeriodicEdge(("g", i, j), up, gw, (0, 1 if j == n - 1 else 0), "grid"))
+    _add_torus_grid(n, b / n, nodes, positions, edges)
 
     for cnode in corridor_nodes:
         x, y = positions[cnode]
@@ -307,11 +301,8 @@ class SpectrumEntry:
     length: float
     witness: tuple[tuple[NodeId, int, int], ...]
 
-    def to_jsonable(self, include_witness: bool = False) -> dict:
-        out = {"class": [self.cls.a, self.cls.b], "length": self.length}
-        if include_witness:
-            out["witness"] = [[list(node), sx, sy] for (node, sx, sy) in self.witness]
-        return out
+    def to_jsonable(self) -> dict:
+        return {"class": [self.cls.a, self.cls.b], "length": self.length}
 
 
 def _certified_window(pg: PeriodicWeightedGraph, h: IntegralClass) -> tuple[int, float]:
@@ -410,11 +401,7 @@ def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[int]) -> float
     return total
 
 
-def marked_min_length(
-    pg: PeriodicWeightedGraph,
-    h: IntegralClass | tuple[int, int],
-    window: Optional[int] = None,
-) -> SpectrumEntry:
+def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, int]) -> SpectrumEntry:
     """Shortest cycle length among loops with total displacement h.
 
     Equals the minimum over all quotient nodes of the cover distance
@@ -431,16 +418,7 @@ def marked_min_length(
     if h.is_trivial:
         return SpectrumEntry(cls=h, length=0.0, witness=((pg.nodes[0], 0, 0),))
 
-    needed, upper = _certified_window(pg, h)
-    if window is None:
-        window = needed
-    elif window < needed:
-        raise WindowTooSmallError(
-            f"window {window} cannot certify class {h}; "
-            f"the background loop bound needs {needed}",
-            window=needed,
-        )
-
+    window, upper = _certified_window(pg, h)
     seed = _grid_loop_seed(pg, h)
     incumbent = math.inf if seed is None else seed[0]
     found = shortest_cover_cycle(pg.search_index, h.a, h.b, window, upper, incumbent) or seed
@@ -480,7 +458,6 @@ def stable_norm_estimate(
     pg: PeriodicWeightedGraph,
     h: IntegralClass | tuple[int, int],
     n_max: int,
-    window: Optional[int] = None,
 ) -> StableNormEstimate:
     if not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
@@ -491,7 +468,7 @@ def stable_norm_estimate(
         raise ValidationError("stable norm of the trivial class is 0; nothing to estimate")
     ratios = []
     for n in range(1, n_max + 1):
-        entry = marked_min_length(pg, IntegralClass(n * h.a, n * h.b), window)
+        entry = marked_min_length(pg, IntegralClass(n * h.a, n * h.b))
         ratios.append(entry.length / n)
     estimate = min(ratios)
     stable = ratios[0] <= estimate * (1 + 1e-9)
@@ -522,11 +499,11 @@ class SpectrumResult:
     norm_bound: float
     group_rtol: float
 
-    def to_jsonable(self, include_witnesses: bool = False) -> dict:
+    def to_jsonable(self) -> dict:
         return {
             "norm_bound": self.norm_bound,
             "group_rtol": self.group_rtol,
-            "entries": [e.to_jsonable(include_witnesses) for e in self.entries],
+            "entries": [e.to_jsonable() for e in self.entries],
             "groups": [
                 {
                     "length": g.length,
@@ -539,25 +516,17 @@ class SpectrumResult:
         }
 
 
-def spectrum(
-    pg: PeriodicWeightedGraph,
-    norm_bound: float,
-    window: Optional[int] = None,
-    group_rtol: Optional[float] = None,
-) -> SpectrumResult:
+def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     """Marked lengths of every class that could fit under norm_bound.
 
     Candidate classes come from the crossing-rate lower bound, so the
     enumeration box provably contains every class whose marked length
     can be at or below the bound.  Classes are measured one by one on
     the graph's shared search index and sorted deterministically by
-    (length, class); ties group under the declared relative tolerance.
+    (length, class); ties group under the relative tolerance `GROUP_RTOL`.
     """
     if not norm_bound > 0:
         raise ValidationError(f"norm bound must be positive, got {norm_bound}")
-    rtol = GROUP_RTOL if group_rtol is None else float(group_rtol)
-    if rtol < 0:
-        raise ValidationError(f"grouping tolerance must be nonnegative, got {rtol}")
     rate_x, rate_y, _rate_1 = pg.search_index.rates
     amax = math.floor(norm_bound / rate_x + 1e-9) if math.isfinite(rate_x) else 0
     bmax = math.floor(norm_bound / rate_y + 1e-9) if math.isfinite(rate_y) else 0
@@ -568,42 +537,31 @@ def spectrum(
         for b in range(-bmax, bmax + 1)
     )
 
-    measured = [marked_min_length(pg, c, window) for c in candidates]
+    measured = [marked_min_length(pg, c) for c in candidates]
 
     entries = [marked_min_length(pg, IntegralClass(0, 0))]
     entries.extend(e for e in measured if e.length <= norm_bound * (1 + SEARCH_RTOL))
     entries.sort(key=lambda e: (e.length, e.cls.tie_key()))
 
     groups: list[MultiplicityGroup] = []
-    bucket: list[SpectrumEntry] = []
-    shorter = 0
-    for e in entries:
-        if bucket and e.length - bucket[0].length > rtol * max(bucket[0].length, 1e-300):
+    first = 0
+    for i in range(1, len(entries) + 1):
+        base = entries[first].length
+        if i == len(entries) or entries[i].length - base > GROUP_RTOL * max(base, 1e-300):
             groups.append(
                 MultiplicityGroup(
-                    length=bucket[0].length,
-                    classes=tuple(x.cls for x in bucket),
-                    multiplicity=len(bucket),
-                    shorter_count=shorter,
+                    length=base,
+                    classes=tuple(x.cls for x in entries[first:i]),
+                    multiplicity=i - first,
+                    shorter_count=first,
                 )
             )
-            shorter += len(bucket)
-            bucket = []
-        bucket.append(e)
-    if bucket:
-        groups.append(
-            MultiplicityGroup(
-                length=bucket[0].length,
-                classes=tuple(x.cls for x in bucket),
-                multiplicity=len(bucket),
-                shorter_count=shorter,
-            )
-        )
+            first = i
     return SpectrumResult(
         entries=tuple(entries),
         groups=tuple(groups),
         norm_bound=float(norm_bound),
-        group_rtol=rtol,
+        group_rtol=GROUP_RTOL,
     )
 
 

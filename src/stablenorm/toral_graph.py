@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from stablenorm.cover import SearchIndex, build_search_index, shortest_cover_cycle
-from stablenorm.errors import SearchBudgetError, ValidationError, WindowTooSmallError
+from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
 from stablenorm.norms import IntegralClass, NormSpec, eval_norm
 
 FracVec = tuple[Fraction, Fraction]
@@ -56,7 +56,7 @@ class GraphEdge:
         sx = self.disp[0] - (coords[self.head][0] - coords[self.tail][0])
         sy = self.disp[1] - (coords[self.head][1] - coords[self.tail][1])
         if sx.denominator != 1 or sy.denominator != 1:
-            raise AssertionError(f"non-integral deck shift ({sx},{sy})")
+            raise InvariantError(f"non-integral deck shift ({sx},{sy})")
         return (int(sx), int(sy))
 
 
@@ -203,9 +203,6 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def length(self, graph: ToralGeodesicGraph) -> float:
-        return sum(graph.edges[e].length for e, _ in self.steps)
-
     def length_exact(self, graph: ToralGeodesicGraph) -> float:
         """Length via per-class exact fraction totals.
 
@@ -224,7 +221,7 @@ class Cycle:
         dx = sum((s * graph.edges[e].disp[0] for e, s in self.steps), Fraction(0))
         dy = sum((s * graph.edges[e].disp[1] for e, s in self.steps), Fraction(0))
         if dx.denominator != 1 or dy.denominator != 1:
-            raise AssertionError(f"cycle displacement ({dx},{dy}) is not integral")
+            raise InvariantError(f"cycle displacement ({dx},{dy}) is not integral")
         return IntegralClass(int(dx), int(dy))
 
     def class_by_crossings(self, graph: ToralGeodesicGraph) -> IntegralClass:
@@ -274,14 +271,6 @@ class Cycle:
 
     def classes_used(self, graph: ToralGeodesicGraph) -> set[int]:
         return {graph.edges[e].cls for e, _ in self.steps}
-
-    def to_jsonable(self, graph: ToralGeodesicGraph) -> dict:
-        h = self.homology(graph)
-        return {
-            "steps": [[e, s] for e, s in self.steps],
-            "class": [h.a, h.b],
-            "length": self.length(graph),
-        }
 
 
 def _gap_midpoint(values: list[Fraction]) -> Fraction:
@@ -388,24 +377,18 @@ def _fundamental_cycles(graph: ToralGeodesicGraph) -> tuple[list[tuple[int, int]
     return gens, lens
 
 
-def minimal_cycle(
-    graph: ToralGeodesicGraph, h: IntegralClass, window: Optional[int] = None
-) -> Optional[tuple[Cycle, float]]:
+def minimal_cycle(graph: ToralGeodesicGraph, h: IntegralClass) -> Optional[tuple[Cycle, float]]:
     """Shortest cycle in the graph with homology class h.
 
     Runs the A* search of `stablenorm.cover` in the Z^2-cover, from the
-    endpoints of period-crossing edges, with deck shifts bounded by
-    `window` and lengths by an explicit cycle decomposition of h.  With
-    `window=None` a provably sufficient window is derived from that
-    decomposition, so the returned minimum is certified global.
+    endpoints of period-crossing edges, with lengths bounded by an
+    explicit cycle decomposition of h and deck shifts by the window that
+    decomposition makes provably sufficient, so the returned minimum is
+    certified global.
 
     Returns:
         (cycle, length), or None when h is outside the integer span of
         the graph's cycle classes.
-
-    Raises:
-        WindowTooSmallError: a caller-supplied window could not certify
-            the minimum; the message names a sufficient window.
     """
     if h.is_trivial:
         return Cycle(()), 0.0
@@ -415,26 +398,13 @@ def minimal_cycle(
         return None
     upper = sum(abs(c) * ln for c, ln in zip(combo, lens))
     speed = graph.min_speed
-    auto = max(int(math.ceil(upper / speed)) + 2, max(abs(h.a), abs(h.b)) + 1)
-    win = auto if window is None else window
-    if window is not None and window < max(abs(h.a), abs(h.b)) + 1:
-        raise WindowTooSmallError(
-            f"window {window} cannot even contain the target shift; use window >= {auto}",
-            window=window,
-        )
-
-    found = shortest_cover_cycle(graph.search_index, h.a, h.b, win, upper)
+    window = max(int(math.ceil(upper / speed)) + 2, max(abs(h.a), abs(h.b)) + 1)
+    found = shortest_cover_cycle(graph.search_index, h.a, h.b, window, upper)
     if found is None:
-        raise WindowTooSmallError(
-            f"no representative of {h} within window {win}; a window of {auto} suffices",
-            window=win,
-        )
+        raise InvariantError(f"no representative of {h} within its certified window {window}")
     length, _states, steps = found
-    if length > (win - 1) * speed + LENGTH_SLACK:
-        raise WindowTooSmallError(
-            f"window {win} cannot certify the minimum for {h}; use window >= {auto}",
-            window=win,
-        )
+    if length > (window - 1) * speed + LENGTH_SLACK:
+        raise InvariantError(f"certified window {window} does not cover the minimum for {h}")
     return Cycle(tuple(steps)), length
 
 
@@ -456,25 +426,16 @@ class TubeConstants:
     nodes_expanded: int
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    ok: bool
-    min_gap: float
-    witness: Optional[Cycle]
-    cycles_checked: int
-    gap_quantiles: tuple[float, float, float]
-    nodes_expanded: int
-
-
 def _min_gap_search(
     graph: ToralGeodesicGraph,
     norm: NormSpec,
     edge_bound: int,
     node_budget: int,
     cross_check: bool = False,
-) -> tuple[float, Optional[Cycle], list[float], int]:
+) -> tuple[float, Optional[Cycle], int, int]:
     """Minimum of L(c) - ||h_c|| over cyclically reduced cycles with at
-    most `edge_bound` edges that mix classes or orientations.
+    most `edge_bound` edges that mix classes or orientations, with its
+    witness, the number of such cycles closed and the nodes expanded.
 
     Soundness of the pruning: with prescribed class lengths the norm of
     an edge displacement equals the edge length, so the slack
@@ -486,7 +447,7 @@ def _min_gap_search(
     """
     best_gap = math.inf
     best_cycle: Optional[Cycle] = None
-    gaps: list[float] = []
+    cycles = 0
     nodes = 0
     steps: list[tuple[int, int]] = []
 
@@ -498,7 +459,7 @@ def _min_gap_search(
         memo: dict[tuple, list[tuple[int, float]]] = {}
 
         def walk(v: int, depth: int, length: float, dx: Fraction, dy: Fraction) -> None:
-            nonlocal best_gap, best_cycle, nodes
+            nonlocal best_gap, best_cycle, cycles, nodes
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetError(
@@ -532,21 +493,19 @@ def _min_gap_search(
                     cls_set = {graph.edges[se].cls for se, _ in steps}
                     if len(cls_set) > 1:
                         gap = (length + edge.length) - eval_norm(norm, (float(ndx), float(ndy)))
-                        gaps.append(gap)
+                        cycles += 1
                         if gap < best_gap:
                             best_gap = gap
                             best_cycle = Cycle(tuple(steps))
                         if cross_check:
                             c = Cycle(tuple(steps))
                             if c.homology(graph) != c.class_by_crossings(graph):
-                                raise AssertionError(
-                                    f"homology mismatch on cycle {c.steps}"
-                                )
+                                raise InvariantError(f"homology mismatch on cycle {c.steps}")
                 walk(w, depth + 1, length + edge.length, ndx, ndy)
                 steps.pop()
 
         walk(s0, 0, 0.0, Fraction(0), Fraction(0))
-    return best_gap, best_cycle, gaps, nodes
+    return best_gap, best_cycle, cycles, nodes
 
 
 def compute_zeta_epsilon_theta(
@@ -568,7 +527,7 @@ def compute_zeta_epsilon_theta(
     """
     zeta = 0.5 * min(e.length for e in graph.edges)
     edge_bound = int(math.floor(ell_k / zeta + 1e-9))
-    gap, witness, gaps, nodes = _min_gap_search(
+    gap, witness, cycles, nodes = _min_gap_search(
         graph, norm, edge_bound, node_budget, cross_check
     )
     if math.isinf(gap):
@@ -579,7 +538,7 @@ def compute_zeta_epsilon_theta(
             theta=theta_cap,
             witness=None,
             witness_class=None,
-            cycles_checked=len(gaps),
+            cycles_checked=cycles,
             nodes_expanded=nodes,
         )
     theta = gap / (2.0 * edge_bound)
@@ -590,34 +549,7 @@ def compute_zeta_epsilon_theta(
         theta=min(theta, theta_cap),
         witness=witness,
         witness_class=witness.homology(graph),
-        cycles_checked=len(gaps),
+        cycles_checked=cycles,
         nodes_expanded=nodes,
     )
 
-
-def verify_strict_inequality(
-    graph: ToralGeodesicGraph,
-    norm: NormSpec,
-    edge_bound: int,
-    node_budget: int = 10_000_000,
-) -> InequalityReport:
-    """Check L(c) > ||h_c|| over all mixed reduced cycles within the
-    edge bound.  A nonpositive minimum would be returned as a failing
-    report with its witness cycle."""
-    gap, witness, gaps, nodes = _min_gap_search(graph, norm, edge_bound, node_budget)
-    if not gaps:
-        return InequalityReport(True, math.inf, None, 0, (math.inf,) * 3, nodes)
-    ordered = sorted(gaps)
-    quant = (
-        ordered[0],
-        ordered[len(ordered) // 2],
-        ordered[-1],
-    )
-    return InequalityReport(
-        ok=gap > 0.0,
-        min_gap=gap,
-        witness=witness,
-        cycles_checked=len(gaps),
-        gap_quantiles=quant,
-        nodes_expanded=nodes,
-    )

@@ -13,8 +13,9 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from stablenorm import cli
 from stablenorm.cli import jsonify, main, parse_class, parse_norm
-from stablenorm.errors import ValidationError
+from stablenorm.errors import InvariantError, ValidationError
 from stablenorm.norms import Ellipse, PNorm
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -232,6 +233,18 @@ class TestExitCodes:
         assert error["type"] == "search-budget"
         assert error["budget"] == 1000
         assert error["nodes_expanded"] > 1000
+
+    def test_invariant_failure_exits_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise InvariantError("exact recompute drifted")
+
+        _handler, defaults = cli._HANDLERS["norm-enumerate"]
+        monkeypatch.setitem(cli._HANDLERS, "norm-enumerate", (broken, defaults))
+        code, out, err = run_cli(capsys, "norm-enumerate")
+        assert code == 4 and out == ""
+        assert json.loads(err) == {
+            "error": {"type": "invariant", "message": "exact recompute drifted"}
+        }
 
     def test_bad_class_flag(self, capsys):
         code, _, err = run_cli(capsys, "stable-norm", "--class", "one,two")
