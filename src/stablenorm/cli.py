@@ -6,6 +6,11 @@ scenario produces the same bytes.  Exact rationals are serialized as
 "p/q" strings.  Validation failures exit 2, exhausted search budgets
 exit 3 and failed internal consistency checks exit 4, each with a
 structured JSON error on stderr.
+
+Parameters can also come from a JSON scenario file (--scenario); flags
+win over it.  Its keys are the flag names with underscores (grid_n,
+n_max, class) and its values are checked like the flags, so an unknown
+key or a bad value exits 2 as well.
 """
 
 from __future__ import annotations
@@ -109,6 +114,43 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _ks(value, what: str) -> tuple[int, ...]:
+    if isinstance(value, str):
+        try:
+            return tuple(int(p) for p in value.split(","))
+        except ValueError as exc:
+            raise ValidationError(
+                f"{what} must be comma-separated integers, got {value!r}"
+            ) from exc
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be 'a,b,...' or a list of integers, got {value!r}")
+    return tuple(_int(v, f"{what} entry") for v in value)
+
+
+_GRAPHS = ("canyon", "uniform")
+
+
+def _graph(value, what: str) -> str:
+    if value not in _GRAPHS:
+        raise ValidationError(f"{what} must be canyon or uniform, got {value!r}")
+    return value
+
+
+def _norm_text(value, what: str):
+    # parse_norm checks the value once the scale is known
+    return value
+
+
+def _class(value, what: str) -> IntegralClass:
+    return parse_class(value)
+
+
 def parse_class(text) -> IntegralClass:
     if isinstance(text, (list, tuple)) and len(text) == 2:
         a, b = text
@@ -164,71 +206,36 @@ def _emit(ns, payload, csv_header=None, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
-class _Args:
-    """Flag values merged over scenario values merged over defaults."""
-
-    def __init__(self, ns: argparse.Namespace, scenario: dict, defaults: dict):
-        scenario = {("cls" if k == "class" else k): v for k, v in scenario.items()}
-        self._ns = ns
-        self._scenario = scenario
-        self._defaults = defaults
-        self.subcommand = ns.subcommand
-        self.format = ns.format
-        self.out = ns.out
-        unknown = set(scenario) - set(defaults)
-        if unknown:
-            raise ValidationError(
-                f"scenario keys {sorted(unknown)} are not accepted by "
-                f"{ns.subcommand!r}; allowed: {sorted(defaults)}"
-            )
-
-    def __getattr__(self, key):
-        v = getattr(self._ns, key, None)
-        if v is not None:
-            return v
-        if key in self._scenario:
-            return self._scenario[key]
-        return self._defaults[key]
-
-
 def _norm_of(args) -> NormSpec:
     return parse_norm(args.norm, args.scale)
 
 
 def _graph_for(args, norm: NormSpec):
-    k = _int(args.k, "k")
-    classes = leading_primitive_classes(norm, k)
-    graph = build_graph(classes)
-    ell_k = max(length for _c, length in classes)
-    return k, classes, graph, ell_k
+    classes = leading_primitive_classes(norm, args.k)
+    return build_graph(classes), max(length for _c, length in classes)
 
 
 def _canyon_for(args, norm: NormSpec):
-    k, classes, graph, ell_k = _graph_for(args, norm)
+    graph, ell_k = _graph_for(args, norm)
     theta = args.theta
     if theta is None:
-        consts = compute_zeta_epsilon_theta(
-            graph, norm, ell_k, node_budget=_int(args.budget, "budget")
-        )
-        theta = consts.theta
-    background = args.background if args.background is not None else ell_k
+        theta = compute_zeta_epsilon_theta(graph, norm, ell_k, node_budget=args.budget).theta
     canyon = build_canyon_graph(
         graph,
-        theta=float(theta),
-        background_systole=float(background),
-        grid_resolution=_int(args.grid_n, "grid N"),
+        theta=theta,
+        background_systole=ell_k if args.background is None else args.background,
+        grid_resolution=args.grid_n,
     )
-    return k, classes, canyon, ell_k
+    return canyon, ell_k
 
 
 def _cmd_norm_enumerate(args) -> None:
     norm = _norm_of(args)
-    count = _int(args.count, "count")
-    res = enumerate_classes(norm, count)
+    res = enumerate_classes(norm, args.count)
     payload = {
         "norm": norm_to_jsonable(norm),
-        "count": count,
-        "entries": [{"class": [c.a, c.b], "value": v} for c, v in res.entries],
+        "count": args.count,
+        "entries": [{"class": c, "value": v} for c, v in res.entries],
         "segment_tie_warning": res.segment_tie_warning,
     }
     _emit(args, payload, ("a", "b", "value"), [(c.a, c.b, v) for c, v in res.entries])
@@ -236,10 +243,10 @@ def _cmd_norm_enumerate(args) -> None:
 
 def _cmd_graph_build(args) -> None:
     norm = _norm_of(args)
-    k, _classes, graph, ell_k = _graph_for(args, norm)
+    graph, ell_k = _graph_for(args, norm)
     payload = {
         "norm": norm_to_jsonable(norm),
-        "k": k,
+        "k": args.k,
         "ell_k": ell_k,
         "graph": graph.to_jsonable(),
     }
@@ -248,25 +255,19 @@ def _cmd_graph_build(args) -> None:
 
 def _cmd_graph_epsilon(args) -> None:
     norm = _norm_of(args)
-    k, _classes, graph, ell_k = _graph_for(args, norm)
+    graph, ell_k = _graph_for(args, norm)
     consts = compute_zeta_epsilon_theta(
-        graph,
-        norm,
-        ell_k,
-        node_budget=_int(args.budget, "budget"),
-        theta_cap=float(args.theta_cap),
+        graph, norm, ell_k, node_budget=args.budget, theta_cap=args.theta_cap
     )
     payload = {
         "norm": norm_to_jsonable(norm),
-        "k": k,
+        "k": args.k,
         "ell_k": ell_k,
         "zeta": consts.zeta,
         "edge_bound": consts.edge_bound,
         "epsilon": consts.epsilon,
         "theta": consts.theta,
-        "witness_class": None
-        if consts.witness_class is None
-        else [consts.witness_class.a, consts.witness_class.b],
+        "witness_class": consts.witness_class,
         "cycles_checked": consts.cycles_checked,
     }
     _emit(
@@ -279,135 +280,95 @@ def _cmd_graph_epsilon(args) -> None:
 
 def _cmd_canyon_spectrum(args) -> None:
     norm = _norm_of(args)
-    k, _classes, canyon, ell_k = _canyon_for(args, norm)
-    bound = args.bound if args.bound is not None else ell_k * 1.05
-    res = spectrum(canyon, norm_bound=float(bound))
+    canyon, ell_k = _canyon_for(args, norm)
+    bound = ell_k * 1.05 if args.bound is None else args.bound
+    res = spectrum(canyon, norm_bound=bound)
     payload = {
         "norm": norm_to_jsonable(norm),
-        "k": k,
+        "k": args.k,
         "grid_n": canyon.grid_resolution,
         "theta": canyon.hub_budget,
         "background": canyon.background_systole,
-        "bound": float(bound),
+        "bound": bound,
         "spectrum": res.to_jsonable(),
     }
-    _emit(
-        args,
-        payload,
-        ("a", "b", "length", "multiplicity_group_id"),
-        spectrum_csv_rows(res),
-    )
+    _emit(args, payload, ("a", "b", "length", "multiplicity_group_id"), spectrum_csv_rows(res))
 
 
 def _cmd_stable_norm(args) -> None:
     norm = _norm_of(args)
-    h = parse_class(args.cls)
-    n_max = _int(args.n_max, "n-max")
+    h = getattr(args, "class")
     if args.graph == "uniform":
-        pg = uniform_grid(_int(args.grid_n, "grid N"))
+        pg = uniform_grid(args.grid_n)
         graph_desc = {"kind": "uniform", "grid_n": pg.grid_resolution}
-    elif args.graph == "canyon":
-        _k, _classes, pg, _ell_k = _canyon_for(args, norm)
+    else:
+        pg, _ell_k = _canyon_for(args, norm)
         graph_desc = {
             "kind": "canyon",
-            "k": _k,
+            "k": args.k,
             "grid_n": pg.grid_resolution,
             "theta": pg.hub_budget,
             "background": pg.background_systole,
             "norm": norm_to_jsonable(norm),
         }
-    else:
-        raise ValidationError(f"graph must be canyon or uniform, got {args.graph!r}")
-    est = stable_norm_estimate(pg, h, n_max)
+    est = stable_norm_estimate(pg, h, args.n_max)
     payload = {
         "graph": graph_desc,
-        "class": [h.a, h.b],
-        "ratios": list(est.ratios),
+        "class": h,
+        "ratios": est.ratios,
         "estimate": est.estimate,
         "stable": est.stable,
         "stable_at": est.stable_at,
     }
-    _emit(
-        args,
-        payload,
-        ("n", "ratio"),
-        [(n + 1, r) for n, r in enumerate(est.ratios)],
-    )
+    _emit(args, payload, ("n", "ratio"), [(n + 1, r) for n, r in enumerate(est.ratios)])
 
 
 def _cmd_polygon_min_area(args) -> None:
-    k = _int(args.k, "k")
-    budget = _int(args.budget, "budget")
-    if args.k_max is not None:
-        rows = min_area_table(
-            k, _int(args.k_max, "k-max"), coord_bound=args.coord_bound, budget=budget
-        )
-        payload = {
-            "table": [
-                {
-                    "k": r.k,
-                    "area": r.area,
-                    "interior": int(r.area + Fraction(2 - r.k, 2)),
-                    "witness": [list(v) for v in r.witness.vertices],
-                    "certified": r.certified,
-                }
-                for r in rows
-            ]
-        }
-        _emit(
-            args,
-            payload,
-            ("k", "A_num", "A_den", "i", "certified"),
-            [
-                (
-                    r.k,
-                    r.area.numerator,
-                    r.area.denominator,
-                    int(r.area + Fraction(2 - r.k, 2)),
-                    r.certified,
-                )
-                for r in rows
-            ],
-        )
-        return
-    res = min_area_convex_kgon(
-        k, coord_bound=args.coord_bound, pruned=not args.no_prune, budget=budget
-    )
-    payload = {
-        "k": res.k,
-        "area": res.area,
-        "witness": [list(v) for v in res.witness.vertices],
-        "certified": res.certified,
-    }
-    _emit(
-        args,
-        payload,
-        ("k", "A_num", "A_den", "i", "certified"),
-        [
-            (
-                res.k,
-                res.area.numerator,
-                res.area.denominator,
-                int(res.area + Fraction(2 - res.k, 2)),
-                res.certified,
+    if args.k_max is None:
+        results = [
+            min_area_convex_kgon(
+                args.k, coord_bound=args.coord_bound, pruned=not args.no_prune, budget=args.budget
             )
-        ],
-    )
+        ]
+    else:
+        results = min_area_table(
+            args.k, args.k_max, coord_bound=args.coord_bound, budget=args.budget
+        )
+    rows = [
+        {
+            "k": r.k,
+            "area": r.area,
+            "interior": int(r.area + Fraction(2 - r.k, 2)),
+            "witness": r.witness.vertices,
+            "certified": r.certified,
+        }
+        for r in results
+    ]
+    csv_rows = [
+        (r["k"], r["area"].numerator, r["area"].denominator, r["interior"], r["certified"])
+        for r in rows
+    ]
+    if args.k_max is None:
+        del rows[0]["interior"]  # the single-k document has no interior count
+        payload = rows[0]
+    else:
+        payload = {"table": rows}
+    _emit(args, payload, ("k", "A_num", "A_den", "i", "certified"), csv_rows)
 
 
 def _cmd_polygon_symm(args) -> None:
-    two_m = _int(args.two_m, "two-m")
     res = min_interior_symmetric(
-        two_m,
-        coord_bound=_int(args.coord_bound, "coord-bound"),
+        args.two_m,
+        coord_bound=args.coord_bound,
         prefer_primitive=args.prefer_primitive,
-        budget=_int(args.budget, "budget"),
+        budget=args.budget,
     )
+    f_of_m = (res.interior + 1) // 2
     payload = {
         "two_m": res.two_m,
         "interior": res.interior,
-        "f_of_m": (res.interior + 1) // 2,
-        "witness": [list(v) for v in res.witness_vertices],
+        "f_of_m": f_of_m,
+        "witness": res.witness_vertices,
         "all_primitive": res.all_primitive,
         "certified": res.certified,
     }
@@ -415,45 +376,29 @@ def _cmd_polygon_symm(args) -> None:
         args,
         payload,
         ("two_m", "interior", "f_of_m", "all_primitive", "certified"),
-        [(res.two_m, res.interior, (res.interior + 1) // 2, res.all_primitive, res.certified)],
+        [(res.two_m, res.interior, f_of_m, res.all_primitive, res.certified)],
     )
 
 
 def _cmd_multiplicity(args) -> None:
     norm = _norm_of(args)
-    profile = multiplicity_profile(
-        norm,
-        class_budget=_int(args.budget, "budget"),
-        tie_tolerance=args.tie_tolerance,
-    )
+    profile = multiplicity_profile(norm, class_budget=args.budget, tie_tolerance=args.tie_tolerance)
     payload = {"norm": norm_to_jsonable(norm), **profile.to_jsonable()}
-    _emit(
-        args,
-        payload,
-        ("position", "a", "b", "length", "m", "n"),
-        profile_csv_rows(profile),
-    )
+    _emit(args, payload, ("position", "a", "b", "length", "m", "n"), profile_csv_rows(profile))
 
 
 def _cmd_sharpness(args) -> None:
-    rep = verify_sharpness(_int(args.m, "m"), level=float(args.level))
+    rep = verify_sharpness(args.m, level=args.level)
     _emit(args, {**rep.to_jsonable(), "norm": norm_to_jsonable(rep.norm)})
 
 
 def _cmd_convergence(args) -> None:
-    ks = args.ks
-    if isinstance(ks, str):
-        try:
-            ks = tuple(int(p) for p in ks.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"ks must be comma-separated integers, got {args.ks!r}") from exc
-    norm = parse_norm(args.norm, args.scale) if args.norm is not None else None
     rep = run_convergence(
-        norm=norm,
-        ks=tuple(ks),
-        grid_resolution=_int(args.grid_n, "grid N"),
-        directions=_int(args.directions, "directions"),
-        n_max=_int(args.n_max, "n-max"),
+        norm=None if args.norm is None else _norm_of(args),
+        ks=args.ks,
+        grid_resolution=args.grid_n,
+        directions=args.directions,
+        n_max=args.n_max,
     )
     _emit(
         args,
@@ -466,79 +411,78 @@ def _cmd_convergence(args) -> None:
     )
 
 
-_HANDLERS = {
+# Each subcommand: (handler, help line, parameters).  A parameter is
+# (scenario key, converter, default); its flag is the key with dashes.
+_NORM = (("norm", _norm_text, "euclidean"), ("scale", _float, None))
+_GRAPH = (*_NORM, ("k", _int, 3))
+_TUBE_BUDGET = ("budget", _int, 10_000_000)
+_CANYON = (*_GRAPH, ("grid_n", _int, 64), ("theta", _float, None),
+           ("background", _float, None), _TUBE_BUDGET)
+_COMMANDS = {
     "norm-enumerate": (
         _cmd_norm_enumerate,
-        {"norm": "euclidean", "scale": None, "count": 10},
+        "rank integral classes by norm value",
+        (*_NORM, ("count", _int, 10)),
     ),
-    "graph-build": (_cmd_graph_build, {"norm": "euclidean", "scale": None, "k": 3}),
+    "graph-build": (
+        _cmd_graph_build,
+        "toral geodesic graph of the leading k primitive classes",
+        _GRAPH,
+    ),
     "graph-epsilon": (
         _cmd_graph_epsilon,
-        {"norm": "euclidean", "scale": None, "k": 3, "budget": 10_000_000, "theta_cap": 0.25},
+        "corridor constants zeta, epsilon, theta",
+        (*_GRAPH, _TUBE_BUDGET, ("theta_cap", _float, 0.25)),
     ),
     "canyon-spectrum": (
         _cmd_canyon_spectrum,
-        {
-            "norm": "euclidean",
-            "scale": None,
-            "k": 3,
-            "grid_n": 64,
-            "theta": None,
-            "background": None,
-            "bound": None,
-            "budget": 10_000_000,
-        },
+        "marked spectrum of the canyon discretization",
+        (*_CANYON, ("bound", _float, None)),
     ),
     "stable-norm": (
         _cmd_stable_norm,
-        {
-            "norm": "euclidean",
-            "scale": None,
-            "k": 3,
-            "grid_n": 64,
-            "theta": None,
-            "background": None,
-            "budget": 10_000_000,
-            "cls": "1,1",
-            "n_max": 3,
-            "graph": "canyon",
-        },
+        "stable norm estimate of one class",
+        (*_CANYON, ("class", _class, "1,1"), ("n_max", _int, 3), ("graph", _graph, "canyon")),
     ),
     "polygon-min-area": (
         _cmd_polygon_min_area,
-        {
-            "k": 3,
-            "k_max": None,
-            "coord_bound": None,
-            "no_prune": False,
-            "budget": DEFAULT_SEARCH_BUDGET,
-        },
+        "minimal area of a convex lattice k-gon",
+        (("k", _int, 3), ("k_max", _int, None), ("coord_bound", _int, None),
+         ("no_prune", _bool, False), ("budget", _int, DEFAULT_SEARCH_BUDGET)),
     ),
     "polygon-symm": (
         _cmd_polygon_symm,
-        {
-            "two_m": 6,
-            "coord_bound": 6,
-            "prefer_primitive": False,
-            "budget": DEFAULT_SEARCH_BUDGET,
-        },
+        "minimal interior count of a symmetric convex 2m-gon",
+        (("two_m", _int, 6), ("coord_bound", _int, 6), ("prefer_primitive", _bool, False),
+         ("budget", _int, DEFAULT_SEARCH_BUDGET)),
     ),
     "multiplicity": (
         _cmd_multiplicity,
-        {"norm": "euclidean", "scale": None, "budget": 10, "tie_tolerance": None},
+        "length spectrum grouped by ties, with lower bounds",
+        (*_NORM, ("budget", _int, 10), ("tie_tolerance", _float, None)),
     ),
-    "sharpness": (_cmd_sharpness, {"m": 3, "level": 1.0}),
+    "sharpness": (
+        _cmd_sharpness,
+        "certify a norm attaining the multiplicity bound",
+        (("m", _int, 3), ("level", _float, 1.0)),
+    ),
     "convergence": (
         _cmd_convergence,
-        {
-            "norm": None,
-            "scale": None,
-            "ks": "2,3,4,5,6",
-            "grid_n": 64,
-            "directions": 64,
-            "n_max": 2,
-        },
+        "canyon stable norms approaching their norm",
+        (("norm", _norm_text, None), ("scale", _float, None), ("ks", _ks, "2,3,4,5,6"),
+         ("grid_n", _int, 64), ("directions", _int, 64), ("n_max", _int, 2)),
     ),
+}
+
+# argparse settings of a flag, by the converter of its parameter
+_FLAG_KWARGS = {
+    _int: {"type": int},
+    _float: {"type": float},
+    _bool: {"action": "store_const", "const": True},
+    _graph: {"choices": _GRAPHS},
+    _norm_text: {"help": "euclidean | hexagonal | pnorm:P | ellipse:q11,q12,q22 | inline JSON"},
+    _class: {"help": "homology class a,b"},
+    _ks: {"help": "comma-separated stage sizes"},
 }
 
 
@@ -549,67 +493,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "lattice-polygon bounds on their multiplicities.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, help_text, *flags):
+    for name, (_handler, help_text, params) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--scenario", default=None, help="JSON file with parameter values")
-        for args, kwargs in flags:
-            p.add_argument(*args, **kwargs)
-        return p
-
-    norm_flags = [
-        (("--norm",), {"default": None, "help": "euclidean | hexagonal | pnorm:P | ellipse:q11,q12,q22 | inline JSON"}),
-        (("--scale",), {"type": float, "default": None}),
-    ]
-    add("norm-enumerate", "rank integral classes by norm value", *norm_flags,
-        (("--count",), {"type": int, "default": None}))
-    add("graph-build", "toral geodesic graph of the leading k primitive classes", *norm_flags,
-        (("--k",), {"type": int, "default": None}))
-    add("graph-epsilon", "corridor constants zeta, epsilon, theta", *norm_flags,
-        (("--k",), {"type": int, "default": None}),
-        (("--budget",), {"type": int, "default": None}),
-        (("--theta-cap",), {"type": float, "default": None, "dest": "theta_cap"}))
-    add("canyon-spectrum", "marked spectrum of the canyon discretization", *norm_flags,
-        (("--k",), {"type": int, "default": None}),
-        (("--grid-n",), {"type": int, "default": None, "dest": "grid_n"}),
-        (("--theta",), {"type": float, "default": None}),
-        (("--background",), {"type": float, "default": None}),
-        (("--bound",), {"type": float, "default": None}),
-        (("--budget",), {"type": int, "default": None}))
-    add("stable-norm", "stable norm estimate of one class", *norm_flags,
-        (("--k",), {"type": int, "default": None}),
-        (("--grid-n",), {"type": int, "default": None, "dest": "grid_n"}),
-        (("--theta",), {"type": float, "default": None}),
-        (("--background",), {"type": float, "default": None}),
-        (("--budget",), {"type": int, "default": None}),
-        (("--class",), {"default": None, "dest": "cls", "help": "homology class a,b"}),
-        (("--n-max",), {"type": int, "default": None, "dest": "n_max"}),
-        (("--graph",), {"choices": ("canyon", "uniform"), "default": None}))
-    add("polygon-min-area", "minimal area of a convex lattice k-gon",
-        (("--k",), {"type": int, "default": None}),
-        (("--k-max",), {"type": int, "default": None, "dest": "k_max"}),
-        (("--coord-bound",), {"type": int, "default": None, "dest": "coord_bound"}),
-        (("--no-prune",), {"action": "store_const", "const": True, "default": None, "dest": "no_prune"}),
-        (("--budget",), {"type": int, "default": None}))
-    add("polygon-symm", "minimal interior count of a symmetric convex 2m-gon",
-        (("--two-m",), {"type": int, "default": None, "dest": "two_m"}),
-        (("--coord-bound",), {"type": int, "default": None, "dest": "coord_bound"}),
-        (("--prefer-primitive",), {"action": "store_const", "const": True, "default": None, "dest": "prefer_primitive"}),
-        (("--budget",), {"type": int, "default": None}))
-    add("multiplicity", "length spectrum grouped by ties, with lower bounds", *norm_flags,
-        (("--budget",), {"type": int, "default": None}),
-        (("--tie-tolerance",), {"type": float, "default": None, "dest": "tie_tolerance"}))
-    add("sharpness", "certify a norm attaining the multiplicity bound",
-        (("--m",), {"type": int, "default": None}),
-        (("--level",), {"type": float, "default": None}))
-    add("convergence", "canyon stable norms approaching their norm", *norm_flags,
-        (("--ks",), {"default": None, "help": "comma-separated stage sizes"}),
-        (("--grid-n",), {"type": int, "default": None, "dest": "grid_n"}),
-        (("--directions",), {"type": int, "default": None}),
-        (("--n-max",), {"type": int, "default": None, "dest": "n_max"}))
+        for key, convert, _default in params:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAG_KWARGS[convert])
     return parser
+
+
+def _resolve(ns: argparse.Namespace, scenario: dict, params) -> None:
+    """Set each parameter on `ns` to its flag, else its scenario value,
+    else its default, through its converter; a None default may stay None."""
+    keys = sorted(key for key, _convert, _default in params)
+    unknown = set(scenario) - set(keys)
+    if unknown:
+        raise ValidationError(
+            f"scenario keys {sorted(unknown)} are not accepted by "
+            f"{ns.subcommand!r}; allowed: {keys}"
+        )
+    for key, convert, default in params:
+        value = getattr(ns, key)
+        if value is None:
+            value = scenario.get(key, default)
+        if value is not None or default is not None:
+            value = convert(value, key)
+        setattr(ns, key, value)
 
 
 def _load_scenario(path: Optional[str]) -> dict:
@@ -631,10 +541,10 @@ def _load_scenario(path: Optional[str]) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    handler, defaults = _HANDLERS[ns.subcommand]
+    handler, _help, params = _COMMANDS[ns.subcommand]
     try:
-        scenario = _load_scenario(ns.scenario)
-        handler(_Args(ns, scenario, defaults))
+        _resolve(ns, _load_scenario(ns.scenario), params)
+        handler(ns)
     except (ValidationError, ConstructionError) as exc:
         _fail({"type": "validation", "message": str(exc)})
         return 2

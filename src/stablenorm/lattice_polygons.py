@@ -440,6 +440,36 @@ def _merge_slots(a: Optional[AreaSlot], b: Optional[AreaSlot]) -> Optional[AreaS
     return out
 
 
+def _default_coord_bound(k: int) -> int:
+    """Edge-coordinate bound of a minimal-area search up to k corners."""
+    return 6 if k <= 8 else 10
+
+
+def _min_area_result(
+    k: int, slot: Optional[AreaSlot], coord_bound: int, states: int
+) -> MinAreaResult:
+    """The minimal k-gon of a search slot, its area checked by Pick."""
+    if slot is None:
+        raise ConstructionError(
+            f"no convex {k}-gon exists with edge coordinates within {coord_bound}"
+        )
+    c2, witness = _pick_area_witness(slot)
+    area = Fraction(c2, 2)
+    check = pick_counts(witness)
+    if check.area != area:
+        raise InvariantError(
+            f"witness area {check.area} disagrees with search result {area}"
+        )
+    return MinAreaResult(
+        k=k,
+        area=area,
+        witness=witness,
+        certified=area == Fraction(k, 2) - 1,
+        coord_bound=coord_bound,
+        states_explored=states,
+    )
+
+
 def min_area_convex_kgon(
     k: int,
     coord_bound: Optional[int] = None,
@@ -459,7 +489,7 @@ def min_area_convex_kgon(
     if not isinstance(k, int) or not 3 <= k <= 12:
         raise ValidationError(f"k must be an integer in 3..12, got {k!r}")
     if coord_bound is None:
-        coord_bound = 6 if k <= 8 else 10
+        coord_bound = _default_coord_bound(k)
     if coord_bound < 2:
         raise ValidationError(f"coordinate bound must be at least 2, got {coord_bound}")
 
@@ -476,28 +506,7 @@ def min_area_convex_kgon(
 
     found, ops = _sweep_areas(k, coord_bound, incumbent, budget - total_ops)
     total_ops += ops
-    slot = _merge_slots(found.get(k), seed_slot)
-    if slot is None:
-        raise ConstructionError(
-            f"no convex {k}-gon exists with edge coordinates within {coord_bound}"
-        )
-
-    c2, witness = _pick_area_witness(slot)
-    area = Fraction(c2, 2)
-    check = pick_counts(witness)
-    if check.area != area:
-        raise InvariantError(
-            f"witness area {check.area} disagrees with search result {area}"
-        )
-    certified = area == Fraction(k, 2) - 1
-    return MinAreaResult(
-        k=k,
-        area=area,
-        witness=witness,
-        certified=certified,
-        coord_bound=coord_bound,
-        states_explored=total_ops,
-    )
+    return _min_area_result(k, _merge_slots(found.get(k), seed_slot), coord_bound, total_ops)
 
 
 def min_area_table(
@@ -510,28 +519,11 @@ def min_area_table(
     if not 3 <= k_min <= k_max <= 12:
         raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min}..{k_max}")
     if coord_bound is None:
-        coord_bound = 6 if k_max <= 8 else 10
+        coord_bound = _default_coord_bound(k_max)
     found, ops = _sweep_areas(k_max, coord_bound, None, budget)
-    results = []
-    for k in range(k_min, k_max + 1):
-        slot = found.get(k)
-        if slot is None:
-            raise ConstructionError(
-                f"no convex {k}-gon exists with edge coordinates within {coord_bound}"
-            )
-        c2, witness = _pick_area_witness(slot)
-        area = Fraction(c2, 2)
-        results.append(
-            MinAreaResult(
-                k=k,
-                area=area,
-                witness=witness,
-                certified=area == Fraction(k, 2) - 1,
-                coord_bound=coord_bound,
-                states_explored=ops,
-            )
-        )
-    return results
+    return [
+        _min_area_result(k, found.get(k), coord_bound, ops) for k in range(k_min, k_max + 1)
+    ]
 
 
 def i_of_k(k: int, **search_kwargs) -> int:

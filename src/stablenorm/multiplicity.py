@@ -64,9 +64,6 @@ class MultiplicityProfile:
         """Indices of groups that break the n >= f(m) bound."""
         return tuple(i for i, g in enumerate(self.groups) if not g.theorem_ok)
 
-    def class_count(self) -> int:
-        return sum(g.multiplicity for g in self.groups)
-
     def to_jsonable(self) -> dict:
         return {
             "source": self.source,

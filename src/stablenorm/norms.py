@@ -79,6 +79,7 @@ class IntegralClass:
         return (self.a, abs(self.b), 0 if self.b >= 0 else 1)
 
     def as_tuple(self) -> tuple[int, int]:
+        """The pair (a, b), for comparing classes with plain tuples."""
         return (self.a, self.b)
 
     def __neg__(self) -> "IntegralClass":

@@ -97,9 +97,6 @@ class PeriodicWeightedGraph:
             if any(find(n) != root for n in self.nodes):
                 raise ValidationError("quotient graph is not connected")
 
-    def min_edge_weight(self) -> float:
-        return min(e.weight for e in self.edges)
-
     @cached_property
     def node_index(self) -> Mapping[NodeId, int]:
         """Node numbers of the search index: places in `nodes`."""

@@ -101,9 +101,6 @@ class ToralGeodesicGraph:
         every path of length L stays within L / min_speed of its start."""
         return min(ell / math.hypot(h.a, h.b) for h, ell in self.classes)
 
-    def class_edges(self, cls: int) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.cls == cls]
-
     def to_jsonable(self) -> dict:
         return {
             "vertices": [[str(x), str(y)] for (x, y) in self.vertices],
@@ -249,28 +246,6 @@ class Cycle:
             b += math.floor(py + dy - y0) - math.floor(py - y0)
             px, py = px + dx, py + dy
         return IntegralClass(a, b)
-
-    def is_closed(self, graph: ToralGeodesicGraph) -> bool:
-        if not self.steps:
-            return True
-        seq = [
-            (graph.edges[e].tail, graph.edges[e].head) if s > 0 else (graph.edges[e].head, graph.edges[e].tail)
-            for e, s in self.steps
-        ]
-        return all(seq[i][1] == seq[(i + 1) % len(seq)][0] for i in range(len(seq)))
-
-    def is_cyclically_reduced(self) -> bool:
-        n = len(self.steps)
-        if n < 2:
-            return True
-        return all(
-            self.steps[i][0] != self.steps[(i + 1) % n][0]
-            or self.steps[i][1] == self.steps[(i + 1) % n][1]
-            for i in range(n)
-        )
-
-    def classes_used(self, graph: ToralGeodesicGraph) -> set[int]:
-        return {graph.edges[e].cls for e, _ in self.steps}
 
 
 def _gap_midpoint(values: list[Fraction]) -> Fraction:

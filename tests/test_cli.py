@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -193,11 +195,47 @@ class TestScenario:
 
     def test_unknown_scenario_key_rejected(self, capsys, tmp_path):
         f = tmp_path / "s.json"
-        for key in ("grid", "seed"):
+        for name, key in (("graph-build", "grid"), ("graph-build", "seed"), ("stable-norm", "cls")):
             f.write_text(json.dumps({key: 64}), encoding="utf-8")
-            code, _, err = run_cli(capsys, "graph-build", "--scenario", str(f))
+            code, _, err = run_cli(capsys, name, "--scenario", str(f))
             assert code == 2
-            assert key in json.loads(err)["error"]["message"]
+            assert f"[{key!r}]" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "name,scenario",
+        [
+            ("multiplicity", {"tie_tolerance": "abc"}),
+            ("graph-epsilon", {"theta_cap": "x"}),
+            ("polygon-min-area", {"coord_bound": "6"}),
+            ("sharpness", {"level": "hi"}),
+            ("norm-enumerate", {"scale": "big"}),
+            ("canyon-spectrum", {"bound": "x"}),
+            ("canyon-spectrum", {"theta": "x"}),
+            ("stable-norm", {"background": "x"}),
+            ("convergence", {"ks": 5}),
+            ("polygon-symm", {"prefer_primitive": "no"}),
+            ("polygon-min-area", {"no_prune": 0}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+    )
+    def test_malformed_value_rejected(self, capsys, tmp_path, name, scenario):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run_cli(capsys, name, "--scenario", str(f))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert next(iter(scenario)) in error["message"]
+
+    def test_class_key_matches_class_flag(self, capsys, tmp_path):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"class": [2, 1], "k": 3, "n_max": 3}), encoding="utf-8")
+        _, from_scenario, _ = run_cli(capsys, "stable-norm", "--scenario", str(f))
+        _, from_flags, _ = run_cli(
+            capsys, "stable-norm", "--class", "2,1", "--k", "3", "--n-max", "3"
+        )
+        assert from_scenario == from_flags
+        assert json.loads(from_flags)["class"] == [2, 1]
 
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "graph-build", "--scenario", str(tmp_path / "absent.json"))
@@ -238,8 +276,8 @@ class TestExitCodes:
         def broken(args):
             raise InvariantError("exact recompute drifted")
 
-        _handler, defaults = cli._HANDLERS["norm-enumerate"]
-        monkeypatch.setitem(cli._HANDLERS, "norm-enumerate", (broken, defaults))
+        _handler, help_text, params = cli._COMMANDS["norm-enumerate"]
+        monkeypatch.setitem(cli._COMMANDS, "norm-enumerate", (broken, help_text, params))
         code, out, err = run_cli(capsys, "norm-enumerate")
         assert code == 4 and out == ""
         assert json.loads(err) == {
@@ -284,6 +322,17 @@ class TestParsing:
     def test_jsonify_rationals_and_inf(self):
         out = jsonify({"q": Fraction(3, 4), "e": math.inf, "c": (1, 2)})
         assert out == {"q": "3/4", "e": "inf", "c": [1, 2]}
+
+
+def test_readme_examples_parse_and_cover_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [
+        line for block in blocks for line in block.splitlines() if line.startswith("stablenorm ")
+    ]
+    parser = cli._build_parser()
+    used = {parser.parse_args(shlex.split(line)[1:]).subcommand for line in lines}
+    assert used == set(cli._COMMANDS)
 
 
 def test_module_entry_point():

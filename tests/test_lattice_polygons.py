@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablenorm.errors import SearchBudgetError, ValidationError
+from stablenorm import lattice_polygons
+from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
 from stablenorm.lattice_polygons import (
     EIGHT_PI_SQUARED_FLOOR,
     MIN_AREA_CUBIC_FLOOR,
@@ -223,6 +224,19 @@ class TestMinArea:
     def test_coord_bound_validation(self):
         with pytest.raises(ValidationError):
             min_area_convex_kgon(4, coord_bound=1)
+
+    def test_witness_area_checked_by_search_and_table(self, monkeypatch):
+        pick = lattice_polygons._pick_area_witness
+
+        def off_by_half(slot):
+            c2, witness = pick(slot)
+            return c2 + 1, witness
+
+        monkeypatch.setattr(lattice_polygons, "_pick_area_witness", off_by_half)
+        with pytest.raises(InvariantError, match="witness area"):
+            min_area_convex_kgon(4)
+        with pytest.raises(InvariantError, match="witness area"):
+            min_area_table(3, 4)
 
 
 class TestInteriorCounts:

@@ -86,7 +86,7 @@ class TestGraphValidation:
             self._two_nodes(weight)
 
     def test_positive_weight_accepted(self):
-        assert self._two_nodes(0.25).min_edge_weight() == 0.25
+        assert [e.weight for e in self._two_nodes(0.25).edges] == [0.25]
 
     def test_disconnected(self):
         with pytest.raises(ValidationError, match="connected"):
