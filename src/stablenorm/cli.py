@@ -103,9 +103,12 @@ def parse_norm(text, scale: Optional[float] = None) -> NormSpec:
 
 def _float(text, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _int(value, what: str) -> int:
@@ -170,14 +173,17 @@ def parse_class(text) -> IntegralClass:
 def jsonify(obj):
     """Recursively convert to JSON-ready values.
 
-    Fractions become 'p/q' strings; non-finite floats become 'inf' or
-    '-inf' strings, since bare JSON has no spelling for them.
+    Fractions become 'p/q' strings; infinite floats become 'inf' or
+    '-inf' strings, since bare JSON has no spelling for them.  A NaN
+    has no meaning in any output and raises InvariantError.
     """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, IntegralClass):
         return [obj.a, obj.b]
     if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            raise InvariantError("a computed value is NaN")
         return "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
@@ -210,13 +216,13 @@ def _norm_of(args) -> NormSpec:
     return parse_norm(args.norm, args.scale)
 
 
-def _graph_for(args, norm: NormSpec):
-    classes = leading_primitive_classes(norm, args.k)
+def _graph_for(k: int, norm: NormSpec):
+    classes = leading_primitive_classes(norm, k)
     return build_graph(classes), max(length for _c, length in classes)
 
 
 def _canyon_for(args, norm: NormSpec):
-    graph, ell_k = _graph_for(args, norm)
+    graph, ell_k = _graph_for(args.k, norm)
     theta = args.theta
     if theta is None:
         theta = compute_zeta_epsilon_theta(graph, norm, ell_k, node_budget=args.budget).theta
@@ -243,7 +249,7 @@ def _cmd_norm_enumerate(args) -> None:
 
 def _cmd_graph_build(args) -> None:
     norm = _norm_of(args)
-    graph, ell_k = _graph_for(args, norm)
+    graph, ell_k = _graph_for(args.k, norm)
     payload = {
         "norm": norm_to_jsonable(norm),
         "k": args.k,
@@ -255,27 +261,34 @@ def _cmd_graph_build(args) -> None:
 
 def _cmd_graph_epsilon(args) -> None:
     norm = _norm_of(args)
-    graph, ell_k = _graph_for(args, norm)
-    consts = compute_zeta_epsilon_theta(
-        graph, norm, ell_k, node_budget=args.budget, theta_cap=args.theta_cap
-    )
-    payload = {
-        "norm": norm_to_jsonable(norm),
-        "k": args.k,
-        "ell_k": ell_k,
-        "zeta": consts.zeta,
-        "edge_bound": consts.edge_bound,
-        "epsilon": consts.epsilon,
-        "theta": consts.theta,
-        "witness_class": consts.witness_class,
-        "cycles_checked": consts.cycles_checked,
-    }
-    _emit(
-        args,
-        payload,
-        ("zeta", "edge_bound", "epsilon", "theta"),
-        [(consts.zeta, consts.edge_bound, consts.epsilon, consts.theta)],
-    )
+    k_max = args.k if args.k_max is None else args.k_max
+    if k_max < args.k:
+        raise ValidationError(f"k_max must be at least k, got {args.k}..{k_max}")
+    rows = []
+    for k in range(args.k, k_max + 1):
+        graph, ell_k = _graph_for(k, norm)
+        consts = compute_zeta_epsilon_theta(
+            graph, norm, ell_k, node_budget=args.budget, theta_cap=args.theta_cap
+        )
+        rows.append({
+            "norm": norm_to_jsonable(norm),
+            "k": k,
+            "ell_k": ell_k,
+            "zeta": consts.zeta,
+            "edge_bound": consts.edge_bound,
+            "epsilon": consts.epsilon,
+            "theta": consts.theta,
+            "witness_class": consts.witness_class,
+            "cycles_checked": consts.cycles_checked,
+        })
+    header = ("k", "zeta", "edge_bound", "epsilon", "theta")
+    csv_rows = [tuple(r[key] for key in header) for r in rows]
+    if args.k_max is None:
+        # the single-k document and its CSV carry no k column
+        payload, header, csv_rows = rows[0], header[1:], [row[1:] for row in csv_rows]
+    else:
+        payload = {"table": rows}
+    _emit(args, payload, header, csv_rows)
 
 
 def _cmd_canyon_spectrum(args) -> None:
@@ -432,7 +445,7 @@ _COMMANDS = {
     "graph-epsilon": (
         _cmd_graph_epsilon,
         "corridor constants zeta, epsilon, theta",
-        (*_GRAPH, _TUBE_BUDGET, ("theta_cap", _float, 0.25)),
+        (*_GRAPH, _TUBE_BUDGET, ("theta_cap", _float, 0.25), ("k_max", _int, None)),
     ),
     "canyon-spectrum": (
         _cmd_canyon_spectrum,

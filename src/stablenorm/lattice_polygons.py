@@ -440,9 +440,15 @@ def _merge_slots(a: Optional[AreaSlot], b: Optional[AreaSlot]) -> Optional[AreaS
     return out
 
 
-def _default_coord_bound(k: int) -> int:
-    """Edge-coordinate bound of a minimal-area search up to k corners."""
-    return 6 if k <= 8 else 10
+def _coord_bound(k: int, coord_bound: Optional[int]) -> int:
+    """Edge-coordinate bound of a minimal-area search up to k corners:
+    the given one, which must be at least 2, else 6 for k <= 8 and 10
+    beyond."""
+    if coord_bound is None:
+        return 6 if k <= 8 else 10
+    if coord_bound < 2:
+        raise ValidationError(f"coordinate bound must be at least 2, got {coord_bound}")
+    return coord_bound
 
 
 def _min_area_result(
@@ -488,10 +494,7 @@ def min_area_convex_kgon(
     """
     if not isinstance(k, int) or not 3 <= k <= 12:
         raise ValidationError(f"k must be an integer in 3..12, got {k!r}")
-    if coord_bound is None:
-        coord_bound = _default_coord_bound(k)
-    if coord_bound < 2:
-        raise ValidationError(f"coordinate bound must be at least 2, got {coord_bound}")
+    coord_bound = _coord_bound(k, coord_bound)
 
     total_ops = 0
     incumbent: Optional[int] = None
@@ -518,8 +521,7 @@ def min_area_table(
     """Exhaustive minimal areas for every k in [k_min, k_max] in one sweep."""
     if not 3 <= k_min <= k_max <= 12:
         raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min}..{k_max}")
-    if coord_bound is None:
-        coord_bound = _default_coord_bound(k_max)
+    coord_bound = _coord_bound(k_max, coord_bound)
     found, ops = _sweep_areas(k_max, coord_bound, None, budget)
     return [
         _min_area_result(k, found.get(k), coord_bound, ops) for k in range(k_min, k_max + 1)

@@ -157,7 +157,7 @@ def multiplicity_profile(
         raise ValidationError(
             f"source must be a NormSpec or SpectrumResult, got {type(source).__name__}"
         )
-    if tol < 0:
+    if not tol >= 0:  # also false for NaN, which would split every tie
         raise ValidationError(f"tie tolerance must be nonnegative, got {tol}")
     if not entries:
         raise ValidationError("empty spectrum has no profile")

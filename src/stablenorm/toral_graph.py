@@ -33,6 +33,12 @@ FracVec = tuple[Fraction, Fraction]
 
 #: Absolute slack for comparisons of real edge-length sums.
 LENGTH_SLACK = 1e-12
+#: A recorded path still dominates a new one that is shorter only by the
+#: rounding of summing the same edge lengths in another order.
+DOMINANCE_SLACK = 1e-15
+#: Keeps ell_k / zeta, an integer in exact arithmetic whenever zeta is
+#: half a segment of the longest loop, from flooring to the one below.
+EDGE_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,44 @@ class ToralGeodesicGraph:
     @cached_property
     def shifts(self) -> tuple[tuple[int, int], ...]:
         return tuple(e.shift(self.vertices) for e in self.edges)
+
+    @cached_property
+    def disp_scale(self) -> int:
+        """D, the least common multiple of the edge-displacement
+        denominators, so that D * disp is integral for every edge."""
+        return math.lcm(*(c.denominator for e in self.edges for c in e.disp))
+
+    @cached_property
+    def scaled_disps(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's displacement times `disp_scale`, as exact ints."""
+        scale = self.disp_scale
+        return tuple((int(e.disp[0] * scale), int(e.disp[1] * scale)) for e in self.edges)
+
+    @cached_property
+    def crossings(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's signed crossing numbers with the reference circles
+        {x = x0} and {y = y0}, traversed from its tail.
+
+        The levels x0, y0 sit in the widest gaps of the vertex
+        coordinates, so no step starts or ends on a circle, and a step
+        from p along d crosses floor(p + d - x0) - floor(p - x0) times.
+        That count does not change when p moves by an integer, so it is
+        a property of the edge; reversing the step negates it.  The
+        segment is taken from the class geometry, q_e * h_i, not from
+        the stored displacement, which keeps the count independent of
+        `disp`.
+        """
+        x0 = _gap_midpoint(sorted({v[0] for v in self.vertices}))
+        y0 = _gap_midpoint(sorted({v[1] for v in self.vertices}))
+        table = []
+        for e in self.edges:
+            h, _ell = self.classes[e.cls]
+            px, py = self.vertices[e.tail]
+            table.append((
+                math.floor(px + e.q * h.a - x0) - math.floor(px - x0),
+                math.floor(py + e.q * h.b - y0) - math.floor(py - y0),
+            ))
+        return tuple(table)
 
     @cached_property
     def search_index(self) -> SearchIndex:
@@ -214,37 +258,33 @@ class Cycle:
         return sum(float(q) * graph.classes[c][1] for c, q in sorted(totals.items()))
 
     def homology(self, graph: ToralGeodesicGraph) -> IntegralClass:
-        """Sum of oriented lift displacements; exact and always integral."""
-        dx = sum((s * graph.edges[e].disp[0] for e, s in self.steps), Fraction(0))
-        dy = sum((s * graph.edges[e].disp[1] for e, s in self.steps), Fraction(0))
-        if dx.denominator != 1 or dy.denominator != 1:
-            raise InvariantError(f"cycle displacement ({dx},{dy}) is not integral")
-        return IntegralClass(int(dx), int(dy))
+        """Sum of oriented lift displacements, exact: the graph's
+        per-edge displacements scaled to ints (`scaled_disps`) are
+        summed, and the common scale `disp_scale` must divide the total."""
+        scale = graph.disp_scale
+        dx = dy = 0
+        for e, s in self.steps:
+            sx, sy = graph.scaled_disps[e]
+            dx += s * sx
+            dy += s * sy
+        if dx % scale or dy % scale:
+            raise InvariantError(
+                f"cycle displacement ({Fraction(dx, scale)},{Fraction(dy, scale)}) is not integral"
+            )
+        return IntegralClass(dx // scale, dy // scale)
 
     def class_by_crossings(self, graph: ToralGeodesicGraph) -> IntegralClass:
         """Homology via algebraic intersection numbers with reference
-        circles {x = x0} and {y = y0}, an independent computation.
-
-        The reference levels are chosen in the widest gaps of the vertex
-        coordinates so no step starts or ends on a circle; each step's
-        signed crossing count is then an exact floor difference.
+        circles {x = x0} and {y = y0}, an independent computation: the
+        sum of the oriented steps' entries in the graph's per-edge
+        crossing table (`crossings`), which is built from the vertex
+        coordinates and the class geometry, not from the displacements.
         """
-        x0 = _gap_midpoint(sorted({v[0] for v in graph.vertices}))
-        y0 = _gap_midpoint(sorted({v[1] for v in graph.vertices}))
         a = b = 0
-        px: Fraction
-        py: Fraction
-        if not self.steps:
-            return IntegralClass(0, 0)
-        e0, s0 = self.steps[0]
-        start = graph.edges[e0].tail if s0 > 0 else graph.edges[e0].head
-        px, py = graph.vertices[start]
         for e, s in self.steps:
-            edge = graph.edges[e]
-            dx, dy = s * edge.disp[0], s * edge.disp[1]
-            a += math.floor(px + dx - x0) - math.floor(px - x0)
-            b += math.floor(py + dy - y0) - math.floor(py - y0)
-            px, py = px + dx, py + dy
+            ca, cb = graph.crossings[e]
+            a += s * ca
+            b += s * cb
         return IntegralClass(a, b)
 
 
@@ -419,12 +459,31 @@ def _min_gap_search(
     reaches the best known gap cannot produce anything smaller, and a
     path reaching a repeated (vertex, delta) state at greater depth and
     length is dominated outright.
+
+    Displacements are carried as ints scaled by the graph's
+    `disp_scale` D, so the dominance keys are exact int tuples; the norm
+    of a displacement is evaluated once per call at (dx / D, dy / D),
+    which rounds exactly like the float of the rational it stands for.
     """
     best_gap = math.inf
     best_cycle: Optional[Cycle] = None
     cycles = 0
     nodes = 0
     steps: list[tuple[int, int]] = []
+    scale = graph.disp_scale
+    disps = graph.scaled_disps
+    norm_at: dict[tuple[int, int], float] = {}
+    # per vertex: (edge, sign, to, scaled dx, scaled dy, edge length)
+    out = [
+        [(e, sg, w, sg * disps[e][0], sg * disps[e][1], graph.edges[e].length) for e, sg, w in adj]
+        for adj in graph.oriented
+    ]
+
+    def norm_of(dx: int, dy: int) -> float:
+        value = norm_at.get((dx, dy))
+        if value is None:
+            value = norm_at[dx, dy] = eval_norm(norm, (dx / scale, dy / scale))
+        return value
 
     for s0 in range(len(graph.vertices)):
         # first and last step are part of the state: closure legality under
@@ -433,7 +492,7 @@ def _min_gap_search(
         # agree on both
         memo: dict[tuple, list[tuple[int, float]]] = {}
 
-        def walk(v: int, depth: int, length: float, dx: Fraction, dy: Fraction) -> None:
+        def walk(v: int, depth: int, length: float, dx: int, dy: int) -> None:
             nonlocal best_gap, best_cycle, cycles, nodes
             nodes += 1
             if nodes > node_budget:
@@ -442,7 +501,7 @@ def _min_gap_search(
                     nodes_expanded=nodes,
                     budget=node_budget,
                 )
-            slack = length - eval_norm(norm, (float(dx), float(dy)))
+            slack = length - norm_of(dx, dy)
             if slack >= best_gap:
                 return
             first = steps[0] if steps else None
@@ -450,24 +509,23 @@ def _min_gap_search(
             key = (v, dx, dy, first, last)
             front = memo.setdefault(key, [])
             for d0, l0 in front:
-                if d0 <= depth and l0 <= length + 1e-15:
+                if d0 <= depth and l0 <= length + DOMINANCE_SLACK:
                     return
             front[:] = [(d0, l0) for d0, l0 in front if not (depth <= d0 and length <= l0)]
             front.append((depth, length))
             if depth == edge_bound:
                 return
-            for e, sg, w in graph.oriented[v]:
+            for e, sg, w, sdx, sdy, edge_length in out[v]:
                 if last is not None and e == last[0] and sg == -last[1]:
                     continue
                 if w < s0:
                     continue
-                edge = graph.edges[e]
-                ndx, ndy = dx + sg * edge.disp[0], dy + sg * edge.disp[1]
+                ndx, ndy = dx + sdx, dy + sdy
                 steps.append((e, sg))
                 if w == s0 and not (first is not None and e == first[0] and sg == -first[1]):
                     cls_set = {graph.edges[se].cls for se, _ in steps}
                     if len(cls_set) > 1:
-                        gap = (length + edge.length) - eval_norm(norm, (float(ndx), float(ndy)))
+                        gap = (length + edge_length) - norm_of(ndx, ndy)
                         cycles += 1
                         if gap < best_gap:
                             best_gap = gap
@@ -476,10 +534,10 @@ def _min_gap_search(
                             c = Cycle(tuple(steps))
                             if c.homology(graph) != c.class_by_crossings(graph):
                                 raise InvariantError(f"homology mismatch on cycle {c.steps}")
-                walk(w, depth + 1, length + edge.length, ndx, ndy)
+                walk(w, depth + 1, length + edge_length, ndx, ndy)
                 steps.pop()
 
-        walk(s0, 0, 0.0, Fraction(0), Fraction(0))
+        walk(s0, 0, 0.0, 0, 0)
     return best_gap, best_cycle, cycles, nodes
 
 
@@ -501,7 +559,7 @@ def compute_zeta_epsilon_theta(
     competitor exists.
     """
     zeta = 0.5 * min(e.length for e in graph.edges)
-    edge_bound = int(math.floor(ell_k / zeta + 1e-9))
+    edge_bound = int(math.floor(ell_k / zeta + EDGE_BOUND_SLACK))
     gap, witness, cycles, nodes = _min_gap_search(
         graph, norm, edge_bound, node_budget, cross_check
     )

@@ -105,6 +105,7 @@ SCHEMA_RUNS = [
     ("norm-enumerate", ("--norm", "hexagonal", "--count", "6")),
     ("graph-build", ("--k", "2")),
     ("graph-epsilon", ("--k", "2")),
+    ("graph-epsilon", ("--k", "1", "--k-max", "3")),
     ("canyon-spectrum", ("--k", "2", "--grid-n", "64")),
     ("stable-norm", ("--k", "2", "--class", "1,1", "--n-max", "2")),
     ("stable-norm", ("--graph", "uniform", "--grid-n", "8", "--class", "2,1")),
@@ -154,6 +155,17 @@ class TestFormats:
         assert rows[1] == ["3", "1", "2", "0", "True"]
         assert rows[2] == ["4", "1", "1", "0", "True"]
 
+    def test_epsilon_table_csv(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "graph-epsilon", "--k", "1", "--k-max", "3", "--format", "csv"
+        )
+        rows = [line.split(",") for line in out.strip().split("\n")]
+        assert rows[0] == ["k", "zeta", "edge_bound", "epsilon", "theta"]
+        assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
+        assert rows[1][3] == "inf"
+        _, single, _ = run_cli(capsys, "graph-epsilon", "--k", "2", "--format", "csv")
+        assert single.split("\n")[1].split(",") == rows[2][1:]
+
     def test_csv_unavailable_for_graph_build(self, capsys):
         code, out, err = run_cli(capsys, "graph-build", "--k", "2", "--format", "csv")
         assert code == 2 and out == ""
@@ -166,6 +178,21 @@ class TestFormats:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["area"] == "1/2"
+
+
+class TestEpsilonTable:
+    def test_rows_are_the_single_k_documents(self, capsys):
+        _, out, _ = run_cli(capsys, "graph-epsilon", "--norm", "pnorm:3", "--k", "1", "--k-max", "4")
+        table = json.loads(out)["table"]
+        assert [row["k"] for row in table] == [1, 2, 3, 4]
+        for row in table:
+            _, single, _ = run_cli(capsys, "graph-epsilon", "--norm", "pnorm:3", "--k", str(row["k"]))
+            assert json.loads(single) == row
+
+    def test_k_max_below_k_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "graph-epsilon", "--k", "3", "--k-max", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "validation"
 
 
 class TestScenario:
@@ -215,6 +242,9 @@ class TestScenario:
             ("convergence", {"ks": 5}),
             ("polygon-symm", {"prefer_primitive": "no"}),
             ("polygon-min-area", {"no_prune": 0}),
+            # json writes these as the NaN literal, which json.loads reads back
+            ("graph-epsilon", {"theta_cap": math.nan}),
+            ("multiplicity", {"tie_tolerance": math.nan}),
         ],
         ids=lambda v: v if isinstance(v, str) else json.dumps(v),
     )
@@ -284,6 +314,39 @@ class TestExitCodes:
             "error": {"type": "invariant", "message": "exact recompute drifted"}
         }
 
+    def test_nan_in_output_exits_4(self, capsys, monkeypatch):
+        def emits_nan(args):
+            cli._emit(args, {"value": math.nan})
+
+        _handler, help_text, params = cli._COMMANDS["sharpness"]
+        monkeypatch.setitem(cli._COMMANDS, "sharpness", (emits_nan, help_text, params))
+        code, out, err = run_cli(capsys, "sharpness")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"]["type"] == "invariant"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph-epsilon", "--theta-cap", "nan"),
+            ("multiplicity", "--tie-tolerance", "nan"),
+            ("canyon-spectrum", "--bound", "inf"),
+            ("norm-enumerate", "--norm", "ellipse:1,0,inf"),
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_flag_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert "finite" in error["message"]
+
+    def test_table_coord_bound_checked(self, capsys):
+        for argv in (("--k", "4"), ("--k", "3", "--k-max", "4")):
+            code, out, err = run_cli(capsys, "polygon-min-area", *argv, "--coord-bound", "1")
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["type"] == "validation"
+
     def test_bad_class_flag(self, capsys):
         code, _, err = run_cli(capsys, "stable-norm", "--class", "one,two")
         assert code == 2
@@ -322,6 +385,11 @@ class TestParsing:
     def test_jsonify_rationals_and_inf(self):
         out = jsonify({"q": Fraction(3, 4), "e": math.inf, "c": (1, 2)})
         assert out == {"q": "3/4", "e": "inf", "c": [1, 2]}
+        assert jsonify(-math.inf) == "-inf"
+
+    def test_jsonify_rejects_nan(self):
+        with pytest.raises(InvariantError, match="NaN"):
+            jsonify({"groups": [{"length": math.nan}]})
 
 
 def test_readme_examples_parse_and_cover_every_subcommand():

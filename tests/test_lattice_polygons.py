@@ -225,6 +225,11 @@ class TestMinArea:
         with pytest.raises(ValidationError):
             min_area_convex_kgon(4, coord_bound=1)
 
+    def test_table_coord_bound_validation(self):
+        # the table and the single-k search share one bound check
+        with pytest.raises(ValidationError, match="coordinate bound"):
+            min_area_table(3, 4, coord_bound=1)
+
     def test_witness_area_checked_by_search_and_table(self, monkeypatch):
         pick = lattice_polygons._pick_area_witness
 

@@ -104,6 +104,12 @@ class TestProfileGrouping:
         with pytest.raises(ValidationError, match="tolerance"):
             multiplicity_profile(euclidean(), class_budget=3, tie_tolerance=-1e-9)
 
+    def test_nan_tolerance_rejected(self):
+        # a NaN tolerance compares false both ways and would split the
+        # Euclidean m = 2 tie of (1,0) and (0,1) into two m = 1 groups
+        with pytest.raises(ValidationError, match="tolerance"):
+            multiplicity_profile(euclidean(), class_budget=5, tie_tolerance=math.nan)
+
 
 class TestSpectrumInput:
     def test_grid_spectrum_violates_bound(self):

@@ -1,14 +1,23 @@
 """Geodesic graph geometry, minimal cycles, and tube constants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablenorm.errors import SearchBudgetError, ValidationError
+from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
 from stablenorm import cover
-from stablenorm.norms import IntegralClass, euclidean, eval_norm, leading_primitive_classes
+from stablenorm.norms import (
+    IntegralClass,
+    NormSpec,
+    PNorm,
+    euclidean,
+    eval_norm,
+    hexagonal,
+    leading_primitive_classes,
+)
 from stablenorm.toral_graph import (
     Cycle,
     ToralGeodesicGraph,
@@ -43,6 +52,40 @@ def is_closed(cycle, graph):
         for e, s in cycle.steps
     ]
     return all(ends[i][1] == ends[(i + 1) % len(ends)][0] for i in range(len(ends)))
+
+
+def gap_midpoint(values):
+    """Midpoint of the widest circular gap among fractions in [0,1)."""
+    best_gap, best_mid = Fraction(0), Fraction(1, 2)
+    for i, v in enumerate(values):
+        nxt = values[i + 1] if i + 1 < len(values) else values[0] + 1
+        if nxt - v > best_gap:
+            best_gap, best_mid = nxt - v, (v + nxt) / 2 % 1
+    return best_mid
+
+
+def crossings_by_position_walk(cycle, graph):
+    """Reference: intersection numbers with {x = x0}, {y = y0} from an
+    exact Fraction walk of the lifted positions along the cycle."""
+    x0 = gap_midpoint(sorted({v[0] for v in graph.vertices}))
+    y0 = gap_midpoint(sorted({v[1] for v in graph.vertices}))
+    e0, s0 = cycle.steps[0]
+    px, py = graph.vertices[graph.edges[e0].tail if s0 > 0 else graph.edges[e0].head]
+    a = b = 0
+    for e, s in cycle.steps:
+        dx, dy = s * graph.edges[e].disp[0], s * graph.edges[e].disp[1]
+        a += math.floor(px + dx - x0) - math.floor(px - x0)
+        b += math.floor(py + dy - y0) - math.floor(py - y0)
+        px, py = px + dx, py + dy
+    return IntegralClass(a, b)
+
+
+def homology_by_fraction_sum(cycle, graph):
+    """Reference: the displacement sum in Fraction arithmetic."""
+    dx = sum((s * graph.edges[e].disp[0] for e, s in cycle.steps), Fraction(0))
+    dy = sum((s * graph.edges[e].disp[1] for e, s in cycle.steps), Fraction(0))
+    assert dx.denominator == 1 and dy.denominator == 1
+    return IntegralClass(int(dx), int(dy))
 
 
 def all_closed_walks(graph, max_edges):
@@ -336,6 +379,51 @@ class TestTubeConstants:
         # no step is immediately undone, also across the wrap-around
         assert all(steps[i - 1] != (e, -s) for i, (e, s) in enumerate(steps))
         assert len({THREE.edges[e].cls for e, _ in steps}) >= 2
+
+
+class TestCrossCheckTables:
+    @pytest.mark.parametrize(
+        "norm", [E, hexagonal(), NormSpec(PNorm(3.0))], ids=["euclidean", "hexagonal", "pnorm3"]
+    )
+    def test_tables_match_fraction_walks_on_every_closed_cycle(self, norm, monkeypatch):
+        table_crossings = Cycle.class_by_crossings
+        seen = []
+
+        def checked(cycle, graph):
+            got = table_crossings(cycle, graph)
+            assert got == crossings_by_position_walk(cycle, graph), cycle.steps
+            assert cycle.homology(graph) == homology_by_fraction_sum(cycle, graph)
+            seen.append(cycle.steps)
+            return got
+
+        monkeypatch.setattr(Cycle, "class_by_crossings", checked)
+        for k in range(2, 7):
+            classes = leading_primitive_classes(norm, k)
+            graph = build_graph(classes)
+            seen.clear()
+            tc = compute_zeta_epsilon_theta(
+                graph, norm, max(ell for _h, ell in classes), cross_check=True
+            )
+            assert len(seen) == tc.cycles_checked > 0
+
+    def test_tables_built_once_per_graph(self):
+        graph = build_graph(euclid_classes((1, 2), (2, 1)))
+        compute_zeta_epsilon_theta(graph, E, math.sqrt(5.0), cross_check=True)
+        tables = (graph.crossings, graph.scaled_disps)
+        compute_zeta_epsilon_theta(graph, E, math.sqrt(5.0), cross_check=True)
+        assert graph.crossings is tables[0] and graph.scaled_disps is tables[1]
+        assert graph.disp_scale == 3
+
+    @pytest.mark.parametrize("offset", [Fraction(1), Fraction(1, 2)], ids=["integer", "half"])
+    def test_corrupted_displacement_is_caught(self, offset):
+        # the crossing table reads the class geometry, not `disp`, so
+        # even a whole-period error in one stored displacement shows
+        edges = list(SQUARE.edges)
+        e = edges[0]
+        edges[0] = dataclasses.replace(e, disp=(e.disp[0] + offset, e.disp[1]))
+        broken = ToralGeodesicGraph(SQUARE.vertices, tuple(edges), SQUARE.classes)
+        with pytest.raises(InvariantError):
+            compute_zeta_epsilon_theta(broken, E, 1.0, cross_check=True)
 
 
 class TestCycle:
