@@ -376,7 +376,7 @@ def _cmd_polygon_symm(args) -> None:
         prefer_primitive=args.prefer_primitive,
         budget=args.budget,
     )
-    f_of_m = (res.interior + 1) // 2
+    f_of_m = res.f
     payload = {
         "two_m": res.two_m,
         "interior": res.interior,

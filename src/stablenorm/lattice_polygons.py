@@ -18,6 +18,28 @@ incumbent prune and the minimum-merge on repeated (edges used, partial
 sum) states sound.  A closing edge always runs straight back to the
 start, so closures happen exactly at the anti-parallel steps.
 
+Each direction layer visits only chains that can still close:
+
+- Dead chains.  Once cross(w, d) < 0 for the partial sum w and the
+  current direction d, the chain can never extend or close again, and
+  at cross(w, d) == 0 it has had its only chance to close.  Proof: an
+  extension adds m*d with d less than a half turn ahead of w, so the
+  new sum lies between w and d and the polar angle of w never passes
+  its last edge; the directions still to come with cross(w, d) >= 0
+  therefore form one interval that starts at the current one.
+- Closability bound.  A chain with r edges left, the closing edge
+  included, is kept only if -w lies within r times the farthest one
+  edge on a later direction, at its multiplicity cap, moves in +x, -x,
+  +y and -y.  Proof: -w is the sum of those at most r edges, and each
+  coordinate of a sum is at most the count times its largest term (the
+  support-function bound).  It implies the old reach test
+  |w| <= coord_bound * r, so only chains that cannot close are dropped.
+
+Dropping a state never changes the cost or the dict position of a kept
+one: a chain that can close has only parents that can close, and a
+dropped key is never offered again.  Closures, witness pools and
+witnesses therefore come out exactly as from the full sweep.
+
 No floating point anywhere in this module.
 """
 
@@ -262,10 +284,13 @@ class _Sweep:
                 budget=self.budget,
             )
 
-    def offer(self, key, cost: int, link: tuple) -> None:
-        old = self.states.get(key)
-        if old is None or cost < old[0]:
-            self.states[key] = (cost, link)
+
+def _offer(states: dict, key, cost: int, link: tuple) -> None:
+    """Keep the cheaper of the stored and the offered chain; a key keeps
+    the dict position of its first offer."""
+    old = states.get(key)
+    if old is None or cost < old[0]:
+        states[key] = (cost, link)
 
 
 #: How many tying optimal chains to keep per slot for witness selection.
@@ -335,6 +360,20 @@ def _record_closure(slot: AreaSlot, prim: bool, c2: int, link: tuple) -> None:
             cur[1].append(link)
 
 
+def _later_reach(dirs: Sequence[IntVec], caps: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """`reach[i]` is how far one edge on a direction from `dirs[i:]`, at
+    its multiplicity cap, can move in +x, -x, +y and -y; the entry past
+    the end is all zero."""
+    reach = [(0, 0, 0, 0)] * (len(dirs) + 1)
+    px = mx = py = my = 0
+    for i in range(len(dirs) - 1, -1, -1):
+        (dx, dy), cap = dirs[i], caps[i]
+        px, mx = max(px, cap * dx), max(mx, -cap * dx)
+        py, my = max(py, cap * dy), max(my, -cap * dy)
+        reach[i] = (px, mx, py, my)
+    return reach
+
+
 def _sweep_areas(
     k_max: int,
     coord_bound: int,
@@ -348,31 +387,35 @@ def _sweep_areas(
     is tracked separately so callers can prefer witnesses whose boundary
     points are exactly the corners.  Passing `incumbent_doubled` prunes
     partial sums whose swept doubled area already reaches it; None keeps
-    the enumeration complete.
+    the enumeration complete.  Each layer keeps only the chains that can
+    still close (module docstring), in their insertion order.
     """
     sweep = _Sweep(budget)
     found: dict[int, AreaSlot] = {}
+    dirs = _primitive_directions(coord_bound)
+    caps = [coord_bound // max(abs(dx), abs(dy)) for dx, dy in dirs]
+    reach = _later_reach(dirs, caps)
 
-    for d in _primitive_directions(coord_bound):
+    for i, d in enumerate(dirs):
         dx, dy = d
-        mult_cap = coord_bound // max(abs(dx), abs(dy))
+        mult_cap = caps[i]
+        # later[r]: the box a new partial sum must lie in to close with r
+        # more edges, all on directions after d
+        px, mx, py, my = reach[i + 1]
+        later = [(-r * px, r * mx, -r * py, r * my) for r in range(k_max + 1)]
+        dead: list[tuple[int, int, int, bool]] = []
         additions: list[tuple[tuple[int, int, int, bool], int, tuple]] = []
         for key, (c, link) in sweep.states.items():
             j, wx, wy, prim = key
-            if j >= k_max:
-                continue
-            if (wx, wy) == (0, 0):
-                sweep.ops += mult_cap
-                for m in range(1, mult_cap + 1):
-                    additions.append(
-                        ((1, m * dx, m * dy, m == 1), 0, (link, d, m))
-                    )
-                continue
             cr = wx * dy - wy * dx
-            if cr < 0:
+            if j == 0:
+                pass  # the root starts a chain on every direction
+            elif cr < 0:
+                dead.append(key)  # for good: no later direction turns back
                 continue
-            if cr == 0:
-                # the closing edge runs straight back to the start
+            elif cr == 0:
+                # the closing edge runs straight back to the start; this
+                # was the chain's last chance
                 sweep.ops += 1
                 if dx != 0:
                     m, r = divmod(-wx, dx)
@@ -383,8 +426,9 @@ def _sweep_areas(
                         _record_closure(
                             found.setdefault(j + 1, {}), prim and m == 1, c, (link, d, m)
                         )
+                dead.append(key)
                 continue
-            reach = coord_bound * (k_max - j - 1)
+            xl, xh, yl, yh = later[k_max - j - 1]
             for m in range(1, mult_cap + 1):
                 sweep.ops += 1
                 nc = c + m * cr
@@ -392,11 +436,12 @@ def _sweep_areas(
                     break
                 nwx = wx + m * dx
                 nwy = wy + m * dy
-                if max(abs(nwx), abs(nwy)) > reach:
-                    continue
-                additions.append(((j + 1, nwx, nwy, prim and m == 1), nc, (link, d, m)))
+                if xl <= nwx <= xh and yl <= nwy <= yh:
+                    additions.append(((j + 1, nwx, nwy, prim and m == 1), nc, (link, d, m)))
+        for key in dead:
+            del sweep.states[key]
         for key, cost, link in additions:
-            sweep.offer(key, cost, link)
+            _offer(sweep.states, key, cost, link)
         sweep.check_budget(
             str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
         )
@@ -488,9 +533,11 @@ def min_area_convex_kgon(
     directions whose edge vectors have coordinates within `coord_bound`
     (default 6 for k <= 8, else 10).  With `pruned`, a quick small-bound
     pass seeds an incumbent and partial sums that already sweep that
-    much area are cut; otherwise the enumeration is exhaustive within
-    the bound.  The witness comes back in canonical position, preferring
-    one whose edges are all primitive when that ties the minimum.
+    much area are cut; with `pruned=False` the sweep enumerates every
+    polygon that can close within the bound, dropping only chains that
+    cannot close (module docstring).  The witness comes back in
+    canonical position, preferring one whose edges are all primitive
+    when that ties the minimum.
     """
     if not isinstance(k, int) or not 3 <= k <= 12:
         raise ValidationError(f"k must be an integer in 3..12, got {k!r}")
@@ -567,6 +614,60 @@ class SymmetricInteriorResult:
     coord_bound: int
     states_explored: int
 
+    @property
+    def f(self) -> int:
+        """f(m) = (interior + 1) / 2, integral because the minimum count
+        is odd, which this checks."""
+        if self.interior % 2 != 1:
+            raise InvariantError(f"symmetric minimum interior count {self.interior} is even")
+        return (self.interior + 1) // 2
+
+
+def _sweep_symmetric(
+    m_target: int, coord_bound: int, budget: int
+) -> tuple[dict[tuple[int, int, int, bool], tuple[int, tuple]], int]:
+    """Run the half-chain sweep; return the finished half-chains (those
+    with `m_target` edges) in insertion order, and the op count.
+
+    A finished half-chain is set aside as soon as it is made, and a
+    half-chain that cannot reach `m_target` edges on the directions
+    left is dropped, so each layer visits only half-chains that can
+    still finish.
+    """
+    sweep = _Sweep(budget)
+    finished: dict[tuple[int, int, int, bool], tuple[int, tuple]] = {}
+    dirs = _primitive_directions(coord_bound, upper_half_only=True)
+    for i, d in enumerate(dirs):
+        dx, dy = d
+        mult_cap = coord_bound // max(abs(dx), abs(dy))
+        # a half-chain takes at most one edge per direction still to come
+        short = m_target - (len(dirs) - i)
+        if short > 0:
+            sweep.states = {key: v for key, v in sweep.states.items() if key[0] >= short}
+        additions: list[tuple[tuple[int, int, int, bool], int, tuple]] = []
+        for key, (cost, link) in sweep.states.items():
+            j, wx, wy, prim = key
+            if (wx, wy) == (0, 0):
+                cr = 0
+            else:
+                cr = wx * dy - wy * dx
+                # directions confined to a half-plane sweep strictly left
+                if cr <= 0:
+                    raise InvariantError("half-plane chain lost convexity")
+            for mult in range(1, mult_cap + 1):
+                sweep.ops += 1
+                additions.append(
+                    (
+                        (j + 1, wx + mult * dx, wy + mult * dy, prim and mult == 1),
+                        cost + mult * (cr - 1),
+                        (link, d, mult),
+                    )
+                )
+        for key, cost, link in additions:
+            _offer(finished if key[0] == m_target else sweep.states, key, cost, link)
+        sweep.check_budget("(no symmetric polygon completed yet)")
+    return finished, sweep.ops
+
 
 def min_interior_symmetric(
     two_m: int,
@@ -602,41 +703,12 @@ def min_interior_symmetric(
             states_explored=0,
         )
     m_target = two_m // 2
-    sweep = _Sweep(budget)
-    for d in _primitive_directions(coord_bound, upper_half_only=True):
-        dx, dy = d
-        mult_cap = coord_bound // max(abs(dx), abs(dy))
-        additions: list[tuple[tuple[int, int, int, bool], int, tuple]] = []
-        for key, (cost, link) in sweep.states.items():
-            j, wx, wy, prim = key
-            if j >= m_target:
-                continue
-            if (wx, wy) == (0, 0):
-                cr = 0
-            else:
-                cr = wx * dy - wy * dx
-                # directions confined to a half-plane sweep strictly left
-                if cr <= 0:
-                    raise InvariantError("half-plane chain lost convexity")
-            for mult in range(1, mult_cap + 1):
-                sweep.ops += 1
-                additions.append(
-                    (
-                        (j + 1, wx + mult * dx, wy + mult * dy, prim and mult == 1),
-                        cost + mult * (cr - 1),
-                        (link, d, mult),
-                    )
-                )
-        for key, cost, link in additions:
-            sweep.offer(key, cost, link)
-        sweep.check_budget("(no symmetric polygon completed yet)")
-
+    finished, ops = _sweep_symmetric(m_target, coord_bound, budget)
     min_cost: Optional[int] = None
     prim_ties = False
     finals: list[tuple[int, bool, tuple]] = []
-    for key, (cost, link) in sweep.states.items():
-        j, wx, wy, prim = key
-        if j != m_target or wx % 2 != 0 or wy % 2 != 0:
+    for (_j, wx, wy, prim), (cost, link) in finished.items():
+        if wx % 2 != 0 or wy % 2 != 0:
             continue
         finals.append((cost, prim, link))
         if min_cost is None or cost < min_cost:
@@ -686,21 +758,16 @@ def min_interior_symmetric(
         all_primitive=prim,
         certified=interior == 1,
         coord_bound=coord_bound,
-        states_explored=sweep.ops,
+        states_explored=ops,
     )
 
 
 def f_of_m(m: int, **search_kwargs) -> int:
-    """Half of (minimum symmetric interior count + 1); integral because
-    the count is odd, which the computation asserts."""
+    """Half of (minimum symmetric interior count + 1), from
+    `SymmetricInteriorResult.f`."""
     if not isinstance(m, int) or not 1 <= m <= 8:
         raise ValidationError(f"m must be an integer in 1..8, got {m!r}")
-    res = min_interior_symmetric(2 * m, **search_kwargs)
-    if res.interior % 2 != 1:
-        raise InvariantError(
-            f"symmetric minimum interior count {res.interior} is even"
-        )
-    return (res.interior + 1) // 2
+    return min_interior_symmetric(2 * m, **search_kwargs).f
 
 
 def cubic_ratio_exceeds_floor(k: int, area: Fraction) -> bool:

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from stablenorm.errors import ConstructionError, ValidationError
-from stablenorm.lattice_polygons import f_of_m, min_interior_symmetric
+from stablenorm.lattice_polygons import (
+    SymmetricInteriorResult,
+    f_of_m,
+    min_interior_symmetric,
+)
 from stablenorm.norms import (
     Ellipse,
     IntegralClass,
@@ -205,12 +209,17 @@ def construct_sharp_norm(m: int, level: float = 1.0) -> NormSpec:
     unique shortest pair, which a plain ellipse with distinct axes
     already provides; a two-vertex polygon has no gauge to bulge.
     """
+    return _sharp_norm(m, level)[0]
+
+
+def _sharp_norm(m: int, level: float) -> tuple[NormSpec, SymmetricInteriorResult]:
+    """The sharp norm for m, with the symmetric minimum it was built from."""
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 6:
         raise ValidationError(f"sharp construction covers 1 <= m <= 6, got {m!r}")
     if not level > 0:
         raise ValidationError(f"level must be positive, got {level}")
     if m == 1:
-        return NormSpec(Ellipse(1.0, 0.0, 1.3), scale=float(level))
+        return NormSpec(Ellipse(1.0, 0.0, 1.3), scale=float(level)), min_interior_symmetric(2)
     sym = min_interior_symmetric(2 * m, prefer_primitive=True)
     if not sym.all_primitive:
         raise ConstructionError(
@@ -223,7 +232,7 @@ def construct_sharp_norm(m: int, level: float = 1.0) -> NormSpec:
         raise ConstructionError(
             f"bulged gauge for m={m} failed strict convexity: gap {report.min_gap}"
         )
-    return norm
+    return norm, sym
 
 
 @dataclass(frozen=True)
@@ -259,32 +268,30 @@ def verify_sharpness(m: int, level: float = 1.0) -> SharpnessReport:
     Passes when the tie group at `level` has multiplicity exactly m and
     exactly f(m) classes strictly below it.
     """
-    norm = construct_sharp_norm(m, level)
-    target_f = f_of_m(m)
-    profile = multiplicity_profile(norm, class_budget=target_f + m + 3)
-    at_level = [
-        g for g in profile.groups if abs(g.length - level) <= 1e-6 * max(level, 1.0)
-    ]
-    if not at_level:
+    norm, sym = _sharp_norm(m, level)
+    target_f = sym.f
+    entries = enumerate_classes(norm, target_f + m + 3).entries
+    groups = _group_entries(entries, LENGTH_TIE_RTOL)
+    below: list[IntegralClass] = []
+    for bucket in groups:
+        if abs(bucket[0][1] - level) <= 1e-6 * max(level, 1.0):
+            break
+        below.extend(c for c, _v in bucket)
+    else:
         raise ConstructionError(
             f"no tie group found at level {level} for m={m}; got lengths "
-            f"{[g.length for g in profile.groups]}"
+            f"{[bucket[0][1] for bucket in groups]}"
         )
-    group = at_level[0]
-    below = []
-    for g in profile.groups:
-        if g is group:
-            break
-        below.extend(g.classes)
-    passed = group.multiplicity == m and group.shorter_count == target_f
+    tie = tuple(c for c, _v in bucket)
+    passed = len(tie) == m and len(below) == target_f
     return SharpnessReport(
         m=m,
         level=float(level),
         f_m=target_f,
-        achieved_multiplicity=group.multiplicity,
-        achieved_shorter=group.shorter_count,
+        achieved_multiplicity=len(tie),
+        achieved_shorter=len(below),
         passed=passed,
         classes_below=tuple(below),
-        tie_classes=group.classes,
+        tie_classes=tie,
         norm=norm,
     )

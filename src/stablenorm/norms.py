@@ -186,6 +186,10 @@ def _validate(norm: NormSpec) -> None:
         raise ValidationError(f"scale must be a positive finite real, got {norm.scale!r}")
     var = norm.variant
     if isinstance(var, Ellipse):
+        if not all(math.isfinite(q) for q in (var.q11, var.q12, var.q22)):
+            raise ValidationError(
+                f"ellipse entries must be finite, got q11={var.q11!r}, q12={var.q12!r}, q22={var.q22!r}"
+            )
         det = var.q11 * var.q22 - var.q12 * var.q12
         if not (var.q11 > 0 and det > 0):
             raise ValidationError(

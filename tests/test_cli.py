@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -314,6 +315,17 @@ class TestExitCodes:
             "error": {"type": "invariant", "message": "exact recompute drifted"}
         }
 
+    def test_even_symmetric_count_exits_4(self, capsys, monkeypatch):
+        search = cli.min_interior_symmetric
+
+        def even_count(*args, **kwargs):
+            return dataclasses.replace(search(*args, **kwargs), interior=8)
+
+        monkeypatch.setattr(cli, "min_interior_symmetric", even_count)
+        code, out, err = run_cli(capsys, "polygon-symm", "--two-m", "8")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"]["type"] == "invariant"
+
     def test_nan_in_output_exits_4(self, capsys, monkeypatch):
         def emits_nan(args):
             cli._emit(args, {"value": math.nan})
@@ -331,6 +343,7 @@ class TestExitCodes:
             ("multiplicity", "--tie-tolerance", "nan"),
             ("canyon-spectrum", "--bound", "inf"),
             ("norm-enumerate", "--norm", "ellipse:1,0,inf"),
+            ("norm-enumerate", "--norm", '{"variant":"ellipse","q":[[1,0],[0,Infinity]]}'),
         ],
         ids=" ".join,
     )

@@ -5,6 +5,7 @@ double-checked structurally: every witness must reproduce its reported
 counts through Pick's identity and through the brute-force point scan.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablenorm import lattice_polygons
-from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
+from stablenorm.errors import (
+    ConstructionError,
+    InvariantError,
+    SearchBudgetError,
+    ValidationError,
+)
 from stablenorm.lattice_polygons import (
     EIGHT_PI_SQUARED_FLOOR,
     MIN_AREA_CUBIC_FLOOR,
@@ -41,6 +47,8 @@ EXPECTED_MIN_AREA = {
 EXPECTED_INTERIOR = {3: 0, 4: 0, 5: 1, 6: 1, 7: 4, 8: 4}
 EXPECTED_SYMMETRIC_INTERIOR = {2: 1, 4: 1, 6: 1, 8: 7, 10: 13, 12: 19, 14: 35, 16: 57}
 EXPECTED_F = {1: 1, 2: 1, 3: 1, 4: 4, 5: 7, 6: 10, 7: 18, 8: 29}
+
+UNBOUNDED = 10**12
 
 
 def _cross(a, b):
@@ -323,6 +331,12 @@ class TestHalvedCount:
     def test_small_cases_are_one(self):
         assert [f_of_m(m) for m in (1, 2, 3)] == [1, 1, 1]
 
+    def test_even_count_rejected(self):
+        res = min_interior_symmetric(8)
+        assert res.f == EXPECTED_F[4]
+        with pytest.raises(InvariantError, match="even"):
+            dataclasses.replace(res, interior=8).f
+
     def test_validation(self):
         for bad in (0, 9, "1"):
             with pytest.raises(ValidationError):
@@ -355,3 +369,176 @@ class TestCanonicalForm:
             return
         shifted = [(x + dx, y + dy) for (x, y) in hull]
         assert canonical_form(shifted) == canonical_form(hull)
+
+
+# -- reference sweeps -------------------------------------------------------
+#
+# The sweeps as they were before each layer dropped the chains that can
+# no longer finish: every state stays in the dict for the rest of the
+# sweep, and the only reach test is coord_bound * (edges left).
+
+
+def _reference_offer(states, key, cost, link):
+    old = states.get(key)
+    if old is None or cost < old[0]:
+        states[key] = (cost, link)
+
+
+def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
+    sweep = lattice_polygons._Sweep(budget)
+    found = {}
+    for d in lattice_polygons._primitive_directions(coord_bound):
+        dx, dy = d
+        mult_cap = coord_bound // max(abs(dx), abs(dy))
+        additions = []
+        for key, (c, link) in sweep.states.items():
+            j, wx, wy, prim = key
+            if j >= k_max:
+                continue
+            if (wx, wy) == (0, 0):
+                sweep.ops += mult_cap
+                for m in range(1, mult_cap + 1):
+                    additions.append(((1, m * dx, m * dy, m == 1), 0, (link, d, m)))
+                continue
+            cr = wx * dy - wy * dx
+            if cr < 0:
+                continue
+            if cr == 0:
+                sweep.ops += 1
+                if dx != 0:
+                    m, r = divmod(-wx, dx)
+                else:
+                    m, r = divmod(-wy, dy)
+                if r == 0 and 1 <= m <= mult_cap and (wx + m * dx, wy + m * dy) == (0, 0):
+                    if j + 1 >= 3:
+                        lattice_polygons._record_closure(
+                            found.setdefault(j + 1, {}), prim and m == 1, c, (link, d, m)
+                        )
+                continue
+            reach = coord_bound * (k_max - j - 1)
+            for m in range(1, mult_cap + 1):
+                sweep.ops += 1
+                nc = c + m * cr
+                if incumbent_doubled is not None and nc >= incumbent_doubled:
+                    break
+                nwx = wx + m * dx
+                nwy = wy + m * dy
+                if max(abs(nwx), abs(nwy)) > reach:
+                    continue
+                additions.append(((j + 1, nwx, nwy, prim and m == 1), nc, (link, d, m)))
+        for key, cost, link in additions:
+            _reference_offer(sweep.states, key, cost, link)
+        sweep.check_budget(
+            str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
+        )
+    return found, sweep.ops
+
+
+def reference_sweep_symmetric(m_target, coord_bound, budget):
+    sweep = lattice_polygons._Sweep(budget)
+    for d in lattice_polygons._primitive_directions(coord_bound, upper_half_only=True):
+        dx, dy = d
+        mult_cap = coord_bound // max(abs(dx), abs(dy))
+        additions = []
+        for key, (cost, link) in sweep.states.items():
+            j, wx, wy, prim = key
+            if j >= m_target:
+                continue
+            if (wx, wy) == (0, 0):
+                cr = 0
+            else:
+                cr = wx * dy - wy * dx
+                if cr <= 0:
+                    raise InvariantError("half-plane chain lost convexity")
+            for mult in range(1, mult_cap + 1):
+                sweep.ops += 1
+                additions.append(
+                    (
+                        (j + 1, wx + mult * dx, wy + mult * dy, prim and mult == 1),
+                        cost + mult * (cr - 1),
+                        (link, d, mult),
+                    )
+                )
+        for key, cost, link in additions:
+            _reference_offer(sweep.states, key, cost, link)
+        sweep.check_budget("(no symmetric polygon completed yet)")
+    finished = {key: v for key, v in sweep.states.items() if key[0] == m_target}
+    return finished, sweep.ops
+
+
+def _in_order(found):
+    """Slots with their pools, in the order the sweep filled them."""
+    return [(k, list(slot.items())) for k, slot in found.items()]
+
+
+def _memo(sweep):
+    """Run each sweep once per argument tuple; every call in these tests
+    has a budget it cannot reach, so the budget is left out of the key."""
+    cache = {}
+
+    def run(*args):
+        if args[:-1] not in cache:
+            cache[args[:-1]] = sweep(*args)
+        return cache[args[:-1]]
+
+    return run
+
+
+def _area_results(call):
+    try:
+        res = call()
+    except ConstructionError as exc:
+        return str(exc)
+    rows = res if isinstance(res, list) else [res]
+    return [(r.k, r.area, r.witness.vertices, r.certified) for r in rows]
+
+
+SWEEP_CASES = [(k, b) for k in range(3, 9) for b in range(2, 7)] + [(9, 4), (10, 3)]
+
+
+class TestSweepAgainstReference:
+    @pytest.mark.parametrize("k_max,bound", SWEEP_CASES)
+    def test_area_sweep_matches_reference(self, k_max, bound, monkeypatch):
+        ref = _memo(reference_sweep_areas)
+        new = _memo(lattice_polygons._sweep_areas)
+        seeded, _ops = ref(k_max, min(bound, 2 if k_max <= 8 else 3), None, UNBOUNDED)
+        for inc in (None, seeded[k_max][False][0]):
+            ref_found, ref_ops = ref(k_max, bound, inc, UNBOUNDED)
+            new_found, new_ops = new(k_max, bound, inc, UNBOUNDED)
+            assert _in_order(new_found) == _in_order(ref_found), inc
+            if inc is None:
+                assert new_ops < ref_ops
+
+        calls = (
+            lambda: min_area_table(3, k_max, coord_bound=bound),
+            lambda: min_area_convex_kgon(k_max, coord_bound=bound),
+            lambda: min_area_convex_kgon(k_max, coord_bound=bound, pruned=False),
+        )
+        results = {}
+        for name, sweep in (("new", new), ("ref", ref)):
+            monkeypatch.setattr(lattice_polygons, "_sweep_areas", sweep)
+            results[name] = [_area_results(call) for call in calls]
+        assert results["new"] == results["ref"]
+
+    @pytest.mark.parametrize("two_m", range(2, 17, 2))
+    def test_symmetric_sweep_matches_reference(self, two_m, monkeypatch):
+        ref = _memo(reference_sweep_symmetric)
+        new = _memo(lattice_polygons._sweep_symmetric)
+        m = two_m // 2
+        if m >= 2:
+            ref_finished, ref_ops = ref(m, 6, UNBOUNDED)
+            new_finished, new_ops = new(m, 6, UNBOUNDED)
+            assert list(new_finished.items()) == list(ref_finished.items())
+            assert new_ops < ref_ops
+
+        results = {}
+        for name, sweep in (("new", new), ("ref", ref)):
+            monkeypatch.setattr(lattice_polygons, "_sweep_symmetric", sweep)
+            results[name] = [
+                (r.interior, r.witness_vertices, r.all_primitive, r.certified, r.f)
+                for r in (
+                    min_interior_symmetric(two_m, prefer_primitive=prefer)
+                    for prefer in (False, True)
+                )
+            ]
+        assert results["new"] == results["ref"]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablenorm import lattice_polygons
 from stablenorm.errors import ConstructionError, ValidationError
 from stablenorm.lattice_polygons import f_of_m
 from stablenorm.multiplicity import (
@@ -213,8 +214,18 @@ class TestSharpConstruction:
 
 class TestSharpnessVerification:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-    def test_bound_attained(self, m):
+    def test_bound_attained(self, m, monkeypatch):
+        sweeps = []
+
+        class CountingSweep(lattice_polygons._Sweep):
+            def __init__(self, budget):
+                super().__init__(budget)
+                sweeps.append(budget)
+
+        monkeypatch.setattr(lattice_polygons, "_Sweep", CountingSweep)
         report = verify_sharpness(m)
+        # f(m) comes from the sweep that built the norm; m = 1 needs none
+        assert len(sweeps) == (1 if m >= 2 else 0)
         assert report.passed
         assert report.achieved_multiplicity == m
         assert report.achieved_shorter == report.f_m == f_of_m(m)

@@ -329,6 +329,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             NormSpec(Ellipse(-1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "q", [(math.inf, 0.0, 1.0), (1.0, 0.0, math.inf), (1.0, math.inf, 1.0), (1.0, math.nan, 1.0)]
+    )
+    def test_non_finite_ellipse(self, q):
+        # an infinite diagonal entry keeps the determinant positive
+        with pytest.raises(ValidationError, match="finite"):
+            NormSpec(Ellipse(*q))
+        with pytest.raises(ValidationError):
+            norm_from_jsonable({"variant": "ellipse", "q": [[q[0], q[1]], [q[1], q[2]]]})
+
     def test_bad_exponent(self):
         for p in (1.0, 0.5, math.inf):
             with pytest.raises(ValidationError):

@@ -33,3 +33,20 @@ def test_no_raised_assertion_errors():
     # exit 4 with a structured error instead of a traceback
     found = [where for where, node in _ast_nodes() if _raises_assertion_error(node)]
     assert SOURCES and not found, found
+
+
+def test_lattice_polygons_stays_exact():
+    # the module promises "no floating point anywhere"
+    path = Path(stablenorm.__file__).parent / "lattice_polygons.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{where} float literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"{where} float() call")
+        elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+            found.append(f"{where} import math")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend(f"{where} math.{a.name}" for a in node.names if a.name != "gcd")
+    assert not found, found
