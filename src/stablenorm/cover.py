@@ -11,7 +11,8 @@ labelled steps with their integer period shifts, and the lower bounds
 that guide the search.  `shortest_cover_cycle` then runs A* from each
 endpoint of a period-crossing edge, which every cycle of a nonzero
 class must visit, guided by the gauge of the hull of the steps'
-displacement-per-cost points and pruned by the best cycle so far.
+displacement-per-cost points (zero when that hull is flat), pruned by
+the best cycle so far and bounded by the caller's cost cutoff alone.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 #: Relative slack for float comparisons in the cover search.
 SEARCH_RTOL = 1e-12
+#: Lifted advances this small are rounding noise of the positions.
+_ZERO_ADVANCE = 1e-15
+#: Hull facets with a smaller cross product are flat; their normal overflows.
+_DEGENERATE_FACET = 1e-18
 
 #: The heuristic is deflated by this factor to stay admissible under
 #: float rounding.
@@ -51,11 +56,10 @@ class SearchIndex:
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     adj: tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]
-    rates: tuple[float, float, float]
+    rates: tuple[float, float]
     normals: Optional[tuple[Point, ...]]
     x_starts: tuple[int, ...]
     y_starts: tuple[int, ...]
-    min_weight: float
 
 
 def build_search_index(
@@ -98,33 +102,27 @@ def build_search_index(
         normals=_gauge_normals(lifts),
         x_starts=tuple(sorted(x_ends, key=start_key)),
         y_starts=tuple(sorted(y_ends, key=start_key)),
-        min_weight=min((w for _lx, _ly, w in lifts), default=math.inf),
     )
 
 
-def _crossing_rates(lifts: Iterable[tuple[float, float, float]]) -> tuple[float, float, float]:
-    """Cheapest cost per unit of lifted x, y, and x+y advance, over
+def _crossing_rates(lifts: Iterable[tuple[float, float, float]]) -> tuple[float, float]:
+    """Cheapest cost per unit of lifted x and of lifted y advance, over
     the edges' (lifted x, lifted y, weight) triples.
 
     Any cycle of homology (a, b) moves its lift by exactly a in x, so
-    its length is at least |a| times the x rate; same in y.  The rates
-    combine only through max, never sum, because a single edge may
-    advance both coordinates at once; the third rate prices combined
-    L^1 advance and is sound on its own.
+    its length is at least |a| times the x rate; same in y.  `spectrum`
+    sizes its candidate box from these two rates.
     """
     rate_x = math.inf
     rate_y = math.inf
-    rate_1 = math.inf
     for lx, ly, w in lifts:
         dx = abs(lx)
         dy = abs(ly)
-        if dx > 1e-15:
+        if dx > _ZERO_ADVANCE:
             rate_x = min(rate_x, w / dx)
-        if dy > 1e-15:
+        if dy > _ZERO_ADVANCE:
             rate_y = min(rate_y, w / dy)
-        if dx + dy > 1e-15:
-            rate_1 = min(rate_1, w / (dx + dy))
-    return rate_x, rate_y, rate_1
+    return rate_x, rate_y
 
 
 def _gauge_normals(
@@ -138,14 +136,14 @@ def _gauge_normals(
     lower-bounds the cost of any path closing it: each step's rate
     point lies in the hull, so its weight is at least the gauge of its
     displacement, and the gauge is subadditive.  Returns None when the
-    rays do not surround the origin; callers fall back to the axis
-    rates.
+    rays do not surround the origin, as when every lift is collinear;
+    the search then runs with a zero heuristic.
     """
     reps: dict[Point, Point] = {}
     for lx, ly, w in lifts:
         dx = lx / w
         dy = ly / w
-        if abs(dx) + abs(dy) <= 1e-15:
+        if abs(dx) + abs(dy) <= _ZERO_ADVANCE:
             continue
         for px, py in ((dx, dy), (-dx, -dy)):
             reps.setdefault((round(px, 12), round(py, 12)), (px, py))
@@ -156,7 +154,7 @@ def _gauge_normals(
     for i, (px, py) in enumerate(hull):
         qx, qy = hull[(i + 1) % len(hull)]
         t = qx * py - qy * px
-        if abs(t) < 1e-18:
+        if abs(t) < _DEGENERATE_FACET:
             return None
         # a . p = a . q = 1, so a . r is the gauge on this facet's cone
         normals.append(((py - qy) / t, (qx - px) / t))
@@ -192,17 +190,17 @@ def shortest_cover_cycle(
     ix: SearchIndex,
     a: int,
     b: int,
-    window: int,
     upper: float,
     incumbent: float = math.inf,
 ) -> Optional[tuple[float, tuple[tuple[int, int, int], ...], list[Hashable]]]:
     """Shortest closed walk whose lift crosses (a, b) != (0, 0) periods.
 
     Equals the minimum over start nodes of the cover distance from the
-    node's origin lift to its (a, b)-translate, with every deck shift
-    along the way within `window`.  Walks costing more than `upper`
-    (up to SEARCH_RTOL) or not beating `incumbent` by more than
-    _PRUNE_RTOL are never completed.
+    node's origin lift to its (a, b)-translate.  Walks costing more than
+    `upper` (up to SEARCH_RTOL) or not beating `incumbent` by more than
+    _PRUNE_RTOL are never completed.  Weights are positive and the
+    heuristic admissible, so finitely many states lie under `upper`:
+    it alone bounds the search.
 
     Returns (length, states, labels) for the best walk found, or None
     when nothing beats both bounds: `states` are its (node, shift x,
@@ -212,7 +210,6 @@ def shortest_cover_cycle(
     xs = ix.xs
     ys = ix.ys
     normals = ix.normals
-    rate_x, rate_y, rate_1 = ix.rates
     cutoff = upper * (1 + SEARCH_RTOL)
     best = incumbent
     found = None
@@ -228,16 +225,11 @@ def shortest_cover_cycle(
         bar = min(best * (1 - _PRUNE_RTOL), cutoff)
 
         def heuristic(node: int, sx: int, sy: int) -> float:
+            if normals is None:
+                return 0.0
             dx = goal_x - (xs[node] + sx)
             dy = goal_y - (ys[node] + sy)
-            if normals is not None:
-                return max(ax * dx + ay * dy for ax, ay in normals) * deflate
-            dx = abs(dx)
-            dy = abs(dy)
-            hx = rate_x * dx if math.isfinite(rate_x) else 0.0
-            hy = rate_y * dy if math.isfinite(rate_y) else 0.0
-            h1 = rate_1 * (dx + dy) if math.isfinite(rate_1) else 0.0
-            return max(hx, hy, h1) * deflate
+            return max(ax * dx + ay * dy for ax, ay in normals) * deflate
 
         dist: dict[tuple[int, int, int], float] = {}
         pred: dict[tuple[int, int, int], tuple] = {}
@@ -266,14 +258,10 @@ def shortest_cover_cycle(
                 break
             node, sx, sy = state
             for (nbr, w, dx, dy, label) in adj[node]:
-                nsx = sx + dx
-                nsy = sy + dy
-                if abs(nsx) > window or abs(nsy) > window:
-                    continue
                 ng = g + w
-                nstate = (nbr, nsx, nsy)
+                nstate = (nbr, sx + dx, sy + dy)
                 if ng < dist.get(nstate, math.inf):
-                    nf = ng + heuristic(nbr, nsx, nsy)
+                    nf = ng + heuristic(*nstate)
                     if nf >= bar:
                         continue
                     dist[nstate] = ng

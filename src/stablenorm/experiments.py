@@ -37,6 +37,12 @@ DEFAULT_PINNED = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
 
 #: Slack for the pairwise Lipschitz comparison.
 LIPSCHITZ_TOL = 1e-9
+#: Hull edges with a smaller determinant are flat and bound no cone.
+_FLAT_EDGE = 1e-15
+#: A ray through a hull vertex rounds to either adjacent edge's cone.
+_FAN_SLACK = 1e-12
+#: Stages equal in exact arithmetic may differ by rounding in their sups.
+_MONOTONE_SLACK = 1e-9
 
 
 def hull_gauge(hull: Sequence[tuple[float, float]], u: tuple[float, float]) -> float:
@@ -54,11 +60,11 @@ def hull_gauge(hull: Sequence[tuple[float, float]], u: tuple[float, float]) -> f
         px, py = hull[i]
         qx, qy = hull[(i + 1) % n]
         d = px * qy - py * qx
-        if abs(d) < 1e-15:
+        if abs(d) < _FLAT_EDGE:
             continue
         s = (ux * qy - uy * qx) / d
         t = (px * uy - py * ux) / d
-        if s >= -1e-12 and t >= -1e-12:
+        if s >= -_FAN_SLACK and t >= -_FAN_SLACK:
             best = max(best, s + t)
     if best <= 0.0:
         raise ValidationError(f"direction {u} escapes the hull fan; hull degenerate")
@@ -134,7 +140,6 @@ class ConvergenceReport:
 def run_convergence(
     norm: Optional[NormSpec] = None,
     ks: Sequence[int] = DEFAULT_KS,
-    pinned: Sequence[tuple[int, int]] = DEFAULT_PINNED,
     grid_resolution: int = 64,
     directions: int = 64,
     n_max: int = 2,
@@ -155,9 +160,7 @@ def run_convergence(
         raise ValidationError(f"every stage needs k >= 2, got {ks!r}")
     if directions < 8:
         raise ValidationError(f"need at least 8 directions, got {directions}")
-    pinned_classes = tuple(IntegralClass(a, b).canonical() for (a, b) in pinned)
-    if any(c.is_trivial for c in pinned_classes):
-        raise ValidationError("pinned classes must be nontrivial")
+    pinned_classes = tuple(IntegralClass(a, b).canonical() for (a, b) in DEFAULT_PINNED)
 
     b_lip = lipschitz_bound(eval_norm(norm, (1, 0)), eval_norm(norm, (0, 1)))
     fan = [
@@ -217,7 +220,7 @@ def run_convergence(
         )
 
     sups = [s.sup_pinned_deviation for s in stages]
-    monotone = all(b <= a + 1e-9 for a, b in zip(sups, sups[1:]))
+    monotone = all(b <= a + _MONOTONE_SLACK for a, b in zip(sups, sups[1:]))
     return ConvergenceReport(
         stages=tuple(stages),
         pinned=pinned_classes,

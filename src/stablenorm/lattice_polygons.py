@@ -575,7 +575,7 @@ def min_area_table(
     ]
 
 
-def i_of_k(k: int, **search_kwargs) -> int:
+def i_of_k(k: int) -> int:
     """Interior lattice points of the minimal-area convex k-gon.
 
     Computed as A(k) + (2 - k)/2, which presumes the minimizer's
@@ -583,7 +583,7 @@ def i_of_k(k: int, **search_kwargs) -> int:
     counts are required to confirm that, so a failure here would flag
     a minimal polygon with a non-primitive edge.
     """
-    res = min_area_convex_kgon(k, **search_kwargs)
+    res = min_area_convex_kgon(k)
     value = res.area + Fraction(2 - k, 2)
     if value.denominator != 1 or value < 0:
         raise InvariantError(f"interior count for k={k} came out as {value}")
@@ -762,12 +762,12 @@ def min_interior_symmetric(
     )
 
 
-def f_of_m(m: int, **search_kwargs) -> int:
+def f_of_m(m: int) -> int:
     """Half of (minimum symmetric interior count + 1), from
     `SymmetricInteriorResult.f`."""
     if not isinstance(m, int) or not 1 <= m <= 8:
         raise ValidationError(f"m must be an integer in 1..8, got {m!r}")
-    return min_interior_symmetric(2 * m, **search_kwargs).f
+    return min_interior_symmetric(2 * m).f
 
 
 def cubic_ratio_exceeds_floor(k: int, area: Fraction) -> bool:

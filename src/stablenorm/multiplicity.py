@@ -43,6 +43,9 @@ _COARSE_MERGE_SHARE = 0.2
 #: f is tabulated exactly up to this m; larger groups go unchecked.
 _F_TABLE_LIMIT = 8
 
+#: Tie-group lengths are gauges on the bulged curve, which round off level.
+_LEVEL_MATCH_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ProfileGroup:
@@ -274,7 +277,7 @@ def verify_sharpness(m: int, level: float = 1.0) -> SharpnessReport:
     groups = _group_entries(entries, LENGTH_TIE_RTOL)
     below: list[IntegralClass] = []
     for bucket in groups:
-        if abs(bucket[0][1] - level) <= 1e-6 * max(level, 1.0):
+        if abs(bucket[0][1] - level) <= _LEVEL_MATCH_RTOL * max(level, 1.0):
             break
         below.extend(c for c, _v in bucket)
     else:

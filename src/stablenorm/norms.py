@@ -25,6 +25,20 @@ Vec = tuple[float, float]
 #: Relative tolerance at which two analytically computed lengths are
 #: considered equal (tie detection in enumeration and spectra).
 LENGTH_TIE_RTOL = 1e-9
+#: Arc centers carry square-root rounding, so a junction may look this reflex.
+_JUNCTION_SLACK = 1e-12
+#: Directions, uniform in angle, that `strict_convexity_check` samples.
+_CONVEXITY_SAMPLES = 64
+#: Gap below 2 required of ||u + v||; a straight boundary edge gives 0.
+_CONVEXITY_GAP = 1e-9
+#: Sample pairs with a smaller cross product are parallel: no information.
+_PARALLEL_CUTOFF = _CONVEXITY_GAP * 1e-3
+#: Headroom past the count-th value, so the box also covers its ties.
+_BOX_TIE_MARGIN = 1e-6
+#: A vertex lies exactly on the bulged curve, but its gauge rounds.
+_ON_CURVE_RTOL = 1e-9
+#: Bulge-radius doublings `make_arc_polygon` tries before giving up.
+_MAX_BULGE_DOUBLINGS = 32
 
 
 def _coords(v) -> Vec:
@@ -242,7 +256,7 @@ def _validate_arc_polygon(var: ArcPolygon) -> None:
         # convex junction at vertex i+1: incoming tangent not past outgoing
         px, py = centers[(i + 1) % n]
         wx, wy = float(verts[(i + 1) % n][0]), float(verts[(i + 1) % n][1])
-        if _cross(wx - ox, wy - oy, wx - px, wy - py) < -1e-12:
+        if _cross(wx - ox, wy - oy, wx - px, wy - py) < -_JUNCTION_SLACK:
             raise ValidationError(
                 f"arc radius {var.radius} makes the boundary reflex at vertex {verts[(i + 1) % n]}"
             )
@@ -319,45 +333,36 @@ class ConvexityReport:
     min_gap: float
 
 
-def strict_convexity_check(
-    norm: NormSpec, sample_count: int = 64, tolerance: float = 1e-9
-) -> ConvexityReport:
+def strict_convexity_check(norm: NormSpec) -> ConvexityReport:
     """Sample the unit sphere of the norm and test strict midpoint convexity.
 
     For unit-norm samples u, v in distinct directions the triangle
-    inequality must be strict: ||u + v|| <= 2 - tolerance.  A straight
-    edge on the boundary makes same-edge pairs achieve equality, and the
-    first such pair is returned as the witness.
-
-    Args:
-        norm: validated norm.
-        sample_count: directions sampled uniformly in angle, >= 8.
-        tolerance: required gap below 2; also the parallelism cutoff.
+    inequality must be strict: ||u + v|| <= 2 - `_CONVEXITY_GAP`.  A
+    straight edge on the boundary makes same-edge pairs achieve
+    equality, and the first such pair is returned as the witness.
 
     Returns:
         ConvexityReport with the smallest observed gap 2 - ||u + v||.
     """
-    if sample_count < 8:
-        raise ValidationError(f"sample_count must be at least 8, got {sample_count}")
     pts: list[Vec] = []
-    for j in range(sample_count):
-        th = 2.0 * math.pi * j / sample_count
+    for j in range(_CONVEXITY_SAMPLES):
+        th = 2.0 * math.pi * j / _CONVEXITY_SAMPLES
         dx, dy = math.cos(th), math.sin(th)
         r = eval_norm(norm, (dx, dy))
         pts.append((dx / r, dy / r))
     worst: Optional[tuple[Vec, Vec]] = None
     min_gap = math.inf
-    for i in range(sample_count):
-        for j in range(i + 1, sample_count):
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
             ux, uy = pts[i]
             vx, vy = pts[j]
-            if abs(_cross(ux, uy, vx, vy)) <= tolerance * 1e-3:
-                continue  # parallel or antipodal samples carry no information
+            if abs(_cross(ux, uy, vx, vy)) <= _PARALLEL_CUTOFF:
+                continue
             gap = 2.0 - eval_norm(norm, (ux + vx, uy + vy))
             if gap < min_gap:
                 min_gap = gap
                 worst = (pts[i], pts[j])
-    ok = min_gap >= tolerance
+    ok = min_gap >= _CONVEXITY_GAP
     return ConvexityReport(ok=ok, witness=None if ok else worst, min_gap=min_gap)
 
 
@@ -425,7 +430,7 @@ def _complete_prefix(
         ranked = _sorted_box_classes(norm, box, keep)
         if len(ranked) >= count:
             vcut = ranked[count - 1][1]
-            needed = int(math.ceil(vcut * (1.0 + 1e-6) / c)) + 1
+            needed = int(math.ceil(vcut * (1.0 + _BOX_TIE_MARGIN) / c)) + 1
             if box >= needed:
                 return ranked
             box = needed
@@ -486,8 +491,9 @@ def _ccw_sorted(vertices: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], .
     return tuple(sorted(((int(x), int(y)) for x, y in vertices), key=lambda v: math.atan2(v[1], v[0])))
 
 
-def contained_lattice_points(var: ArcPolygon, slack: float = 1e-9) -> set[tuple[int, int]]:
-    """Lattice points with gauge at most 1 + slack for the bulged curve."""
+def contained_lattice_points(var: ArcPolygon) -> set[tuple[int, int]]:
+    """Lattice points with gauge at most 1 + `_ON_CURVE_RTOL` for the
+    bulged curve."""
     reach = max(math.hypot(x, y) for (x, y) in var.vertices) + var.max_sagitta()
     box = int(math.ceil(reach)) + 1
     spec = NormSpec(var, 1.0)
@@ -496,7 +502,7 @@ def contained_lattice_points(var: ArcPolygon, slack: float = 1e-9) -> set[tuple[
         for y in range(-box, box + 1):
             if (x, y) == (0, 0):
                 found.add((x, y))
-            elif eval_norm(spec, (x, y)) <= var.level * (1.0 + slack):
+            elif eval_norm(spec, (x, y)) <= var.level * (1.0 + _ON_CURVE_RTOL):
                 found.add((x, y))
     return found
 
@@ -522,9 +528,7 @@ def polygon_lattice_points(vertices: Sequence[tuple[int, int]]) -> set[tuple[int
     return out
 
 
-def make_arc_polygon(
-    vertices: Sequence[tuple[int, int]], level: float, max_doublings: int = 32
-) -> NormSpec:
+def make_arc_polygon(vertices: Sequence[tuple[int, int]], level: float) -> NormSpec:
     """Build a strictly convex norm whose level set passes through the
     given lattice vertices and through no other lattice point.
 
@@ -532,13 +536,13 @@ def make_arc_polygon(
     bulged boundary is convex at every junction and an exhaustive scan
     confirms the bulged region contains exactly the polygon's lattice
     points.  Raises ConstructionError if no radius within
-    `max_doublings` doublings works.
+    `_MAX_BULGE_DOUBLINGS` doublings works.
     """
     verts = _ccw_sorted(vertices)
     NormSpec(ArcPolygon(vertices=verts, radius=math.inf, level=level))  # vertex-set validation up front
     base = polygon_lattice_points(verts)
     radius = max(math.hypot(x, y) for (x, y) in verts)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_BULGE_DOUBLINGS):
         try:
             var = ArcPolygon(vertices=verts, radius=radius, level=level)
             spec = NormSpec(var, 1.0)
@@ -549,7 +553,7 @@ def make_arc_polygon(
             return spec
         radius *= 2.0
     raise ConstructionError(
-        f"no admissible bulge radius for vertices {verts} within {max_doublings} doublings"
+        f"no admissible bulge radius for vertices {verts} within {_MAX_BULGE_DOUBLINGS} doublings"
     )
 
 

@@ -8,10 +8,10 @@ intersections are shared nodes; switching corridors there is free,
 which keeps the switch cost within any nonnegative hub budget.
 
 Marked lengths come from shortest cycles with prescribed displacement
-in the Z^2 cover.  Every query certifies its own search window from a
-constructive upper bound (grid row/column loops), and the per-start
-searches are guided by an admissible displacement-rate heuristic, so
-background regions far from the optimum are barely touched.
+in the Z^2 cover.  Every query bounds its search by the cost of a
+constructive cycle (grid row/column loops), and the per-start searches
+are guided by an admissible displacement-rate heuristic, so background
+regions far from the optimum are barely touched.
 
 Corridor edges carry their exact rational share of the class length;
 witness lengths are recomputed from those shares, so a pure corridor
@@ -41,6 +41,14 @@ IntVec = tuple[int, int]
 
 #: Relative tolerance when grouping spectrum lengths.
 GROUP_RTOL = 1e-6
+#: Search and exact recompute sum the same edges in other orders.
+_RECOMPUTE_RTOL = 1e-9
+#: f(n h) / n and f(h) may differ by rounding alone and still be stable.
+_STABLE_RTOL = 1e-9
+#: Keeps a bound that is an exact multiple of a rate from flooring low.
+_BOX_SLACK = 1e-9
+#: Floor of the grouping scale, so a zero length groups only with zeros.
+_TINY_LENGTH = 1e-300
 
 _MIN_GRID_RESOLUTION = 64
 
@@ -75,27 +83,25 @@ class PeriodicWeightedGraph:
     col_loop_cost: Optional[float] = None
 
     def __post_init__(self):
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+        index = self.node_index
+        if len(index) != len(self.nodes):
             raise ValidationError("node list repeats")
-        parent = {n: n for n in self.nodes}
+        parent = list(range(len(index)))
 
-        def find(n):
-            while parent[n] != n:
-                parent[n] = parent[parent[n]]
-                n = parent[n]
-            return n
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
 
         for e in self.edges:
             if e.weight <= 0 or not math.isfinite(e.weight):
                 raise ValidationError(f"edge {e.u}-{e.v} has weight {e.weight}")
-            if e.u not in node_set or e.v not in node_set:
+            if e.u not in index or e.v not in index:
                 raise ValidationError(f"edge {e.u}-{e.v} references a missing node")
-            parent[find(e.u)] = find(e.v)
-        if self.nodes:
-            root = find(self.nodes[0])
-            if any(find(n) != root for n in self.nodes):
-                raise ValidationError("quotient graph is not connected")
+            parent[find(index[e.u])] = find(index[e.v])
+        if any(find(i) != find(0) for i in range(1, len(parent))):
+            raise ValidationError("quotient graph is not connected")
 
     @cached_property
     def node_index(self) -> Mapping[NodeId, int]:
@@ -302,21 +308,6 @@ class SpectrumEntry:
         return {"class": [self.cls.a, self.cls.b], "length": self.length}
 
 
-def _certified_window(pg: PeriodicWeightedGraph, h: IntegralClass) -> tuple[int, float]:
-    """(window, upper bound) such that no optimal cycle can shift past
-    the window: a path reaching shift s uses at least s edges, hence
-    costs at least s times the cheapest edge, and the grid loops give a
-    concrete cycle of the returned upper cost."""
-    if pg.row_loop_cost is None or pg.col_loop_cost is None:
-        raise ValidationError(
-            "graph carries no background loops to certify a search window; "
-            "build it with build_canyon_graph or uniform_grid"
-        )
-    upper = abs(h.a) * pg.row_loop_cost + abs(h.b) * pg.col_loop_cost
-    window = math.ceil(upper / pg.search_index.min_weight)
-    return max(window, abs(h.a), abs(h.b)), upper
-
-
 def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     """Concrete cycle of class h from grid row and column loops.
 
@@ -404,10 +395,10 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     Equals the minimum over all quotient nodes of the cover distance
     from the node's origin lift to its h-translate.  The search runs
     only from endpoints of period-crossing edges, which every such
-    cycle must visit, and is guided by the admissible rate-hull gauge
-    heuristic; a certified window derived from the background loop
-    bound caps the deck shifts.  The graph's search index is built on
-    the first query and reused by every later one.
+    cycle must visit, is guided by the admissible rate-hull gauge
+    heuristic, and is bounded by the cost of the background loops of
+    class h.  The graph's search index is built on the first query and
+    reused by every later one.
     """
     if not isinstance(h, IntegralClass):
         h = IntegralClass(int(h[0]), int(h[1]))
@@ -415,18 +406,24 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     if h.is_trivial:
         return SpectrumEntry(cls=h, length=0.0, witness=((pg.nodes[0], 0, 0),))
 
-    window, upper = _certified_window(pg, h)
+    if pg.row_loop_cost is None or pg.col_loop_cost is None:
+        raise ValidationError(
+            "graph carries no background loop costs to bound the search; "
+            "build it with build_canyon_graph or uniform_grid"
+        )
+    # |a| row loops and |b| column loops close a cycle of class h
+    upper = abs(h.a) * pg.row_loop_cost + abs(h.b) * pg.col_loop_cost
     seed = _grid_loop_seed(pg, h)
     incumbent = math.inf if seed is None else seed[0]
-    found = shortest_cover_cycle(pg.search_index, h.a, h.b, window, upper, incumbent) or seed
+    found = shortest_cover_cycle(pg.search_index, h.a, h.b, upper, incumbent) or seed
     if found is None:
         raise ValidationError(
-            f"no cycle of class {h} found within the certified window; "
+            f"no cycle of class {h} found within the background loop bound; "
             "the graph may not wrap in that direction"
         )
     best, best_states, best_edges = found
     exact = _exact_length(pg, best_edges)
-    if abs(exact - best) > 1e-9 * max(1.0, best):
+    if abs(exact - best) > _RECOMPUTE_RTOL * max(1.0, best):
         raise InvariantError(
             f"exact recompute drifted for class {h}: search found {best!r}, "
             f"corridor shares give {exact!r}"
@@ -468,7 +465,7 @@ def stable_norm_estimate(
         entry = marked_min_length(pg, IntegralClass(n * h.a, n * h.b))
         ratios.append(entry.length / n)
     estimate = min(ratios)
-    stable = ratios[0] <= estimate * (1 + 1e-9)
+    stable = ratios[0] <= estimate * (1 + _STABLE_RTOL)
     return StableNormEstimate(
         cls=h,
         ratios=tuple(ratios),
@@ -524,9 +521,9 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     """
     if not norm_bound > 0:
         raise ValidationError(f"norm bound must be positive, got {norm_bound}")
-    rate_x, rate_y, _rate_1 = pg.search_index.rates
-    amax = math.floor(norm_bound / rate_x + 1e-9) if math.isfinite(rate_x) else 0
-    bmax = math.floor(norm_bound / rate_y + 1e-9) if math.isfinite(rate_y) else 0
+    rate_x, rate_y = pg.search_index.rates
+    amax = math.floor(norm_bound / rate_x + _BOX_SLACK) if math.isfinite(rate_x) else 0
+    bmax = math.floor(norm_bound / rate_y + _BOX_SLACK) if math.isfinite(rate_y) else 0
     candidates = [IntegralClass(0, b) for b in range(1, bmax + 1)]
     candidates.extend(
         IntegralClass(a, b)
@@ -544,7 +541,7 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     first = 0
     for i in range(1, len(entries) + 1):
         base = entries[first].length
-        if i == len(entries) or entries[i].length - base > GROUP_RTOL * max(base, 1e-300):
+        if i == len(entries) or entries[i].length - base > GROUP_RTOL * max(base, _TINY_LENGTH):
             groups.append(
                 MultiplicityGroup(
                     length=base,

@@ -31,8 +31,6 @@ from stablenorm.norms import IntegralClass, NormSpec, eval_norm
 
 FracVec = tuple[Fraction, Fraction]
 
-#: Absolute slack for comparisons of real edge-length sums.
-LENGTH_SLACK = 1e-12
 #: A recorded path still dominates a new one that is shorter only by the
 #: rounding of summing the same edge lengths in another order.
 DOMINANCE_SLACK = 1e-15
@@ -138,12 +136,6 @@ class ToralGeodesicGraph:
                 for i, (e, (sx, sy)) in enumerate(zip(self.edges, self.shifts))
             ),
         )
-
-    @cached_property
-    def min_speed(self) -> float:
-        """Smallest length-per-Euclidean-displacement ratio over classes;
-        every path of length L stays within L / min_speed of its start."""
-        return min(ell / math.hypot(h.a, h.b) for h, ell in self.classes)
 
     def to_jsonable(self) -> dict:
         return {
@@ -396,10 +388,10 @@ def minimal_cycle(graph: ToralGeodesicGraph, h: IntegralClass) -> Optional[tuple
     """Shortest cycle in the graph with homology class h.
 
     Runs the A* search of `stablenorm.cover` in the Z^2-cover, from the
-    endpoints of period-crossing edges, with lengths bounded by an
-    explicit cycle decomposition of h and deck shifts by the window that
-    decomposition makes provably sufficient, so the returned minimum is
-    certified global.
+    endpoints of period-crossing edges, with lengths bounded by the cost
+    of an explicit cycle decomposition of h.  That bound leaves finitely
+    many cover states and the search completes every walk under it, so
+    the returned minimum is certified global.
 
     Returns:
         (cycle, length), or None when h is outside the integer span of
@@ -412,14 +404,10 @@ def minimal_cycle(graph: ToralGeodesicGraph, h: IntegralClass) -> Optional[tuple
     if combo is None:
         return None
     upper = sum(abs(c) * ln for c, ln in zip(combo, lens))
-    speed = graph.min_speed
-    window = max(int(math.ceil(upper / speed)) + 2, max(abs(h.a), abs(h.b)) + 1)
-    found = shortest_cover_cycle(graph.search_index, h.a, h.b, window, upper)
+    found = shortest_cover_cycle(graph.search_index, h.a, h.b, upper)
     if found is None:
-        raise InvariantError(f"no representative of {h} within its certified window {window}")
+        raise InvariantError(f"no representative of {h} within its decomposition bound {upper}")
     length, _states, steps = found
-    if length > (window - 1) * speed + LENGTH_SLACK:
-        raise InvariantError(f"certified window {window} does not cover the minimum for {h}")
     return Cycle(tuple(steps)), length
 
 

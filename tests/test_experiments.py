@@ -66,10 +66,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             run_convergence(ks=(2,), directions=4)
 
-    def test_trivial_pinned_class_rejected(self):
-        with pytest.raises(ValidationError):
-            run_convergence(ks=(2,), pinned=((0, 0), (1, 0)))
-
 
 @pytest.fixture(scope="module")
 def report():

@@ -146,14 +146,14 @@ class TestArcPolygonGauge:
 
 class TestStrictConvexity:
     def test_euclidean_passes(self):
-        assert strict_convexity_check(euclidean(), 64, 1e-9).ok
+        assert strict_convexity_check(euclidean()).ok
 
     def test_pnorm_passes(self):
-        assert strict_convexity_check(NormSpec(PNorm(4.0)), 64, 1e-9).ok
+        assert strict_convexity_check(NormSpec(PNorm(4.0))).ok
 
     def test_straight_polygon_fails_with_same_edge_witness(self):
         flat = NormSpec(ArcPolygon(DIAMOND, radius=math.inf, level=1.0))
-        report = strict_convexity_check(flat, 64, 1e-9)
+        report = strict_convexity_check(flat)
         assert not report.ok
         (u, v) = report.witness
         # both witnesses sit on one straight edge x + y = 1 (up to sign)
@@ -164,11 +164,7 @@ class TestStrictConvexity:
 
     def test_bulged_polygon_passes(self):
         spec = make_arc_polygon(DIAMOND, level=1.0)
-        assert strict_convexity_check(spec, 64, 1e-9).ok
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValidationError):
-            strict_convexity_check(euclidean(), 4, 1e-9)
+        assert strict_convexity_check(spec).ok
 
 
 class TestEnumerateClasses:

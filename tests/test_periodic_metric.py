@@ -165,11 +165,31 @@ class TestUniformGridMarked:
 
 
 class TestWindowCertification:
-    def test_exact_and_larger_windows_agree(self, grid16):
-        window, upper = periodic_metric._certified_window(grid16, IntegralClass(1, 0))
-        at = cover.shortest_cover_cycle(grid16.search_index, 1, 0, window, upper)
-        above = cover.shortest_cover_cycle(grid16.search_index, 1, 0, window + 10, upper)
-        assert at[0] == above[0] == 1.0
+    """The background loop cost alone bounds every query."""
+
+    def test_edges_crossing_many_periods(self):
+        # one edge crosses 2000 periods, so the triangle of length 3.0
+        # lifts 2000 periods out before it closes at shift (50, 0); a
+        # search that caps deck shifts by the loop bound over the
+        # cheapest edge (500) misses it and returns fifty x loops, 500.0
+        pg = PeriodicWeightedGraph(
+            nodes=(("a",), ("b",), ("c",)),
+            positions={("a",): (0.0, 0.0), ("b",): (0.25, 0.0), ("c",): (0.5, 0.0)},
+            edges=(
+                PeriodicEdge(("a",), ("b",), 1.0, (2000, 0), "corridor"),
+                PeriodicEdge(("b",), ("c",), 1.0, (-975, 0), "corridor"),
+                PeriodicEdge(("c",), ("a",), 1.0, (-975, 0), "corridor"),
+                PeriodicEdge(("a",), ("a",), 10.0, (1, 0), "grid"),
+                PeriodicEdge(("a",), ("a",), 10.0, (0, 1), "grid"),
+            ),
+            row_loop_cost=10.0,
+            col_loop_cost=10.0,
+        )
+        entry = marked_min_length(pg, (50, 0))
+        assert entry.length == 3.0
+        assert entry.witness[0][1:] == (0, 0)
+        assert entry.witness[-1] == (entry.witness[0][0], 50, 0)
+        assert len(entry.witness) == 4
 
     def test_no_loop_bound_without_grid(self):
         pg = PeriodicWeightedGraph(
@@ -180,7 +200,7 @@ class TestWindowCertification:
                 PeriodicEdge(("b",), ("a",), 0.5, (1, 0), "grid"),
             ),
         )
-        with pytest.raises(ValidationError, match="window"):
+        with pytest.raises(ValidationError, match="loop costs to bound the search"):
             marked_min_length(pg, (1, 0))
 
 

@@ -1,6 +1,7 @@
 """Source-level guards over the package modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import stablenorm
@@ -50,3 +51,41 @@ def test_lattice_polygons_stays_exact():
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             found.extend(f"{where} math.{a.name}" for a in node.names if a.name != "gcd")
     assert not found, found
+
+
+_UPPER_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _named_constants(tree):
+    """Constants that are the whole value of a module-level assignment
+    to an UPPER_CASE name."""
+    named = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if isinstance(stmt.value, ast.Constant) and all(
+            isinstance(t, ast.Name) and _UPPER_NAME.fullmatch(t.id) for t in targets
+        ):
+            named.add(id(stmt.value))
+    return named
+
+
+def test_small_float_literals_are_named():
+    # a tolerance is named once with its reason, not repeated bare
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named = _named_constants(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0 < abs(node.value) < 1e-3
+                and id(node) not in named
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert SOURCES and not found, found
