@@ -10,9 +10,16 @@ their positions in the unit square, both orientations of every edge as
 labelled steps with their integer period shifts, and the lower bounds
 that guide the search.  `shortest_cover_cycle` then runs A* from each
 endpoint of a period-crossing edge, which every cycle of a nonzero
-class must visit, guided by the gauge of the hull of the steps'
-displacement-per-cost points (zero when that hull is flat), pruned by
-the best cycle so far and bounded by the caller's cost cutoff alone.
+class must visit, pruned by the best cycle so far and bounded by the
+caller's cost cutoff alone.
+
+The lower bounds come from one rate hull, the origin-symmetric hull of
+the steps' displacement-per-cost points, whose gauge is the graph's
+stable norm (Burago).  Its facet normals (`gauge_normals`) give the A*
+heuristic, zero when the hull is flat; its support on the axes gives
+the per-axis rates that size the `spectrum` box; and the convergence
+experiment samples the canyon's prescribed hull through the same
+helper.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 #: Relative slack for float comparisons in the cover search.
 SEARCH_RTOL = 1e-12
-#: Lifted advances this small are rounding noise of the positions.
+#: Rate-point advances this small are rounding noise of the positions.
 _ZERO_ADVANCE = 1e-15
 #: Hull facets with a smaller cross product are flat; their normal overflows.
 _DEGENERATE_FACET = 1e-18
@@ -41,6 +48,9 @@ _PRUNE_RTOL = 4e-12
 
 Point = tuple[float, float]
 
+#: The normals `gauge_normals` returns for a flat hull: the zero gauge.
+FLAT_GAUGE: tuple[Point, ...] = ((0.0, 0.0),)
+
 
 @dataclass(frozen=True)
 class SearchIndex:
@@ -48,16 +58,19 @@ class SearchIndex:
 
     `adj[i]` lists the steps out of node i as (neighbor, weight, dx, dy,
     label), in edge order, both orientations of every edge; (dx, dy)
-    counts the periods the step's lift crosses.  `x_starts` and
-    `y_starts` are the endpoints of edges crossing the x and y period,
-    in search order.
+    counts the periods the step's lift crosses.  `normals` are the
+    `gauge_normals` of the steps' rate points, lifted displacement per
+    unit weight; `rates` are the least cost per unit of x and of y
+    advance on that hull, inf on an axis no step advances along.
+    `x_starts` and `y_starts` are the endpoints of edges crossing the x
+    and y period, in search order.
     """
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     adj: tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]
     rates: tuple[float, float]
-    normals: Optional[tuple[Point, ...]]
+    normals: tuple[Point, ...]
     x_starts: tuple[int, ...]
     y_starts: tuple[int, ...]
 
@@ -78,15 +91,15 @@ def build_search_index(
     xs = tuple(x for x, _y in positions)
     ys = tuple(y for _x, y in positions)
     adj: list[list[tuple[int, float, int, int, Hashable]]] = [[] for _ in xs]
-    # distinct (lifted x, lifted y, weight) per edge, in edge order; a
-    # background grid makes up most edges but only a handful of lifts
-    lifts: dict[tuple[float, float, float], None] = {}
+    # distinct rate points, in edge order; a background grid makes up
+    # most edges but only a handful of rate points
+    points: dict[Point, None] = {}
     x_ends: set[int] = set()
     y_ends: set[int] = set()
     for u, v, w, dx, dy, forward, backward in edges:
         adj[u].append((v, w, dx, dy, forward))
         adj[v].append((u, w, -dx, -dy, backward))
-        lifts[(xs[v] + dx - xs[u], ys[v] + dy - ys[u], w)] = None
+        points[((xs[v] + dx - xs[u]) / w, (ys[v] + dy - ys[u]) / w)] = None
         # every cycle with nonzero x-displacement uses an edge whose
         # shift has a nonzero x component, so it passes through one of
         # these endpoints; starting only there loses nothing
@@ -94,68 +107,51 @@ def build_search_index(
             x_ends.update((u, v))
         if dy != 0:
             y_ends.update((u, v))
+    # a cycle of class (a, b) moves its lift by exactly a in x, and
+    # each step advances at most max|p_x| per unit weight, so the cycle
+    # costs at least |a| / max|p_x|; same in y
+    reach_x = max((abs(px) for px, _py in points), default=0.0)
+    reach_y = max((abs(py) for _px, py in points), default=0.0)
     return SearchIndex(
         xs=xs,
         ys=ys,
         adj=tuple(map(tuple, adj)),
-        rates=_crossing_rates(lifts),
-        normals=_gauge_normals(lifts),
+        rates=(
+            1 / reach_x if reach_x > _ZERO_ADVANCE else math.inf,
+            1 / reach_y if reach_y > _ZERO_ADVANCE else math.inf,
+        ),
+        normals=gauge_normals(points),
         x_starts=tuple(sorted(x_ends, key=start_key)),
         y_starts=tuple(sorted(y_ends, key=start_key)),
     )
 
 
-def _crossing_rates(lifts: Iterable[tuple[float, float, float]]) -> tuple[float, float]:
-    """Cheapest cost per unit of lifted x and of lifted y advance, over
-    the edges' (lifted x, lifted y, weight) triples.
+def gauge_normals(points: Iterable[Point]) -> tuple[Point, ...]:
+    """Facet normals of the origin-symmetric hull of `points`.
 
-    Any cycle of homology (a, b) moves its lift by exactly a in x, so
-    its length is at least |a| times the x rate; same in y.  `spectrum`
-    sizes its candidate box from these two rates.
-    """
-    rate_x = math.inf
-    rate_y = math.inf
-    for lx, ly, w in lifts:
-        dx = abs(lx)
-        dy = abs(ly)
-        if dx > _ZERO_ADVANCE:
-            rate_x = min(rate_x, w / dx)
-        if dy > _ZERO_ADVANCE:
-            rate_y = min(rate_y, w / dy)
-    return rate_x, rate_y
-
-
-def _gauge_normals(
-    lifts: Iterable[tuple[float, float, float]],
-) -> Optional[tuple[Point, ...]]:
-    """Facet normals of the displacement-per-cost hull.
-
-    Every edge's (lifted x, lifted y, weight) triple contributes its
-    lifted displacement divided by its weight, both orientations.  The
-    gauge of that hull evaluated on a remaining displacement
-    lower-bounds the cost of any path closing it: each step's rate
-    point lies in the hull, so its weight is at least the gauge of its
-    displacement, and the gauge is subadditive.  Returns None when the
-    rays do not surround the origin, as when every lift is collinear;
-    the search then runs with a zero heuristic.
+    The hull is that of the points and their negatives; its gauge at u
+    is max(a . u) over the returned normals a.  Fed the steps' rate
+    points it lower-bounds the cost of any path closing a remaining
+    displacement: each step's rate point lies in the hull, so its
+    weight is at least the gauge of its displacement, and the gauge is
+    subadditive.  A flat hull, as when every point is collinear, gives
+    FLAT_GAUGE, which is zero everywhere.
     """
     reps: dict[Point, Point] = {}
-    for lx, ly, w in lifts:
-        dx = lx / w
-        dy = ly / w
+    for dx, dy in points:
         if abs(dx) + abs(dy) <= _ZERO_ADVANCE:
             continue
         for px, py in ((dx, dy), (-dx, -dy)):
             reps.setdefault((round(px, 12), round(py, 12)), (px, py))
     hull = convex_hull(reps.values())
     if len(hull) < 3:
-        return None
+        return FLAT_GAUGE
     normals = []
     for i, (px, py) in enumerate(hull):
         qx, qy = hull[(i + 1) % len(hull)]
         t = qx * py - qy * px
         if abs(t) < _DEGENERATE_FACET:
-            return None
+            return FLAT_GAUGE
         # a . p = a . q = 1, so a . r is the gauge on this facet's cone
         normals.append(((py - qy) / t, (qx - px) / t))
     return tuple(normals)
@@ -225,8 +221,6 @@ def shortest_cover_cycle(
         bar = min(best * (1 - _PRUNE_RTOL), cutoff)
 
         def heuristic(node: int, sx: int, sy: int) -> float:
-            if normals is None:
-                return 0.0
             dx = goal_x - (xs[node] + sx)
             dy = goal_y - (ys[node] + sy)
             return max(ax * dx + ay * dy for ax, ay in normals) * deflate

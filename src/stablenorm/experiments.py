@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from stablenorm.cover import convex_hull
-from stablenorm.errors import ValidationError
+from stablenorm.cover import FLAT_GAUGE, gauge_normals
+from stablenorm.errors import InvariantError, ValidationError
 from stablenorm.norms import (
     IntegralClass,
     NormSpec,
@@ -37,38 +37,8 @@ DEFAULT_PINNED = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
 
 #: Slack for the pairwise Lipschitz comparison.
 LIPSCHITZ_TOL = 1e-9
-#: Hull edges with a smaller determinant are flat and bound no cone.
-_FLAT_EDGE = 1e-15
-#: A ray through a hull vertex rounds to either adjacent edge's cone.
-_FAN_SLACK = 1e-12
 #: Stages equal in exact arithmetic may differ by rounding in their sups.
 _MONOTONE_SLACK = 1e-9
-
-
-def hull_gauge(hull: Sequence[tuple[float, float]], u: tuple[float, float]) -> float:
-    """Gauge of the origin-symmetric convex hull at u.
-
-    Writes u = s*p + t*q over each hull edge (p, q); the edge crossed
-    by the ray has s, t >= 0 and gauge s + t.
-    """
-    ux, uy = u
-    if ux == 0.0 and uy == 0.0:
-        return 0.0
-    best = 0.0
-    n = len(hull)
-    for i in range(n):
-        px, py = hull[i]
-        qx, qy = hull[(i + 1) % n]
-        d = px * qy - py * qx
-        if abs(d) < _FLAT_EDGE:
-            continue
-        s = (ux * qy - uy * qx) / d
-        t = (px * uy - py * ux) / d
-        if s >= -_FAN_SLACK and t >= -_FAN_SLACK:
-            best = max(best, s + t)
-    if best <= 0.0:
-        raise ValidationError(f"direction {u} escapes the hull fan; hull degenerate")
-    return best
 
 
 @dataclass(frozen=True)
@@ -184,11 +154,10 @@ def run_convergence(
             est = stable_norm_estimate(canyon, cls, n_max).estimate
             devs.append(PinnedDeviation(cls=cls, estimate=est, target=eval_norm(norm, cls)))
 
-        hull = convex_hull(
-            [(c.a / length, c.b / length) for c, length in classes]
-            + [(-c.a / length, -c.b / length) for c, length in classes]
-        )
-        gauge_samples = [hull_gauge(hull, u) for u in fan]
+        normals = gauge_normals([(c.a / length, c.b / length) for c, length in classes])
+        if normals == FLAT_GAUGE:
+            raise InvariantError(f"stage k={k}: the prescribed classes span a flat hull")
+        gauge_samples = [max(ax * ux + ay * uy for ax, ay in normals) for ux, uy in fan]
         hull_dev = max(
             g / eval_norm(norm, u) - 1.0 for g, u in zip(gauge_samples, fan)
         )

@@ -485,6 +485,12 @@ def _merge_slots(a: Optional[AreaSlot], b: Optional[AreaSlot]) -> Optional[AreaS
     return out
 
 
+def _check_budget(budget: int) -> None:
+    """A search needs room for at least one transition."""
+    if budget < 1:
+        raise ValidationError(f"search budget must be at least 1, got {budget}")
+
+
 def _coord_bound(k: int, coord_bound: Optional[int]) -> int:
     """Edge-coordinate bound of a minimal-area search up to k corners:
     the given one, which must be at least 2, else 6 for k <= 8 and 10
@@ -542,6 +548,7 @@ def min_area_convex_kgon(
     if not isinstance(k, int) or not 3 <= k <= 12:
         raise ValidationError(f"k must be an integer in 3..12, got {k!r}")
     coord_bound = _coord_bound(k, coord_bound)
+    _check_budget(budget)
 
     total_ops = 0
     incumbent: Optional[int] = None
@@ -569,6 +576,7 @@ def min_area_table(
     if not 3 <= k_min <= k_max <= 12:
         raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min}..{k_max}")
     coord_bound = _coord_bound(k_max, coord_bound)
+    _check_budget(budget)
     found, ops = _sweep_areas(k_max, coord_bound, None, budget)
     return [
         _min_area_result(k, found.get(k), coord_bound, ops) for k in range(k_min, k_max + 1)
@@ -691,6 +699,9 @@ def min_interior_symmetric(
     """
     if not isinstance(two_m, int) or two_m < 2 or two_m % 2 != 0 or two_m > 16:
         raise ValidationError(f"two_m must be an even integer in 2..16, got {two_m!r}")
+    if coord_bound < 1:
+        raise ValidationError(f"coordinate bound must be at least 1, got {coord_bound}")
+    _check_budget(budget)
     if two_m == 2:
         return SymmetricInteriorResult(
             two_m=2,

@@ -33,6 +33,7 @@ from stablenorm.norms import (
     enumerate_classes,
     make_arc_polygon,
     strict_convexity_check,
+    tie_groups,
 )
 from stablenorm.periodic_metric import SpectrumResult
 
@@ -101,18 +102,6 @@ def profile_csv_rows(profile: MultiplicityProfile) -> list[tuple[int, int, int, 
     return rows
 
 
-def _group_entries(
-    entries: Sequence[tuple[IntegralClass, float]], tol: float
-) -> list[list[tuple[IntegralClass, float]]]:
-    groups: list[list[tuple[IntegralClass, float]]] = []
-    for cls, length in entries:
-        if groups and length - groups[-1][0][1] <= tol * max(groups[-1][0][1], 1.0):
-            groups[-1].append((cls, length))
-        else:
-            groups.append([(cls, length)])
-    return groups
-
-
 def _warn_if_coarse(entries: Sequence[tuple[IntegralClass, float]], tol: float) -> None:
     distinct_gaps = 0
     merged = 0
@@ -170,7 +159,7 @@ def multiplicity_profile(
         raise ValidationError("empty spectrum has no profile")
 
     _warn_if_coarse(entries, tol)
-    raw_groups = _group_entries(entries, tol)
+    raw_groups = tie_groups(entries, tol)
     # one polygon sweep per distinct multiplicity, not per tie group
     f_memo: dict[int, int] = {}
     groups: list[ProfileGroup] = []
@@ -274,7 +263,7 @@ def verify_sharpness(m: int, level: float = 1.0) -> SharpnessReport:
     norm, sym = _sharp_norm(m, level)
     target_f = sym.f
     entries = enumerate_classes(norm, target_f + m + 3).entries
-    groups = _group_entries(entries, LENGTH_TIE_RTOL)
+    groups = tie_groups(entries, LENGTH_TIE_RTOL)
     below: list[IntegralClass] = []
     for bucket in groups:
         if abs(bucket[0][1] - level) <= _LEVEL_MATCH_RTOL * max(level, 1.0):

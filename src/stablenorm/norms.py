@@ -391,6 +391,21 @@ class EnumeratedClasses:
     segment_tie_warning: bool
 
 
+def tie_groups(
+    entries: Sequence[tuple[IntegralClass, float]], rtol: float
+) -> list[list[tuple[IntegralClass, float]]]:
+    """Consecutive (class, value) entries, sorted by value, split into
+    tie groups: an entry joins the open group while its value exceeds
+    the group's first value v by at most rtol * max(v, 1.0)."""
+    groups: list[list[tuple[IntegralClass, float]]] = []
+    for cls, value in entries:
+        if groups and value - groups[-1][0][1] <= rtol * max(groups[-1][0][1], 1.0):
+            groups[-1].append((cls, value))
+        else:
+            groups.append([(cls, value)])
+    return groups
+
+
 def _sorted_box_classes(
     norm: NormSpec, box: int, keep: Callable[[IntegralClass], bool]
 ) -> list[tuple[IntegralClass, float]]:
@@ -405,17 +420,11 @@ def _sorted_box_classes(
     # equal lengths up to float noise must be grouped before tie keys
     # apply; every member takes the group's smallest value, so the
     # values stay nondecreasing across the tie-key reordering
-    i = 0
-    while i < len(out):
-        j = i + 1
-        v0 = out[i][1]
-        while j < len(out) and out[j][1] - v0 <= LENGTH_TIE_RTOL * max(1.0, v0):
-            j += 1
-        if j - i > 1:
-            grp = sorted(out[i:j], key=lambda e: e[0].tie_key())
-            out[i:j] = [(h, v0) for h, _v in grp]
-        i = j
-    return out
+    ranked: list[tuple[IntegralClass, float]] = []
+    for grp in tie_groups(out, LENGTH_TIE_RTOL):
+        v0 = grp[0][1]
+        ranked.extend((h, v0) for h, _v in sorted(grp, key=lambda e: e[0].tie_key()))
+    return ranked
 
 
 def _complete_prefix(

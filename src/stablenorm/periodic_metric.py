@@ -513,8 +513,8 @@ class SpectrumResult:
 def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     """Marked lengths of every class that could fit under norm_bound.
 
-    Candidate classes come from the crossing-rate lower bound, so the
-    enumeration box provably contains every class whose marked length
+    Candidate classes come from the rate hull's per-axis lower bound
+    (`SearchIndex.rates`), so the enumeration box provably contains every class whose marked length
     can be at or below the bound.  Classes are measured one by one on
     the graph's shared search index and sorted deterministically by
     (length, class); ties group under the relative tolerance `GROUP_RTOL`.
@@ -537,6 +537,7 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     entries.extend(e for e in measured if e.length <= norm_bound * (1 + SEARCH_RTOL))
     entries.sort(key=lambda e: (e.length, e.cls.tie_key()))
 
+    # not norms.tie_groups: its floor of 1.0 would regroup lengths below 1
     groups: list[MultiplicityGroup] = []
     first = 0
     for i in range(1, len(entries) + 1):

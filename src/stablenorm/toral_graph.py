@@ -546,6 +546,10 @@ def compute_zeta_epsilon_theta(
     divided by twice the edge bound, capped at `theta_cap` when no
     competitor exists.
     """
+    if not (theta_cap > 0 and math.isfinite(theta_cap)):
+        raise ValidationError(f"theta cap must be a positive finite real, got {theta_cap}")
+    if node_budget < 1:
+        raise ValidationError(f"search budget must be at least 1, got {node_budget}")
     zeta = 0.5 * min(e.length for e in graph.edges)
     edge_bound = int(math.floor(ell_k / zeta + EDGE_BOUND_SLACK))
     gap, witness, cycles, nodes = _min_gap_search(

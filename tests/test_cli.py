@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -354,6 +355,26 @@ class TestExitCodes:
         assert error["type"] == "validation"
         assert "finite" in error["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph-epsilon", "--norm", "euclidean", "--k", "2", "--theta-cap", "-1"),
+            ("graph-epsilon", "--norm", "euclidean", "--k", "1", "--theta-cap", "-1"),
+            ("graph-epsilon", "--k", "1", "--k-max", "2", "--theta-cap", "0"),
+            ("graph-epsilon", "--budget", "-5"),
+            ("canyon-spectrum", "--k", "2", "--budget", "0"),
+            ("polygon-min-area", "--k", "4", "--budget", "-1"),
+            ("polygon-min-area", "--k", "3", "--k-max", "4", "--budget", "0"),
+            ("polygon-symm", "--two-m", "6", "--budget", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_search_setting_exits_2(self, capsys, argv):
+        # bad input, not an exhausted search (exit 3) or a printed result
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "validation"
+
     def test_table_coord_bound_checked(self, capsys):
         for argv in (("--k", "4"), ("--k", "3", "--k-max", "4")):
             code, out, err = run_cli(capsys, "polygon-min-area", *argv, "--coord-bound", "1")
@@ -405,15 +426,55 @@ class TestParsing:
             jsonify({"groups": [{"length": math.nan}]})
 
 
-def test_readme_examples_parse_and_cover_every_subcommand():
+def readme_examples() -> list[str]:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
-    lines = [
+    return [
         line for block in blocks for line in block.splitlines() if line.startswith("stablenorm ")
     ]
+
+
+def test_readme_examples_parse_and_cover_every_subcommand():
     parser = cli._build_parser()
-    used = {parser.parse_args(shlex.split(line)[1:]).subcommand for line in lines}
+    used = {parser.parse_args(shlex.split(line)[1:]).subcommand for line in readme_examples()}
     assert used == set(cli._COMMANDS)
+
+
+#: Exit code and SHA-256 of stdout of every README example.  A changed
+#: digest means changed output bytes: update it only with a change that
+#: means to change that output, and say so in CHANGES.md.
+README_OUTPUT_DIGESTS = {
+    "stablenorm norm-enumerate --norm hexagonal --count 6":
+        (0, "af22cff6854d1367b5cd3d6df084ebeac2b8dc84d04278a8c47b41a26fffa239"),
+    "stablenorm graph-build --norm euclidean --k 3":
+        (0, "915a62a55b7c3f846bd9599515cffe296a8c4b62370b97ddef32eea788efea90"),
+    "stablenorm graph-epsilon --norm euclidean --k 2":
+        (0, "17537d8f831a2c55e68a2e5ec01949a541be123e0837ad81f8adb05ca949f752"),
+    "stablenorm canyon-spectrum --norm euclidean --k 5 --grid-n 128":
+        (0, "cf6ac58aee1cdc3ffd046a97eb6d2f57edb53f574412d1165458fd46e6b70a5d"),
+    "stablenorm stable-norm --norm euclidean --k 3 --class 2,1 --n-max 3":
+        (0, "9fe91aa7fb93a62e11f8b17bf0b6df98eed9e7918b2c9ad4f0473d17ac33ec24"),
+    "stablenorm polygon-min-area --k 3":
+        (0, "fa953035a5375d86ac61849b90b9c4dcf7bdc09a91fda62ab2f950d8cd4b29e4"),
+    "stablenorm polygon-min-area --k 3 --k-max 8 --format csv":
+        (0, "3affdcb1698669d56e57d148a9a746e8faa46dd1859dd5e33a1a983a95db4738"),
+    "stablenorm polygon-symm --two-m 8":
+        (0, "c637f53bba18e0c8eac13984914a7551cb4b139f8551300c8819864d2e1e3e6b"),
+    "stablenorm multiplicity --norm hexagonal --budget 10":
+        (0, "f7eb71e49e577fb5b8f02e7c4f0f93a8ac2ab570e34a8821d7489f154020ec24"),
+    "stablenorm sharpness --m 4":
+        (0, "7cc469271110f5f694981eb961b391ee7e30504d27f7e7a2937f6e323a110f89"),
+    "stablenorm convergence --ks 2,3,4,5,6 --grid-n 64":
+        (0, "8257b7f2384c6df3e6521d5c07e7870ea133f89a1791fe7b5ed7ffa716a5c4ec"),
+}
+
+
+def test_readme_examples_have_their_pinned_output_bytes(capsys):
+    assert readme_examples() == list(README_OUTPUT_DIGESTS)
+    for line, want in README_OUTPUT_DIGESTS.items():
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == want, line
+        assert err == "", line
 
 
 def test_module_entry_point():

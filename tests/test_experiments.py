@@ -4,38 +4,38 @@ import math
 
 import pytest
 
-from stablenorm.cover import convex_hull
-from stablenorm.errors import ValidationError
-from stablenorm.experiments import (
-    LIPSCHITZ_TOL,
-    hull_gauge,
-    run_convergence,
-)
+from stablenorm import experiments
+from stablenorm.cover import FLAT_GAUGE, gauge_normals
+from stablenorm.errors import InvariantError, ValidationError
+from stablenorm.experiments import LIPSCHITZ_TOL, run_convergence
 from stablenorm.norms import euclidean, eval_norm, hexagonal
+
+
+def gauge(normals, u):
+    return max(ax * u[0] + ay * u[1] for ax, ay in normals)
+
+
+DIAMOND = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
 
 
 class TestHullGauge:
     def test_diamond_is_l1(self):
-        hull = convex_hull([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
-        assert len(hull) == 4
+        normals = gauge_normals(DIAMOND)
+        assert len(normals) == 4
         for u, want in [((1.0, 0.0), 1.0), ((0.5, 0.5), 1.0), ((2.0, -1.0), 3.0)]:
-            assert hull_gauge(hull, u) == pytest.approx(want, abs=1e-12)
+            assert gauge(normals, u) == pytest.approx(want, abs=1e-12)
 
     def test_vertices_sit_on_the_unit_level(self):
         pts = [(1.0, 0.0), (0.7, 0.7), (0.0, 1.0)]
-        hull = convex_hull(pts + [(-x, -y) for x, y in pts])
+        normals = gauge_normals(pts)
         for p in pts:
-            assert hull_gauge(hull, p) == pytest.approx(1.0, abs=1e-12)
+            assert gauge(normals, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_points_dropped(self):
-        hull = convex_hull(
-            [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.1, 0.1)]
-        )
-        assert (0.1, 0.1) not in hull
+        assert gauge_normals(DIAMOND + [(0.1, 0.1)]) == gauge_normals(DIAMOND)
 
     def test_zero_vector(self):
-        hull = convex_hull([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
-        assert hull_gauge(hull, (0.0, 0.0)) == 0.0
+        assert gauge(gauge_normals(DIAMOND), (0.0, 0.0)) == 0.0
 
     def test_gauge_dominates_euclidean_norm_on_inscribed_hull(self):
         # hull points on the Euclidean circle: gauge >= the norm everywhere
@@ -43,10 +43,10 @@ class TestHullGauge:
             (math.cos(a), math.sin(a))
             for a in [k * math.pi / 6 for k in range(12)]
         ]
-        hull = convex_hull(pts)
+        normals = gauge_normals(pts)
         for j in range(40):
             u = (math.cos(j * 0.157 + 0.05), math.sin(j * 0.157 + 0.05))
-            assert hull_gauge(hull, u) >= eval_norm(euclidean(), u) - 1e-12
+            assert gauge(normals, u) >= eval_norm(euclidean(), u) - 1e-12
 
 
 class TestValidation:
@@ -65,6 +65,12 @@ class TestValidation:
     def test_direction_floor(self):
         with pytest.raises(ValidationError):
             run_convergence(ks=(2,), directions=4)
+
+    def test_flat_stage_hull_is_an_invariant_error(self, monkeypatch):
+        # k >= 2 classes always span the plane, so a flat hull is a bug
+        monkeypatch.setattr(experiments, "gauge_normals", lambda points: FLAT_GAUGE)
+        with pytest.raises(InvariantError, match="flat hull"):
+            run_convergence(ks=(2,), directions=8, n_max=1)
 
 
 @pytest.fixture(scope="module")

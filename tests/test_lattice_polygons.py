@@ -238,6 +238,19 @@ class TestMinArea:
         with pytest.raises(ValidationError, match="coordinate bound"):
             min_area_table(3, 4, coord_bound=1)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_validation_error(self, budget):
+        # a malformed budget is bad input, not an exhausted search
+        for search in (
+            lambda: min_area_convex_kgon(4, budget=budget),
+            lambda: min_area_convex_kgon(4, pruned=False, budget=budget),
+            lambda: min_area_table(3, 4, budget=budget),
+            lambda: min_interior_symmetric(6, budget=budget),
+            lambda: min_interior_symmetric(2, budget=budget),
+        ):
+            with pytest.raises(ValidationError, match="budget"):
+                search()
+
     def test_witness_area_checked_by_search_and_table(self, monkeypatch):
         pick = lattice_polygons._pick_area_witness
 
@@ -321,6 +334,14 @@ class TestSymmetricMinimum:
         for bad in (3, 0, -2, 18, "4"):
             with pytest.raises(ValidationError):
                 min_interior_symmetric(bad)
+
+    def test_coord_bound_below_one_rejected(self):
+        # also for the 2-gon, which needs no search
+        for two_m in (2, 4, 8):
+            for bound in (0, -3):
+                with pytest.raises(ValidationError, match="coordinate bound"):
+                    min_interior_symmetric(two_m, coord_bound=bound)
+        assert min_interior_symmetric(4, coord_bound=1).coord_bound == 1
 
 
 class TestHalvedCount:

@@ -465,17 +465,24 @@ class TestSearchIndex:
         assert spectrum(warmed, bound) == fresh
 
     def test_distinct_lifts_give_same_bounds(self, euclid3):
-        # the index keeps each (lifted x, lifted y, weight) once; the
-        # rates and hull normals must equal those over every edge
+        # the index keeps each rate point once; the hull normals must
+        # equal those over every edge, and the rates the cheapest cost
+        # per unit of advance over every edge
         _classes, _graph, _consts, canyon = euclid3
         every_edge = []
+        cheapest_x = cheapest_y = math.inf
         for e in canyon.edges:
             ux, uy = canyon.positions[e.u]
             vx, vy = canyon.positions[e.v]
-            every_edge.append((vx + e.disp[0] - ux, vy + e.disp[1] - uy, e.weight))
+            lx, ly = vx + e.disp[0] - ux, vy + e.disp[1] - uy
+            every_edge.append((lx / e.weight, ly / e.weight))
+            if lx != 0:
+                cheapest_x = min(cheapest_x, e.weight / abs(lx))
+            if ly != 0:
+                cheapest_y = min(cheapest_y, e.weight / abs(ly))
         index = canyon.search_index
-        assert cover._crossing_rates(every_edge) == index.rates
-        assert cover._gauge_normals(every_edge) == index.normals
+        assert cover.gauge_normals(every_edge) == index.normals
+        assert index.rates == pytest.approx((cheapest_x, cheapest_y), rel=1e-15, abs=0)
 
     def test_equal_graphs_stay_equal(self):
         queried = uniform_grid(8)

@@ -328,6 +328,18 @@ class TestSearchIndex:
                     sx, sy = graph.shifts[e]
                     assert (w, dx, dy) == (graph.edges[e].length, s * sx, s * sy)
 
+    def test_single_class_graph_has_the_zero_gauge(self):
+        # one corridor: every rate point lies on the y axis, the hull is
+        # flat, and the search runs unguided to the same cycles
+        graph = build_graph(leading_primitive_classes(E, 1))
+        assert graph.classes == ((IntegralClass(0, 1), 1.0),)
+        assert graph.search_index.normals == cover.FLAT_GAUGE
+        assert graph.search_index.rates == (math.inf, 1.0)
+        for b, steps in [(1, ((0, 1),)), (2, ((0, 1),) * 2), (-3, ((0, -1),) * 3)]:
+            assert minimal_cycle(graph, IntegralClass(0, b)) == (Cycle(steps), float(abs(b)))
+        assert minimal_cycle(graph, IntegralClass(1, 0)) is None
+        assert minimal_cycle(graph, IntegralClass(1, 1)) is None
+
 
 class TestTubeConstants:
     def test_square_frozen_values(self):
@@ -366,6 +378,19 @@ class TestTubeConstants:
         assert tc.theta == 0.125
         assert tc.witness is None
         assert tc.cycles_checked == 0
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+    def test_theta_cap_must_be_positive_and_finite(self, cap):
+        # the cap is theta itself when no competitor exists (k = 1), and
+        # the canyon construction rejects theta <= 0
+        for graph in (build_graph(euclid_classes((1, 0))), SQUARE):
+            with pytest.raises(ValidationError, match="theta cap"):
+                compute_zeta_epsilon_theta(graph, E, 1.0, theta_cap=cap)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_a_validation_error(self, budget):
+        with pytest.raises(ValidationError, match="budget"):
+            compute_zeta_epsilon_theta(SKEW, E, math.sqrt(5.0), node_budget=budget)
 
     def test_budget_error_names_budget(self):
         with pytest.raises(SearchBudgetError) as err:
