@@ -345,7 +345,11 @@ def _cmd_polygon_min_area(args) -> None:
         ]
     else:
         results = min_area_table(
-            args.k, args.k_max, coord_bound=args.coord_bound, budget=args.budget
+            args.k,
+            args.k_max,
+            coord_bound=args.coord_bound,
+            pruned=not args.no_prune,
+            budget=args.budget,
         )
     rows = [
         {

@@ -14,8 +14,8 @@ polygon exactly once.  The running shoelace sum relative to the start
 vertex is twice the swept area; it never decreases along chains that
 can still close convexly (each increment is twice a fan triangle of the
 final polygon as seen from the start vertex), which makes both the
-incumbent prune and the minimum-merge on repeated (edges used, partial
-sum) states sound.  A closing edge always runs straight back to the
+cost cap and the minimum-merge on repeated (edges used, partial sum)
+states sound.  A closing edge always runs straight back to the
 start, so closures happen exactly at the anti-parallel steps.
 
 Each direction layer visits only chains that can still close:
@@ -39,6 +39,30 @@ Dropping a state never changes the cost or the dict position of a kept
 one: a chain that can close has only parents that can close, and a
 dropped key is never offered again.  Closures, witness pools and
 witnesses therefore come out exactly as from the full sweep.
+
+Seeded cost caps.  Each search first sweeps a small coordinate bound.
+Every polygon that seed sweep finds is also a polygon of the full
+bound, with the same cost, so the full minimum is at most the seed's.
+Unless the seed bound is the full bound (then the seed sweep is the
+result), the full sweep drops every chain whose cost exceeds a cap:
+
+- Area sweeps.  The swept area never decreases along a chain that can
+  still close, and a closure adds nothing, so a chain above the cap
+  closes only into a polygon above it.  `min_area_convex_kgon` caps at
+  one below the seeded area and merges the seed's slot back in;
+  `min_area_table` caps at the largest seeded area over its rows, ties
+  kept, so every row keeps all its optimal chains.
+- Symmetric sweep.  A half-chain's first step, from the root, adds
+  -mult; every later step adds mult*(cr - 1) >= 0, because cr >= 1 in
+  the half-plane.  So a half-chain above the cap can never finish at or
+  below it.  The cap, the least even-sum cost the seed finished, is at
+  least 0 (the origin is interior), so no step from the root is cut.
+
+A capped sweep keeps every chain that can still win or tie, with the
+cost the full sweep gives it, so minima and `certified` flags are the
+full sweep's.  A dropped chain can change where a kept key first enters
+the state dict, and so which of two equal-cost chains that key keeps;
+the tests check that the witnesses still match the full sweep's.
 
 No floating point anywhere in this module.
 """
@@ -241,15 +265,34 @@ def canonical_form(
     return best
 
 
-def _primitive_directions(bound: int, upper_half_only: bool = False) -> list[IntVec]:
+def _primitive_directions(
+    bound: int,
+    upper_half_only: bool = False,
+    sweep: Optional[_Sweep] = None,
+    rootless: int = 0,
+) -> list[IntVec]:
+    """Primitive vectors with coordinates within `bound` in angle order,
+    only those with angle in [0, pi) if `upper_half_only`.
+
+    A sweep expands its root at least once on every direction but the
+    last `rootless`, so given the `sweep` this raises SearchBudgetError
+    as soon as the directions made so far force more transitions than
+    its budget has left.
+    """
     out = []
     for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if (x, y) == (0, 0) or gcd(abs(x), abs(y)) != 1:
-                continue
-            if upper_half_only and not (y > 0 or (y == 0 and x > 0)):
+        for y in range(0 if upper_half_only else -bound, bound + 1):
+            if gcd(x, y) != 1 or (upper_half_only and y == 0 and x < 0):
                 continue
             out.append((x, y))
+            if sweep is not None and sweep.ops + len(out) - rootless > sweep.budget:
+                raise SearchBudgetError(
+                    f"polygon search exhausted its budget of {sweep.budget} transitions: "
+                    f"the primitive directions within coordinate bound {bound} "
+                    f"force more than are left",
+                    nodes_expanded=sweep.ops,
+                    budget=sweep.budget,
+                )
     out.sort(key=angle_key)
     return out
 
@@ -267,12 +310,12 @@ class _Sweep:
     partial sum, never on the path that reached it.
     """
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, spent: int = 0):
         self.states: dict[tuple[int, int, int, bool], tuple[int, Optional[tuple]]] = {
             _ROOT: (0, None)
         }
         self.budget = budget
-        self.ops = 0
+        self.ops = spent
 
     def check_budget(self, best_so_far: str) -> None:
         """Called between direction layers, so overshoot is one layer at most."""
@@ -337,7 +380,8 @@ class MinAreaResult:
     `certified` marks values that meet the unconditional Pick floor
     k/2 - 1, where no polygon outside the coordinate bound can do
     better; otherwise the minimum is exact only over polygons whose
-    edge vectors fit the bound.
+    edge vectors fit the bound.  `states_explored` counts the
+    transitions of every sweep the search ran, its seed sweep included.
     """
 
     k: int
@@ -377,22 +421,25 @@ def _later_reach(dirs: Sequence[IntVec], caps: Sequence[int]) -> list[tuple[int,
 def _sweep_areas(
     k_max: int,
     coord_bound: int,
-    incumbent_doubled: Optional[int],
+    cap: Optional[int],
     budget: int,
+    spent: int = 0,
 ) -> tuple[dict[int, AreaSlot], int]:
-    """Run the sweep; return per edge-count closures and the op count.
+    """Run the sweep; return per edge-count closures and the op count,
+    `spent` (the ops of an earlier sweep of the same search) included.
 
     `found[k][prim]` holds the best doubled area over k-gons plus a
     capped pool of chain links attaining it; the all-primitive optimum
     is tracked separately so callers can prefer witnesses whose boundary
-    points are exactly the corners.  Passing `incumbent_doubled` prunes
-    partial sums whose swept doubled area already reaches it; None keeps
-    the enumeration complete.  Each layer keeps only the chains that can
-    still close (module docstring), in their insertion order.
+    points are exactly the corners.  `cap` is the largest doubled area a
+    chain may sweep (module docstring); None keeps the enumeration
+    complete.  Each layer keeps only the chains that can still close,
+    in their insertion order.
     """
-    sweep = _Sweep(budget)
+    sweep = _Sweep(budget, spent)
     found: dict[int, AreaSlot] = {}
-    dirs = _primitive_directions(coord_bound)
+    # every layer expands the root at least once
+    dirs = _primitive_directions(coord_bound, sweep=sweep)
     caps = [coord_bound // max(abs(dx), abs(dy)) for dx, dy in dirs]
     reach = _later_reach(dirs, caps)
 
@@ -432,7 +479,7 @@ def _sweep_areas(
             for m in range(1, mult_cap + 1):
                 sweep.ops += 1
                 nc = c + m * cr
-                if incumbent_doubled is not None and nc >= incumbent_doubled:
+                if cap is not None and nc > cap:
                     break
                 nwx = wx + m * dx
                 nwy = wy + m * dy
@@ -527,6 +574,12 @@ def _min_area_result(
     )
 
 
+def _seed_bound(k: int, coord_bound: int, pruned: bool) -> int:
+    """Coordinate bound of the seed sweep: small when `pruned`, else the
+    full one, which makes the seed sweep the whole search."""
+    return min(coord_bound, 2 if k <= 8 else 3) if pruned else coord_bound
+
+
 def min_area_convex_kgon(
     k: int,
     coord_bound: Optional[int] = None,
@@ -538,8 +591,8 @@ def min_area_convex_kgon(
     Polygons are enumerated as zero-sum multisets of primitive edge
     directions whose edge vectors have coordinates within `coord_bound`
     (default 6 for k <= 8, else 10).  With `pruned`, a quick small-bound
-    pass seeds an incumbent and partial sums that already sweep that
-    much area are cut; with `pruned=False` the sweep enumerates every
+    sweep seeds a cost cap, and chains that already sweep the seeded
+    area are cut; with `pruned=False` the sweep enumerates every
     polygon that can close within the bound, dropping only chains that
     cannot close (module docstring).  The witness comes back in
     canonical position, preferring one whose edges are all primitive
@@ -550,34 +603,42 @@ def min_area_convex_kgon(
     coord_bound = _coord_bound(k, coord_bound)
     _check_budget(budget)
 
-    total_ops = 0
-    incumbent: Optional[int] = None
-    seed_slot: Optional[AreaSlot] = None
-    if pruned:
-        seed_bound = min(coord_bound, 2 if k <= 8 else 3)
-        seeded, ops = _sweep_areas(k, seed_bound, None, budget)
-        total_ops += ops
-        seed_slot = seeded.get(k)
-        if seed_slot is not None:
-            incumbent = seed_slot[False][0]
-
-    found, ops = _sweep_areas(k, coord_bound, incumbent, budget - total_ops)
-    total_ops += ops
-    return _min_area_result(k, _merge_slots(found.get(k), seed_slot), coord_bound, total_ops)
+    seed_bound = _seed_bound(k, coord_bound, pruned)
+    found, ops = _sweep_areas(k, seed_bound, None, budget)
+    slot = found.get(k)
+    if seed_bound < coord_bound:
+        cap = None if slot is None else slot[False][0] - 1
+        found, ops = _sweep_areas(k, coord_bound, cap, budget, ops)
+        slot = _merge_slots(found.get(k), slot)
+    return _min_area_result(k, slot, coord_bound, ops)
 
 
 def min_area_table(
     k_min: int = 3,
     k_max: int = 8,
     coord_bound: Optional[int] = None,
+    pruned: bool = True,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> list[MinAreaResult]:
-    """Exhaustive minimal areas for every k in [k_min, k_max] in one sweep."""
+    """Minimal areas for every k in [k_min, k_max] from one sweep.
+
+    With `pruned`, a small-bound seed sweep caps the full one at the
+    largest seeded area of the range, ties kept, so each row comes out
+    as from the full sweep (module docstring); a row the seed misses
+    leaves the full sweep uncapped.  Every row shares one
+    `states_explored`, the transitions of both sweeps.
+    """
     if not 3 <= k_min <= k_max <= 12:
         raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min}..{k_max}")
     coord_bound = _coord_bound(k_max, coord_bound)
     _check_budget(budget)
-    found, ops = _sweep_areas(k_max, coord_bound, None, budget)
+
+    seed_bound = _seed_bound(k_max, coord_bound, pruned)
+    found, ops = _sweep_areas(k_max, seed_bound, None, budget)
+    if seed_bound < coord_bound:
+        seeds = [found.get(k) for k in range(k_min, k_max + 1)]
+        cap = None if None in seeds else max(slot[False][0] for slot in seeds)
+        found, ops = _sweep_areas(k_max, coord_bound, cap, budget, ops)
     return [
         _min_area_result(k, found.get(k), coord_bound, ops) for k in range(k_min, k_max + 1)
     ]
@@ -611,6 +672,8 @@ class SymmetricInteriorResult:
     `witness` is None only in the degenerate two_m=2 case, where the
     optimum is the segment spanned by a primitive vector and its
     negation, with the origin as its single interior point.
+    `states_explored` counts the transitions of both the seed sweep and
+    the full sweep.
     """
 
     two_m: int
@@ -632,19 +695,24 @@ class SymmetricInteriorResult:
 
 
 def _sweep_symmetric(
-    m_target: int, coord_bound: int, budget: int
+    m_target: int, coord_bound: int, cap: Optional[int], budget: int, spent: int = 0
 ) -> tuple[dict[tuple[int, int, int, bool], tuple[int, tuple]], int]:
     """Run the half-chain sweep; return the finished half-chains (those
-    with `m_target` edges) in insertion order, and the op count.
+    with `m_target` edges) in insertion order, and the op count, `spent`
+    included.
 
     A finished half-chain is set aside as soon as it is made, and a
     half-chain that cannot reach `m_target` edges on the directions
     left is dropped, so each layer visits only half-chains that can
-    still finish.
+    still finish.  `cap` is the largest cost a half-chain may carry
+    (module docstring); None keeps every half-chain.
     """
-    sweep = _Sweep(budget)
+    sweep = _Sweep(budget, spent)
     finished: dict[tuple[int, int, int, bool], tuple[int, tuple]] = {}
-    dirs = _primitive_directions(coord_bound, upper_half_only=True)
+    # the root is dropped only in the last m_target - 1 layers
+    dirs = _primitive_directions(
+        coord_bound, upper_half_only=True, sweep=sweep, rootless=m_target - 1
+    )
     for i, d in enumerate(dirs):
         dx, dy = d
         mult_cap = coord_bound // max(abs(dx), abs(dy))
@@ -664,10 +732,13 @@ def _sweep_symmetric(
                     raise InvariantError("half-plane chain lost convexity")
             for mult in range(1, mult_cap + 1):
                 sweep.ops += 1
+                nc = cost + mult * (cr - 1)
+                if cap is not None and nc > cap:
+                    break
                 additions.append(
                     (
                         (j + 1, wx + mult * dx, wy + mult * dy, prim and mult == 1),
-                        cost + mult * (cr - 1),
+                        nc,
                         (link, d, mult),
                     )
                 )
@@ -675,6 +746,17 @@ def _sweep_symmetric(
             _offer(finished if key[0] == m_target else sweep.states, key, cost, link)
         sweep.check_budget("(no symmetric polygon completed yet)")
     return finished, sweep.ops
+
+
+def _even_finals(finished: dict) -> list[tuple[int, bool, tuple]]:
+    """(cost, all primitive, link) of the finished half-chains whose sum
+    is even, the ones that close into a polygon centered on a lattice
+    point."""
+    return [
+        (cost, prim, link)
+        for (_j, wx, wy, prim), (cost, link) in finished.items()
+        if wx % 2 == 0 and wy % 2 == 0
+    ]
 
 
 def min_interior_symmetric(
@@ -694,8 +776,9 @@ def min_interior_symmetric(
     is A - (sum of multiplicities) + 1 by Pick, and the origin is always
     interior, so 1 certifies itself as the global floor.
 
-    With `prefer_primitive`, a witness whose edges are all primitive is
-    returned whenever one attains the minimum.
+    A seed sweep at coordinate bound 2 caps the costs of the full sweep
+    (module docstring).  With `prefer_primitive`, a witness whose edges
+    are all primitive is returned whenever one attains the minimum.
     """
     if not isinstance(two_m, int) or two_m < 2 or two_m % 2 != 0 or two_m > 16:
         raise ValidationError(f"two_m must be an even integer in 2..16, got {two_m!r}")
@@ -714,23 +797,19 @@ def min_interior_symmetric(
             states_explored=0,
         )
     m_target = two_m // 2
-    finished, ops = _sweep_symmetric(m_target, coord_bound, budget)
-    min_cost: Optional[int] = None
-    prim_ties = False
-    finals: list[tuple[int, bool, tuple]] = []
-    for (_j, wx, wy, prim), (cost, link) in finished.items():
-        if wx % 2 != 0 or wy % 2 != 0:
-            continue
-        finals.append((cost, prim, link))
-        if min_cost is None or cost < min_cost:
-            min_cost = cost
-            prim_ties = prim
-        elif cost == min_cost and prim:
-            prim_ties = True
-    if min_cost is None:
+    seed_bound = min(coord_bound, 2)
+    finished, ops = _sweep_symmetric(m_target, seed_bound, None, budget)
+    finals = _even_finals(finished)
+    if seed_bound < coord_bound:
+        cap = min((cost for cost, _prim, _link in finals), default=None)
+        finished, ops = _sweep_symmetric(m_target, coord_bound, cap, budget, ops)
+        finals = _even_finals(finished)
+    if not finals:
         raise ConstructionError(
             f"no symmetric {two_m}-gon with even half-sum exists within bound {coord_bound}"
         )
+    min_cost = min(cost for cost, _prim, _link in finals)
+    prim_ties = any(prim for cost, prim, _link in finals if cost == min_cost)
     interior = min_cost + 1
     if interior < 1:
         raise InvariantError(f"interior count {interior} below the origin floor")

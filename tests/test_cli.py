@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +102,21 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, "norm-enumerate", "--norm", "pnorm:3", "--count", "12")
         _, second, _ = run_cli(capsys, "norm-enumerate", "--norm", "pnorm:3", "--count", "12")
         assert first == second
+
+    def test_table_no_prune_prints_the_same_bytes(self, capsys, monkeypatch):
+        args = ("polygon-min-area", "--k", "3", "--k-max", "8")
+        _, capped, _ = run_cli(capsys, *args)
+        seen = []
+        table = cli.min_area_table
+
+        def spy(*a, **kw):
+            seen.append(kw["pruned"])
+            return table(*a, **kw)
+
+        monkeypatch.setattr(cli, "min_area_table", spy)
+        code, full, err = run_cli(capsys, *args, "--no-prune")
+        assert (code, err, seen) == (0, "", [False])
+        assert full == capped
 
 
 SCHEMA_RUNS = [
@@ -374,6 +390,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "validation"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "polygon-symm --two-m 6 --coord-bound 100000 --budget 10",
+            "polygon-min-area --k 4 --coord-bound 100000 --budget 10",
+            "polygon-symm --two-m 6 --coord-bound 100000 --budget 1000",
+            "polygon-min-area --k 4 --k-max 5 --coord-bound 100000 --budget 2000",
+        ],
+    )
+    def test_huge_coord_bound_exhausts_budget_at_once(self, capsys, argv):
+        # the directions within the bound are counted against the budget
+        # as they are made, not after all 6e10 of them
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "search-budget"
 
     def test_table_coord_bound_checked(self, capsys):
         for argv in (("--k", "4"), ("--k", "3", "--k-max", "4")):

@@ -229,6 +229,44 @@ class TestMinArea:
         assert exc.value.budget == 500
         assert exc.value.nodes_expanded > 500
 
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: min_area_table(3, 8, budget=500),
+            lambda: min_area_table(3, 8, budget=5000),
+            lambda: min_interior_symmetric(16, budget=500),
+            lambda: min_area_convex_kgon(8, budget=5000),
+        ],
+        ids=["table-seed", "table-full", "symmetric", "kgon"],
+    )
+    def test_seeded_search_shares_one_budget(self, search):
+        # the seed sweep and the capped sweep draw on the caller's budget,
+        # and the error reports it and the transitions of both
+        with pytest.raises(SearchBudgetError) as exc:
+            search()
+        assert exc.value.budget in (500, 5000)
+        assert exc.value.nodes_expanded > exc.value.budget
+
+    @pytest.mark.parametrize(
+        "search,seed",
+        [
+            (lambda b: min_interior_symmetric(6, coord_bound=b, budget=5), None),
+            (lambda b: min_area_convex_kgon(4, coord_bound=b, budget=10), None),
+            (lambda b: min_area_table(3, 5, coord_bound=b, budget=2000), lambda r: r[0]),
+            (lambda b: min_interior_symmetric(6, coord_bound=b, budget=1000), lambda r: r),
+        ],
+        ids=["symmetric-seed", "kgon-seed", "table-full", "symmetric-full"],
+    )
+    def test_direction_count_checked_against_budget(self, search, seed):
+        # about 6e10 primitive directions fit the bound and each forces a
+        # transition, so the search stops while still making them: in the
+        # seed sweep's set-up, or in the full sweep's once the seed sweep
+        # (the whole search at bound 2) has run
+        spent = 0 if seed is None else seed(search(2)).states_explored
+        with pytest.raises(SearchBudgetError, match="directions") as exc:
+            search(100_000)
+        assert exc.value.nodes_expanded == spent
+
     def test_coord_bound_validation(self):
         with pytest.raises(ValidationError):
             min_area_convex_kgon(4, coord_bound=1)
@@ -487,20 +525,35 @@ def reference_sweep_symmetric(m_target, coord_bound, budget):
     return finished, sweep.ops
 
 
+def reference_areas_capped(k_max, coord_bound, cap, budget):
+    """`reference_sweep_areas` with `_sweep_areas`'s arguments: an
+    incumbent prunes costs that reach it, a cap only those above it."""
+    return reference_sweep_areas(k_max, coord_bound, None if cap is None else cap + 1, budget)
+
+
+def reference_symmetric_uncapped(m_target, coord_bound, cap, budget):
+    """`reference_sweep_symmetric` with `_sweep_symmetric`'s arguments;
+    it ignores the cap, so a search run on it sees every finished
+    half-chain."""
+    return reference_sweep_symmetric(m_target, coord_bound, budget)
+
+
 def _in_order(found):
     """Slots with their pools, in the order the sweep filled them."""
     return [(k, list(slot.items())) for k, slot in found.items()]
 
 
 def _memo(sweep):
-    """Run each sweep once per argument tuple; every call in these tests
-    has a budget it cannot reach, so the budget is left out of the key."""
+    """Run each sweep once per (size, bound, cap); every call in these
+    tests has a budget it cannot reach, so the budget is left out of the
+    key, and the ops an earlier sweep spent are added to the count."""
     cache = {}
 
-    def run(*args):
-        if args[:-1] not in cache:
-            cache[args[:-1]] = sweep(*args)
-        return cache[args[:-1]]
+    def run(size, bound, cap, budget, spent=0):
+        if (size, bound, cap) not in cache:
+            cache[size, bound, cap] = sweep(size, bound, cap, budget)
+        found, ops = cache[size, bound, cap]
+        return found, ops + spent
 
     return run
 
@@ -514,52 +567,85 @@ def _area_results(call):
     return [(r.k, r.area, r.witness.vertices, r.certified) for r in rows]
 
 
+def _symmetric_results(call):
+    try:
+        r = call()
+    except ConstructionError as exc:
+        return str(exc)
+    return (r.interior, r.witness_vertices, r.all_primitive, r.certified, r.f)
+
+
+def _costs(finished, cap=None):
+    return {key: cost for key, (cost, _link) in finished.items() if cap is None or cost <= cap}
+
+
 SWEEP_CASES = [(k, b) for k in range(3, 9) for b in range(2, 7)] + [(9, 4), (10, 3)]
 
 
 class TestSweepAgainstReference:
     @pytest.mark.parametrize("k_max,bound", SWEEP_CASES)
     def test_area_sweep_matches_reference(self, k_max, bound, monkeypatch):
-        ref = _memo(reference_sweep_areas)
+        ref = _memo(reference_areas_capped)
         new = _memo(lattice_polygons._sweep_areas)
         seeded, _ops = ref(k_max, min(bound, 2 if k_max <= 8 else 3), None, UNBOUNDED)
-        for inc in (None, seeded[k_max][False][0]):
-            ref_found, ref_ops = ref(k_max, bound, inc, UNBOUNDED)
-            new_found, new_ops = new(k_max, bound, inc, UNBOUNDED)
-            assert _in_order(new_found) == _in_order(ref_found), inc
-            if inc is None:
+        best = seeded[k_max][False][0]
+        # uncapped, capped below the seed (single k) and at it (table)
+        for cap in (None, best - 1, best):
+            ref_found, ref_ops = ref(k_max, bound, cap, UNBOUNDED)
+            new_found, new_ops = new(k_max, bound, cap, UNBOUNDED)
+            assert _in_order(new_found) == _in_order(ref_found), cap
+            if cap is None:
                 assert new_ops < ref_ops
 
         calls = (
             lambda: min_area_table(3, k_max, coord_bound=bound),
+            lambda: min_area_table(3, k_max, coord_bound=bound, pruned=False),
             lambda: min_area_convex_kgon(k_max, coord_bound=bound),
             lambda: min_area_convex_kgon(k_max, coord_bound=bound, pruned=False),
         )
         results = {}
-        for name, sweep in (("new", new), ("ref", ref)):
+        for name, sweep in (("ref", ref), ("new", new)):
             monkeypatch.setattr(lattice_polygons, "_sweep_areas", sweep)
             results[name] = [_area_results(call) for call in calls]
         assert results["new"] == results["ref"]
+        # the capped table is the full one, for fewer ops at bound 6
+        assert results["new"][0] == results["new"][1]
+        if bound == 6 and k_max >= 5:
+            capped, full = (call()[0].states_explored for call in calls[:2])
+            assert capped < full
 
     @pytest.mark.parametrize("two_m", range(2, 17, 2))
     def test_symmetric_sweep_matches_reference(self, two_m, monkeypatch):
-        ref = _memo(reference_sweep_symmetric)
+        ref = _memo(reference_symmetric_uncapped)
         new = _memo(lattice_polygons._sweep_symmetric)
         m = two_m // 2
         if m >= 2:
-            ref_finished, ref_ops = ref(m, 6, UNBOUNDED)
-            new_finished, new_ops = new(m, 6, UNBOUNDED)
+            ref_finished, ref_ops = ref(m, 6, None, UNBOUNDED)
+            new_finished, new_ops = new(m, 6, None, UNBOUNDED)
             assert list(new_finished.items()) == list(ref_finished.items())
             assert new_ops < ref_ops
+
+            # capped at the seed's least even-sum cost, the sweep keeps
+            # exactly the finished half-chains that can still win or tie
+            seeded, _ops = new(m, 2, None, UNBOUNDED)
+            cap = min(
+                cost for (_j, wx, wy, _p), (cost, _l) in seeded.items() if wx % 2 == wy % 2 == 0
+            )
+            capped, _ops = new(m, 6, cap, UNBOUNDED)
+            assert _costs(capped) == _costs(ref_finished, cap)
+            if two_m >= 6:
+                assert min_interior_symmetric(two_m).states_explored < new_ops
 
         results = {}
         for name, sweep in (("new", new), ("ref", ref)):
             monkeypatch.setattr(lattice_polygons, "_sweep_symmetric", sweep)
             results[name] = [
-                (r.interior, r.witness_vertices, r.all_primitive, r.certified, r.f)
-                for r in (
-                    min_interior_symmetric(two_m, prefer_primitive=prefer)
-                    for prefer in (False, True)
+                _symmetric_results(
+                    lambda: min_interior_symmetric(
+                        two_m, coord_bound=bound, prefer_primitive=prefer
+                    )
                 )
+                for bound in range(1, 7)
+                for prefer in (False, True)
             ]
         assert results["new"] == results["ref"]

@@ -218,14 +218,15 @@ class TestSharpnessVerification:
         sweeps = []
 
         class CountingSweep(lattice_polygons._Sweep):
-            def __init__(self, budget):
-                super().__init__(budget)
+            def __init__(self, budget, spent=0):
+                super().__init__(budget, spent)
                 sweeps.append(budget)
 
         monkeypatch.setattr(lattice_polygons, "_Sweep", CountingSweep)
         report = verify_sharpness(m)
-        # f(m) comes from the sweep that built the norm; m = 1 needs none
-        assert len(sweeps) == (1 if m >= 2 else 0)
+        # f(m) comes from the one search that built the norm, a seed
+        # sweep and the capped full sweep; m = 1 needs none
+        assert len(sweeps) == (2 if m >= 2 else 0)
         assert report.passed
         assert report.achieved_multiplicity == m
         assert report.achieved_shorter == report.f_m == f_of_m(m)
