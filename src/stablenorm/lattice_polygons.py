@@ -48,10 +48,9 @@ result), the full sweep drops every chain whose cost exceeds a cap:
 
 - Area sweeps.  The swept area never decreases along a chain that can
   still close, and a closure adds nothing, so a chain above the cap
-  closes only into a polygon above it.  `min_area_convex_kgon` caps at
-  one below the seeded area and merges the seed's slot back in;
-  `min_area_table` caps at the largest seeded area over its rows, ties
-  kept, so every row keeps all its optimal chains.
+  closes only into a polygon above it.  `min_area_table` caps at one
+  below the largest seeded area over its rows and merges each row's
+  seed slot back in; `min_area_convex_kgon` is its one-row table.
 - Symmetric sweep.  A half-chain's first step, from the root, adds
   -mult; every later step adds mult*(cr - 1) >= 0, because cr >= 1 in
   the half-plane.  So a half-chain above the cap can never finish at or
@@ -59,10 +58,12 @@ result), the full sweep drops every chain whose cost exceeds a cap:
   least 0 (the origin is interior), so no step from the root is cut.
 
 A capped sweep keeps every chain that can still win or tie, with the
-cost the full sweep gives it, so minima and `certified` flags are the
-full sweep's.  A dropped chain can change where a kept key first enters
-the state dict, and so which of two equal-cost chains that key keeps;
-the tests check that the witnesses still match the full sweep's.
+cost the full sweep gives it (an area row whose seed sits above the cap
+gets its ties from the merged seed slot), so minima and `certified`
+flags are the full sweep's.  A dropped chain can change where a kept
+key first enters the state dict, and so which of two equal-cost chains
+that key keeps; the tests check that the witnesses still match the full
+sweep's.
 
 No floating point anywhere in this module.
 """
@@ -596,21 +597,12 @@ def min_area_convex_kgon(
     polygon that can close within the bound, dropping only chains that
     cannot close (module docstring).  The witness comes back in
     canonical position, preferring one whose edges are all primitive
-    when that ties the minimum.
+    when that ties the minimum.  This is the one row of
+    `min_area_table(k, k, ...)`.
     """
     if not isinstance(k, int) or not 3 <= k <= 12:
         raise ValidationError(f"k must be an integer in 3..12, got {k!r}")
-    coord_bound = _coord_bound(k, coord_bound)
-    _check_budget(budget)
-
-    seed_bound = _seed_bound(k, coord_bound, pruned)
-    found, ops = _sweep_areas(k, seed_bound, None, budget)
-    slot = found.get(k)
-    if seed_bound < coord_bound:
-        cap = None if slot is None else slot[False][0] - 1
-        found, ops = _sweep_areas(k, coord_bound, cap, budget, ops)
-        slot = _merge_slots(found.get(k), slot)
-    return _min_area_result(k, slot, coord_bound, ops)
+    return min_area_table(k, k, coord_bound, pruned, budget)[0]
 
 
 def min_area_table(
@@ -622,26 +614,27 @@ def min_area_table(
 ) -> list[MinAreaResult]:
     """Minimal areas for every k in [k_min, k_max] from one sweep.
 
-    With `pruned`, a small-bound seed sweep caps the full one at the
-    largest seeded area of the range, ties kept, so each row comes out
-    as from the full sweep (module docstring); a row the seed misses
-    leaves the full sweep uncapped.  Every row shares one
-    `states_explored`, the transitions of both sweeps.
+    With `pruned`, a small-bound seed sweep caps the full one at one
+    below the largest seeded area of the range, and each row's seed
+    slot is merged back in, so each row's minimum is the full sweep's
+    (module docstring); a row the seed misses leaves the full sweep
+    uncapped.  Every row shares one `states_explored`, the transitions
+    of both sweeps.
     """
-    if not 3 <= k_min <= k_max <= 12:
-        raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min}..{k_max}")
+    if not (isinstance(k_min, int) and isinstance(k_max, int) and 3 <= k_min <= k_max <= 12):
+        raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min!r}..{k_max!r}")
     coord_bound = _coord_bound(k_max, coord_bound)
     _check_budget(budget)
 
+    rows = range(k_min, k_max + 1)
     seed_bound = _seed_bound(k_max, coord_bound, pruned)
     found, ops = _sweep_areas(k_max, seed_bound, None, budget)
+    slots = [found.get(k) for k in rows]
     if seed_bound < coord_bound:
-        seeds = [found.get(k) for k in range(k_min, k_max + 1)]
-        cap = None if None in seeds else max(slot[False][0] for slot in seeds)
+        cap = None if None in slots else max(slot[False][0] for slot in slots) - 1
         found, ops = _sweep_areas(k_max, coord_bound, cap, budget, ops)
-    return [
-        _min_area_result(k, found.get(k), coord_bound, ops) for k in range(k_min, k_max + 1)
-    ]
+        slots = [_merge_slots(found.get(k), slot) for k, slot in zip(rows, slots)]
+    return [_min_area_result(k, slot, coord_bound, ops) for k, slot in zip(rows, slots)]
 
 
 def i_of_k(k: int) -> int:

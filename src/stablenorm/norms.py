@@ -392,14 +392,14 @@ class EnumeratedClasses:
 
 
 def tie_groups(
-    entries: Sequence[tuple[IntegralClass, float]], rtol: float
+    entries: Sequence[tuple[IntegralClass, float]], rtol: float, floor: float = 1.0
 ) -> list[list[tuple[IntegralClass, float]]]:
     """Consecutive (class, value) entries, sorted by value, split into
     tie groups: an entry joins the open group while its value exceeds
-    the group's first value v by at most rtol * max(v, 1.0)."""
+    the group's first value v by at most rtol * max(v, floor)."""
     groups: list[list[tuple[IntegralClass, float]]] = []
     for cls, value in entries:
-        if groups and value - groups[-1][0][1] <= rtol * max(groups[-1][0][1], 1.0):
+        if groups and value - groups[-1][0][1] <= rtol * max(groups[-1][0][1], floor):
             groups[-1].append((cls, value))
         else:
             groups.append([(cls, value)])

@@ -33,7 +33,7 @@ from stablenorm.cover import (
     shortest_cover_cycle,
 )
 from stablenorm.errors import ConstructionError, InvariantError, ValidationError
-from stablenorm.norms import IntegralClass
+from stablenorm.norms import IntegralClass, tie_groups
 from stablenorm.toral_graph import ToralGeodesicGraph
 
 NodeId = tuple
@@ -79,8 +79,8 @@ class PeriodicWeightedGraph:
     hub_budget: Optional[float] = None
     background_systole: Optional[float] = None
     grid_resolution: Optional[int] = None
-    row_loop_cost: Optional[float] = None
-    col_loop_cost: Optional[float] = None
+    #: Cost of one background loop around either period.
+    loop_cost: Optional[float] = None
 
     def __post_init__(self):
         index = self.node_index
@@ -168,8 +168,7 @@ def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
         positions=positions,
         edges=tuple(edges),
         grid_resolution=n,
-        row_loop_cost=n * w,
-        col_loop_cost=n * w,
+        loop_cost=n * w,
     )
 
 
@@ -290,8 +289,7 @@ def build_canyon_graph(
         hub_budget=float(theta),
         background_systole=b,
         grid_resolution=n,
-        row_loop_cost=b,
-        col_loop_cost=b,
+        loop_cost=b,
     )
 
 
@@ -406,13 +404,13 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     if h.is_trivial:
         return SpectrumEntry(cls=h, length=0.0, witness=((pg.nodes[0], 0, 0),))
 
-    if pg.row_loop_cost is None or pg.col_loop_cost is None:
+    if pg.loop_cost is None:
         raise ValidationError(
             "graph carries no background loop costs to bound the search; "
             "build it with build_canyon_graph or uniform_grid"
         )
     # |a| row loops and |b| column loops close a cycle of class h
-    upper = abs(h.a) * pg.row_loop_cost + abs(h.b) * pg.col_loop_cost
+    upper = abs(h.a) * pg.loop_cost + abs(h.b) * pg.loop_cost
     seed = _grid_loop_seed(pg, h)
     incumbent = math.inf if seed is None else seed[0]
     found = shortest_cover_cycle(pg.search_index, h.a, h.b, upper, incumbent) or seed
@@ -537,21 +535,18 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     entries.extend(e for e in measured if e.length <= norm_bound * (1 + SEARCH_RTOL))
     entries.sort(key=lambda e: (e.length, e.cls.tie_key()))
 
-    # not norms.tie_groups: its floor of 1.0 would regroup lengths below 1
     groups: list[MultiplicityGroup] = []
-    first = 0
-    for i in range(1, len(entries) + 1):
-        base = entries[first].length
-        if i == len(entries) or entries[i].length - base > GROUP_RTOL * max(base, _TINY_LENGTH):
-            groups.append(
-                MultiplicityGroup(
-                    length=base,
-                    classes=tuple(x.cls for x in entries[first:i]),
-                    multiplicity=i - first,
-                    shorter_count=first,
-                )
+    shorter = 0
+    for grp in tie_groups([(e.cls, e.length) for e in entries], GROUP_RTOL, _TINY_LENGTH):
+        groups.append(
+            MultiplicityGroup(
+                length=grp[0][1],
+                classes=tuple(cls for cls, _length in grp),
+                multiplicity=len(grp),
+                shorter_count=shorter,
             )
-            first = i
+        )
+        shorter += len(grp)
     return SpectrumResult(
         entries=tuple(entries),
         groups=tuple(groups),

@@ -448,6 +448,17 @@ def _min_gap_search(
     path reaching a repeated (vertex, delta) state at greater depth and
     length is dominated outright.
 
+    One loop runs a depth-first search from each start vertex s0 over
+    paths on vertices >= s0, with an explicit stack of pending states
+    (vertex, depth, length, scaled displacement, whether the path mixes
+    classes, step into it).  Children are pushed in reverse edge order,
+    so they pop in edge order, and each pop cuts `steps` back to the
+    parent's path and appends its own step.  A popped state back at s0
+    closes a cycle when the path is mixed and its last step does not
+    undo its first; the cycle is recorded then, before the slack prune,
+    with that state's slack as its gap.  Each pop counts one node
+    against `node_budget`, and only `edge_bound` limits the depth.
+
     Displacements are carried as ints scaled by the graph's
     `disp_scale` D, so the dominance keys are exact int tuples; the norm
     of a displacement is evaluated once per call at (dx / D, dy / D),
@@ -457,21 +468,18 @@ def _min_gap_search(
     best_cycle: Optional[Cycle] = None
     cycles = 0
     nodes = 0
-    steps: list[tuple[int, int]] = []
     scale = graph.disp_scale
     disps = graph.scaled_disps
     norm_at: dict[tuple[int, int], float] = {}
-    # per vertex: (edge, sign, to, scaled dx, scaled dy, edge length)
+    # per vertex, in reverse edge order: (edge, sign, to, scaled dx,
+    # scaled dy, edge length, class)
     out = [
-        [(e, sg, w, sg * disps[e][0], sg * disps[e][1], graph.edges[e].length) for e, sg, w in adj]
+        [
+            (e, sg, w, sg * disps[e][0], sg * disps[e][1], graph.edges[e].length, graph.edges[e].cls)
+            for e, sg, w in reversed(adj)
+        ]
         for adj in graph.oriented
     ]
-
-    def norm_of(dx: int, dy: int) -> float:
-        value = norm_at.get((dx, dy))
-        if value is None:
-            value = norm_at[dx, dy] = eval_norm(norm, (dx / scale, dy / scale))
-        return value
 
     for s0 in range(len(graph.vertices)):
         # first and last step are part of the state: closure legality under
@@ -479,9 +487,26 @@ def _min_gap_search(
         # legality on the last, so dominance may only compare paths that
         # agree on both
         memo: dict[tuple, list[tuple[int, float]]] = {}
-
-        def walk(v: int, depth: int, length: float, dx: int, dy: int) -> None:
-            nonlocal best_gap, best_cycle, cycles, nodes
+        steps: list[tuple[int, int]] = []
+        stack: list[tuple] = [(s0, 0, 0.0, 0, 0, False, None)]
+        while stack:
+            v, depth, length, dx, dy, mixed, last = stack.pop()
+            first = None
+            if last is not None:
+                del steps[depth - 1 :]
+                steps.append(last)
+                first = steps[0]
+            disp_norm = norm_at.get((dx, dy))
+            if disp_norm is None:
+                disp_norm = norm_at[dx, dy] = eval_norm(norm, (dx / scale, dy / scale))
+            slack = length - disp_norm
+            if v == s0 and mixed and last != (first[0], -first[1]):
+                cycles += 1
+                cycle = Cycle(tuple(steps)) if cross_check or slack < best_gap else None
+                if cross_check and cycle.homology(graph) != cycle.class_by_crossings(graph):
+                    raise InvariantError(f"homology mismatch on cycle {cycle.steps}")
+                if slack < best_gap:
+                    best_gap, best_cycle = slack, cycle
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetError(
@@ -489,43 +514,22 @@ def _min_gap_search(
                     nodes_expanded=nodes,
                     budget=node_budget,
                 )
-            slack = length - norm_of(dx, dy)
             if slack >= best_gap:
-                return
-            first = steps[0] if steps else None
-            last = steps[-1] if steps else None
+                continue
             key = (v, dx, dy, first, last)
             front = memo.setdefault(key, [])
-            for d0, l0 in front:
-                if d0 <= depth and l0 <= length + DOMINANCE_SLACK:
-                    return
+            if any(d0 <= depth and l0 <= length + DOMINANCE_SLACK for d0, l0 in front):
+                continue
             front[:] = [(d0, l0) for d0, l0 in front if not (depth <= d0 and length <= l0)]
             front.append((depth, length))
             if depth == edge_bound:
-                return
-            for e, sg, w, sdx, sdy, edge_length in out[v]:
-                if last is not None and e == last[0] and sg == -last[1]:
+                continue
+            first_cls = None if first is None else graph.edges[first[0]].cls
+            for e, sg, w, sdx, sdy, edge_length, c in out[v]:
+                if w < s0 or (last is not None and e == last[0] and sg == -last[1]):
                     continue
-                if w < s0:
-                    continue
-                ndx, ndy = dx + sdx, dy + sdy
-                steps.append((e, sg))
-                if w == s0 and not (first is not None and e == first[0] and sg == -first[1]):
-                    cls_set = {graph.edges[se].cls for se, _ in steps}
-                    if len(cls_set) > 1:
-                        gap = (length + edge_length) - norm_of(ndx, ndy)
-                        cycles += 1
-                        if gap < best_gap:
-                            best_gap = gap
-                            best_cycle = Cycle(tuple(steps))
-                        if cross_check:
-                            c = Cycle(tuple(steps))
-                            if c.homology(graph) != c.class_by_crossings(graph):
-                                raise InvariantError(f"homology mismatch on cycle {c.steps}")
-                walk(w, depth + 1, length + edge_length, ndx, ndy)
-                steps.pop()
-
-        walk(s0, 0, 0.0, 0, 0)
+                mixed_w = mixed or (first_cls is not None and c != first_cls)
+                stack.append((w, depth + 1, length + edge_length, dx + sdx, dy + sdy, mixed_w, (e, sg)))
     return best_gap, best_cycle, cycles, nodes
 
 

@@ -298,6 +298,12 @@ class TestScenario:
 
 
 class TestExitCodes:
+    def test_deep_tube_search_exits_0(self, capsys):
+        # edge bound 1200, past the interpreter's recursion limit
+        code, out, err = run_cli(capsys, "graph-epsilon", "--norm", "euclidean", "--k", "23")
+        assert code == 0 and err == ""
+        assert json.loads(out)["edge_bound"] == 1200
+
     def test_validation_error_is_structured(self, capsys):
         code, out, err = run_cli(capsys, "norm-enumerate", "--norm", "taxicab")
         assert code == 2 and out == ""

@@ -206,6 +206,20 @@ class TestMinArea:
             assert counts.area == r.area
             assert len(r.witness.vertices) == r.k
 
+    @pytest.mark.parametrize(
+        "k_max,bound,pruned",
+        [(8, None, True), (8, 2, True), (8, 3, True), (8, 4, True), (8, 6, True),
+         (10, 4, True), (8, 3, False)],
+    )
+    def test_single_k_search_is_a_one_row_table(self, k_max, bound, pruned):
+        # every row of a wider table, whose cap comes from its largest
+        # seeded area, matches the one-row search but for the shared ops
+        table = min_area_table(3, k_max, bound, pruned)
+        for row in table:
+            single = min_area_convex_kgon(row.k, bound, pruned)
+            assert min_area_table(row.k, row.k, bound, pruned)[0] == single
+            assert dataclasses.replace(row, states_explored=single.states_explored) == single
+
     def test_areas_nondecreasing(self):
         areas = [min_area_convex_kgon(k).area for k in range(3, 9)]
         assert areas == sorted(areas)
@@ -270,6 +284,11 @@ class TestMinArea:
     def test_coord_bound_validation(self):
         with pytest.raises(ValidationError):
             min_area_convex_kgon(4, coord_bound=1)
+
+    @pytest.mark.parametrize("k_min,k_max", [(3, 8.0), (3.0, 5), (2, 5), (6, 5), (3, 13)])
+    def test_table_range_validation(self, k_min, k_max):
+        with pytest.raises(ValidationError, match="k_min"):
+            min_area_table(k_min, k_max)
 
     def test_table_coord_bound_validation(self):
         # the table and the single-k search share one bound check

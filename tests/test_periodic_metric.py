@@ -182,8 +182,7 @@ class TestWindowCertification:
                 PeriodicEdge(("a",), ("a",), 10.0, (1, 0), "grid"),
                 PeriodicEdge(("a",), ("a",), 10.0, (0, 1), "grid"),
             ),
-            row_loop_cost=10.0,
-            col_loop_cost=10.0,
+            loop_cost=10.0,
         )
         entry = marked_min_length(pg, (50, 0))
         assert entry.length == 3.0
@@ -509,8 +508,7 @@ class TestInvariantErrors:
                 PeriodicEdge(("a",), ("b",), 0.5, (0, 0), "corridor", corridor=(0, Fraction(1, 2))),
                 PeriodicEdge(("b",), ("a",), 0.5, (1, 0), "corridor", corridor=(0, Fraction(1, 2))),
             ),
-            row_loop_cost=1.0,
-            col_loop_cost=1.0,
+            loop_cost=1.0,
         )
         with pytest.raises(ValidationError, match="class lengths"):
             marked_min_length(pg, (1, 0))

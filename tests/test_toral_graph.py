@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,16 @@ class TestTubeConstants:
         assert 0 < tc.epsilon < math.inf
         assert tc.epsilon == pytest.approx(oracle_min_gap(SKEW, E, 6), abs=1e-12)
         assert tc.theta <= tc.epsilon / (2 * tc.edge_bound) + 1e-15
+        assert tc.cycles_checked > 0
+
+    def test_edge_bound_past_the_recursion_limit(self):
+        # 1200 edges per path: the search depth is bounded by the edge
+        # bound alone, not by the interpreter's call stack
+        tc = compute_zeta_epsilon_theta(SQUARE, E, 600.0, cross_check=True)
+        assert tc.edge_bound == 1200 > sys.getrecursionlimit()
+        assert tc.epsilon == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
+        assert tc.theta == tc.epsilon / 2400.0
+        assert tc.witness_class == IntegralClass(1, 1)
         assert tc.cycles_checked > 0
 
     def test_single_class_vacuous(self):
