@@ -301,7 +301,7 @@ def _cmd_canyon_spectrum(args) -> None:
         "k": args.k,
         "grid_n": canyon.grid_resolution,
         "theta": canyon.hub_budget,
-        "background": canyon.background_systole,
+        "background": canyon.loop_cost,
         "bound": bound,
         "spectrum": res.to_jsonable(),
     }
@@ -321,7 +321,7 @@ def _cmd_stable_norm(args) -> None:
             "k": args.k,
             "grid_n": pg.grid_resolution,
             "theta": pg.hub_budget,
-            "background": pg.background_systole,
+            "background": pg.loop_cost,
             "norm": norm_to_jsonable(norm),
         }
     est = stable_norm_estimate(pg, h, args.n_max)

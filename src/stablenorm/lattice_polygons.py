@@ -541,12 +541,14 @@ def _check_budget(budget: int) -> None:
 
 def _coord_bound(k: int, coord_bound: Optional[int]) -> int:
     """Edge-coordinate bound of a minimal-area search up to k corners:
-    the given one, which must be at least 2, else 6 for k <= 8 and 10
-    beyond."""
+    the given one, which must be an integer of at least 2, else 6 for
+    k <= 8 and 10 beyond."""
     if coord_bound is None:
         return 6 if k <= 8 else 10
-    if coord_bound < 2:
-        raise ValidationError(f"coordinate bound must be at least 2, got {coord_bound}")
+    if isinstance(coord_bound, bool) or not isinstance(coord_bound, int) or coord_bound < 2:
+        raise ValidationError(
+            f"coordinate bound must be an integer of at least 2, got {coord_bound!r}"
+        )
     return coord_bound
 
 
@@ -775,8 +777,10 @@ def min_interior_symmetric(
     """
     if not isinstance(two_m, int) or two_m < 2 or two_m % 2 != 0 or two_m > 16:
         raise ValidationError(f"two_m must be an even integer in 2..16, got {two_m!r}")
-    if coord_bound < 1:
-        raise ValidationError(f"coordinate bound must be at least 1, got {coord_bound}")
+    if isinstance(coord_bound, bool) or not isinstance(coord_bound, int) or coord_bound < 1:
+        raise ValidationError(
+            f"coordinate bound must be an integer of at least 1, got {coord_bound!r}"
+        )
     _check_budget(budget)
     if two_m == 2:
         return SymmetricInteriorResult(

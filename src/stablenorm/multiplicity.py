@@ -130,8 +130,13 @@ def multiplicity_profile(
     SpectrumResult from the periodic module brings its own measured
     entries and must state an explicit tolerance, since its
     discretization error is not ours to guess.  The zero-length group
-    is exempt from the bound: the trivial class is not a geodesic.
+    is exempt from the bound: the trivial class is not a geodesic.  A
+    class budget, when given, must be an integer of at least 1.
     """
+    if class_budget is not None and (
+        isinstance(class_budget, bool) or not isinstance(class_budget, int) or class_budget < 1
+    ):
+        raise ValidationError(f"class budget must be an integer of at least 1, got {class_budget!r}")
     if isinstance(source, NormSpec):
         if class_budget is None:
             raise ValidationError("a norm profile needs a class budget")

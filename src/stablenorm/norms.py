@@ -182,6 +182,7 @@ class NormSpec:
 
 
 def euclidean(scale: float = 1.0) -> NormSpec:
+    """The Euclidean norm times `scale`, as the ellipse Q = identity."""
     return NormSpec(Ellipse(1.0, 0.0, 1.0), scale)
 
 

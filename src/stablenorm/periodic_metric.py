@@ -77,7 +77,6 @@ class PeriodicWeightedGraph:
     edges: tuple[PeriodicEdge, ...]
     class_lengths: Optional[tuple[tuple[IntegralClass, float], ...]] = None
     hub_budget: Optional[float] = None
-    background_systole: Optional[float] = None
     grid_resolution: Optional[int] = None
     #: Cost of one background loop around either period.
     loop_cost: Optional[float] = None
@@ -287,7 +286,6 @@ def build_canyon_graph(
         edges=tuple(edges),
         class_lengths=graph.classes,
         hub_budget=float(theta),
-        background_systole=b,
         grid_resolution=n,
         loop_cost=b,
     )
@@ -451,6 +449,14 @@ def stable_norm_estimate(
     h: IntegralClass | tuple[int, int],
     n_max: int,
 ) -> StableNormEstimate:
+    """Upper estimate of the stable norm of the canonical class of h.
+
+    Returns the minimum of f(n h)/n over n = 1..n_max, f the marked
+    minimal length of `pg`.  The stable norm is the infimum of these
+    ratios, since f is subadditive, so the estimate is an upper bound on
+    it.  `stable` certifies that n = 1 attains that minimum to relative
+    tolerance `_STABLE_RTOL`, so f(n h) = n f(h) for every n computed.
+    """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
     if not isinstance(h, IntegralClass):

@@ -236,19 +236,6 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def length_exact(self, graph: ToralGeodesicGraph) -> float:
-        """Length via per-class exact fraction totals.
-
-        Summing the rationals first makes whole-geodesic traversals come
-        out bitwise equal to ell_i, which downstream equality assertions
-        rely on.
-        """
-        totals: dict[int, Fraction] = {}
-        for e, _ in self.steps:
-            edge = graph.edges[e]
-            totals[edge.cls] = totals.get(edge.cls, Fraction(0)) + edge.q
-        return sum(float(q) * graph.classes[c][1] for c, q in sorted(totals.items()))
-
     def homology(self, graph: ToralGeodesicGraph) -> IntegralClass:
         """Sum of oriented lift displacements, exact: the graph's
         per-edge displacements scaled to ints (`scaled_disps`) are
@@ -295,118 +282,44 @@ def _gap_midpoint(values: list[Fraction]) -> Fraction:
     return best_mid
 
 
-def _solve_integer_combo(
-    gens: list[tuple[int, int]], target: tuple[int, int]
-) -> Optional[list[int]]:
-    """Integer coefficients x with sum x_i * gens_i = target, or None.
-
-    Column-style Hermite reduction with coefficient tracking; two gcd
-    elimination passes suffice in rank 2.
-    """
-    m = len(gens)
-    cols = [[gx, gy, *([1 if i == j else 0 for j in range(m)])] for i, (gx, gy) in enumerate(gens)]
-
-    def eliminate(cols: list[list[int]], row: int) -> Optional[list[int]]:
-        live = [c for c in cols if c[row] != 0]
-        rest = [c for c in cols if c[row] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[row]))
-            a, b = live[0], live[1]
-            k = b[row] // a[row]
-            for t in range(len(b)):
-                b[t] -= k * a[t]
-            if b[row] == 0:
-                rest.append(b)
-                live = [a] + live[2:]
-        cols[:] = rest
-        return live[0] if live else None
-
-    u = eliminate(cols, 0)
-    w = eliminate(cols, 1)
-    ax, ay = target
-    coeffs = [0] * m
-    if u is None:
-        if ax != 0:
-            return None
-        alpha = 0
-    else:
-        if ax % u[0] != 0:
-            return None
-        alpha = ax // u[0]
-        for i in range(m):
-            coeffs[i] += alpha * u[2 + i]
-    resid = ay - alpha * (u[1] if u else 0)
-    if w is None:
-        if resid != 0:
-            return None
-    else:
-        if resid % w[1] != 0:
-            return None
-        beta = resid // w[1]
-        for i in range(m):
-            coeffs[i] += beta * w[2 + i]
-    return coeffs
-
-
-def _fundamental_cycles(graph: ToralGeodesicGraph) -> tuple[list[tuple[int, int]], list[float]]:
-    """Integer classes and lengths of a fundamental cycle basis.
-
-    Spanning tree by breadth-first search from vertex 0; every non-tree
-    edge closes one cycle whose class is the accumulated deck shift.
-    """
-    nv = len(graph.vertices)
-    parent: list[Optional[tuple[int, int]]] = [None] * nv  # (edge, sign) into vertex
-    pot: list[Optional[tuple[int, int]]] = [None] * nv  # integer shift from root
-    dist: list[float] = [0.0] * nv
-    pot[0] = (0, 0)
-    queue = [0]
-    in_tree: set[int] = set()
-    while queue:
-        v = queue.pop(0)
-        for e, s, w in graph.oriented[v]:
-            if pot[w] is None:
-                sx, sy = graph.shifts[e]
-                pot[w] = (pot[v][0] + s * sx, pot[v][1] + s * sy)
-                dist[w] = dist[v] + graph.edges[e].length
-                parent[w] = (e, s)
-                in_tree.add(e)
-                queue.append(w)
-    gens: list[tuple[int, int]] = []
-    lens: list[float] = []
-    for i, e in enumerate(graph.edges):
-        if i in in_tree:
-            continue
-        sx, sy = graph.shifts[i]
-        gens.append(
-            (pot[e.tail][0] + sx - pot[e.head][0], pot[e.tail][1] + sy - pot[e.head][1])
-        )
-        lens.append(dist[e.tail] + e.length + dist[e.head])
-    return gens, lens
-
-
 def minimal_cycle(graph: ToralGeodesicGraph, h: IntegralClass) -> Optional[tuple[Cycle, float]]:
     """Shortest cycle in the graph with homology class h.
 
     Runs the A* search of `stablenorm.cover` in the Z^2-cover, from the
     endpoints of period-crossing edges, with lengths bounded by the cost
-    of an explicit cycle decomposition of h.  That bound leaves finitely
-    many cover states and the search completes every walk under it, so
-    the returned minimum is certified global.
+    of one explicit cycle of class h.  That bound leaves finitely many
+    cover states and the search completes every walk under it, so the
+    returned minimum is certified global.
+
+    The explicit cycle: with two or more classes, take the first two,
+    (h_1, ell_1) and (h_2, ell_2), which are not proportional, so
+    d = det(h_1, h_2) != 0 and h = s*h_1 + t*h_2 with s = det(h, h_2)/d
+    and t = det(h_1, h)/d.  In the cover, walk from 0 along the lift of
+    gamma_1 to s*h_1 = h - t*h_2, then along the lift of gamma_2 to h.
+    The turning point lies on lifts of both geodesics, so it lifts a
+    vertex, and the walk follows whole edges for a length of
+    |s|*ell_1 + |t|*ell_2.  Every class is thus a cycle class.  With one
+    class the graph is the loop gamma_1, whose cycles are the n*h_1 of
+    length |n|*ell_1.
 
     Returns:
-        (cycle, length), or None when h is outside the integer span of
-        the graph's cycle classes.
+        (cycle, length), or None when the graph has one class and h is
+        not a multiple of it.
     """
     if h.is_trivial:
         return Cycle(()), 0.0
-    gens, lens = _fundamental_cycles(graph)
-    combo = _solve_integer_combo(gens, (h.a, h.b))
-    if combo is None:
+    (h1, l1), *rest = graph.classes
+    if rest:
+        h2, l2 = rest[0]
+        upper = (abs(h.det(h2)) * l1 + abs(h1.det(h)) * l2) / abs(h1.det(h2))
+    elif h.det(h1) == 0:
+        # h = n*h_1 with h_1 primitive, so |n| = gcd(a, b)
+        upper = math.gcd(h.a, h.b) * l1
+    else:
         return None
-    upper = sum(abs(c) * ln for c, ln in zip(combo, lens))
     found = shortest_cover_cycle(graph.search_index, h.a, h.b, upper)
     if found is None:
-        raise InvariantError(f"no representative of {h} within its decomposition bound {upper}")
+        raise InvariantError(f"no representative of {h} within its two-geodesic bound {upper}")
     length, _states, steps = found
     return Cycle(tuple(steps)), length
 

@@ -74,6 +74,16 @@ def _strict_hull(points):
     return tuple(hull)
 
 
+def _length_exact(cycle, graph) -> float:
+    """Cycle length via per-class exact fraction totals, one float
+    rounding per class."""
+    totals: dict[int, Fraction] = {}
+    for e, _ in cycle.steps:
+        edge = graph.edges[e]
+        totals[edge.cls] = totals.get(edge.cls, Fraction(0)) + edge.q
+    return sum(float(q) * graph.classes[c][1] for c, q in sorted(totals.items()))
+
+
 def _done(n: int, t0: float, budget: float, detail: str = "") -> None:
     elapsed = time.perf_counter() - t0
     assert elapsed < budget, f"criterion {n} took {elapsed:.1f}s, budget {budget}s"
@@ -244,7 +254,7 @@ def test_criterion_5_canyon_marked_spectrum():
         # Exact equality convention: per-class rational share totals,
         # one float rounding each.  The raw search accumulation may
         # sit an ulp away and is only sanity-checked.
-        assert found[0].length_exact(graph) == length
+        assert _length_exact(found[0], graph) == length
         assert abs(found[1] - length) <= 4.0 * SEARCH_RTOL * length
     for a in range(0, 4):
         for b in range(-3, 4):

@@ -285,6 +285,14 @@ class TestMinArea:
         with pytest.raises(ValidationError):
             min_area_convex_kgon(4, coord_bound=1)
 
+    @pytest.mark.parametrize("bound", [2.5, 4.0, True])
+    def test_non_int_coord_bound_rejected(self, bound):
+        # a float bound would reach range() and raise TypeError
+        with pytest.raises(ValidationError, match="coordinate bound"):
+            min_area_convex_kgon(4, coord_bound=bound)
+        with pytest.raises(ValidationError, match="coordinate bound"):
+            min_interior_symmetric(6, coord_bound=bound)
+
     @pytest.mark.parametrize("k_min,k_max", [(3, 8.0), (3.0, 5), (2, 5), (6, 5), (3, 13)])
     def test_table_range_validation(self, k_min, k_max):
         with pytest.raises(ValidationError, match="k_min"):

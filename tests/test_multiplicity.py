@@ -134,6 +134,16 @@ class TestSpectrumInput:
         profile = multiplicity_profile(res, class_budget=3, tie_tolerance=1e-6)
         assert sum(g.multiplicity for g in profile.groups) == 3
 
+    @pytest.mark.parametrize("budget", [-1, 0, 2.5, 3.0, True])
+    def test_bad_budget_rejected(self, budget):
+        # a negative budget would slice entries from the end and drop the
+        # last spectrum entries without a word
+        res = spectrum(uniform_grid(16), 2.1)
+        with pytest.raises(ValidationError, match="class budget"):
+            multiplicity_profile(res, class_budget=budget, tie_tolerance=1e-6)
+        with pytest.raises(ValidationError, match="class budget"):
+            multiplicity_profile(euclidean(), class_budget=budget)
+
     def test_straight_edge_gauge_violates_bound(self):
         diamond = NormSpec(ArcPolygon(((1, 0), (0, 1), (-1, 0), (0, -1)), math.inf, 1.0))
         profile = multiplicity_profile(diamond, class_budget=7)

@@ -220,7 +220,7 @@ class TestCanyonBuild:
         assert all(total == 1 for total in by_class.values())
 
     def test_edge_cost_regimes(self, square_canyon):
-        b = square_canyon.background_systole
+        b = square_canyon.loop_cost
         n = square_canyon.grid_resolution
         for e in square_canyon.edges:
             if e.kind == "grid":
@@ -306,7 +306,7 @@ class TestCanyonMarked:
         classes, _graph, consts, canyon = euclid3
         ell_k = max(length for _cls, length in classes)
         slack = consts.theta * consts.edge_bound
-        floor = min(ell_k, canyon.background_systole) - slack
+        floor = min(ell_k, canyon.loop_cost) - slack
         for ab in [(1, -1), (2, 1), (0, 2), (2, 0), (1, 2)]:
             assert marked_min_length(canyon, ab).length >= floor
 

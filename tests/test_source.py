@@ -1,6 +1,7 @@
 """Source-level guards over the package modules."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -89,3 +90,13 @@ def test_small_float_literals_are_named():
             ):
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert SOURCES and not found, found
+
+
+def test_public_functions_have_docstrings():
+    # every exported function says what it computes
+    missing = [
+        name
+        for name in stablenorm.__all__
+        if inspect.isfunction(getattr(stablenorm, name)) and not getattr(stablenorm, name).__doc__
+    ]
+    assert missing == [], missing

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
 from stablenorm import cover
 from stablenorm.norms import (
+    Ellipse,
     IntegralClass,
     NormSpec,
     PNorm,
@@ -79,6 +80,56 @@ def crossings_by_position_walk(cycle, graph):
         b += math.floor(py + dy - y0) - math.floor(py - y0)
         px, py = px + dx, py + dy
     return IntegralClass(a, b)
+
+
+def length_exact(cycle, graph):
+    """Length via per-class exact fraction totals: summing the rationals
+    first makes a whole-geodesic traversal come out bitwise equal to
+    ell_i."""
+    totals = {}
+    for e, _ in cycle.steps:
+        edge = graph.edges[e]
+        totals[edge.cls] = totals.get(edge.cls, Fraction(0)) + edge.q
+    return sum(float(q) * graph.classes[c][1] for c, q in sorted(totals.items()))
+
+
+def geodesic_walk(graph, cls, start, amount):
+    """Steps along geodesic `cls` from parameter `start` by `amount`,
+    backwards when negative; both must land on edge ends."""
+    edges = class_edges(graph, cls)
+    starts = [Fraction(0)]
+    for e in edges[:-1]:
+        starts.append(starts[-1] + graph.edges[e].q)
+    i = starts.index(start % 1)
+    steps = []
+    while amount > 0:
+        e = edges[i % len(edges)]
+        steps.append((e, 1))
+        amount -= graph.edges[e].q
+        i += 1
+    while amount < 0:
+        i -= 1
+        e = edges[i % len(edges)]
+        steps.append((e, -1))
+        amount += graph.edges[e].q
+    assert amount == 0
+    return steps
+
+
+def two_geodesic_bound(graph, h):
+    """|s| ell_1 + |t| ell_2 for h = s h_1 + t h_2, the first two classes."""
+    (h1, l1), (h2, l2) = graph.classes[:2]
+    return (abs(h.det(h2)) * l1 + abs(h1.det(h)) * l2) / abs(h1.det(h2))
+
+
+def two_geodesic_walk(graph, h):
+    """The cycle of class h that runs gamma_1 from the base point to
+    s h_1 = h - t h_2, a vertex at parameter -t on gamma_2, then gamma_2
+    by t."""
+    (h1, _), (h2, _) = graph.classes[:2]
+    d = h1.det(h2)
+    s, t = Fraction(h.det(h2), d), Fraction(h1.det(h), d)
+    return Cycle(tuple(geodesic_walk(graph, 0, Fraction(0), s) + geodesic_walk(graph, 1, -t, t)))
 
 
 def homology_by_fraction_sum(cycle, graph):
@@ -265,8 +316,42 @@ class TestMinimalCycle:
         for graph in (SQUARE, THREE, SKEW, TOP5):
             for h, ell in graph.classes:
                 cycle, length = minimal_cycle(graph, h)
-                assert cycle.length_exact(graph) == ell
+                assert length_exact(cycle, graph) == ell
                 assert length == pytest.approx(ell, rel=4 * cover.SEARCH_RTOL)
+
+    def test_two_geodesic_walk_attains_the_bound(self):
+        # the search bound is the length of an explicit cycle of class h
+        for graph in (SQUARE, THREE, SKEW, TOP5):
+            for a in range(-3, 4):
+                for b in range(-3, 4):
+                    h = IntegralClass(a, b)
+                    if h.is_trivial:
+                        continue
+                    walk = two_geodesic_walk(graph, h)
+                    assert is_closed(walk, graph)
+                    assert walk.homology(graph) == h
+                    assert walk.class_by_crossings(graph) == h
+                    bound = two_geodesic_bound(graph, h)
+                    assert length_exact(walk, graph) == pytest.approx(bound, rel=4 * cover.SEARCH_RTOL)
+
+    @given(
+        q11=st.floats(0.5, 3.0),
+        q22=st.floats(0.5, 3.0),
+        r=st.floats(-0.7, 0.7),
+        k=st.integers(2, 6),
+        a=st.integers(-4, 4),
+        b=st.integers(-4, 4),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_every_class_within_the_two_geodesic_bound(self, q11, q22, r, k, a, b):
+        h = IntegralClass(a, b)
+        if h.is_trivial:
+            return
+        norm = NormSpec(Ellipse(q11, r * math.sqrt(q11 * q22), q22))
+        graph = build_graph(leading_primitive_classes(norm, k))
+        got = minimal_cycle(graph, h)
+        assert got is not None
+        assert got[1] <= two_geodesic_bound(graph, h) * (1 + cover.SEARCH_RTOL)
 
     def test_square_exact_against_oracle(self):
         oracle = oracle_min_lengths(SQUARE, 6)
@@ -471,7 +556,7 @@ class TestCycle:
                 # loop is a valid cycle
                 loop = Cycle(steps)
                 assert is_closed(loop, graph)
-                assert loop.length_exact(graph) == ell
+                assert length_exact(loop, graph) == ell
 
     def test_crossing_class_on_full_loops(self):
         for graph in (SQUARE, THREE, SKEW):
