@@ -40,6 +40,17 @@ one: a chain that can close has only parents that can close, and a
 dropped key is never offered again.  Closures, witness pools and
 witnesses therefore come out exactly as from the full sweep.
 
+In-place offers.  A layer walks a snapshot of the state dict, so every
+chain extends from its cost before the layer, and offers straight into
+the live dict, deleting a dead key where it finds it.  That is the same
+as collecting the layer's offers and merging them after the deletions:
+a key that dies at d (cross(w, d) <= 0) is never offered at d, since an
+offer w = w' + m*d has cross(w, d) = cross(w', d), so its parent died
+too, or its parent is the root and (1, m*d) is new at d.  Every kept
+key keeps its cost and dict position.  Transitions are counted once per
+multiplicity run, in closed form: mult_cap, or where the cost cap
+breaks the run, the steps within the cap and the one that breaks it.
+
 Seeded cost caps.  Each search first sweeps a small coordinate bound.
 Every polygon that seed sweep finds is also a polygon of the full
 bound, with the same cost, so the full minimum is at most the seed's.
@@ -266,6 +277,20 @@ def canonical_form(
     return best
 
 
+def _totient(n: int) -> int:
+    """Euler's phi by trial division."""
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
 def _primitive_directions(
     bound: int,
     upper_half_only: bool = False,
@@ -276,17 +301,18 @@ def _primitive_directions(
     only those with angle in [0, pi) if `upper_half_only`.
 
     A sweep expands its root at least once on every direction but the
-    last `rootless`, so given the `sweep` this raises SearchBudgetError
-    as soon as the directions made so far force more transitions than
-    its budget has left.
+    last `rootless`, so given the `sweep` this first counts the
+    directions, 8*phi(n) (4*phi(n) in the upper half) with largest
+    coordinate n for n = 1..bound, and raises SearchBudgetError as soon
+    as the count forces more transitions than its budget has left,
+    before it builds the list.
     """
-    out = []
-    for x in range(-bound, bound + 1):
-        for y in range(0 if upper_half_only else -bound, bound + 1):
-            if gcd(x, y) != 1 or (upper_half_only and y == 0 and x < 0):
-                continue
-            out.append((x, y))
-            if sweep is not None and sweep.ops + len(out) - rootless > sweep.budget:
+    if sweep is not None:
+        room = sweep.budget - sweep.ops + rootless
+        count = 0
+        for n in range(1, bound + 1):
+            count += (4 if upper_half_only else 8) * _totient(n)
+            if count > room:
                 raise SearchBudgetError(
                     f"polygon search exhausted its budget of {sweep.budget} transitions: "
                     f"the primitive directions within coordinate bound {bound} "
@@ -294,6 +320,12 @@ def _primitive_directions(
                     nodes_expanded=sweep.ops,
                     budget=sweep.budget,
                 )
+    out = [
+        (x, y)
+        for x in range(-bound, bound + 1)
+        for y in range(0 if upper_half_only else -bound, bound + 1)
+        if gcd(x, y) == 1 and not (upper_half_only and y == 0 and x < 0)
+    ]
     out.sort(key=angle_key)
     return out
 
@@ -308,7 +340,9 @@ class _Sweep:
     path that produced the stored cost, no matter how the parent state
     is later improved.  Cost merging keeps the minimum, which is sound
     because every continuation adds a cost that depends only on the
-    partial sum, never on the path that reached it.
+    partial sum, never on the path that reached it.  A sweep counts a
+    layer's transitions locally and brings `ops` up to date once per
+    layer, before the budget check.
     """
 
     def __init__(self, budget: int, spent: int = 0):
@@ -327,14 +361,6 @@ class _Sweep:
                 nodes_expanded=self.ops,
                 budget=self.budget,
             )
-
-
-def _offer(states: dict, key, cost: int, link: tuple) -> None:
-    """Keep the cheaper of the stored and the offered chain; a key keeps
-    the dict position of its first offer."""
-    old = states.get(key)
-    if old is None or cost < old[0]:
-        states[key] = (cost, link)
 
 
 #: How many tying optimal chains to keep per slot for witness selection.
@@ -444,6 +470,7 @@ def _sweep_areas(
     caps = [coord_bound // max(abs(dx), abs(dy)) for dx, dy in dirs]
     reach = _later_reach(dirs, caps)
 
+    states = sweep.states
     for i, d in enumerate(dirs):
         dx, dy = d
         mult_cap = caps[i]
@@ -451,20 +478,19 @@ def _sweep_areas(
         # more edges, all on directions after d
         px, mx, py, my = reach[i + 1]
         later = [(-r * px, r * mx, -r * py, r * my) for r in range(k_max + 1)]
-        dead: list[tuple[int, int, int, bool]] = []
-        additions: list[tuple[tuple[int, int, int, bool], int, tuple]] = []
-        for key, (c, link) in sweep.states.items():
+        ops = 0
+        for key, (c, link) in list(states.items()):
             j, wx, wy, prim = key
             cr = wx * dy - wy * dx
             if j == 0:
                 pass  # the root starts a chain on every direction
             elif cr < 0:
-                dead.append(key)  # for good: no later direction turns back
+                del states[key]  # for good: no later direction turns back
                 continue
             elif cr == 0:
                 # the closing edge runs straight back to the start; this
                 # was the chain's last chance
-                sweep.ops += 1
+                ops += 1
                 if dx != 0:
                     m, r = divmod(-wx, dx)
                 else:
@@ -474,25 +500,42 @@ def _sweep_areas(
                         _record_closure(
                             found.setdefault(j + 1, {}), prim and m == 1, c, (link, d, m)
                         )
-                dead.append(key)
+                del states[key]
                 continue
+            # steps 1..top stay within the cap; a run the cap breaks
+            # also counts the step that breaks it (every kept chain is
+            # within the cap, so then 0 <= top < mult_cap)
+            top = mult_cap
+            if cap is not None and c + mult_cap * cr > cap:
+                top = (cap - c) // cr
+                ops += 1
+                if not top:
+                    continue
+            ops += top
             xl, xh, yl, yh = later[k_max - j - 1]
-            for m in range(1, mult_cap + 1):
-                sweep.ops += 1
-                nc = c + m * cr
-                if cap is not None and nc > cap:
-                    break
-                nwx = wx + m * dx
-                nwy = wy + m * dy
+            j += 1
+            # step 1 keeps the primitive flag, and is the whole run on
+            # the directions with mult_cap == 1
+            nc, nwx, nwy = c + cr, wx + dx, wy + dy
+            if xl <= nwx <= xh and yl <= nwy <= yh:
+                nkey = (j, nwx, nwy, prim)
+                old = states.get(nkey)
+                if old is None or nc < old[0]:
+                    states[nkey] = (nc, (link, d, 1))
+            for m in range(2, top + 1):
+                nc += cr
+                nwx += dx
+                nwy += dy
                 if xl <= nwx <= xh and yl <= nwy <= yh:
-                    additions.append(((j + 1, nwx, nwy, prim and m == 1), nc, (link, d, m)))
-        for key in dead:
-            del sweep.states[key]
-        for key, cost, link in additions:
-            _offer(sweep.states, key, cost, link)
-        sweep.check_budget(
-            str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
-        )
+                    nkey = (j, nwx, nwy, False)
+                    old = states.get(nkey)
+                    if old is None or nc < old[0]:
+                        states[nkey] = (nc, (link, d, m))
+        sweep.ops += ops
+        if sweep.ops > sweep.budget:
+            sweep.check_budget(
+                str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
+            )
 
     return found, sweep.ops
 
@@ -535,8 +578,8 @@ def _merge_slots(a: Optional[AreaSlot], b: Optional[AreaSlot]) -> Optional[AreaS
 
 def _check_budget(budget: int) -> None:
     """A search needs room for at least one transition."""
-    if budget < 1:
-        raise ValidationError(f"search budget must be at least 1, got {budget}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValidationError(f"search budget must be an integer of at least 1, got {budget!r}")
 
 
 def _coord_bound(k: int, coord_bound: Optional[int]) -> int:
@@ -715,30 +758,41 @@ def _sweep_symmetric(
         short = m_target - (len(dirs) - i)
         if short > 0:
             sweep.states = {key: v for key, v in sweep.states.items() if key[0] >= short}
-        additions: list[tuple[tuple[int, int, int, bool], int, tuple]] = []
-        for key, (cost, link) in sweep.states.items():
+        states = sweep.states
+        ops = 0
+        for key, (cost, link) in list(states.items()):
             j, wx, wy, prim = key
-            if (wx, wy) == (0, 0):
-                cr = 0
-            else:
-                cr = wx * dy - wy * dx
-                # directions confined to a half-plane sweep strictly left
-                if cr <= 0:
-                    raise InvariantError("half-plane chain lost convexity")
-            for mult in range(1, mult_cap + 1):
-                sweep.ops += 1
-                nc = cost + mult * (cr - 1)
-                if cap is not None and nc > cap:
-                    break
-                additions.append(
-                    (
-                        (j + 1, wx + mult * dx, wy + mult * dy, prim and mult == 1),
-                        nc,
-                        (link, d, mult),
-                    )
-                )
-        for key, cost, link in additions:
-            _offer(finished if key[0] == m_target else sweep.states, key, cost, link)
+            cr = wx * dy - wy * dx
+            # directions confined to a half-plane sweep strictly left
+            if cr <= 0 and j:
+                raise InvariantError("half-plane chain lost convexity")
+            # each step adds cr - 1: -1 from the root, >= 0 after it; runs
+            # are counted as in `_sweep_areas`
+            step = cr - 1
+            top = mult_cap
+            if cap is not None and cost + mult_cap * step > cap:
+                top = (cap - cost) // step
+                ops += 1
+                if not top:
+                    continue
+            ops += top
+            j += 1
+            target = finished if j == m_target else states
+            # step 1 keeps the primitive flag, as in `_sweep_areas`
+            nc, nwx, nwy = cost + step, wx + dx, wy + dy
+            nkey = (j, nwx, nwy, prim)
+            old = target.get(nkey)
+            if old is None or nc < old[0]:
+                target[nkey] = (nc, (link, d, 1))
+            for mult in range(2, top + 1):
+                nc += step
+                nwx += dx
+                nwy += dy
+                nkey = (j, nwx, nwy, False)
+                old = target.get(nkey)
+                if old is None or nc < old[0]:
+                    target[nkey] = (nc, (link, d, mult))
+        sweep.ops += ops
         sweep.check_budget("(no symmetric polygon completed yet)")
     return finished, sweep.ops
 

@@ -458,8 +458,8 @@ def enumerate_classes(norm: NormSpec, count: int) -> EnumeratedClasses:
     tie key and all carry the smallest value of their group, so the
     values are nondecreasing.
     """
-    if count < 1:
-        raise ValidationError(f"count must be at least 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValidationError(f"count must be an integer of at least 1, got {count!r}")
     ranked = _complete_prefix(norm, count, keep=lambda h: True)
     entries = tuple(ranked[:count])
     warning = False
@@ -483,8 +483,8 @@ def enumerate_classes(norm: NormSpec, count: int) -> EnumeratedClasses:
 def leading_primitive_classes(norm: NormSpec, k: int) -> list[tuple[IntegralClass, float]]:
     """First k primitive canonical classes by (norm value, tie key);
     near ties share one value as in `enumerate_classes`."""
-    if k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValidationError(f"k must be an integer of at least 1, got {k!r}")
     ranked = _complete_prefix(norm, k, keep=lambda h: h.is_primitive)
     return ranked[:k]
 

@@ -6,6 +6,7 @@ counts through Pick's identity and through the brute-force point scan.
 """
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,42 @@ class TestMinArea:
             search(100_000)
         assert exc.value.nodes_expanded == spent
 
+    @pytest.mark.parametrize(
+        "search,enough",
+        [
+            (lambda b: min_area_convex_kgon(4, coord_bound=3, pruned=False, budget=b), 32),
+            (lambda b: min_interior_symmetric(6, coord_bound=2, budget=b), 6),
+        ],
+        ids=["kgon", "symmetric"],
+    )
+    def test_direction_count_is_exact(self, search, enough):
+        # 8*(1 + 1 + 2) directions at bound 3; 4*(1 + 1) at bound 2, less
+        # the m_target - 1 = 2 layers that do not expand the root
+        with pytest.raises(SearchBudgetError, match="directions"):
+            search(enough - 1)
+        with pytest.raises(SearchBudgetError) as exc:
+            search(enough)
+        assert "directions" not in str(exc.value)
+
+    def test_directions_counted_by_totients(self):
+        for bound in range(1, 31):
+            phi_sum = sum(lattice_polygons._totient(n) for n in range(1, bound + 1))
+            assert len(lattice_polygons._primitive_directions(bound)) == 8 * phi_sum
+            half = lattice_polygons._primitive_directions(bound, upper_half_only=True)
+            assert len(half) == 4 * phi_sum
+
+    def test_direction_budget_decided_before_the_list(self):
+        # a list of the million directions the budget allows would take
+        # about 100 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetError, match="directions"):
+                min_interior_symmetric(6, coord_bound=100_000, budget=1_000_000)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_coord_bound_validation(self):
         with pytest.raises(ValidationError):
             min_area_convex_kgon(4, coord_bound=1)
@@ -316,6 +353,16 @@ class TestMinArea:
             with pytest.raises(ValidationError, match="budget"):
                 search()
 
+    @pytest.mark.parametrize("budget", [True, 1e9, 2.5])
+    def test_non_int_budget_is_a_validation_error(self, budget):
+        for search in (
+            lambda: min_area_convex_kgon(4, budget=budget),
+            lambda: min_area_table(3, 4, budget=budget),
+            lambda: min_interior_symmetric(6, budget=budget),
+        ):
+            with pytest.raises(ValidationError, match="budget"):
+                search()
+
     def test_witness_area_checked_by_search_and_table(self, monkeypatch):
         pick = lattice_polygons._pick_area_witness
 
@@ -328,6 +375,32 @@ class TestMinArea:
             min_area_convex_kgon(4)
         with pytest.raises(InvariantError, match="witness area"):
             min_area_table(3, 4)
+
+
+class TestWorkCounts:
+    """Transitions of the searches at coordinate bound 6, pinned so that
+    a change to the sweep kernels cannot change the work they do without
+    notice."""
+
+    @pytest.mark.parametrize(
+        "k,unpruned,pruned",
+        [
+            (4, 63_995, 9_968),
+            (5, 109_011, 29_318),
+            (6, 199_828, 38_012),
+            (7, 295_286, 101_993),
+            (8, 446_227, 114_289),
+        ],
+    )
+    def test_area_search_transitions(self, k, unpruned, pruned):
+        assert min_area_convex_kgon(k, coord_bound=6, pruned=False).states_explored == unpruned
+        assert min_area_convex_kgon(k, coord_bound=6).states_explored == pruned
+
+    @pytest.mark.parametrize(
+        "two_m,transitions", [(4, 2_515), (6, 9_150), (8, 26_196), (10, 50_015)]
+    )
+    def test_symmetric_search_transitions(self, two_m, transitions):
+        assert min_interior_symmetric(two_m).states_explored == transitions
 
 
 class TestInteriorCounts:

@@ -235,6 +235,12 @@ class TestEnumerateClasses:
         with pytest.raises(ValidationError):
             enumerate_classes(euclidean(), 0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_non_int_count_rejected(self, count):
+        # a float count would reach list indexing and raise TypeError
+        with pytest.raises(ValidationError, match="count"):
+            enumerate_classes(euclidean(), count)
+
 
 class TestLeadingPrimitives:
     def test_hexagonal_progression(self):
@@ -245,6 +251,11 @@ class TestLeadingPrimitives:
         got = leading_primitive_classes(euclidean(), 8)
         assert all(h.is_primitive for h, _ in got)
         assert (0, 2) not in [h.as_tuple() for h, _ in got][:5]
+
+    @pytest.mark.parametrize("k", [0, 2.5, 2.0, True])
+    def test_k_validated(self, k):
+        with pytest.raises(ValidationError, match="k must"):
+            leading_primitive_classes(euclidean(), k)
 
 
 class TestLipschitz:
