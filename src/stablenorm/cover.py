@@ -215,15 +215,20 @@ def shortest_cover_cycle(
     else:
         starts = ix.y_starts
     deflate = 1 - _HEUR_DEFLATE
+    inf = math.inf
+    # the heuristic is the `gauge_normals` gauge of the remaining
+    # displacement (rx, ry), deflated; on every push it is inlined as a
+    # loop with builtin `max` semantics (the first normal's value, raised
+    # only by a strictly greater one), so both forms give the same float
+    ax0, ay0 = normals[0]
+    more = normals[1:]
     for start in starts:
         goal_x = xs[start] + a
         goal_y = ys[start] + b
         bar = min(best * (1 - _PRUNE_RTOL), cutoff)
-
-        def heuristic(node: int, sx: int, sy: int) -> float:
-            dx = goal_x - (xs[node] + sx)
-            dy = goal_y - (ys[node] + sy)
-            return max(ax * dx + ay * dy for ax, ay in normals) * deflate
+        rx = goal_x - xs[start]
+        ry = goal_y - ys[start]
+        h = max(ax * rx + ay * ry for ax, ay in normals)
 
         dist: dict[tuple[int, int, int], float] = {}
         pred: dict[tuple[int, int, int], tuple] = {}
@@ -231,12 +236,12 @@ def shortest_cover_cycle(
         target = (start, a, b)
         dist[state0] = 0.0
         tick = 0
-        heap = [(heuristic(start, 0, 0), tick, 0.0, state0)]
+        heap = [(h * deflate, tick, 0.0, state0)]
         while heap:
             f, _t, g, state = heapq.heappop(heap)
             if f >= bar:
                 break
-            if g > dist.get(state, math.inf):
+            if g > dist.get(state, inf):
                 continue
             if state == target:
                 best = g
@@ -253,9 +258,18 @@ def shortest_cover_cycle(
             node, sx, sy = state
             for (nbr, w, dx, dy, label) in adj[node]:
                 ng = g + w
-                nstate = (nbr, sx + dx, sy + dy)
-                if ng < dist.get(nstate, math.inf):
-                    nf = ng + heuristic(*nstate)
+                nsx = sx + dx
+                nsy = sy + dy
+                nstate = (nbr, nsx, nsy)
+                if ng < dist.get(nstate, inf):
+                    rx = goal_x - (xs[nbr] + nsx)
+                    ry = goal_y - (ys[nbr] + nsy)
+                    h = ax0 * rx + ay0 * ry
+                    for ax, ay in more:
+                        v = ax * rx + ay * ry
+                        if v > h:
+                            h = v
+                    nf = ng + h * deflate
                     if nf >= bar:
                         continue
                     dist[nstate] = ng

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget check
+every search makes before it starts."""
 
 
 class ValidationError(ValueError):
@@ -17,6 +18,13 @@ class SearchBudgetError(RuntimeError):
         super().__init__(message)
         self.nodes_expanded = nodes_expanded
         self.budget = budget
+
+
+def check_budget(budget: int) -> None:
+    """A search needs room for at least one step: its budget must be an
+    integer of at least 1, not a bool or a float."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValidationError(f"search budget must be an integer of at least 1, got {budget!r}")
 
 
 class ConstructionError(RuntimeError):

@@ -91,6 +91,7 @@ from stablenorm.errors import (
     InvariantError,
     SearchBudgetError,
     ValidationError,
+    check_budget,
 )
 
 IntVec = tuple[int, int]
@@ -576,12 +577,6 @@ def _merge_slots(a: Optional[AreaSlot], b: Optional[AreaSlot]) -> Optional[AreaS
     return out
 
 
-def _check_budget(budget: int) -> None:
-    """A search needs room for at least one transition."""
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        raise ValidationError(f"search budget must be an integer of at least 1, got {budget!r}")
-
-
 def _coord_bound(k: int, coord_bound: Optional[int]) -> int:
     """Edge-coordinate bound of a minimal-area search up to k corners:
     the given one, which must be an integer of at least 2, else 6 for
@@ -669,7 +664,7 @@ def min_area_table(
     if not (isinstance(k_min, int) and isinstance(k_max, int) and 3 <= k_min <= k_max <= 12):
         raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min!r}..{k_max!r}")
     coord_bound = _coord_bound(k_max, coord_bound)
-    _check_budget(budget)
+    check_budget(budget)
 
     rows = range(k_min, k_max + 1)
     seed_bound = _seed_bound(k_max, coord_bound, pruned)
@@ -835,7 +830,7 @@ def min_interior_symmetric(
         raise ValidationError(
             f"coordinate bound must be an integer of at least 1, got {coord_bound!r}"
         )
-    _check_budget(budget)
+    check_budget(budget)
     if two_m == 2:
         return SymmetricInteriorResult(
             two_m=2,

@@ -112,6 +112,22 @@ class IntegralClass:
         return f"({self.a},{self.b})"
 
 
+def integral_class(h) -> IntegralClass:
+    """h as an IntegralClass: an IntegralClass or a pair (a, b) of ints.
+
+    Floats, bools and strings are refused, not truncated to a nearby
+    class.
+    """
+    pair = (h.a, h.b) if isinstance(h, IntegralClass) else h
+    if not (
+        isinstance(pair, (tuple, list))
+        and len(pair) == 2
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in pair)
+    ):
+        raise ValidationError(f"class must be a pair of integers, got {h!r}")
+    return h if isinstance(h, IntegralClass) else IntegralClass(*pair)
+
+
 @dataclass(frozen=True)
 class Ellipse:
     """Norm sqrt(v'Qv) for Q = [[q11, q12], [q12, q22]] positive definite."""

@@ -32,8 +32,8 @@ from stablenorm.cover import (
     build_search_index,
     shortest_cover_cycle,
 )
-from stablenorm.errors import ConstructionError, InvariantError, ValidationError
-from stablenorm.norms import IntegralClass, tie_groups
+from stablenorm.errors import ConstructionError, InvariantError, SearchBudgetError, ValidationError
+from stablenorm.norms import IntegralClass, integral_class, tie_groups
 from stablenorm.toral_graph import ToralGeodesicGraph
 
 NodeId = tuple
@@ -49,11 +49,13 @@ _STABLE_RTOL = 1e-9
 _BOX_SLACK = 1e-9
 #: Floor of the grouping scale, so a zero length groups only with zeros.
 _TINY_LENGTH = 1e-300
+#: Most candidate classes `spectrum` measures, one cover search each.
+_MAX_SPECTRUM_CLASSES = 10_000
 
 _MIN_GRID_RESOLUTION = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicEdge:
     """Undirected edge of the quotient graph.
 
@@ -85,21 +87,26 @@ class PeriodicWeightedGraph:
         index = self.node_index
         if len(index) != len(self.nodes):
             raise ValidationError("node list repeats")
+        # union-find with path halving; each merge of two roots joins
+        # two components, so the count left decides connectivity
         parent = list(range(len(index)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        components = len(parent)
+        get = index.get
         for e in self.edges:
             if e.weight <= 0 or not math.isfinite(e.weight):
                 raise ValidationError(f"edge {e.u}-{e.v} has weight {e.weight}")
-            if e.u not in index or e.v not in index:
+            i = get(e.u)
+            j = get(e.v)
+            if i is None or j is None:
                 raise ValidationError(f"edge {e.u}-{e.v} references a missing node")
-            parent[find(index[e.u])] = find(index[e.v])
-        if any(find(i) != find(0) for i in range(1, len(parent))):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                parent[i] = j
+                components -= 1
+        if components > 1:
             raise ValidationError("quotient graph is not connected")
 
     @cached_property
@@ -125,6 +132,45 @@ class PeriodicWeightedGraph:
             start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
         )
 
+    @cached_property
+    def _grid_loops(self):
+        """The background loops `_grid_loop_seed` replays, walked once
+        on the first query and kept for the life of the graph.
+
+        None without a background grid; else (start, row, up, down):
+        the number of grid node (0, 0) and the search-index steps
+        (neighbor, weight, dx, dy, edge index) of one loop from it in +x
+        along its row and in +y and -y along its column, each None
+        where a step is missing.
+        """
+        n = self.grid_resolution
+        index = self.node_index
+        start = index.get(("g", 0, 0))
+        if n is None or start is None:
+            return None
+        adj = self.search_index.adj
+
+        def walk(hops):
+            cur = start
+            steps = []
+            for nxt, disp in hops:
+                target = index.get(nxt)
+                for step in adj[cur]:
+                    if step[0] == target and step[2:4] == disp:
+                        steps.append(step)
+                        cur = target
+                        break
+                else:
+                    return None
+            return tuple(steps)
+
+        return (
+            start,
+            walk((("g", (i + 1) % n, 0), (1 if i == n - 1 else 0, 0)) for i in range(n)),
+            walk((("g", 0, (j + 1) % n), (0, 1 if j == n - 1 else 0)) for j in range(n)),
+            walk((("g", 0, (n - j - 1) % n), (0, -1 if j == 0 else 0)) for j in range(n)),
+        )
+
 
 def _add_torus_grid(
     n: int,
@@ -134,18 +180,20 @@ def _add_torus_grid(
     edges: list[PeriodicEdge],
 ) -> None:
     """Append the 4-neighbor N x N torus grid: nodes ("g", i, j) row by
-    row, then a right and an up edge of the given weight per node."""
-    for i in range(n):
-        for j in range(n):
-            node = ("g", i, j)
+    row, then a right and an up edge of the given weight per node.
+    Each node tuple is built once and the edges share three shifts."""
+    grid = [[("g", i, j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(grid):
+        for j, node in enumerate(row):
             nodes.append(node)
             positions[node] = (i / n, j / n)
-    for i in range(n):
-        for j in range(n):
-            right = ("g", (i + 1) % n, j)
-            up = ("g", i, (j + 1) % n)
-            edges.append(PeriodicEdge(("g", i, j), right, weight, (1 if i == n - 1 else 0, 0), "grid"))
-            edges.append(PeriodicEdge(("g", i, j), up, weight, (0, 1 if j == n - 1 else 0), "grid"))
+    stay, wrap_x, wrap_y = (0, 0), (1, 0), (0, 1)
+    for i, row in enumerate(grid):
+        right_row = grid[(i + 1) % n]
+        right_disp = wrap_x if i == n - 1 else stay
+        for j, node in enumerate(row):
+            edges.append(PeriodicEdge(node, right_row[j], weight, right_disp, "grid"))
+            edges.append(PeriodicEdge(node, row[(j + 1) % n], weight, wrap_y if j == n - 1 else stay, "grid"))
 
 
 def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
@@ -309,51 +357,31 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
 
     Returns (cost, witness states, path edge indices) or None when the
     graph has no background grid; states use node numbers of the search
-    index.  Seeding the search with it means classes whose optimum ties
-    the background bound finish without exploring the tie plateau at
-    all.
+    index.  The loops are walked once per graph (`_grid_loops`) and
+    replayed here, |a| row loops then |b| column loops, adding weights
+    in walking order.  Seeding the search with it means classes whose
+    optimum ties the background bound finish without exploring the tie
+    plateau at all.
     """
-    n = pg.grid_resolution
-    ix = pg.search_index
-    node_index = pg.node_index
-    start = node_index.get(("g", 0, 0))
-    if n is None or start is None:
+    loops = pg._grid_loops
+    if loops is None:
+        return None
+    start, row, up, down = loops
+    column = down if h.b < 0 else up
+    if (h.a != 0 and row is None) or (h.b != 0 and column is None):
         return None
     states = [(start, 0, 0)]
     path_edges: list[int] = []
     cost = 0.0
-    cur = start
     sx = sy = 0
-
-    def step(nxt: NodeId, disp: IntVec) -> bool:
-        nonlocal cur, sx, sy, cost
-        target = node_index.get(nxt)
-        for (nbr, w, dx, dy, idx) in ix.adj[cur]:
-            if nbr == target and (dx, dy) == disp:
-                cur = nbr
+    for loop, times in ((row, abs(h.a)), (column, abs(h.b))):
+        for _loop in range(times):
+            for (nbr, w, dx, dy, idx) in loop:
                 sx += dx
                 sy += dy
                 cost += w
-                states.append((cur, sx, sy))
+                states.append((nbr, sx, sy))
                 path_edges.append(idx)
-                return True
-        return False
-
-    for _loop in range(abs(h.a)):
-        for i in range(n):
-            if not step(("g", (i + 1) % n, 0), (1 if i == n - 1 else 0, 0)):
-                return None
-    down = h.b < 0
-    for _loop in range(abs(h.b)):
-        for j in range(n):
-            if down:
-                nxt = ("g", 0, (n - j - 1) % n)
-                disp = (0, -1 if j == 0 else 0)
-            else:
-                nxt = ("g", 0, (j + 1) % n)
-                disp = (0, 1 if j == n - 1 else 0)
-            if not step(nxt, disp):
-                return None
     if (sx, sy) != (h.a, h.b):
         raise InvariantError(f"grid loop seed for class {h} shifted by {(sx, sy)}")
     return cost, tuple(states), path_edges
@@ -396,9 +424,7 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     class h.  The graph's search index is built on the first query and
     reused by every later one.
     """
-    if not isinstance(h, IntegralClass):
-        h = IntegralClass(int(h[0]), int(h[1]))
-    h = h.canonical()
+    h = integral_class(h).canonical()
     if h.is_trivial:
         return SpectrumEntry(cls=h, length=0.0, witness=((pg.nodes[0], 0, 0),))
 
@@ -457,11 +483,9 @@ def stable_norm_estimate(
     it.  `stable` certifies that n = 1 attains that minimum to relative
     tolerance `_STABLE_RTOL`, so f(n h) = n f(h) for every n computed.
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
-    if not isinstance(h, IntegralClass):
-        h = IntegralClass(int(h[0]), int(h[1]))
-    h = h.canonical()
+    h = integral_class(h).canonical()
     if h.is_trivial:
         raise ValidationError("stable norm of the trivial class is 0; nothing to estimate")
     ratios = []
@@ -522,12 +546,23 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     can be at or below the bound.  Classes are measured one by one on
     the graph's shared search index and sorted deterministically by
     (length, class); ties group under the relative tolerance `GROUP_RTOL`.
+    The bound must be finite, and a box of more than
+    `_MAX_SPECTRUM_CLASSES` candidates raises `SearchBudgetError`
+    before it is built.
     """
-    if not norm_bound > 0:
-        raise ValidationError(f"norm bound must be positive, got {norm_bound}")
+    if not (norm_bound > 0 and math.isfinite(norm_bound)):
+        raise ValidationError(f"norm bound must be finite and positive, got {norm_bound}")
     rate_x, rate_y = pg.search_index.rates
     amax = math.floor(norm_bound / rate_x + _BOX_SLACK) if math.isfinite(rate_x) else 0
     bmax = math.floor(norm_bound / rate_y + _BOX_SLACK) if math.isfinite(rate_y) else 0
+    count = amax * (2 * bmax + 1) + bmax
+    if count > _MAX_SPECTRUM_CLASSES:
+        raise SearchBudgetError(
+            f"norm bound {norm_bound} spans {count} candidate classes, "
+            f"past the cap of {_MAX_SPECTRUM_CLASSES}",
+            nodes_expanded=0,
+            budget=_MAX_SPECTRUM_CLASSES,
+        )
     candidates = [IntegralClass(0, b) for b in range(1, bmax + 1)]
     candidates.extend(
         IntegralClass(a, b)

@@ -26,8 +26,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from stablenorm.cover import SearchIndex, build_search_index, shortest_cover_cycle
-from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
-from stablenorm.norms import IntegralClass, NormSpec, eval_norm
+from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError, check_budget
+from stablenorm.norms import IntegralClass, NormSpec, eval_norm, integral_class
 
 FracVec = tuple[Fraction, Fraction]
 
@@ -282,8 +282,11 @@ def _gap_midpoint(values: list[Fraction]) -> Fraction:
     return best_mid
 
 
-def minimal_cycle(graph: ToralGeodesicGraph, h: IntegralClass) -> Optional[tuple[Cycle, float]]:
-    """Shortest cycle in the graph with homology class h.
+def minimal_cycle(
+    graph: ToralGeodesicGraph, h: IntegralClass | tuple[int, int]
+) -> Optional[tuple[Cycle, float]]:
+    """Shortest cycle in the graph with homology class h, an
+    IntegralClass or a pair of ints.
 
     Runs the A* search of `stablenorm.cover` in the Z^2-cover, from the
     endpoints of period-crossing edges, with lengths bounded by the cost
@@ -306,6 +309,7 @@ def minimal_cycle(graph: ToralGeodesicGraph, h: IntegralClass) -> Optional[tuple
         (cycle, length), or None when the graph has one class and h is
         not a multiple of it.
     """
+    h = integral_class(h)
     if h.is_trivial:
         return Cycle(()), 0.0
     (h1, l1), *rest = graph.classes
@@ -465,8 +469,7 @@ def compute_zeta_epsilon_theta(
     """
     if not (theta_cap > 0 and math.isfinite(theta_cap)):
         raise ValidationError(f"theta cap must be a positive finite real, got {theta_cap}")
-    if node_budget < 1:
-        raise ValidationError(f"search budget must be at least 1, got {node_budget}")
+    check_budget(node_budget)
     zeta = 0.5 * min(e.length for e in graph.edges)
     edge_bound = int(math.floor(ell_k / zeta + EDGE_BOUND_SLACK))
     gap, witness, cycles, nodes = _min_gap_search(

@@ -326,6 +326,16 @@ class TestExitCodes:
         assert error["budget"] == 1000
         assert error["nodes_expanded"] > 1000
 
+    def test_huge_spectrum_bound_exits_3(self, capsys):
+        # the candidate box is counted before it is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "canyon-spectrum", "--norm", "euclidean", "--k", "3", "--bound", "1e6")
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "search-budget"
+        assert "candidate classes" in error["message"]
+
     def test_invariant_failure_exits_4(self, capsys, monkeypatch):
         def broken(args):
             raise InvariantError("exact recompute drifted")

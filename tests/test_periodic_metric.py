@@ -6,8 +6,11 @@ bitwise-exact corridor lengths from grid-level bracket checks.
 """
 
 import dataclasses
+import hashlib
 import math
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablenorm import cover, periodic_metric
-from stablenorm.errors import InvariantError, ValidationError
-from stablenorm.norms import IntegralClass, euclidean, leading_primitive_classes
+from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
+from stablenorm.norms import IntegralClass, euclidean, hexagonal, leading_primitive_classes
 from stablenorm.periodic_metric import (
     PeriodicEdge,
     PeriodicWeightedGraph,
@@ -96,6 +99,46 @@ class TestGraphValidation:
                 edges=(),
             )
 
+    def test_three_components_rejected(self):
+        nodes = tuple((c,) for c in "abcde")
+        with pytest.raises(ValidationError, match="connected"):
+            PeriodicWeightedGraph(
+                nodes=nodes,
+                positions={n: (i / 5, 0.0) for i, n in enumerate(nodes)},
+                edges=(
+                    PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "grid"),
+                    PeriodicEdge(("c",), ("d",), 1.0, (0, 0), "grid"),
+                ),
+            )
+
+    def test_joined_by_last_edge_accepted(self):
+        nodes = tuple((c,) for c in "abcd")
+        pg = PeriodicWeightedGraph(
+            nodes=nodes,
+            positions={n: (i / 4, 0.0) for i, n in enumerate(nodes)},
+            edges=(
+                PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "grid"),
+                PeriodicEdge(("c",), ("d",), 1.0, (0, 0), "grid"),
+                PeriodicEdge(("d",), ("b",), 1.0, (1, 0), "grid"),
+            ),
+        )
+        assert len(pg.edges) == 3
+
+    def test_self_loops_and_parallel_edges_do_not_merge(self):
+        # four edges over three nodes, but only one real merge: c stays apart
+        nodes = (("a",), ("b",), ("c",))
+        with pytest.raises(ValidationError, match="connected"):
+            PeriodicWeightedGraph(
+                nodes=nodes,
+                positions={n: (i / 3, 0.0) for i, n in enumerate(nodes)},
+                edges=(
+                    PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "grid"),
+                    PeriodicEdge(("b",), ("a",), 1.0, (1, 0), "grid"),
+                    PeriodicEdge(("a",), ("a",), 1.0, (0, 1), "grid"),
+                    PeriodicEdge(("c",), ("c",), 1.0, (1, 0), "grid"),
+                ),
+            )
+
     def test_missing_endpoint(self):
         with pytest.raises(ValidationError, match="missing node"):
             PeriodicWeightedGraph(
@@ -118,6 +161,34 @@ class TestGraphValidation:
             uniform_grid(resolution)
 
 
+class TestPeriodicEdge:
+    """Edges are slotted frozen values: equal, hashed, copied and
+    pickled by their fields alone."""
+
+    EDGE = PeriodicEdge(("c", 0, 1), ("v", 2), 0.25, (1, -1), "corridor", corridor=(0, Fraction(1, 4)))
+
+    def test_slotted(self):
+        assert not hasattr(self.EDGE, "__dict__")
+
+    def test_pickle_round_trip(self):
+        again = pickle.loads(pickle.dumps(self.EDGE))
+        assert again == self.EDGE
+        assert again.corridor == (0, Fraction(1, 4))
+
+    def test_replace(self):
+        moved = dataclasses.replace(self.EDGE, weight=0.5)
+        assert moved.weight == 0.5
+        assert dataclasses.replace(moved, weight=0.25) == self.EDGE
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.EDGE.weight = 1.0
+
+    def test_hashes_like_its_fields(self):
+        e = self.EDGE
+        assert hash(e) == hash((e.u, e.v, e.weight, e.disp, e.kind, e.corridor))
+
+
 class TestUniformGridMarked:
     """Expected values are the L^1 norm, known in closed form."""
 
@@ -134,6 +205,12 @@ class TestUniformGridMarked:
         entry = marked_min_length(grid16, (0, 0))
         assert entry.length == 0.0
         assert entry.cls.is_trivial
+
+    @pytest.mark.parametrize("h", [(1.5, 0), (1, 0.0), (True, 0), "10", (1, 0, 0), IntegralClass(1.5, 0)])
+    def test_non_integer_class_rejected(self, grid16, h):
+        # (1.5, 0) used to be measured as (1, 0)
+        with pytest.raises(ValidationError, match="pair of integers"):
+            marked_min_length(grid16, h)
 
     def test_length_zero_only_for_trivial(self, grid16):
         for ab in [(1, 0), (0, 1), (1, -1), (3, 2)]:
@@ -349,7 +426,7 @@ class TestStableNormEstimate:
         assert est.estimate == min(est.ratios)
         assert min(est.ratios) == est.ratios[-1] or est.stable
 
-    @pytest.mark.parametrize("bad", [0, -1, "3", 2.0])
+    @pytest.mark.parametrize("bad", [0, -1, "3", 2.0, True])
     def test_n_max_validation(self, grid16, bad):
         with pytest.raises(ValidationError):
             stable_norm_estimate(grid16, (1, 0), bad)
@@ -357,6 +434,12 @@ class TestStableNormEstimate:
     def test_trivial_class_rejected(self, grid16):
         with pytest.raises(ValidationError, match="trivial"):
             stable_norm_estimate(grid16, (0, 0), 2)
+
+    @pytest.mark.parametrize("h", [(2.7, 0), (2, False), IntegralClass(2.7, 0)])
+    def test_non_integer_class_rejected(self, grid16, h):
+        # (2.7, 0) used to be estimated as (2, 0)
+        with pytest.raises(ValidationError, match="pair of integers"):
+            stable_norm_estimate(grid16, h, 2)
 
 
 class TestSpectrum:
@@ -407,6 +490,23 @@ class TestSpectrum:
             spectrum(grid16, 0.0)
         with pytest.raises(ValidationError):
             spectrum(grid16, -2.0)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_bound(self, grid16, bound):
+        with pytest.raises(ValidationError, match="finite"):
+            spectrum(grid16, bound)
+
+    def test_huge_bound_capped_before_the_box(self, grid16):
+        # a bound of 1e6 spans 2e12 candidate classes on this grid
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetError, match="candidate classes") as err:
+                spectrum(grid16, 1e6)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert err.value.budget == periodic_metric._MAX_SPECTRUM_CLASSES
 
     def test_csv_rows(self, grid16):
         res = spectrum(grid16, 2.1)
@@ -482,6 +582,35 @@ class TestSearchIndex:
         index = canyon.search_index
         assert cover.gauge_normals(every_edge) == index.normals
         assert index.rates == pytest.approx((cheapest_x, cheapest_y), rel=1e-15, abs=0)
+
+    def test_grid_loops_built_on_first_query(self):
+        pg = uniform_grid(8)
+        assert "_grid_loops" not in vars(pg)
+        marked_min_length(pg, (0, 0))
+        assert "_grid_loops" not in vars(pg)
+        marked_min_length(pg, (1, -1))
+        loops = vars(pg)["_grid_loops"]
+        marked_min_length(pg, (2, 3))
+        assert pg._grid_loops is loops
+
+    def test_marked_lengths_digest(self, grid16, euclid3):
+        # sha256 over (class, length.hex(), witness) for every class with
+        # |a|, |b| <= 3 on three graphs: pins lengths and witnesses bit
+        # for bit against any change to the search or the graph build
+        norm = hexagonal()
+        classes = leading_primitive_classes(norm, 4)
+        graph = build_graph(classes)
+        ell_k = max(length for _cls, length in classes)
+        theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
+        hex4 = build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=64)
+        rows = []
+        for pg in (grid16, euclid3[3], hex4):
+            for a in range(-3, 4):
+                for b in range(-3, 4):
+                    e = marked_min_length(pg, (a, b))
+                    rows.append((e.cls.as_tuple(), e.length.hex(), e.witness))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "899fffd6f30cd4247e2c19aaa48a29afe9a7713b20bcaadb98751d15b8e766a9"
 
     def test_equal_graphs_stay_equal(self):
         queried = uniform_grid(8)

@@ -294,6 +294,14 @@ class TestMinimalCycle:
         cycle, length = minimal_cycle(SQUARE, IntegralClass(0, 0))
         assert length == 0.0 and len(cycle) == 0
 
+    def test_pair_of_ints_accepted(self):
+        assert minimal_cycle(THREE, (2, -1)) == minimal_cycle(THREE, IntegralClass(2, -1))
+
+    @pytest.mark.parametrize("h", [IntegralClass(1.5, 0), (1.5, 0), (1, True), "10"])
+    def test_non_integer_class_rejected(self, h):
+        with pytest.raises(ValidationError, match="pair of integers"):
+            minimal_cycle(SQUARE, h)
+
     def test_matches_exhaustive_enumeration(self):
         for graph, bound in ((SQUARE, 5), (THREE, 4), (SKEW, 6), (TOP5, 5)):
             oracle = oracle_min_lengths(graph, bound)
@@ -483,7 +491,7 @@ class TestTubeConstants:
             with pytest.raises(ValidationError, match="theta cap"):
                 compute_zeta_epsilon_theta(graph, E, 1.0, theta_cap=cap)
 
-    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("budget", [0, -5, True, 2.5])
     def test_budget_below_one_is_a_validation_error(self, budget):
         with pytest.raises(ValidationError, match="budget"):
             compute_zeta_epsilon_theta(SKEW, E, math.sqrt(5.0), node_budget=budget)
