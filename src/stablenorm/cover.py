@@ -88,42 +88,79 @@ def build_search_index(
     `forward` and the step v -> u the label `backward`.  Start lists are
     sorted by `start_key` on node numbers, by number when it is None.
     """
-    xs = tuple(x for x, _y in positions)
-    ys = tuple(y for _x, y in positions)
-    adj: list[list[tuple[int, float, int, int, Hashable]]] = [[] for _ in xs]
-    # distinct rate points, in edge order; a background grid makes up
-    # most edges but only a handful of rate points
-    points: dict[Point, None] = {}
-    x_ends: set[int] = set()
-    y_ends: set[int] = set()
-    for u, v, w, dx, dy, forward, backward in edges:
-        adj[u].append((v, w, dx, dy, forward))
-        adj[v].append((u, w, -dx, -dy, backward))
-        points[((xs[v] + dx - xs[u]) / w, (ys[v] + dy - ys[u]) / w)] = None
-        # every cycle with nonzero x-displacement uses an edge whose
-        # shift has a nonzero x component, so it passes through one of
-        # these endpoints; starting only there loses nothing
-        if dx != 0:
-            x_ends.update((u, v))
-        if dy != 0:
-            y_ends.update((u, v))
-    # a cycle of class (a, b) moves its lift by exactly a in x, and
-    # each step advances at most max|p_x| per unit weight, so the cycle
-    # costs at least |a| / max|p_x|; same in y
-    reach_x = max((abs(px) for px, _py in points), default=0.0)
-    reach_y = max((abs(py) for _px, py in points), default=0.0)
-    return SearchIndex(
-        xs=xs,
-        ys=ys,
-        adj=tuple(map(tuple, adj)),
-        rates=(
-            1 / reach_x if reach_x > _ZERO_ADVANCE else math.inf,
-            1 / reach_y if reach_y > _ZERO_ADVANCE else math.inf,
-        ),
-        normals=gauge_normals(points),
-        x_starts=tuple(sorted(x_ends, key=start_key)),
-        y_starts=tuple(sorted(y_ends, key=start_key)),
-    )
+    builder = _IndexBuilder(positions)
+    builder.add_edges(edges)
+    return builder.build(start_key)
+
+
+class _IndexBuilder:
+    """What `build_search_index` compiles, gathered edge by edge or, for
+    a block of nodes whose steps are already known, block by block."""
+
+    def __init__(self, positions: Sequence[Point]):
+        self.xs, self.ys = tuple(zip(*positions)) or ((), ())
+        # steps out of each node, grown as tuples: a block's steps then
+        # need no copy, and a node without steps shares the empty tuple
+        self.adj: list[tuple[tuple[int, float, int, int, Hashable], ...]] = [()] * len(self.xs)
+        # distinct rate points, in edge order; a background grid makes
+        # up most edges but only a handful of rate points
+        self.points: dict[Point, None] = {}
+        self.x_ends: set[int] = set()
+        self.y_ends: set[int] = set()
+
+    def add_edges(self, edges: Iterable[tuple[int, int, float, int, int, Hashable, Hashable]]) -> None:
+        """Edges as `build_search_index` takes them."""
+        xs, ys, adj, points = self.xs, self.ys, self.adj, self.points
+        for u, v, w, dx, dy, forward, backward in edges:
+            adj[u] += ((v, w, dx, dy, forward),)
+            adj[v] += ((u, w, -dx, -dy, backward),)
+            points[((xs[v] + dx - xs[u]) / w, (ys[v] + dy - ys[u]) / w)] = None
+            # every cycle with nonzero x-displacement uses an edge whose
+            # shift has a nonzero x component, so it passes through one
+            # of these endpoints; starting only there loses nothing
+            if dx != 0:
+                self.x_ends.update((u, v))
+            if dy != 0:
+                self.y_ends.update((u, v))
+
+    def add_block(
+        self,
+        first: int,
+        steps: Iterable[Iterable[tuple[int, float, int, int, Hashable]]],
+        points: Iterable[Point],
+        x_ends: Iterable[int],
+        y_ends: Iterable[int],
+    ) -> None:
+        """Edges whose steps are already compiled: `steps` lists the
+        steps out of nodes first, first + 1, ... as `add_edges` would
+        append them, and `points`, `x_ends` and `y_ends` are those
+        edges' rate points, in edge order, and crossing-edge ends."""
+        adj = self.adj
+        for node, out in enumerate(steps, first):
+            adj[node] += tuple(out)
+        self.points.update(dict.fromkeys(points))
+        self.x_ends.update(x_ends)
+        self.y_ends.update(y_ends)
+
+    def build(self, start_key: Optional[Callable[[int], object]] = None) -> SearchIndex:
+        points = self.points
+        # a cycle of class (a, b) moves its lift by exactly a in x, and
+        # each step advances at most max|p_x| per unit weight, so the
+        # cycle costs at least |a| / max|p_x|; same in y
+        reach_x = max((abs(px) for px, _py in points), default=0.0)
+        reach_y = max((abs(py) for _px, py in points), default=0.0)
+        return SearchIndex(
+            xs=self.xs,
+            ys=self.ys,
+            adj=tuple(self.adj),
+            rates=(
+                1 / reach_x if reach_x > _ZERO_ADVANCE else math.inf,
+                1 / reach_y if reach_y > _ZERO_ADVANCE else math.inf,
+            ),
+            normals=gauge_normals(points),
+            x_starts=tuple(sorted(self.x_ends, key=start_key)),
+            y_starts=tuple(sorted(self.y_ends, key=start_key)),
+        )
 
 
 def gauge_normals(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -229,6 +266,12 @@ def shortest_cover_cycle(
         rx = goal_x - xs[start]
         ry = goal_y - ys[start]
         h = max(ax * rx + ay * ry for ax, ay in normals)
+        # a dead start: its root bound is already at the bar.  Every
+        # start's root bound is the gauge of (a, b), up to a rounding
+        # far below _HEUR_DEFLATE, and the bar only falls, so no later
+        # start can complete a walk under it either
+        if h * deflate >= bar:
+            break
 
         dist: dict[tuple[int, int, int], float] = {}
         pred: dict[tuple[int, int, int], tuple] = {}

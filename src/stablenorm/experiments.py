@@ -116,10 +116,16 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Measure canyon stable norms against their prescribing norm.
 
-    The per-stage deviation is relative and nonnegative: corridor
-    combinations are genuine cycles, so estimates can only overshoot
-    the norm.  `monotone` records whether the sup over pinned classes
-    is nonincreasing in k, and `final_deviation` is the last stage's.
+    The per-stage deviation is relative, estimate / target - 1.  Cycles
+    made of corridors alone cost at least the norm of their class, but
+    the background of every stage is ell_k, so a grid row or column
+    loop realises (1, 0) or (0, 1) at cost ell_k.  The deviation is
+    therefore negative where an axis class is not prescribed and the
+    ell_k background undercuts its norm, and at classes whose cycles
+    use that loop: with ellipse 1.2, -0.95, 1 at k = 2 the classes are
+    (1, 1) and (0, 1), and (1, 0) is measured at 1.0 against a norm of
+    1.095.  `monotone` records whether the sup over pinned classes is
+    nonincreasing in k, and `final_deviation` is the last stage's.
     """
     if norm is None:
         norm = hexagonal()

@@ -16,20 +16,29 @@ regions far from the optimum are barely touched.
 Corridor edges carry their exact rational share of the class length;
 witness lengths are recomputed from those shares, so a pure corridor
 loop reports the prescribed length bit for bit.
+
+The background grid is kept as arithmetic, not as edge objects: its
+resolution, its one weight and the number of its first node.  It is
+nearly every edge of a canyon, yet the search needs only its steps and
+its few rate points (Burago, "Periodic metrics"), so `pg.edges` makes a
+grid edge only when one is read, and validation, the search index and
+the witness recompute read the grid straight from that arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional
 
 from stablenorm.cover import (
     SEARCH_RTOL,
     SearchIndex,
-    build_search_index,
+    _IndexBuilder,
     shortest_cover_cycle,
 )
 from stablenorm.errors import ConstructionError, InvariantError, SearchBudgetError, ValidationError
@@ -72,11 +81,168 @@ class PeriodicEdge:
     corridor: Optional[tuple[int, Fraction]] = None
 
 
+class _GridEdges(Sequence):
+    """The edges of a graph over an arithmetic torus grid.
+
+    Reads as one tuple of `PeriodicEdge`s: the explicit `head` edges,
+    then the 2 n^2 grid edges, then the explicit `tail` edges, making a
+    grid edge only when it is read.  Grid node (i, j) is `nodes[first +
+    i n + j]`, placed at (i/n, j/n).  Grid edge 2 (i n + j) joins it to
+    (i + 1, j) and the next one joins it to (i, j + 1), each of weight
+    `weight` and crossing the period where it wraps.
+    """
+
+    __slots__ = ("head", "nodes", "first", "n", "weight", "tail")
+
+    def __init__(self, head, nodes, first, n, weight, tail):
+        self.head = tuple(head)
+        self.nodes = nodes
+        self.first = first
+        self.n = n
+        self.weight = weight
+        self.tail = tuple(tail)
+
+    def __len__(self) -> int:
+        return len(self.head) + 2 * self.n * self.n + len(self.tail)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        size = len(self)
+        if not -size <= i < size:
+            raise IndexError("edge index out of range")
+        i %= size
+        e = self.explicit(i)
+        return self._grid_edge(i - len(self.head)) if e is None else e
+
+    def _grid_edge(self, k: int) -> PeriodicEdge:
+        """Grid edge k, counted from the first grid edge."""
+        n = self.n
+        cell, up = divmod(k, 2)
+        r, c = divmod(cell, n)
+        if up:
+            v = cell - c + (c + 1) % n
+            disp = (0, int(c == n - 1))
+        else:
+            v = (r + 1) % n * n + c
+            disp = (int(r == n - 1), 0)
+        nodes = self.nodes
+        return PeriodicEdge(nodes[self.first + cell], nodes[self.first + v], self.weight, disp, "grid")
+
+    def explicit(self, i: int) -> Optional[PeriodicEdge]:
+        """Edge i when it is a head or tail edge, None on the grid."""
+        k = i - len(self.head)
+        if k < 0:
+            return self.head[i]
+        k -= 2 * self.n * self.n
+        return None if k < 0 else self.tail[k]
+
+    def index_block(self, xs, ys):
+        """What the grid adds to a search index whose node positions are
+        `xs` and `ys`, as `_IndexBuilder.add_block` takes it: the steps
+        out of each grid node, the grid's distinct rate points and the
+        ends of its edges crossing the x and the y period.
+
+        Each node's four steps come in edge order.  That order is left,
+        down, right, up, except that the wrapping edges are numbered
+        last: in column 0 the down step moves to the end, and in row 0
+        the left step does.  Every right edge of a row has one rate
+        point, and so has every up edge of a column, first seen in the
+        order row 0, columns 0 .. n - 1, rows 1 .. n - 1.
+        """
+        n, first, w = self.n, self.first, self.weight
+        last = n - 1
+
+        def line(nbr, dx, dy, label):
+            # steps out of one row's nodes to nodes nbr, nbr + 1, ...
+            # along edges label, label + 2, ...
+            return list(zip(range(nbr, nbr + n), repeat(w), repeat(dx), repeat(dy), range(label, label + 2 * n, 2)))
+
+        steps = []
+        for r in range(n):
+            row = first + r * n
+            label = len(self.head) + 2 * r * n
+            right = line(first + (r + 1) % n * n, int(r == last), 0, label)
+            left = line(first + (r - 1) % n * n, -int(r == 0), 0, label + (2 * last * n if r == 0 else -2 * n))
+            up = line(row + 1, 0, 0, label + 1)
+            down = line(row - 1, 0, 0, label - 1)
+            up[last] = (row, w, 0, 1, label + 2 * last + 1)
+            down[0] = (row + last, w, 0, -1, label + 2 * last + 1)
+            if r:
+                cells = list(zip(left, down, right, up))
+                cells[0] = (left[0], right[0], up[0], down[0])
+            else:
+                cells = list(zip(down, right, up, left))
+                cells[0] = (right[0], up[0], down[0], left[0])
+            steps.extend(cells)
+        # rate points as `_IndexBuilder.add_edges` computes them, from
+        # the first node of each row and of each column
+        rate_x = []
+        for r in range(n):
+            u, v = first + r * n, first + (r + 1) % n * n
+            rate_x.append(((xs[v] + int(r == last) - xs[u]) / w, (ys[v] + 0 - ys[u]) / w))
+        rate_y = []
+        for c in range(n):
+            u, v = first + c, first + (c + 1) % n
+            rate_y.append(((xs[v] + 0 - xs[u]) / w, (ys[v] + int(c == last) - ys[u]) / w))
+        edge_row = first + last * n
+        return (
+            steps,
+            [rate_x[0], *rate_y, *rate_x[1:]],
+            [*range(edge_row, edge_row + n), *range(first, first + n)],
+            [*range(first + last, first + n * n, n), *range(first, first + n * n, n)],
+        )
+
+    def loops(self):
+        """(start, row, up, down): the number of grid node (0, 0) and the
+        search-index steps (neighbor, weight, dx, dy, edge index) of one
+        loop from it in +x along its row and in +y and -y along its
+        column."""
+        n, first, w = self.n, self.first, self.weight
+        label = len(self.head)
+        last = n - 1
+        return (
+            first,
+            tuple((first + (r + 1) % n * n, w, int(r == last), 0, label + 2 * r * n) for r in range(n)),
+            tuple((first + (c + 1) % n, w, 0, int(c == last), label + 2 * c + 1) for c in range(n)),
+            tuple((first + last - c, w, 0, -int(c == 0), label + 2 * (last - c) + 1) for c in range(n)),
+        )
+
+    def __iter__(self):
+        yield from self.head
+        yield from map(self._grid_edge, range(2 * self.n * self.n))
+        yield from self.tail
+
+    def __eq__(self, other):
+        if isinstance(other, _GridEdges):
+            return (self.first, self.n, self.weight, self.head, self.tail, self.nodes) == (
+                other.first, other.n, other.weight, other.head, other.tail, other.nodes,
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"<{len(self)} edges: {len(self.head)}, then a {self.n} x {self.n} grid "
+            f"of weight {self.weight!r}, then {len(self.tail)}>"
+        )
+
+
 @dataclass(frozen=True)
 class PeriodicWeightedGraph:
+    """Quotient graph of a periodic metric on the torus.
+
+    `edges` is a tuple of `PeriodicEdge`s, or, on the graphs
+    `uniform_grid` and `build_canyon_graph` make, a sequence that reads
+    the same but keeps the background grid as arithmetic: the grid is
+    connected by construction, so validation checks its one weight and
+    runs the union-find over the other edges only.
+    """
+
     nodes: tuple[NodeId, ...]
     positions: Mapping[NodeId, tuple[float, float]]
-    edges: tuple[PeriodicEdge, ...]
+    edges: Sequence[PeriodicEdge]
     class_lengths: Optional[tuple[tuple[IntegralClass, float], ...]] = None
     hub_budget: Optional[float] = None
     grid_resolution: Optional[int] = None
@@ -91,8 +257,19 @@ class PeriodicWeightedGraph:
         # two components, so the count left decides connectivity
         parent = list(range(len(index)))
         components = len(parent)
+        edges = self.edges
+        if isinstance(edges, _GridEdges):
+            if edges.nodes is not self.nodes and edges.nodes != self.nodes:
+                raise ValidationError("grid edges are laid out on another node list")
+            # the grid is connected by construction, so its nodes start
+            # as one component; its first edge stands for all of them in
+            # the weight and endpoint checks, as they share one weight
+            first, cells = edges.first, edges.n * edges.n
+            parent[first:first + cells] = [first] * cells
+            components -= cells - 1
+            edges = chain(edges.head, (edges[len(edges.head)],), edges.tail)
         get = index.get
-        for e in self.edges:
+        for e in edges:
             if e.weight <= 0 or not math.isfinite(e.weight):
                 raise ValidationError(f"edge {e.u}-{e.v} has weight {e.weight}")
             i = get(e.u)
@@ -123,77 +300,46 @@ class PeriodicWeightedGraph:
         the background almost immediately."""
         index = self.node_index
         nodes = self.nodes
-        return build_search_index(
-            [self.positions[n] for n in nodes],
-            (
-                (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
-                for i, e in enumerate(self.edges)
-            ),
-            start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
-        )
+        edges = self.edges
+
+        def rows(explicit, label):
+            for i, e in enumerate(explicit, label):
+                yield (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
+
+        builder = _IndexBuilder(list(map(self.positions.__getitem__, nodes)))
+        if isinstance(edges, _GridEdges):
+            builder.add_edges(rows(edges.head, 0))
+            builder.add_block(edges.first, *edges.index_block(builder.xs, builder.ys))
+            builder.add_edges(rows(edges.tail, len(edges) - len(edges.tail)))
+        else:
+            builder.add_edges(rows(edges, 0))
+        return builder.build(start_key=lambda i: (nodes[i][0] == "g", nodes[i]))
 
     @cached_property
     def _grid_loops(self):
-        """The background loops `_grid_loop_seed` replays, walked once
-        on the first query and kept for the life of the graph.
-
-        None without a background grid; else (start, row, up, down):
-        the number of grid node (0, 0) and the search-index steps
-        (neighbor, weight, dx, dy, edge index) of one loop from it in +x
-        along its row and in +y and -y along its column, each None
-        where a step is missing.
-        """
-        n = self.grid_resolution
-        index = self.node_index
-        start = index.get(("g", 0, 0))
-        if n is None or start is None:
-            return None
-        adj = self.search_index.adj
-
-        def walk(hops):
-            cur = start
-            steps = []
-            for nxt, disp in hops:
-                target = index.get(nxt)
-                for step in adj[cur]:
-                    if step[0] == target and step[2:4] == disp:
-                        steps.append(step)
-                        cur = target
-                        break
-                else:
-                    return None
-            return tuple(steps)
-
-        return (
-            start,
-            walk((("g", (i + 1) % n, 0), (1 if i == n - 1 else 0, 0)) for i in range(n)),
-            walk((("g", 0, (j + 1) % n), (0, 1 if j == n - 1 else 0)) for j in range(n)),
-            walk((("g", 0, (n - j - 1) % n), (0, -1 if j == 0 else 0)) for j in range(n)),
-        )
+        """The background loops `_grid_loop_seed` replays, made on the
+        first query and kept for the life of the graph: None without an
+        arithmetic background grid, else `_GridEdges.loops`."""
+        edges = self.edges
+        return edges.loops() if isinstance(edges, _GridEdges) else None
 
 
 def _add_torus_grid(
     n: int,
-    weight: float,
     nodes: list[NodeId],
     positions: dict[NodeId, tuple[float, float]],
-    edges: list[PeriodicEdge],
-) -> None:
-    """Append the 4-neighbor N x N torus grid: nodes ("g", i, j) row by
-    row, then a right and an up edge of the given weight per node.
-    Each node tuple is built once and the edges share three shifts."""
-    grid = [[("g", i, j) for j in range(n)] for i in range(n)]
-    for i, row in enumerate(grid):
-        for j, node in enumerate(row):
-            nodes.append(node)
-            positions[node] = (i / n, j / n)
-    stay, wrap_x, wrap_y = (0, 0), (1, 0), (0, 1)
-    for i, row in enumerate(grid):
-        right_row = grid[(i + 1) % n]
-        right_disp = wrap_x if i == n - 1 else stay
-        for j, node in enumerate(row):
-            edges.append(PeriodicEdge(node, right_row[j], weight, right_disp, "grid"))
-            edges.append(PeriodicEdge(node, row[(j + 1) % n], weight, wrap_y if j == n - 1 else stay, "grid"))
+) -> int:
+    """Append the nodes ("g", i, j) of the N x N torus grid row by row,
+    placed at (i/N, j/N), and return the number of the first.  Rows
+    share their column numbers and coordinates."""
+    first = len(nodes)
+    numbers = list(range(n))
+    coords = [j / n for j in numbers]
+    for i, x in zip(numbers, coords):
+        row = [("g", i, j) for j in numbers]
+        nodes.extend(row)
+        positions.update(zip(row, zip(repeat(x), coords)))
+    return first
 
 
 def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
@@ -208,15 +354,51 @@ def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
     w = 1.0 / n
     nodes: list[NodeId] = []
     positions: dict[NodeId, tuple[float, float]] = {}
-    edges: list[PeriodicEdge] = []
-    _add_torus_grid(n, w, nodes, positions, edges)
+    first = _add_torus_grid(n, nodes, positions)
+    nodes_t = tuple(nodes)
     return PeriodicWeightedGraph(
-        nodes=tuple(nodes),
+        nodes=nodes_t,
         positions=positions,
-        edges=tuple(edges),
+        edges=_GridEdges((), nodes_t, first, n, w, ()),
         grid_resolution=n,
         loop_cost=n * w,
     )
+
+
+def _check_hub_separation(verts, n: int) -> None:
+    """Raise `ValidationError` at the first hub pair (i, j), i < j in
+    lexicographic order, whose torus gap is at most 2/n, the gap being
+    the larger of the two per-axis distances around the circle.
+
+    The hubs go on integer coordinates over their common denominator d,
+    and into m = n // 2 cells per axis, of side 1/m >= 2/n.  Hubs that
+    close lie in the same or in cyclically adjacent cells, so each hub
+    is compared only with the hubs of those nine cells.
+    """
+    d = math.lcm(*(c.denominator for v in verts for c in v))
+    points = [(int(x * d), int(y * d)) for x, y in verts]
+    m = n // 2
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(points):
+        cells.setdefault((x * m // d, y * m // d), []).append(i)
+    for i, (x, y) in enumerate(points):
+        cx, cy = x * m // d, y * m // d
+        near = None
+        for gx in {(cx - 1) % m, cx, (cx + 1) % m}:
+            for gy in {(cy - 1) % m, cy, (cy + 1) % m}:
+                for j in cells.get((gx, gy), ()):
+                    if j <= i or (near is not None and j >= near[0]):
+                        continue
+                    dx = abs(x - points[j][0])
+                    dy = abs(y - points[j][1])
+                    gap = max(min(dx, d - dx), min(dy, d - dy))
+                    if n * gap <= 2 * d:
+                        near = (j, gap)
+        if near is not None:
+            raise ValidationError(
+                f"resolution {n} cannot separate hubs {i} and {near[0]}: "
+                f"torus gap {Fraction(near[1], d)} needs more than {Fraction(2, n)}"
+            )
 
 
 def build_canyon_graph(
@@ -250,22 +432,12 @@ def build_canyon_graph(
             f"grid resolution must be an integer >= {_MIN_GRID_RESOLUTION}, got {n!r}"
         )
     verts = graph.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            gap = Fraction(0)
-            for c in range(2):
-                delta = abs(verts[i][c] - verts[j][c])
-                gap = max(gap, min(delta, 1 - delta))
-            if gap <= Fraction(2, n):
-                raise ValidationError(
-                    f"resolution {n} cannot separate hubs {i} and {j}: "
-                    f"torus gap {gap} needs more than {Fraction(2, n)}"
-                )
+    _check_hub_separation(verts, n)
 
     b = float(background_systole)
     nodes: list[NodeId] = []
     positions: dict[NodeId, tuple[float, float]] = {}
-    edges: list[PeriodicEdge] = []
+    corridors: list[PeriodicEdge] = []
 
     for idx in range(len(verts)):
         node = ("v", idx)
@@ -304,7 +476,7 @@ def build_canyon_graph(
                 math.floor(lift[0]) - math.floor(lift_prev[0]),
                 math.floor(lift[1]) - math.floor(lift_prev[1]),
             )
-            edges.append(
+            corridors.append(
                 PeriodicEdge(
                     prev_node,
                     node,
@@ -317,21 +489,23 @@ def build_canyon_graph(
             lift_prev = lift
             prev_node = node
 
-    _add_torus_grid(n, b / n, nodes, positions, edges)
+    first = _add_torus_grid(n, nodes, positions)
 
+    connectors: list[PeriodicEdge] = []
     for cnode in corridor_nodes:
         x, y = positions[cnode]
         gi = math.floor(x * n + 0.5)
         gj = math.floor(y * n + 0.5)
-        target = ("g", gi % n, gj % n)
-        edges.append(
+        target = nodes[first + gi % n * n + gj % n]
+        connectors.append(
             PeriodicEdge(cnode, target, b / 2, (gi // n, gj // n), "connector")
         )
 
+    nodes_t = tuple(nodes)
     return PeriodicWeightedGraph(
-        nodes=tuple(nodes),
+        nodes=nodes_t,
         positions=positions,
-        edges=tuple(edges),
+        edges=_GridEdges(corridors, nodes_t, first, n, b / n, connectors),
         class_lengths=graph.classes,
         hub_budget=float(theta),
         grid_resolution=n,
@@ -357,7 +531,7 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
 
     Returns (cost, witness states, path edge indices) or None when the
     graph has no background grid; states use node numbers of the search
-    index.  The loops are walked once per graph (`_grid_loops`) and
+    index.  The loops are made once per graph (`_grid_loops`) and
     replayed here, |a| row loops then |b| column loops, adding weights
     in walking order.  Seeding the search with it means classes whose
     optimum ties the background bound finish without exploring the tie
@@ -368,8 +542,6 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
         return None
     start, row, up, down = loops
     column = down if h.b < 0 else up
-    if (h.a != 0 and row is None) or (h.b != 0 and column is None):
-        return None
     states = [(start, 0, 0)]
     path_edges: list[int] = []
     cost = 0.0
@@ -396,9 +568,13 @@ def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[int]) -> float
     """
     shares: dict[int, Fraction] = {}
     counts: dict[float, int] = {}
+    edges = pg.edges
+    grid = edges if isinstance(edges, _GridEdges) else None
     for edge_idx in path_edges:
-        e = pg.edges[edge_idx]
-        if e.corridor is not None:
+        e = edges[edge_idx] if grid is None else grid.explicit(edge_idx)
+        if e is None:
+            counts[grid.weight] = counts.get(grid.weight, 0) + 1
+        elif e.corridor is not None:
             idx, share = e.corridor
             shares[idx] = shares.get(idx, Fraction(0)) + share
         else:

@@ -72,6 +72,19 @@ class TestSpecdExamples:
         assert payload["theta"] == pytest.approx((2 - math.sqrt(2)) / 4, abs=1e-12)
         assert payload["witness_class"] == [1, 1]
 
+    def test_unprescribed_axis_class_undershoots_its_norm(self, capsys):
+        # the k = 2 classes of this ellipse are (1, 1) and (0, 1) and the
+        # background is ell_2 = 1.0, so a grid row loop realises (1, 0)
+        # at 1.0, below its norm sqrt(1.2); pinned as the code stands
+        code, out, _ = run_cli(
+            capsys, "stable-norm", "--norm", "ellipse:1.2,-0.95,1", "--k", "2", "--class", "1,0"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["graph"]["background"] == 1.0
+        assert payload["estimate"] == 1.0
+        assert payload["estimate"] < math.sqrt(1.2) == pytest.approx(1.0954451150103321, abs=1e-15)
+
     def test_graph_epsilon_three_classes(self, capsys):
         # adding the diagonal tightens the gap: (2,1) via (1,0)+(1,1)
         # costs 1+sqrt(2) against norm sqrt(5)

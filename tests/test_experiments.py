@@ -7,8 +7,18 @@ import pytest
 from stablenorm import experiments
 from stablenorm.cover import FLAT_GAUGE, gauge_normals
 from stablenorm.errors import InvariantError, ValidationError
-from stablenorm.experiments import LIPSCHITZ_TOL, run_convergence
-from stablenorm.norms import euclidean, eval_norm, hexagonal
+from stablenorm.experiments import LIPSCHITZ_TOL, PinnedDeviation, run_convergence
+from stablenorm.norms import (
+    Ellipse,
+    IntegralClass,
+    NormSpec,
+    euclidean,
+    eval_norm,
+    hexagonal,
+    leading_primitive_classes,
+)
+from stablenorm.periodic_metric import build_canyon_graph, stable_norm_estimate
+from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 
 def gauge(normals, u):
@@ -127,3 +137,27 @@ class TestSmallRun:
         want = [eval_norm(hexagonal(), (a, b)) for (a, b) in [(1, 0), (0, 1)]]
         got = [p.target for p in report.stages[0].pinned[:2]]
         assert got[0] in want and got[1] in want
+
+
+def test_deviation_negative_where_the_background_undercuts_an_axis_class():
+    # stage k = 2 of run_convergence for this ellipse: (1, 0) is not
+    # prescribed and the ell_2 = 1.0 background undercuts its norm, so
+    # the pinned deviations at (1, 0) and (1, -1) are negative; pinned
+    # as the code stands
+    norm = NormSpec(Ellipse(1.2, -0.95, 1.0))
+    classes = leading_primitive_classes(norm, 2)
+    assert [(c.a, c.b) for c, _l in classes] == [(1, 1), (0, 1)]
+    graph = build_graph(classes)
+    ell_k = max(length for _c, length in classes)
+    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
+    canyon = build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=64)
+    devs = {
+        (a, b): PinnedDeviation(
+            cls=IntegralClass(a, b),
+            estimate=stable_norm_estimate(canyon, (a, b), 2).estimate,
+            target=eval_norm(norm, (a, b)),
+        ).deviation
+        for a, b in [(1, 0), (1, -1)]
+    }
+    assert devs[(1, 0)] == pytest.approx(-0.0871290708247231, rel=1e-12)
+    assert devs[(1, -1)] == pytest.approx(-0.012270403350410297, rel=1e-12)

@@ -620,6 +620,236 @@ class TestSearchIndex:
         assert untouched == queried
 
 
+def _reference_grid_edges(n, weight):
+    """The N x N torus grid as one `PeriodicEdge` per grid step: a right
+    and an up edge per node, row by row."""
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            edges.append(PeriodicEdge(("g", i, j), ("g", (i + 1) % n, j), weight, (int(i == n - 1), 0), "grid"))
+            edges.append(PeriodicEdge(("g", i, j), ("g", i, (j + 1) % n), weight, (0, int(j == n - 1)), "grid"))
+    return edges
+
+
+def _reference_canyon_edges(graph, background, n):
+    """Every edge of a canyon as an explicit `PeriodicEdge`, in edge
+    order: the corridor pieces segment by segment, the grid, then one
+    connector per corridor node to its nearest grid node."""
+    corridors = []
+    corridor_nodes = [("v", i) for i in range(len(graph.vertices))]
+    positions = {("v", i): (float(x), float(y)) for i, (x, y) in enumerate(graph.vertices)}
+    for edge_idx, ge in enumerate(graph.edges):
+        cls, length = graph.classes[ge.cls]
+        start = graph.vertices[ge.tail]
+        pieces = max(1, math.ceil(float(ge.q) * math.hypot(cls.a, cls.b) * n / 4))
+        prev, prev_node = start, ("v", ge.tail)
+        for piece in range(1, pieces + 1):
+            t = ge.q * piece / pieces
+            lift = (start[0] + t * cls.a, start[1] + t * cls.b)
+            if piece == pieces:
+                node = ("v", ge.head)
+            else:
+                node = ("c", edge_idx, piece)
+                positions[node] = (float(lift[0] % 1), float(lift[1] % 1))
+                corridor_nodes.append(node)
+            share = ge.q / pieces
+            disp = (math.floor(lift[0]) - math.floor(prev[0]), math.floor(lift[1]) - math.floor(prev[1]))
+            corridors.append(
+                PeriodicEdge(prev_node, node, float(share) * length, disp, "corridor", corridor=(ge.cls, share))
+            )
+            prev, prev_node = lift, node
+    connectors = []
+    for node in corridor_nodes:
+        x, y = positions[node]
+        gi, gj = math.floor(x * n + 0.5), math.floor(y * n + 0.5)
+        connectors.append(
+            PeriodicEdge(node, ("g", gi % n, gj % n), background / 2, (gi // n, gj // n), "connector")
+        )
+    return corridors + _reference_grid_edges(n, background / n) + connectors
+
+
+def _canyon_case(norm, k, n):
+    classes = leading_primitive_classes(norm, k)
+    graph = build_graph(classes)
+    ell_k = max(length for _cls, length in classes)
+    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
+    pg = build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=n)
+    return pg, _reference_canyon_edges(graph, ell_k, n)
+
+
+def _grid_case(n):
+    return uniform_grid(n), _reference_grid_edges(n, 1.0 / n)
+
+
+class TestArithmeticGrid:
+    """The background grid is kept as arithmetic, yet `pg.edges` and the
+    search index read exactly as they would from one explicit edge per
+    grid step."""
+
+    CASES = {
+        "uniform-5": lambda: _grid_case(5),
+        "uniform-16": lambda: _grid_case(16),
+        "euclid-3-64": lambda: _canyon_case(euclidean(), 3, 64),
+        "hex-4-64": lambda: _canyon_case(hexagonal(), 4, 64),
+        "euclid-5-128": lambda: _canyon_case(euclidean(), 5, 128),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def case(self, request):
+        return self.CASES[request.param]()
+
+    def test_edges_read_as_the_explicit_list(self, case):
+        pg, reference = case
+        assert len(pg.edges) == len(reference)
+        assert list(pg.edges) == reference
+        assert pg.edges == reference
+        assert pg.edges[5] == reference[5]
+        assert pg.edges[-1] == reference[-1]
+        assert pg.edges[len(reference) // 2] == reference[len(reference) // 2]
+        assert list(pg.edges[3:40:7]) == reference[3:40:7]
+        with pytest.raises(IndexError):
+            pg.edges[len(reference)]
+
+    def test_search_index_equals_the_explicit_build(self, case):
+        pg, reference = case
+        index = pg.node_index
+        nodes = pg.nodes
+        want = cover.build_search_index(
+            [pg.positions[n] for n in nodes],
+            (
+                (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
+                for i, e in enumerate(reference)
+            ),
+            start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
+        )
+        got = dataclasses.replace(pg).search_index
+        for field in dataclasses.fields(cover.SearchIndex):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_canyon_edge_counts(self):
+        counts = {
+            name: len(self.CASES[name]()[0].edges)
+            for name in ("euclid-5-128", "euclid-3-64", "hex-4-64")
+        }
+        assert counts == {"euclid-5-128": 33_220, "euclid-3-64": 8_300, "hex-4-64": 8_348}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_small_grids(self, n):
+        pg, reference = _grid_case(n)
+        assert list(pg.edges) == reference
+        assert [pg.edges[i] for i in range(len(reference))] == reference
+        for a, b in [(1, 0), (0, 1), (1, -1), (2, 3)]:
+            assert marked_min_length(pg, (a, b)).length == pytest.approx((abs(a) + abs(b)), rel=1e-12)
+
+    def test_copies_stay_equal(self, euclid3):
+        canyon = euclid3[3]
+        for copy in (pickle.loads(pickle.dumps(canyon)), dataclasses.replace(canyon)):
+            assert copy == canyon
+            assert marked_min_length(copy, (2, 1)) == marked_min_length(canyon, (2, 1))
+
+    def test_bad_grid_weight_names_the_first_grid_edge(self):
+        # an infinite background passes the systole check; the grid is
+        # the first place its weight shows, as with explicit edges
+        graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0)])
+        with pytest.raises(ValidationError, match=r"edge \('g', 0, 0\)-\('g', 1, 0\) has weight inf"):
+            build_canyon_graph(graph, theta=0.1, background_systole=math.inf, grid_resolution=64)
+
+    def test_detached_explicit_edges_are_not_connected(self):
+        grid = uniform_grid(4)
+        nodes = grid.nodes + (("a",), ("b",))
+        positions = dict(grid.positions)
+        positions[("a",)] = positions[("b",)] = (0.5, 0.5)
+        detached = PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "corridor")
+        with pytest.raises(ValidationError, match="not connected"):
+            PeriodicWeightedGraph(
+                nodes=nodes,
+                positions=positions,
+                edges=periodic_metric._GridEdges((detached,), nodes, 0, 4, 0.25, ()),
+            )
+        joined = PeriodicEdge(("b",), ("g", 1, 2), 1.0, (0, 0), "connector")
+        pg = PeriodicWeightedGraph(
+            nodes=nodes,
+            positions=positions,
+            edges=periodic_metric._GridEdges((detached,), nodes, 0, 4, 0.25, (joined,)),
+        )
+        assert len(pg.edges) == 34
+
+    def test_grid_on_another_node_list_rejected(self):
+        grid = uniform_grid(4)
+        with pytest.raises(ValidationError, match="another node list"):
+            dataclasses.replace(grid, nodes=grid.nodes[::-1])
+
+    def test_build_memory_ceiling(self):
+        # a grid-512 canyon has 524,288 grid steps; making one edge object
+        # per step peaked at 136 MiB under tracemalloc (Python 3.11), the
+        # arithmetic grid at 76 MiB
+        classes = leading_primitive_classes(euclidean(), 3)
+        graph = build_graph(classes)
+        ell_k = max(length for _cls, length in classes)
+        tracemalloc.start()
+        try:
+            pg = build_canyon_graph(graph, theta=0.1, background_systole=ell_k, grid_resolution=512)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pg.edges) == 2 * 512 * 512 + len(pg.edges.head) + len(pg.edges.tail)
+        assert peak < 100 * 2**20
+
+
+def _pairwise_hub_check(verts, n):
+    """The O(V^2) hub-separation loop, kept as the reference of the
+    bucketed check: the message of its first failing pair, or None."""
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            gap = Fraction(0)
+            for c in range(2):
+                delta = abs(verts[i][c] - verts[j][c])
+                gap = max(gap, min(delta, 1 - delta))
+            if gap <= Fraction(2, n):
+                return (
+                    f"resolution {n} cannot separate hubs {i} and {j}: "
+                    f"torus gap {gap} needs more than {Fraction(2, n)}"
+                )
+    return None
+
+
+def _torus_points(denominators):
+    return st.tuples(
+        *(st.integers(0, d - 1).map(lambda a, d=d: Fraction(a, d)) for d in denominators)
+    )
+
+
+_HUBS = st.lists(
+    st.tuples(st.integers(1, 70), st.integers(1, 70)).flatmap(_torus_points),
+    max_size=14,
+)
+
+
+class TestHubSeparation:
+    @settings(max_examples=300, deadline=None)
+    @given(verts=_HUBS, n=st.integers(2, 160))
+    def test_matches_the_pairwise_loop(self, verts, n):
+        want = _pairwise_hub_check(verts, n)
+        if want is None:
+            periodic_metric._check_hub_separation(verts, n)
+        else:
+            with pytest.raises(ValidationError) as caught:
+                periodic_metric._check_hub_separation(verts, n)
+            assert str(caught.value) == want
+
+    @pytest.mark.parametrize("norm,k", [(euclidean(), 12), (euclidean(), 16), (hexagonal(), 16)])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_canyon_hubs_match_the_pairwise_loop(self, norm, k, n):
+        verts = build_graph(leading_primitive_classes(norm, k)).vertices
+        want = _pairwise_hub_check(verts, n)
+        if want is None:
+            periodic_metric._check_hub_separation(verts, n)
+        else:
+            with pytest.raises(ValidationError) as caught:
+                periodic_metric._check_hub_separation(verts, n)
+            assert str(caught.value) == want
+
+
 class TestInvariantErrors:
     def test_exact_recompute_drift_raises(self, grid16, monkeypatch):
         exact = periodic_metric._exact_length
