@@ -346,12 +346,56 @@ class TubeConstants:
     nodes_expanded: int
 
 
+def _check_homology_tables(graph: ToralGeodesicGraph) -> None:
+    """Certify that `Cycle.homology` and `Cycle.class_by_crossings`
+    agree on every closed walk of the graph, or raise InvariantError
+    naming the first edge, in edge order, that disagrees with the
+    potential below.
+
+    Both are sums over a walk's oriented steps, of `scaled_disps` over
+    D = `disp_scale` and of `crossings`.  They agree on every closed walk,
+    with an integral displacement, exactly when delta(e) =
+    scaled_disps[e] - D * crossings[e] sums to zero around every closed
+    walk, that is, when delta is a coboundary: delta(e) = phi(head) -
+    phi(tail) for an integer vertex potential phi.  A spanning forest
+    fixes phi, zero at each root; every edge is then compared with it.
+    The non-tree edges close the fundamental cycles, which span all
+    cycles, so one O(V + E) pass covers every cycle the search could
+    enumerate, and the ones it prunes.
+    """
+    scale = graph.disp_scale
+    delta = [
+        (dx - scale * cx, dy - scale * cy)
+        for (dx, dy), (cx, cy) in zip(graph.scaled_disps, graph.crossings)
+    ]
+    phi: list[Optional[tuple[int, int]]] = [None] * len(graph.vertices)
+    for root in range(len(phi)):
+        if phi[root] is not None:
+            continue
+        phi[root] = (0, 0)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            px, py = phi[v]
+            for e, sg, w in graph.oriented[v]:
+                if phi[w] is None:
+                    phi[w] = (px + sg * delta[e][0], py + sg * delta[e][1])
+                    stack.append(w)
+    for i, e in enumerate(graph.edges):
+        (hx, hy), (tx, ty) = phi[e.head], phi[e.tail]
+        if delta[i] != (hx - tx, hy - ty):
+            ca, cb = graph.crossings[i]
+            raise InvariantError(
+                f"homology cross-check fails at edge {i} ({e.tail} -> {e.head}): displacement "
+                f"({e.disp[0]},{e.disp[1]}) and crossings ({ca},{cb}) differ by no vertex potential"
+            )
+
+
 def _min_gap_search(
     graph: ToralGeodesicGraph,
     norm: NormSpec,
     edge_bound: int,
     node_budget: int,
-    cross_check: bool = False,
 ) -> tuple[float, Optional[Cycle], int, int]:
     """Minimum of L(c) - ||h_c|| over cyclically reduced cycles with at
     most `edge_bound` edges that mix classes or orientations, with its
@@ -419,11 +463,8 @@ def _min_gap_search(
             slack = length - disp_norm
             if v == s0 and mixed and last != (first[0], -first[1]):
                 cycles += 1
-                cycle = Cycle(tuple(steps)) if cross_check or slack < best_gap else None
-                if cross_check and cycle.homology(graph) != cycle.class_by_crossings(graph):
-                    raise InvariantError(f"homology mismatch on cycle {cycle.steps}")
                 if slack < best_gap:
-                    best_gap, best_cycle = slack, cycle
+                    best_gap, best_cycle = slack, Cycle(tuple(steps))
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetError(
@@ -466,15 +507,23 @@ def compute_zeta_epsilon_theta(
     zero excess by construction and are excluded); theta = epsilon
     divided by twice the edge bound, capped at `theta_cap` when no
     competitor exists.
+
+    With `cross_check`, the graph's two homology computations, lift
+    displacements and crossing counts with the reference circles, are
+    first certified to agree on every cycle of the graph
+    (`_check_homology_tables`); a disagreement raises InvariantError.
+    The check runs once per call and does not change the result.
     """
+    if isinstance(ell_k, bool) or not (ell_k > 0 and math.isfinite(ell_k)):
+        raise ValidationError(f"ell_k must be a positive finite real, got {ell_k!r}")
     if not (theta_cap > 0 and math.isfinite(theta_cap)):
         raise ValidationError(f"theta cap must be a positive finite real, got {theta_cap}")
     check_budget(node_budget)
     zeta = 0.5 * min(e.length for e in graph.edges)
     edge_bound = int(math.floor(ell_k / zeta + EDGE_BOUND_SLACK))
-    gap, witness, cycles, nodes = _min_gap_search(
-        graph, norm, edge_bound, node_budget, cross_check
-    )
+    if cross_check:
+        _check_homology_tables(graph)
+    gap, witness, cycles, nodes = _min_gap_search(graph, norm, edge_bound, node_budget)
     if math.isinf(gap):
         return TubeConstants(
             zeta=zeta,

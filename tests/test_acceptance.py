@@ -183,7 +183,7 @@ def test_criterion_4_strict_gap_random_norms():
     """Every competitor cycle clears the prescribed lengths with a strict
     positive gap, across 20 randomized strictly convex norms and k <= 6,
     with the homology cross-check (displacement vs crossing counts)
-    enabled on every enumerated cycle."""
+    certified on every cycle of the graph."""
     t0 = time.perf_counter()
     rng = random.Random(52060817)
     norms: list[NormSpec] = [_random_ellipse(rng) for _ in range(12)]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -491,6 +492,14 @@ class TestTubeConstants:
             with pytest.raises(ValidationError, match="theta cap"):
                 compute_zeta_epsilon_theta(graph, E, 1.0, theta_cap=cap)
 
+    @pytest.mark.parametrize("ell_k", [0, 0.0, -1.0, math.nan, math.inf, -math.inf, True])
+    def test_ell_k_must_be_positive_and_finite(self, ell_k):
+        # unchecked, NaN and inf escape as ValueError and OverflowError,
+        # a negative value makes an edge bound of -1 that never stops the
+        # search, and 0 returns the cap as if no competitor existed
+        with pytest.raises(ValidationError, match="ell_k"):
+            compute_zeta_epsilon_theta(SKEW, E, ell_k, node_budget=1000)
+
     @pytest.mark.parametrize("budget", [0, -5, True, 2.5])
     def test_budget_below_one_is_a_validation_error(self, budget):
         with pytest.raises(ValidationError, match="budget"):
@@ -510,30 +519,78 @@ class TestTubeConstants:
         assert len({THREE.edges[e].cls for e, _ in steps}) >= 2
 
 
+def cycle_space_rank(walks, graph):
+    """Rank over Q of the walks' net edge-count vectors."""
+    rows = {}
+    for _cls, _length, steps in walks:
+        v = [Fraction(0)] * len(graph.edges)
+        for e, s in steps:
+            v[e] += s
+        for p, row in rows.items():
+            if v[p]:
+                f = v[p] / row[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is not None:
+            rows[pivot] = v
+    return len(rows)
+
+
+def tube_panel_norms(seed):
+    """The seeded benchmark panel: 12 random ellipses, then two p-norms
+    with random scales for each p in {1.5, 2, 3, 4}."""
+    rng = random.Random(seed)
+    norms = []
+    for _ in range(12):
+        angle = rng.uniform(0.0, math.pi)
+        l1, l2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        c, s = math.cos(angle), math.sin(angle)
+        norms.append(NormSpec(Ellipse(l1 * c * c + l2 * s * s, (l1 - l2) * c * s, l1 * s * s + l2 * c * c), 1.0))
+    for p in (1.5, 2.0, 3.0, 4.0):
+        norms.extend(NormSpec(PNorm(p), rng.uniform(0.7, 1.5)) for _ in range(2))
+    return norms
+
+
+#: One geodesic, one vertex, one loop edge: the tube search closes no
+#: cycle here, so only the per-graph certificate can see a bad table.
+ONE_CLASS = build_graph(euclid_classes((1, 2)))
+
+
+def with_crossings(graph, e, axis, delta):
+    """A copy of graph whose crossing table is off by delta at one entry."""
+    table = [list(c) for c in graph.crossings]
+    table[e][axis] += delta
+    broken = ToralGeodesicGraph(graph.vertices, graph.edges, graph.classes)
+    vars(broken)["crossings"] = tuple(map(tuple, table))
+    return broken
+
+
+def with_disp(graph, e, axis, offset):
+    """A copy of graph whose stored displacement is off by offset at one edge."""
+    edges = list(graph.edges)
+    disp = list(edges[e].disp)
+    disp[axis] += offset
+    edges[e] = dataclasses.replace(edges[e], disp=tuple(disp))
+    return ToralGeodesicGraph(graph.vertices, tuple(edges), graph.classes)
+
+
 class TestCrossCheckTables:
     @pytest.mark.parametrize(
         "norm", [E, hexagonal(), NormSpec(PNorm(3.0))], ids=["euclidean", "hexagonal", "pnorm3"]
     )
-    def test_tables_match_fraction_walks_on_every_closed_cycle(self, norm, monkeypatch):
-        table_crossings = Cycle.class_by_crossings
-        seen = []
-
-        def checked(cycle, graph):
-            got = table_crossings(cycle, graph)
-            assert got == crossings_by_position_walk(cycle, graph), cycle.steps
-            assert cycle.homology(graph) == homology_by_fraction_sum(cycle, graph)
-            seen.append(cycle.steps)
-            return got
-
-        monkeypatch.setattr(Cycle, "class_by_crossings", checked)
+    def test_tables_match_fraction_walks_on_every_closed_cycle(self, norm):
+        # every closed walk of up to 4 edges; these span each graph's
+        # cycle space, so by additivity the tables agree with the walks
+        # on every cycle
         for k in range(2, 7):
-            classes = leading_primitive_classes(norm, k)
-            graph = build_graph(classes)
-            seen.clear()
-            tc = compute_zeta_epsilon_theta(
-                graph, norm, max(ell for _h, ell in classes), cross_check=True
-            )
-            assert len(seen) == tc.cycles_checked > 0
+            graph = build_graph(leading_primitive_classes(norm, k))
+            walks = all_closed_walks(graph, 4)
+            assert len(walks) > 0
+            assert cycle_space_rank(walks, graph) == len(graph.edges) - len(graph.vertices) + 1
+            for cls, _length, steps in walks:
+                cycle = Cycle(steps)
+                assert cycle.class_by_crossings(graph) == crossings_by_position_walk(cycle, graph), steps
+                assert cycle.homology(graph) == homology_by_fraction_sum(cycle, graph) == IntegralClass(*cls)
 
     def test_tables_built_once_per_graph(self):
         graph = build_graph(euclid_classes((1, 2), (2, 1)))
@@ -547,12 +604,63 @@ class TestCrossCheckTables:
     def test_corrupted_displacement_is_caught(self, offset):
         # the crossing table reads the class geometry, not `disp`, so
         # even a whole-period error in one stored displacement shows
-        edges = list(SQUARE.edges)
-        e = edges[0]
-        edges[0] = dataclasses.replace(e, disp=(e.disp[0] + offset, e.disp[1]))
-        broken = ToralGeodesicGraph(SQUARE.vertices, tuple(edges), SQUARE.classes)
         with pytest.raises(InvariantError):
-            compute_zeta_epsilon_theta(broken, E, 1.0, cross_check=True)
+            compute_zeta_epsilon_theta(with_disp(SQUARE, 0, 0, offset), E, 1.0, cross_check=True)
+
+    @pytest.mark.parametrize("graph", [SKEW, ONE_CLASS], ids=["skew", "one-class"])
+    @pytest.mark.parametrize("offset", [Fraction(1), Fraction(1, 2)], ids=["integer", "half"])
+    def test_every_corrupted_displacement_is_caught(self, graph, offset):
+        ell_k = max(ell for _h, ell in graph.classes)
+        for e in range(len(graph.edges)):
+            for axis in (0, 1):
+                with pytest.raises(InvariantError, match="homology cross-check fails at edge"):
+                    compute_zeta_epsilon_theta(with_disp(graph, e, axis, offset), E, ell_k, cross_check=True)
+                try:
+                    compute_zeta_epsilon_theta(with_disp(graph, e, axis, offset), E, ell_k)
+                except InvariantError as err:
+                    # unchecked, only the witness's own integrality test can see it
+                    assert offset.denominator == 2 and "not integral" in str(err)
+
+    @pytest.mark.parametrize("graph", [SKEW, ONE_CLASS], ids=["skew", "one-class"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_every_corrupted_crossing_is_caught(self, graph, delta):
+        ell_k = max(ell for _h, ell in graph.classes)
+        expected = compute_zeta_epsilon_theta(graph, E, ell_k)
+        for e in range(len(graph.edges)):
+            for axis in (0, 1):
+                with pytest.raises(InvariantError, match="homology cross-check fails at edge"):
+                    compute_zeta_epsilon_theta(with_crossings(graph, e, axis, delta), E, ell_k, cross_check=True)
+                assert compute_zeta_epsilon_theta(with_crossings(graph, e, axis, delta), E, ell_k) == expected
+
+    def test_check_cost_does_not_grow_with_the_cycles_closed(self, monkeypatch):
+        calls = []
+        for name in ("homology", "class_by_crossings"):
+            method = getattr(Cycle, name)
+
+            def counted(cycle, graph, method=method):
+                calls.append(cycle)
+                return method(cycle, graph)
+
+            monkeypatch.setattr(Cycle, name, counted)
+        seen = {}
+        for graph, ell_k in ((SQUARE, 1.0), (SQUARE, 600.0), (SKEW, math.sqrt(5.0)), (TOP5, math.sqrt(5.0))):
+            calls.clear()
+            tc = compute_zeta_epsilon_theta(graph, E, ell_k, cross_check=True)
+            seen[tc.cycles_checked] = len(calls)
+        # cycles_checked runs from 8 to 9,592; the one call is the
+        # witness's class
+        assert len(seen) == 4
+        assert set(seen.values()) == {1}
+
+    def test_results_equal_with_and_without_the_check(self):
+        for norm in tube_panel_norms(1):
+            for k in range(1, 7):
+                classes = leading_primitive_classes(norm, k)
+                graph = build_graph(classes)
+                ell_k = max(ell for _h, ell in classes)
+                checked = compute_zeta_epsilon_theta(graph, norm, ell_k, cross_check=True)
+                unchecked = compute_zeta_epsilon_theta(build_graph(classes), norm, ell_k)
+                assert checked == unchecked
 
 
 class TestCycle:
