@@ -1,12 +1,14 @@
 """Convergence of canyon stable norms toward their prescribing norm.
 
 Each stage prescribes the k leading primitive classes of a fixed
-strictly convex norm and measures the canyon's stable norm.  At the
-graph level the stable norm is the gauge of the convex hull of the
-scaled classes +-h_i / ell_i, so adding classes can only shrink the
-gap to the prescribing norm: deviations are nonincreasing in k, both
-at pinned integer classes (measured through the cover search) and on
-a fan of unit directions (evaluated on the hull).
+strictly convex norm and measures the canyon's stable norm.  On a fan
+of unit directions the report evaluates the gauge of the hull of the
+scaled classes +-h_i / ell_i, which lies in the norm's unit ball and
+grows with k, so that deviation is nonnegative and nonincreasing.  At
+pinned integer classes it measures the canyon by the cover search; a
+background loop of cost ell_k can undercut a class no corridor carries,
+so a pinned deviation can be negative (see `run_convergence`), and
+`monotone` only records whether their sup fell with k.
 
 Every gauge is 1-homogeneous and sandwiched between fixed multiples of
 the Euclidean norm, so all stages share one Lipschitz constant; the
@@ -134,8 +136,8 @@ def run_convergence(
         raise ValidationError(f"stage list must be strictly increasing, got {ks!r}")
     if any(not isinstance(k, int) or k < 2 for k in ks):
         raise ValidationError(f"every stage needs k >= 2, got {ks!r}")
-    if directions < 8:
-        raise ValidationError(f"need at least 8 directions, got {directions}")
+    if isinstance(directions, bool) or not isinstance(directions, int) or directions < 8:
+        raise ValidationError(f"need an integer of at least 8 directions, got {directions!r}")
     pinned_classes = tuple(IntegralClass(a, b).canonical() for (a, b) in DEFAULT_PINNED)
 
     b_lip = lipschitz_bound(eval_norm(norm, (1, 0)), eval_norm(norm, (0, 1)))

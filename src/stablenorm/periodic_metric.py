@@ -17,12 +17,15 @@ Corridor edges carry their exact rational share of the class length;
 witness lengths are recomputed from those shares, so a pure corridor
 loop reports the prescribed length bit for bit.
 
-The background grid is kept as arithmetic, not as edge objects: its
-resolution, its one weight and the number of its first node.  It is
-nearly every edge of a canyon, yet the search needs only its steps and
-its few rate points (Burago, "Periodic metrics"), so `pg.edges` makes a
-grid edge only when one is read, and validation, the search index and
-the witness recompute read the grid straight from that arithmetic.
+Every graph has this one shape: explicit edges, then one background
+torus grid, then more explicit edges; the uniform grid is the shape
+with no explicit edges.  The grid is kept as arithmetic, not as edge
+objects: its resolution, its one weight and the number of its first
+node.  It is nearly every edge of a canyon, yet the search needs only
+its steps and its few rate points (Burago, "Periodic metrics"), so
+`pg.edges` makes a grid edge only when one is read, and validation,
+the search index and the witness recompute read the grid straight from
+that arithmetic.
 """
 
 from __future__ import annotations
@@ -81,42 +84,34 @@ class PeriodicEdge:
     corridor: Optional[tuple[int, Fraction]] = None
 
 
-class _GridEdges(Sequence):
-    """The edges of a graph over an arithmetic torus grid.
+def _check_resolution(n, least: int) -> None:
+    if not isinstance(n, int) or n < least:
+        raise ValidationError(f"grid resolution must be an integer >= {least}, got {n!r}")
 
-    Reads as one tuple of `PeriodicEdge`s: the explicit `head` edges,
-    then the 2 n^2 grid edges, then the explicit `tail` edges, making a
-    grid edge only when it is read.  Grid node (i, j) is `nodes[first +
-    i n + j]`, placed at (i/n, j/n).  Grid edge 2 (i n + j) joins it to
-    (i + 1, j) and the next one joins it to (i, j + 1), each of weight
-    `weight` and crossing the period where it wraps.
+
+@dataclass(frozen=True, slots=True)
+class TorusGrid:
+    """The N x N torus grid of a periodic graph, kept as arithmetic.
+
+    Grid node (i, j) is node `first + i n + j` of the graph, and the
+    graph's positions place it at (i/n, j/n).  Counted from the first
+    grid edge, grid edge 2 (i n + j) joins it to (i + 1, j) and the
+    next one joins it to (i, j + 1), each of weight `weight` and
+    crossing the period where it wraps.  `label` below is the graph's
+    edge number of the first grid edge.
     """
 
-    __slots__ = ("head", "nodes", "first", "n", "weight", "tail")
+    first: int
+    n: int
+    weight: float
 
-    def __init__(self, head, nodes, first, n, weight, tail):
-        self.head = tuple(head)
-        self.nodes = nodes
-        self.first = first
-        self.n = n
-        self.weight = weight
-        self.tail = tuple(tail)
+    def __post_init__(self):
+        _check_resolution(self.n, 2)
+        if isinstance(self.first, bool) or not isinstance(self.first, int) or self.first < 0:
+            raise ValidationError(f"first grid node must be a nonnegative integer, got {self.first!r}")
 
-    def __len__(self) -> int:
-        return len(self.head) + 2 * self.n * self.n + len(self.tail)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(len(self))))
-        size = len(self)
-        if not -size <= i < size:
-            raise IndexError("edge index out of range")
-        i %= size
-        e = self.explicit(i)
-        return self._grid_edge(i - len(self.head)) if e is None else e
-
-    def _grid_edge(self, k: int) -> PeriodicEdge:
-        """Grid edge k, counted from the first grid edge."""
+    def edge(self, nodes: Sequence[NodeId], k: int) -> PeriodicEdge:
+        """Grid edge k, its ends taken from the graph's node list `nodes`."""
         n = self.n
         cell, up = divmod(k, 2)
         r, c = divmod(cell, n)
@@ -126,18 +121,9 @@ class _GridEdges(Sequence):
         else:
             v = (r + 1) % n * n + c
             disp = (int(r == n - 1), 0)
-        nodes = self.nodes
         return PeriodicEdge(nodes[self.first + cell], nodes[self.first + v], self.weight, disp, "grid")
 
-    def explicit(self, i: int) -> Optional[PeriodicEdge]:
-        """Edge i when it is a head or tail edge, None on the grid."""
-        k = i - len(self.head)
-        if k < 0:
-            return self.head[i]
-        k -= 2 * self.n * self.n
-        return None if k < 0 else self.tail[k]
-
-    def index_block(self, xs, ys):
+    def index_block(self, label: int, xs, ys):
         """What the grid adds to a search index whose node positions are
         `xs` and `ys`, as `_IndexBuilder.add_block` takes it: the steps
         out of each grid node, the grid's distinct rate points and the
@@ -153,21 +139,21 @@ class _GridEdges(Sequence):
         n, first, w = self.n, self.first, self.weight
         last = n - 1
 
-        def line(nbr, dx, dy, label):
+        def line(nbr, dx, dy, edge):
             # steps out of one row's nodes to nodes nbr, nbr + 1, ...
-            # along edges label, label + 2, ...
-            return list(zip(range(nbr, nbr + n), repeat(w), repeat(dx), repeat(dy), range(label, label + 2 * n, 2)))
+            # along edges edge, edge + 2, ...
+            return list(zip(range(nbr, nbr + n), repeat(w), repeat(dx), repeat(dy), range(edge, edge + 2 * n, 2)))
 
         steps = []
         for r in range(n):
             row = first + r * n
-            label = len(self.head) + 2 * r * n
-            right = line(first + (r + 1) % n * n, int(r == last), 0, label)
-            left = line(first + (r - 1) % n * n, -int(r == 0), 0, label + (2 * last * n if r == 0 else -2 * n))
-            up = line(row + 1, 0, 0, label + 1)
-            down = line(row - 1, 0, 0, label - 1)
-            up[last] = (row, w, 0, 1, label + 2 * last + 1)
-            down[0] = (row + last, w, 0, -1, label + 2 * last + 1)
+            row_label = label + 2 * r * n
+            right = line(first + (r + 1) % n * n, int(r == last), 0, row_label)
+            left = line(first + (r - 1) % n * n, -int(r == 0), 0, row_label + (2 * last * n if r == 0 else -2 * n))
+            up = line(row + 1, 0, 0, row_label + 1)
+            down = line(row - 1, 0, 0, row_label - 1)
+            up[last] = (row, w, 0, 1, row_label + 2 * last + 1)
+            down[0] = (row + last, w, 0, -1, row_label + 2 * last + 1)
             if r:
                 cells = list(zip(left, down, right, up))
                 cells[0] = (left[0], right[0], up[0], down[0])
@@ -193,13 +179,12 @@ class _GridEdges(Sequence):
             [*range(first + last, first + n * n, n), *range(first, first + n * n, n)],
         )
 
-    def loops(self):
+    def loops(self, label: int):
         """(start, row, up, down): the number of grid node (0, 0) and the
         search-index steps (neighbor, weight, dx, dy, edge index) of one
         loop from it in +x along its row and in +y and -y along its
         column."""
         n, first, w = self.n, self.first, self.weight
-        label = len(self.head)
         last = n - 1
         return (
             first,
@@ -208,68 +193,82 @@ class _GridEdges(Sequence):
             tuple((first + last - c, w, 0, -int(c == 0), label + 2 * (last - c) + 1) for c in range(n)),
         )
 
+
+class _Edges(Sequence):
+    """`PeriodicWeightedGraph.edges`: the head edges, the 2 n^2 grid
+    edges, then the tail edges, read as one tuple of `PeriodicEdge`s
+    that makes a grid edge only when it is read."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: PeriodicWeightedGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        g = self._graph
+        return len(g.head) + 2 * g.grid.n * g.grid.n + len(g.tail)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        g = self._graph
+        # k counts from the first grid edge; a negative k indexes the
+        # head from its end
+        k = range(len(self))[i] - len(g.head)
+        cells = 2 * g.grid.n * g.grid.n
+        if k < 0:
+            return g.head[k]
+        return g.grid.edge(g.nodes, k) if k < cells else g.tail[k - cells]
+
     def __iter__(self):
-        yield from self.head
-        yield from map(self._grid_edge, range(2 * self.n * self.n))
-        yield from self.tail
-
-    def __eq__(self, other):
-        if isinstance(other, _GridEdges):
-            return (self.first, self.n, self.weight, self.head, self.tail, self.nodes) == (
-                other.first, other.n, other.weight, other.head, other.tail, other.nodes,
-            )
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"<{len(self)} edges: {len(self.head)}, then a {self.n} x {self.n} grid "
-            f"of weight {self.weight!r}, then {len(self.tail)}>"
-        )
+        g = self._graph
+        yield from g.head
+        yield from map(g.grid.edge, repeat(g.nodes), range(2 * g.grid.n * g.grid.n))
+        yield from g.tail
 
 
 @dataclass(frozen=True)
 class PeriodicWeightedGraph:
     """Quotient graph of a periodic metric on the torus.
 
-    `edges` is a tuple of `PeriodicEdge`s, or, on the graphs
-    `uniform_grid` and `build_canyon_graph` make, a sequence that reads
-    the same but keeps the background grid as arithmetic: the grid is
-    connected by construction, so validation checks its one weight and
-    runs the union-find over the other edges only.
+    Every graph has one shape: explicit `head` edges, one arithmetic
+    torus `grid` over nodes of `nodes`, then explicit `tail` edges.  On
+    a canyon the head edges are the corridors and the tail edges the
+    connectors; `uniform_grid` has neither.  `edges` reads all of them
+    in that order, and each edge's place in it is its search-index
+    label.  The grid is connected by construction, so validation
+    checks its one weight and runs the union-find over the explicit
+    edges only.
     """
 
     nodes: tuple[NodeId, ...]
     positions: Mapping[NodeId, tuple[float, float]]
-    edges: Sequence[PeriodicEdge]
+    head: tuple[PeriodicEdge, ...]
+    grid: TorusGrid
+    tail: tuple[PeriodicEdge, ...]
+    #: Cost of one background loop around either period.
+    loop_cost: float
     class_lengths: Optional[tuple[tuple[IntegralClass, float], ...]] = None
     hub_budget: Optional[float] = None
-    grid_resolution: Optional[int] = None
-    #: Cost of one background loop around either period.
-    loop_cost: Optional[float] = None
 
     def __post_init__(self):
         index = self.node_index
         if len(index) != len(self.nodes):
             raise ValidationError("node list repeats")
+        grid = self.grid
+        first, cells = grid.first, grid.n * grid.n
+        if first + cells > len(index):
+            raise ValidationError(f"a {grid.n} x {grid.n} grid from node {first} does not fit the node list")
         # union-find with path halving; each merge of two roots joins
-        # two components, so the count left decides connectivity
+        # two components, so the count left decides connectivity.  The
+        # grid's nodes start as one component, and its first edge stands
+        # for all of them in the weight and endpoint checks, as they
+        # share one weight
         parent = list(range(len(index)))
-        components = len(parent)
-        edges = self.edges
-        if isinstance(edges, _GridEdges):
-            if edges.nodes is not self.nodes and edges.nodes != self.nodes:
-                raise ValidationError("grid edges are laid out on another node list")
-            # the grid is connected by construction, so its nodes start
-            # as one component; its first edge stands for all of them in
-            # the weight and endpoint checks, as they share one weight
-            first, cells = edges.first, edges.n * edges.n
-            parent[first:first + cells] = [first] * cells
-            components -= cells - 1
-            edges = chain(edges.head, (edges[len(edges.head)],), edges.tail)
+        parent[first:first + cells] = [first] * cells
+        components = len(parent) - cells + 1
         get = index.get
-        for e in edges:
+        for e in chain(self.head, (grid.edge(self.nodes, 0),), self.tail):
             if e.weight <= 0 or not math.isfinite(e.weight):
                 raise ValidationError(f"edge {e.u}-{e.v} has weight {e.weight}")
             i = get(e.u)
@@ -286,6 +285,16 @@ class PeriodicWeightedGraph:
         if components > 1:
             raise ValidationError("quotient graph is not connected")
 
+    @property
+    def edges(self) -> Sequence[PeriodicEdge]:
+        """Every edge in label order: head, grid, then tail edges."""
+        return _Edges(self)
+
+    @property
+    def grid_resolution(self) -> int:
+        """Resolution n of the background grid."""
+        return self.grid.n
+
     @cached_property
     def node_index(self) -> Mapping[NodeId, int]:
         """Node numbers of the search index: places in `nodes`."""
@@ -300,46 +309,43 @@ class PeriodicWeightedGraph:
         the background almost immediately."""
         index = self.node_index
         nodes = self.nodes
-        edges = self.edges
+        grid = self.grid
+        label = len(self.head)
 
-        def rows(explicit, label):
-            for i, e in enumerate(explicit, label):
+        def rows(explicit, start):
+            for i, e in enumerate(explicit, start):
                 yield (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
 
         builder = _IndexBuilder(list(map(self.positions.__getitem__, nodes)))
-        if isinstance(edges, _GridEdges):
-            builder.add_edges(rows(edges.head, 0))
-            builder.add_block(edges.first, *edges.index_block(builder.xs, builder.ys))
-            builder.add_edges(rows(edges.tail, len(edges) - len(edges.tail)))
-        else:
-            builder.add_edges(rows(edges, 0))
+        builder.add_edges(rows(self.head, 0))
+        builder.add_block(grid.first, *grid.index_block(label, builder.xs, builder.ys))
+        builder.add_edges(rows(self.tail, label + 2 * grid.n * grid.n))
         return builder.build(start_key=lambda i: (nodes[i][0] == "g", nodes[i]))
 
     @cached_property
     def _grid_loops(self):
         """The background loops `_grid_loop_seed` replays, made on the
-        first query and kept for the life of the graph: None without an
-        arithmetic background grid, else `_GridEdges.loops`."""
-        edges = self.edges
-        return edges.loops() if isinstance(edges, _GridEdges) else None
+        first query and kept for the life of the graph."""
+        return self.grid.loops(len(self.head))
 
 
 def _add_torus_grid(
     n: int,
+    weight: float,
     nodes: list[NodeId],
     positions: dict[NodeId, tuple[float, float]],
-) -> int:
+) -> TorusGrid:
     """Append the nodes ("g", i, j) of the N x N torus grid row by row,
-    placed at (i/N, j/N), and return the number of the first.  Rows
-    share their column numbers and coordinates."""
-    first = len(nodes)
+    placed at (i/N, j/N), and return that grid with edge weight
+    `weight`.  Rows share their column numbers and coordinates."""
+    grid = TorusGrid(len(nodes), n, weight)
     numbers = list(range(n))
     coords = [j / n for j in numbers]
     for i, x in zip(numbers, coords):
         row = [("g", i, j) for j in numbers]
         nodes.extend(row)
         positions.update(zip(row, zip(repeat(x), coords)))
-    return first
+    return grid
 
 
 def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
@@ -349,19 +355,13 @@ def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
     exactly-known baseline.
     """
     n = resolution
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"grid resolution must be an integer >= 2, got {n!r}")
+    _check_resolution(n, 2)
     w = 1.0 / n
     nodes: list[NodeId] = []
     positions: dict[NodeId, tuple[float, float]] = {}
-    first = _add_torus_grid(n, nodes, positions)
-    nodes_t = tuple(nodes)
+    grid = _add_torus_grid(n, w, nodes, positions)
     return PeriodicWeightedGraph(
-        nodes=nodes_t,
-        positions=positions,
-        edges=_GridEdges((), nodes_t, first, n, w, ()),
-        grid_resolution=n,
-        loop_cost=n * w,
+        nodes=tuple(nodes), positions=positions, head=(), grid=grid, tail=(), loop_cost=n * w
     )
 
 
@@ -427,10 +427,7 @@ def build_canyon_graph(
             f"prescribed length {ell_k}"
         )
     n = grid_resolution
-    if not isinstance(n, int) or n < _MIN_GRID_RESOLUTION:
-        raise ValidationError(
-            f"grid resolution must be an integer >= {_MIN_GRID_RESOLUTION}, got {n!r}"
-        )
+    _check_resolution(n, _MIN_GRID_RESOLUTION)
     verts = graph.vertices
     _check_hub_separation(verts, n)
 
@@ -489,27 +486,27 @@ def build_canyon_graph(
             lift_prev = lift
             prev_node = node
 
-    first = _add_torus_grid(n, nodes, positions)
+    grid = _add_torus_grid(n, b / n, nodes, positions)
 
     connectors: list[PeriodicEdge] = []
     for cnode in corridor_nodes:
         x, y = positions[cnode]
         gi = math.floor(x * n + 0.5)
         gj = math.floor(y * n + 0.5)
-        target = nodes[first + gi % n * n + gj % n]
+        target = nodes[grid.first + gi % n * n + gj % n]
         connectors.append(
             PeriodicEdge(cnode, target, b / 2, (gi // n, gj // n), "connector")
         )
 
-    nodes_t = tuple(nodes)
     return PeriodicWeightedGraph(
-        nodes=nodes_t,
+        nodes=tuple(nodes),
         positions=positions,
-        edges=_GridEdges(corridors, nodes_t, first, n, b / n, connectors),
+        head=tuple(corridors),
+        grid=grid,
+        tail=tuple(connectors),
+        loop_cost=b,
         class_lengths=graph.classes,
         hub_budget=float(theta),
-        grid_resolution=n,
-        loop_cost=b,
     )
 
 
@@ -529,18 +526,14 @@ class SpectrumEntry:
 def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     """Concrete cycle of class h from grid row and column loops.
 
-    Returns (cost, witness states, path edge indices) or None when the
-    graph has no background grid; states use node numbers of the search
-    index.  The loops are made once per graph (`_grid_loops`) and
+    Returns (cost, witness states, path edge indices); states use node
+    numbers of the search index.  The loops are made once per graph (`_grid_loops`) and
     replayed here, |a| row loops then |b| column loops, adding weights
     in walking order.  Seeding the search with it means classes whose
     optimum ties the background bound finish without exploring the tie
     plateau at all.
     """
-    loops = pg._grid_loops
-    if loops is None:
-        return None
-    start, row, up, down = loops
+    start, row, up, down = pg._grid_loops
     column = down if h.b < 0 else up
     states = [(start, 0, 0)]
     path_edges: list[int] = []
@@ -568,13 +561,17 @@ def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[int]) -> float
     """
     shares: dict[int, Fraction] = {}
     counts: dict[float, int] = {}
-    edges = pg.edges
-    grid = edges if isinstance(edges, _GridEdges) else None
+    head, tail, grid = pg.head, pg.tail, pg.grid
+    grid_end = len(head) + 2 * grid.n * grid.n
     for edge_idx in path_edges:
-        e = edges[edge_idx] if grid is None else grid.explicit(edge_idx)
-        if e is None:
+        if edge_idx < len(head):
+            e = head[edge_idx]
+        elif edge_idx >= grid_end:
+            e = tail[edge_idx - grid_end]
+        else:
             counts[grid.weight] = counts.get(grid.weight, 0) + 1
-        elif e.corridor is not None:
+            continue
+        if e.corridor is not None:
             idx, share = e.corridor
             shares[idx] = shares.get(idx, Fraction(0)) + share
         else:
@@ -604,22 +601,10 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     if h.is_trivial:
         return SpectrumEntry(cls=h, length=0.0, witness=((pg.nodes[0], 0, 0),))
 
-    if pg.loop_cost is None:
-        raise ValidationError(
-            "graph carries no background loop costs to bound the search; "
-            "build it with build_canyon_graph or uniform_grid"
-        )
     # |a| row loops and |b| column loops close a cycle of class h
     upper = abs(h.a) * pg.loop_cost + abs(h.b) * pg.loop_cost
     seed = _grid_loop_seed(pg, h)
-    incumbent = math.inf if seed is None else seed[0]
-    found = shortest_cover_cycle(pg.search_index, h.a, h.b, upper, incumbent) or seed
-    if found is None:
-        raise ValidationError(
-            f"no cycle of class {h} found within the background loop bound; "
-            "the graph may not wrap in that direction"
-        )
-    best, best_states, best_edges = found
+    best, best_states, best_edges = shortest_cover_cycle(pg.search_index, h.a, h.b, upper, seed[0]) or seed
     exact = _exact_length(pg, best_edges)
     if abs(exact - best) > _RECOMPUTE_RTOL * max(1.0, best):
         raise InvariantError(

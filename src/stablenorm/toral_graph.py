@@ -506,7 +506,8 @@ def compute_zeta_epsilon_theta(
     over edge-bounded mixed cycles (single-class uniform iterates carry
     zero excess by construction and are excluded); theta = epsilon
     divided by twice the edge bound, capped at `theta_cap` when no
-    competitor exists.
+    competitor exists.  An `ell_k` below the shortest segment gives an
+    edge bound under 2, which no mixed cycle fits, and is rejected.
 
     With `cross_check`, the graph's two homology computations, lift
     displacements and crossing counts with the reference circles, are
@@ -516,11 +517,13 @@ def compute_zeta_epsilon_theta(
     """
     if isinstance(ell_k, bool) or not (ell_k > 0 and math.isfinite(ell_k)):
         raise ValidationError(f"ell_k must be a positive finite real, got {ell_k!r}")
-    if not (theta_cap > 0 and math.isfinite(theta_cap)):
-        raise ValidationError(f"theta cap must be a positive finite real, got {theta_cap}")
+    if isinstance(theta_cap, bool) or not (theta_cap > 0 and math.isfinite(theta_cap)):
+        raise ValidationError(f"theta cap must be a positive finite real, got {theta_cap!r}")
     check_budget(node_budget)
     zeta = 0.5 * min(e.length for e in graph.edges)
     edge_bound = int(math.floor(ell_k / zeta + EDGE_BOUND_SLACK))
+    if edge_bound < 2:
+        raise ValidationError(f"ell_k {ell_k!r} is below the shortest segment {2 * zeta!r}: no mixed cycle fits")
     if cross_check:
         _check_homology_tables(graph)
     gap, witness, cycles, nodes = _min_gap_search(graph, norm, edge_bound, node_budget)

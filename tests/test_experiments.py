@@ -73,8 +73,10 @@ class TestValidation:
             run_convergence(ks=(1, 2))
 
     def test_direction_floor(self):
-        with pytest.raises(ValidationError):
-            run_convergence(ks=(2,), directions=4)
+        # a float or a string escaped from range() as a raw TypeError
+        for directions in (4, 8.5, 16.0, True, "16"):
+            with pytest.raises(ValidationError, match="directions"):
+                run_convergence(ks=(2,), directions=directions)
 
     def test_flat_stage_hull_is_an_invariant_error(self, monkeypatch):
         # k >= 2 classes always span the plane, so a flat hull is a bug

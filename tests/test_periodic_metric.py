@@ -23,6 +23,7 @@ from stablenorm.norms import IntegralClass, euclidean, hexagonal, leading_primit
 from stablenorm.periodic_metric import (
     PeriodicEdge,
     PeriodicWeightedGraph,
+    TorusGrid,
     build_canyon_graph,
     marked_min_length,
     spectrum,
@@ -75,13 +76,28 @@ def _assert_valid_witness(pg, entry):
         assert (n2, (sx2 - sx1, sy2 - sy1)) in steps[n1]
 
 
+A, B, C, D, E = ((c,) for c in "abcde")
+
+
+def _edge(u, v, weight=1.0, disp=(0, 0), kind="corridor", corridor=None):
+    return PeriodicEdge(u, v, weight, disp, kind, corridor)
+
+
+def _over_grid(names, head=(), tail=(), n=2, weight=0.5):
+    """Nodes `names` along y = 1/2, then an n x n grid of edge weight
+    `weight`; the explicit edges `head` come before the grid's and
+    `tail` after them."""
+    nodes = list(names)
+    positions = {node: (i / len(nodes), 0.5) for i, node in enumerate(nodes)}
+    grid = periodic_metric._add_torus_grid(n, weight, nodes, positions)
+    return PeriodicWeightedGraph(
+        tuple(nodes), positions, tuple(head), grid, tuple(tail), loop_cost=n * weight
+    )
+
+
 class TestGraphValidation:
     def _two_nodes(self, weight):
-        return PeriodicWeightedGraph(
-            nodes=(("a",), ("b",)),
-            positions={("a",): (0.0, 0.0), ("b",): (0.5, 0.0)},
-            edges=(PeriodicEdge(("a",), ("b",), weight, (0, 0), "grid"),),
-        )
+        return _over_grid((A, B), head=(_edge(A, B, weight),), tail=(_edge(B, ("g", 1, 0)),))
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
     def test_bad_weight(self, weight):
@@ -89,71 +105,42 @@ class TestGraphValidation:
             self._two_nodes(weight)
 
     def test_positive_weight_accepted(self):
-        assert [e.weight for e in self._two_nodes(0.25).edges] == [0.25]
+        assert [e.weight for e in self._two_nodes(0.25).head] == [0.25]
 
     def test_disconnected(self):
+        # two components: the grid, and a
         with pytest.raises(ValidationError, match="connected"):
-            PeriodicWeightedGraph(
-                nodes=(("a",), ("b",)),
-                positions={("a",): (0.0, 0.0), ("b",): (0.5, 0.0)},
-                edges=(),
-            )
+            _over_grid((A,))
 
     def test_three_components_rejected(self):
-        nodes = tuple((c,) for c in "abcde")
         with pytest.raises(ValidationError, match="connected"):
-            PeriodicWeightedGraph(
-                nodes=nodes,
-                positions={n: (i / 5, 0.0) for i, n in enumerate(nodes)},
-                edges=(
-                    PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "grid"),
-                    PeriodicEdge(("c",), ("d",), 1.0, (0, 0), "grid"),
-                ),
-            )
+            _over_grid((A, B, C, D, E), head=(_edge(A, B), _edge(C, D)), tail=(_edge(E, ("g", 0, 1)),))
 
     def test_joined_by_last_edge_accepted(self):
-        nodes = tuple((c,) for c in "abcd")
-        pg = PeriodicWeightedGraph(
-            nodes=nodes,
-            positions={n: (i / 4, 0.0) for i, n in enumerate(nodes)},
-            edges=(
-                PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "grid"),
-                PeriodicEdge(("c",), ("d",), 1.0, (0, 0), "grid"),
-                PeriodicEdge(("d",), ("b",), 1.0, (1, 0), "grid"),
-            ),
+        pg = _over_grid(
+            (A, B, C, D),
+            head=(_edge(A, B), _edge(C, D), _edge(D, ("g", 0, 0), disp=(1, 0))),
+            tail=(_edge(B, ("g", 1, 1)),),
         )
-        assert len(pg.edges) == 3
+        assert len(pg.edges) == 4 + 2 * 2 * 2
 
     def test_self_loops_and_parallel_edges_do_not_merge(self):
-        # four edges over three nodes, but only one real merge: c stays apart
-        nodes = (("a",), ("b",), ("c",))
+        # five edges over three nodes and the grid, but only two real
+        # merges: c stays apart
         with pytest.raises(ValidationError, match="connected"):
-            PeriodicWeightedGraph(
-                nodes=nodes,
-                positions={n: (i / 3, 0.0) for i, n in enumerate(nodes)},
-                edges=(
-                    PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "grid"),
-                    PeriodicEdge(("b",), ("a",), 1.0, (1, 0), "grid"),
-                    PeriodicEdge(("a",), ("a",), 1.0, (0, 1), "grid"),
-                    PeriodicEdge(("c",), ("c",), 1.0, (1, 0), "grid"),
-                ),
+            _over_grid(
+                (A, B, C),
+                head=(_edge(A, B), _edge(B, A, disp=(1, 0)), _edge(A, A, disp=(0, 1))),
+                tail=(_edge(C, C, disp=(1, 0)), _edge(A, ("g", 0, 0))),
             )
 
     def test_missing_endpoint(self):
         with pytest.raises(ValidationError, match="missing node"):
-            PeriodicWeightedGraph(
-                nodes=(("a",),),
-                positions={("a",): (0.0, 0.0)},
-                edges=(PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "grid"),),
-            )
+            _over_grid((A,), head=(_edge(A, B),), tail=(_edge(A, ("g", 0, 0)),))
 
     def test_repeated_node(self):
         with pytest.raises(ValidationError, match="repeats"):
-            PeriodicWeightedGraph(
-                nodes=(("a",), ("a",)),
-                positions={("a",): (0.0, 0.0)},
-                edges=(),
-            )
+            _over_grid((A, A), tail=(_edge(A, ("g", 0, 0)),))
 
     @pytest.mark.parametrize("resolution", [0, 1, -4, "8", 8.0])
     def test_uniform_grid_bad_resolution(self, resolution):
@@ -249,35 +236,18 @@ class TestWindowCertification:
         # lifts 2000 periods out before it closes at shift (50, 0); a
         # search that caps deck shifts by the loop bound over the
         # cheapest edge (500) misses it and returns fifty x loops, 500.0
-        pg = PeriodicWeightedGraph(
-            nodes=(("a",), ("b",), ("c",)),
-            positions={("a",): (0.0, 0.0), ("b",): (0.25, 0.0), ("c",): (0.5, 0.0)},
-            edges=(
-                PeriodicEdge(("a",), ("b",), 1.0, (2000, 0), "corridor"),
-                PeriodicEdge(("b",), ("c",), 1.0, (-975, 0), "corridor"),
-                PeriodicEdge(("c",), ("a",), 1.0, (-975, 0), "corridor"),
-                PeriodicEdge(("a",), ("a",), 10.0, (1, 0), "grid"),
-                PeriodicEdge(("a",), ("a",), 10.0, (0, 1), "grid"),
-            ),
-            loop_cost=10.0,
+        pg = _over_grid(
+            (A, B, C),
+            head=(_edge(A, B, disp=(2000, 0)), _edge(B, C, disp=(-975, 0)), _edge(C, A, disp=(-975, 0))),
+            tail=(_edge(A, ("g", 0, 0), kind="connector"),),
+            weight=5.0,
         )
+        assert pg.loop_cost == 10.0
         entry = marked_min_length(pg, (50, 0))
         assert entry.length == 3.0
         assert entry.witness[0][1:] == (0, 0)
         assert entry.witness[-1] == (entry.witness[0][0], 50, 0)
         assert len(entry.witness) == 4
-
-    def test_no_loop_bound_without_grid(self):
-        pg = PeriodicWeightedGraph(
-            nodes=(("a",), ("b",)),
-            positions={("a",): (0.0, 0.0), ("b",): (0.5, 0.0)},
-            edges=(
-                PeriodicEdge(("a",), ("b",), 0.5, (0, 0), "grid"),
-                PeriodicEdge(("b",), ("a",), 0.5, (1, 0), "grid"),
-            ),
-        )
-        with pytest.raises(ValidationError, match="loop costs to bound the search"):
-            marked_min_length(pg, (1, 0))
 
 
 class TestCanyonBuild:
@@ -681,6 +651,52 @@ def _grid_case(n):
     return uniform_grid(n), _reference_grid_edges(n, 1.0 / n)
 
 
+def _assert_index_of(pg, reference):
+    """`pg.search_index` equals the index built from `reference`."""
+    index = pg.node_index
+    nodes = pg.nodes
+    want = cover.build_search_index(
+        [pg.positions[n] for n in nodes],
+        ((index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i) for i, e in enumerate(reference)),
+        start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
+    )
+    got = pg.search_index
+    for field in dataclasses.fields(cover.SearchIndex):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+@st.composite
+def _explicit_edges_over_a_grid(draw):
+    """A graph of up to three nodes, an n x n grid, then up to three
+    more nodes, with random explicit edges before and after the grid's
+    and one edge from each non-grid node to the grid; and its edges as
+    one explicit list."""
+    n = draw(st.integers(2, 9))
+    coord = st.floats(0.0, 1.0, exclude_max=True)
+    weight = st.floats(0.01, 10.0)
+    nodes, positions = [], {}
+
+    def extra(name):
+        for i in range(draw(st.integers(0, 3))):
+            nodes.append((name, i))
+            positions[(name, i)] = (draw(coord), draw(coord))
+
+    extra("x")
+    grid = periodic_metric._add_torus_grid(n, draw(weight), nodes, positions)
+    extra("y")
+    disp = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    edge = st.builds(_edge, st.sampled_from(nodes), st.sampled_from(nodes), weight, disp)
+    head = draw(st.lists(edge, max_size=6))
+    tail = draw(st.lists(edge, max_size=6))
+    for node in nodes:
+        if node[0] != "g":
+            joined = _edge(node, ("g", draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))), draw(weight))
+            side = head if draw(st.booleans()) else tail
+            side.insert(draw(st.integers(0, len(side))), joined)
+    pg = PeriodicWeightedGraph(tuple(nodes), positions, tuple(head), grid, tuple(tail), loop_cost=n * grid.weight)
+    return pg, head + _reference_grid_edges(n, grid.weight) + tail
+
+
 class TestArithmeticGrid:
     """The background grid is kept as arithmetic, yet `pg.edges` and the
     search index read exactly as they would from one explicit edge per
@@ -702,7 +718,6 @@ class TestArithmeticGrid:
         pg, reference = case
         assert len(pg.edges) == len(reference)
         assert list(pg.edges) == reference
-        assert pg.edges == reference
         assert pg.edges[5] == reference[5]
         assert pg.edges[-1] == reference[-1]
         assert pg.edges[len(reference) // 2] == reference[len(reference) // 2]
@@ -712,19 +727,17 @@ class TestArithmeticGrid:
 
     def test_search_index_equals_the_explicit_build(self, case):
         pg, reference = case
-        index = pg.node_index
-        nodes = pg.nodes
-        want = cover.build_search_index(
-            [pg.positions[n] for n in nodes],
-            (
-                (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
-                for i, e in enumerate(reference)
-            ),
-            start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
-        )
-        got = dataclasses.replace(pg).search_index
-        for field in dataclasses.fields(cover.SearchIndex):
-            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        _assert_index_of(dataclasses.replace(pg), reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_explicit_edges_over_a_grid())
+    def test_any_explicit_edges_read_as_the_explicit_list(self, case):
+        # head and tail edges are arbitrary caller input, not only canyon
+        # layouts, so every label offset around the grid is checked
+        pg, reference = case
+        assert len(pg.edges) == len(reference)
+        assert list(pg.edges) == reference
+        _assert_index_of(pg, reference)
 
     def test_canyon_edge_counts(self):
         counts = {
@@ -756,28 +769,28 @@ class TestArithmeticGrid:
 
     def test_detached_explicit_edges_are_not_connected(self):
         grid = uniform_grid(4)
-        nodes = grid.nodes + (("a",), ("b",))
+        nodes = grid.nodes + (A, B)
         positions = dict(grid.positions)
-        positions[("a",)] = positions[("b",)] = (0.5, 0.5)
-        detached = PeriodicEdge(("a",), ("b",), 1.0, (0, 0), "corridor")
+        positions[A] = positions[B] = (0.5, 0.5)
+        detached = _edge(A, B)
         with pytest.raises(ValidationError, match="not connected"):
-            PeriodicWeightedGraph(
-                nodes=nodes,
-                positions=positions,
-                edges=periodic_metric._GridEdges((detached,), nodes, 0, 4, 0.25, ()),
-            )
-        joined = PeriodicEdge(("b",), ("g", 1, 2), 1.0, (0, 0), "connector")
-        pg = PeriodicWeightedGraph(
-            nodes=nodes,
-            positions=positions,
-            edges=periodic_metric._GridEdges((detached,), nodes, 0, 4, 0.25, (joined,)),
-        )
+            PeriodicWeightedGraph(nodes, positions, (detached,), grid.grid, (), loop_cost=1.0)
+        joined = _edge(B, ("g", 1, 2), kind="connector")
+        pg = PeriodicWeightedGraph(nodes, positions, (detached,), grid.grid, (joined,), loop_cost=1.0)
         assert len(pg.edges) == 34
 
-    def test_grid_on_another_node_list_rejected(self):
+    def test_grid_must_fit_the_node_list(self):
         grid = uniform_grid(4)
-        with pytest.raises(ValidationError, match="another node list"):
-            dataclasses.replace(grid, nodes=grid.nodes[::-1])
+        with pytest.raises(ValidationError, match="does not fit"):
+            dataclasses.replace(grid, nodes=grid.nodes[:-1])
+        with pytest.raises(ValidationError, match="does not fit"):
+            dataclasses.replace(grid, grid=TorusGrid(1, 4, 0.25))
+        for n in (1, 0, -4, True, 4.0, 4.5, "4"):
+            with pytest.raises(ValidationError, match="resolution"):
+                TorusGrid(0, n, 0.25)
+        for first in (-1, 0.0, True, "0"):
+            with pytest.raises(ValidationError, match="first grid node"):
+                TorusGrid(first, 4, 0.25)
 
     def test_build_memory_ceiling(self):
         # a grid-512 canyon has 524,288 grid steps; making one edge object
@@ -792,7 +805,7 @@ class TestArithmeticGrid:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(pg.edges) == 2 * 512 * 512 + len(pg.edges.head) + len(pg.edges.tail)
+        assert len(pg.edges) == 2 * 512 * 512 + len(pg.head) + len(pg.tail)
         assert peak < 100 * 2**20
 
 
@@ -860,14 +873,12 @@ class TestInvariantErrors:
             marked_min_length(grid16, (1, 0))
 
     def test_corridor_edges_need_class_lengths(self):
-        pg = PeriodicWeightedGraph(
-            nodes=(("a",), ("b",)),
-            positions={("a",): (0.0, 0.0), ("b",): (0.5, 0.0)},
-            edges=(
-                PeriodicEdge(("a",), ("b",), 0.5, (0, 0), "corridor", corridor=(0, Fraction(1, 2))),
-                PeriodicEdge(("b",), ("a",), 0.5, (1, 0), "corridor", corridor=(0, Fraction(1, 2))),
-            ),
-            loop_cost=1.0,
+        half = (0, Fraction(1, 2))
+        pg = _over_grid(
+            (A, B),
+            head=(_edge(A, B, 0.5, corridor=half), _edge(B, A, 0.5, (1, 0), corridor=half)),
+            tail=(_edge(A, ("g", 0, 0), kind="connector"),),
+            weight=5.0,
         )
         with pytest.raises(ValidationError, match="class lengths"):
             marked_min_length(pg, (1, 0))

@@ -484,19 +484,22 @@ class TestTubeConstants:
         assert tc.witness is None
         assert tc.cycles_checked == 0
 
-    @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan, True])
     def test_theta_cap_must_be_positive_and_finite(self, cap):
         # the cap is theta itself when no competitor exists (k = 1), and
-        # the canyon construction rejects theta <= 0
+        # the canyon construction rejects theta <= 0; a bool cap came
+        # back as theta=True
         for graph in (build_graph(euclid_classes((1, 0))), SQUARE):
             with pytest.raises(ValidationError, match="theta cap"):
                 compute_zeta_epsilon_theta(graph, E, 1.0, theta_cap=cap)
 
-    @pytest.mark.parametrize("ell_k", [0, 0.0, -1.0, math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize("ell_k", [0, 0.0, -1.0, math.nan, math.inf, -math.inf, True, 0.5, 1e-3])
     def test_ell_k_must_be_positive_and_finite(self, ell_k):
         # unchecked, NaN and inf escape as ValueError and OverflowError,
         # a negative value makes an edge bound of -1 that never stops the
-        # search, and 0 returns the cap as if no competitor existed
+        # search, and 0 returns the cap as if no competitor existed; so
+        # do 0.5 and 1e-3, below SKEW's shortest segment, with edge
+        # bounds 1 and 0 that admit no mixed cycle
         with pytest.raises(ValidationError, match="ell_k"):
             compute_zeta_epsilon_theta(SKEW, E, ell_k, node_budget=1000)
 
