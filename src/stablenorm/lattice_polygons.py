@@ -35,21 +35,29 @@ Each direction layer visits only chains that can still close:
   support-function bound).  It implies the old reach test
   |w| <= coord_bound * r, so only chains that cannot close are dropped.
 
-Dropping a state never changes the cost or the dict position of a kept
-one: a chain that can close has only parents that can close, and a
+Dropping a state never changes the cost or the store position of a
+kept one: a chain that can close has only parents that can close, and a
 dropped key is never offered again.  Closures, witness pools and
 witnesses therefore come out exactly as from the full sweep.
 
-In-place offers.  A layer walks a snapshot of the state dict, so every
-chain extends from its cost before the layer, and offers straight into
-the live dict, deleting a dead key where it finds it.  That is the same
-as collecting the layer's offers and merging them after the deletions:
-a key that dies at d (cross(w, d) <= 0) is never offered at d, since an
-offer w = w' + m*d has cross(w, d) = cross(w', d), so its parent died
-too, or its parent is the root and (1, m*d) is new at d.  Every kept
-key keeps its cost and dict position.  Transitions are counted once per
-multiplicity run, in closed form: mult_cap, or where the cost cap
-breaks the run, the steps within the cap and the one that breaks it.
+Layered stores.  A sweep keeps one store per edge count j, keyed
+(x, y, all primitive) with costs and chain links in two dicts, and a
+layer visits the stores from the longest chains down.  Store j offers
+only into store j + 1, which this layer has already walked, so every
+chain extends from its cost before the layer and no walk meets a key
+offered in it.  An offer that wins writes its cost and reads its
+parent's link; one that loses builds nothing.  Dead keys are collected
+during a walk and deleted after it.  That is the same as collecting the layer's
+offers and merging them after the deletions: a key that dies at d
+(cross(w, d) <= 0) is never offered at d, since an offer w = w' + m*d
+has cross(w, d) = cross(w', d), so its parent died too, or its parent
+is the root and (1, m*d) is new at d.  Every kept key keeps its cost
+and its place in its store, and a store's insertion order is the order
+of its keys in one dict over all edge counts, so merges, ties, witness
+pools and witnesses are those of such a dict.  Transitions are counted
+once per multiplicity run, in closed form: mult_cap, or where the cost
+cap breaks the run, the steps within the cap and the one that breaks
+it.
 
 Seeded cost caps.  Each search first sweeps a small coordinate bound.
 Every polygon that seed sweep finds is also a polygon of the full
@@ -72,8 +80,8 @@ A capped sweep keeps every chain that can still win or tie, with the
 cost the full sweep gives it (an area row whose seed sits above the cap
 gets its ties from the merged seed slot), so minima and `certified`
 flags are the full sweep's.  A dropped chain can change where a kept
-key first enters the state dict, and so which of two equal-cost chains
-that key keeps; the tests check that the witnesses still match the full
+key first enters its store, and so which of two equal-cost chains that
+key keeps; the tests check that the witnesses still match the full
 sweep's.
 
 No floating point anywhere in this module.
@@ -105,9 +113,6 @@ EIGHT_PI_SQUARED_FLOOR = Fraction(789568, 10000)
 MIN_AREA_CUBIC_FLOOR = 1 / EIGHT_PI_SQUARED_FLOOR
 
 DEFAULT_SEARCH_BUDGET = 200_000_000
-
-_ROOT = (0, 0, 0, True)
-
 
 def _cross(a: IntVec, b: IntVec) -> int:
     return a[0] * b[1] - a[1] * b[0]
@@ -253,6 +258,8 @@ def canonical_form(
     `translate` the bounding box corner moves to the origin.  Symmetric
     witnesses pass translate=False so the center stays at the origin.
     """
+    n = len(vertices)
+    twice = sum(_cross(vertices[i], vertices[(i + 1) % n]) for i in range(n))
     best: Optional[tuple[IntVec, ...]] = None
     for sx in (1, -1):
         for sy in (1, -1):
@@ -261,9 +268,9 @@ def canonical_form(
                     (sx * (y if swap else x), sy * (x if swap else y))
                     for (x, y) in vertices
                 ]
-                n = len(pts)
-                twice = sum(_cross(pts[i], pts[(i + 1) % n]) for i in range(n))
-                if twice < 0:
+                # the image's doubled area is `twice` times its
+                # determinant, sx * sy, negated by the swap
+                if (-twice if swap else twice) * sx * sy < 0:
                     pts.reverse()
                 if translate:
                     mx = min(q[0] for q in pts)
@@ -332,24 +339,24 @@ def _primitive_directions(
 
 
 class _Sweep:
-    """Shared monotone DP over angle-sorted primitive directions.
+    """The meter of a monotone sweep over angle-sorted primitive
+    directions: its transition `budget` and the `ops` spent so far.
 
-    States are keyed (edges used, partial sum x, partial sum y, all
-    edges primitive so far) and carry (accumulated cost, chain link).
+    The sweeps themselves keep one state store per edge count j, keyed
+    (partial sum x, partial sum y, all edges primitive so far), with the
+    accumulated costs and the chain links in two dicts of the same keys.
     A link is the immutable triple (parent link, direction, mult),
-    captured at extension time; climbing links reconstructs exactly the
+    captured when an offer wins; climbing links reconstructs exactly the
     path that produced the stored cost, no matter how the parent state
     is later improved.  Cost merging keeps the minimum, which is sound
     because every continuation adds a cost that depends only on the
-    partial sum, never on the path that reached it.  A sweep counts a
-    layer's transitions locally and brings `ops` up to date once per
-    layer, before the budget check.
+    partial sum, never on the path that reached it.  A sweep visits its
+    stores longest chains first within each direction layer (module
+    docstring), counts the layer's transitions locally and brings `ops`
+    up to date once per layer, before the budget check.
     """
 
     def __init__(self, budget: int, spent: int = 0):
-        self.states: dict[tuple[int, int, int, bool], tuple[int, Optional[tuple]]] = {
-            _ROOT: (0, None)
-        }
         self.budget = budget
         self.ops = spent
 
@@ -362,6 +369,16 @@ class _Sweep:
                 nodes_expanded=self.ops,
                 budget=self.budget,
             )
+
+
+def _rooted_stores(count: int) -> tuple[list[dict], list[dict]]:
+    """Cost and link stores for edge counts 0..count - 1, the root (no
+    edges, at the origin, all primitive) alone in store 0."""
+    costs: list[dict[tuple[int, int, bool], int]] = [{} for _ in range(count)]
+    links: list[dict[tuple[int, int, bool], Optional[tuple]]] = [{} for _ in range(count)]
+    costs[0][0, 0, True] = 0
+    links[0][0, 0, True] = None
+    return costs, links
 
 
 #: How many tying optimal chains to keep per slot for witness selection.
@@ -453,8 +470,9 @@ def _sweep_areas(
     budget: int,
     spent: int = 0,
 ) -> tuple[dict[int, AreaSlot], int]:
-    """Run the sweep; return per edge-count closures and the op count,
-    `spent` (the ops of an earlier sweep of the same search) included.
+    """Run the sweep; return per edge-count closures in ascending k and
+    the op count, `spent` (the ops of an earlier sweep of the same
+    search) included.
 
     `found[k][prim]` holds the best doubled area over k-gons plus a
     capped pool of chain links attaining it; the all-primitive optimum
@@ -471,74 +489,80 @@ def _sweep_areas(
     caps = [coord_bound // max(abs(dx), abs(dy)) for dx, dy in dirs]
     reach = _later_reach(dirs, caps)
 
-    states = sweep.states
+    # store k_max stays empty: an offer into it would have to land on
+    # the origin, which only a closure reaches
+    costs, links = _rooted_stores(k_max + 1)
     for i, d in enumerate(dirs):
         dx, dy = d
         mult_cap = caps[i]
-        # later[r]: the box a new partial sum must lie in to close with r
-        # more edges, all on directions after d
         px, mx, py, my = reach[i + 1]
-        later = [(-r * px, r * mx, -r * py, r * my) for r in range(k_max + 1)]
         ops = 0
-        for key, (c, link) in list(states.items()):
-            j, wx, wy, prim = key
-            cr = wx * dy - wy * dx
-            if j == 0:
-                pass  # the root starts a chain on every direction
-            elif cr < 0:
-                del states[key]  # for good: no later direction turns back
-                continue
-            elif cr == 0:
-                # the closing edge runs straight back to the start; this
-                # was the chain's last chance
-                ops += 1
-                if dx != 0:
-                    m, r = divmod(-wx, dx)
-                else:
-                    m, r = divmod(-wy, dy)
-                if r == 0 and 1 <= m <= mult_cap and (wx + m * dx, wy + m * dy) == (0, 0):
-                    if j + 1 >= 3:
-                        _record_closure(
-                            found.setdefault(j + 1, {}), prim and m == 1, c, (link, d, m)
-                        )
-                del states[key]
-                continue
-            # steps 1..top stay within the cap; a run the cap breaks
-            # also counts the step that breaks it (every kept chain is
-            # within the cap, so then 0 <= top < mult_cap)
-            top = mult_cap
-            if cap is not None and c + mult_cap * cr > cap:
-                top = (cap - c) // cr
-                ops += 1
-                if not top:
+        for j in range(k_max - 1, -1, -1):
+            here, here_links = costs[j], links[j]
+            ahead, ahead_links = costs[j + 1], links[j + 1]
+            # the box a new partial sum must lie in to close with r more
+            # edges, all on directions after d
+            r = k_max - j - 1
+            xl, xh, yl, yh = -r * px, r * mx, -r * py, r * my
+            dead = []
+            for key, c in here.items():
+                wx, wy, prim = key
+                cr = wx * dy - wy * dx
+                # the root (j == 0) starts a chain on every direction
+                if cr <= 0 and j:
+                    if cr == 0:
+                        # the closing edge runs straight back to the
+                        # start; this was the chain's last chance
+                        ops += 1
+                        if dx != 0:
+                            m, rem = divmod(-wx, dx)
+                        else:
+                            m, rem = divmod(-wy, dy)
+                        closes = rem == 0 and 1 <= m <= mult_cap and (wx + m * dx, wy + m * dy) == (0, 0)
+                        if closes and j + 1 >= 3:
+                            link = (here_links[key], d, m)
+                            _record_closure(found.setdefault(j + 1, {}), prim and m == 1, c, link)
+                    # at cr < 0 for good: no later direction turns back
+                    dead.append(key)
                     continue
-            ops += top
-            xl, xh, yl, yh = later[k_max - j - 1]
-            j += 1
-            # step 1 keeps the primitive flag, and is the whole run on
-            # the directions with mult_cap == 1
-            nc, nwx, nwy = c + cr, wx + dx, wy + dy
-            if xl <= nwx <= xh and yl <= nwy <= yh:
-                nkey = (j, nwx, nwy, prim)
-                old = states.get(nkey)
-                if old is None or nc < old[0]:
-                    states[nkey] = (nc, (link, d, 1))
-            for m in range(2, top + 1):
-                nc += cr
-                nwx += dx
-                nwy += dy
+                # steps 1..top stay within the cap; a run the cap breaks
+                # also counts the step that breaks it (every kept chain
+                # is within the cap, so then 0 <= top < mult_cap)
+                top = mult_cap
+                if cap is not None and c + mult_cap * cr > cap:
+                    top = (cap - c) // cr
+                    ops += 1
+                    if not top:
+                        continue
+                ops += top
+                # step 1 keeps the primitive flag, and is the whole run
+                # on the directions with mult_cap == 1
+                nc, nwx, nwy = c + cr, wx + dx, wy + dy
                 if xl <= nwx <= xh and yl <= nwy <= yh:
-                    nkey = (j, nwx, nwy, False)
-                    old = states.get(nkey)
-                    if old is None or nc < old[0]:
-                        states[nkey] = (nc, (link, d, m))
+                    nkey = (nwx, nwy, prim)
+                    old = ahead.get(nkey)
+                    if old is None or nc < old:
+                        ahead[nkey] = nc
+                        ahead_links[nkey] = (here_links[key], d, 1)
+                for m in range(2, top + 1):
+                    nc += cr
+                    nwx += dx
+                    nwy += dy
+                    if xl <= nwx <= xh and yl <= nwy <= yh:
+                        nkey = (nwx, nwy, False)
+                        old = ahead.get(nkey)
+                        if old is None or nc < old:
+                            ahead[nkey] = nc
+                            ahead_links[nkey] = (here_links[key], d, m)
+            for key in dead:
+                del here[key], here_links[key]
         sweep.ops += ops
         if sweep.ops > sweep.budget:
             sweep.check_budget(
                 str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
             )
 
-    return found, sweep.ops
+    return {k: found[k] for k in sorted(found)}, sweep.ops
 
 
 def _pick_area_witness(slot: AreaSlot) -> tuple[int, LatticePolygon]:
@@ -731,65 +755,73 @@ def _sweep_symmetric(
     m_target: int, coord_bound: int, cap: Optional[int], budget: int, spent: int = 0
 ) -> tuple[dict[tuple[int, int, int, bool], tuple[int, tuple]], int]:
     """Run the half-chain sweep; return the finished half-chains (those
-    with `m_target` edges) in insertion order, and the op count, `spent`
+    with `m_target` edges), keyed (m_target, x, y, all primitive) with
+    their (cost, link) in insertion order, and the op count, `spent`
     included.
 
-    A finished half-chain is set aside as soon as it is made, and a
-    half-chain that cannot reach `m_target` edges on the directions
-    left is dropped, so each layer visits only half-chains that can
-    still finish.  `cap` is the largest cost a half-chain may carry
-    (module docstring); None keeps every half-chain.
+    A finished half-chain is set aside in store `m_target`, which no
+    layer walks, as soon as it is made, and a half-chain that cannot
+    reach `m_target` edges on the directions left is dropped, so each
+    layer visits only half-chains that can still finish.  `cap` is the
+    largest cost a half-chain may carry (module docstring); None keeps
+    every half-chain.
     """
     sweep = _Sweep(budget, spent)
-    finished: dict[tuple[int, int, int, bool], tuple[int, tuple]] = {}
     # the root is dropped only in the last m_target - 1 layers
     dirs = _primitive_directions(
         coord_bound, upper_half_only=True, sweep=sweep, rootless=m_target - 1
     )
+    costs, links = _rooted_stores(m_target + 1)
     for i, d in enumerate(dirs):
         dx, dy = d
         mult_cap = coord_bound // max(abs(dx), abs(dy))
         # a half-chain takes at most one edge per direction still to come
-        short = m_target - (len(dirs) - i)
-        if short > 0:
-            sweep.states = {key: v for key, v in sweep.states.items() if key[0] >= short}
-        states = sweep.states
+        for j in range(m_target - (len(dirs) - i)):
+            costs[j].clear()
+            links[j].clear()
         ops = 0
-        for key, (cost, link) in list(states.items()):
-            j, wx, wy, prim = key
-            cr = wx * dy - wy * dx
-            # directions confined to a half-plane sweep strictly left
-            if cr <= 0 and j:
-                raise InvariantError("half-plane chain lost convexity")
-            # each step adds cr - 1: -1 from the root, >= 0 after it; runs
-            # are counted as in `_sweep_areas`
-            step = cr - 1
-            top = mult_cap
-            if cap is not None and cost + mult_cap * step > cap:
-                top = (cap - cost) // step
-                ops += 1
-                if not top:
-                    continue
-            ops += top
-            j += 1
-            target = finished if j == m_target else states
-            # step 1 keeps the primitive flag, as in `_sweep_areas`
-            nc, nwx, nwy = cost + step, wx + dx, wy + dy
-            nkey = (j, nwx, nwy, prim)
-            old = target.get(nkey)
-            if old is None or nc < old[0]:
-                target[nkey] = (nc, (link, d, 1))
-            for mult in range(2, top + 1):
-                nc += step
-                nwx += dx
-                nwy += dy
-                nkey = (j, nwx, nwy, False)
-                old = target.get(nkey)
-                if old is None or nc < old[0]:
-                    target[nkey] = (nc, (link, d, mult))
+        for j in range(m_target - 1, -1, -1):
+            here, here_links = costs[j], links[j]
+            ahead, ahead_links = costs[j + 1], links[j + 1]
+            for key, cost in here.items():
+                wx, wy, prim = key
+                cr = wx * dy - wy * dx
+                # directions confined to a half-plane sweep strictly left
+                if cr <= 0 and j:
+                    raise InvariantError("half-plane chain lost convexity")
+                # each step adds cr - 1: -1 from the root, >= 0 after it;
+                # runs are counted as in `_sweep_areas`
+                step = cr - 1
+                top = mult_cap
+                if cap is not None and cost + mult_cap * step > cap:
+                    top = (cap - cost) // step
+                    ops += 1
+                    if not top:
+                        continue
+                ops += top
+                # step 1 keeps the primitive flag, as in `_sweep_areas`
+                nc, nwx, nwy = cost + step, wx + dx, wy + dy
+                nkey = (nwx, nwy, prim)
+                old = ahead.get(nkey)
+                if old is None or nc < old:
+                    ahead[nkey] = nc
+                    ahead_links[nkey] = (here_links[key], d, 1)
+                for mult in range(2, top + 1):
+                    nc += step
+                    nwx += dx
+                    nwy += dy
+                    nkey = (nwx, nwy, False)
+                    old = ahead.get(nkey)
+                    if old is None or nc < old:
+                        ahead[nkey] = nc
+                        ahead_links[nkey] = (here_links[key], d, mult)
         sweep.ops += ops
         sweep.check_budget("(no symmetric polygon completed yet)")
-    return finished, sweep.ops
+    finished_links = links[m_target]
+    return {
+        (m_target, wx, wy, prim): (cost, finished_links[wx, wy, prim])
+        for (wx, wy, prim), cost in costs[m_target].items()
+    }, sweep.ops
 
 
 def _even_finals(finished: dict) -> list[tuple[int, bool, tuple]]:
@@ -901,7 +933,7 @@ def min_interior_symmetric(
 def f_of_m(m: int) -> int:
     """Half of (minimum symmetric interior count + 1), from
     `SymmetricInteriorResult.f`."""
-    if not isinstance(m, int) or not 1 <= m <= 8:
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= 8:
         raise ValidationError(f"m must be an integer in 1..8, got {m!r}")
     return min_interior_symmetric(2 * m).f
 

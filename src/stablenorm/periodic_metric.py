@@ -61,6 +61,9 @@ _STABLE_RTOL = 1e-9
 _BOX_SLACK = 1e-9
 #: Floor of the grouping scale, so a zero length groups only with zeros.
 _TINY_LENGTH = 1e-300
+#: A canyon's background b and its grid's loop n * (b / n) may differ by
+#: rounding alone.
+_LOOP_COST_RTOL = 1e-12
 #: Most candidate classes `spectrum` measures, one cover search each.
 _MAX_SPECTRUM_CLASSES = 10_000
 
@@ -238,7 +241,8 @@ class PeriodicWeightedGraph:
     in that order, and each edge's place in it is its search-index
     label.  The grid is connected by construction, so validation
     checks its one weight and runs the union-find over the explicit
-    edges only.
+    edges only.  `loop_cost` must be the grid's loop, n times its
+    weight, up to rounding.
     """
 
     nodes: tuple[NodeId, ...]
@@ -284,6 +288,17 @@ class PeriodicWeightedGraph:
                 components -= 1
         if components > 1:
             raise ValidationError("quotient graph is not connected")
+        # `marked_min_length` cuts its search off at this cost, so it must
+        # be the grid's own loop; written as `not <=` so that NaN fails
+        loop, grid_loop = self.loop_cost, grid.n * grid.weight
+        if (
+            isinstance(loop, bool)
+            or not isinstance(loop, (int, float))
+            or not abs(loop - grid_loop) <= _LOOP_COST_RTOL * grid_loop
+        ):
+            raise ValidationError(
+                f"loop cost {loop!r} is not the grid's loop {grid.n} * {grid.weight!r} = {grid_loop!r}"
+            )
 
     @property
     def edges(self) -> Sequence[PeriodicEdge]:

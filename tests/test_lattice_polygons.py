@@ -318,6 +318,19 @@ class TestMinArea:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_unpruned_sweep_memory_ceiling(self):
+        # about 1.2 MiB with one store per edge count; a per-layer
+        # snapshot of every state, or a (cost, link) pair per state,
+        # takes the peak to about 1.9 MiB
+        tracemalloc.start()
+        try:
+            res = min_area_convex_kgon(8, coord_bound=6, pruned=False)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.area == EXPECTED_MIN_AREA[8]
+        assert peak < 1.5 * 2**20
+
     def test_coord_bound_validation(self):
         with pytest.raises(ValidationError):
             min_area_convex_kgon(4, coord_bound=1)
@@ -497,7 +510,7 @@ class TestHalvedCount:
             dataclasses.replace(res, interior=8).f
 
     def test_validation(self):
-        for bad in (0, 9, "1"):
+        for bad in (0, 9, "1", True, 2.0):
             with pytest.raises(ValidationError):
                 f_of_m(bad)
 
@@ -543,14 +556,20 @@ def _reference_offer(states, key, cost, link):
         states[key] = (cost, link)
 
 
+#: The reference sweeps' one state dict starts at the root: no edges, at
+#: the origin, all primitive.
+REFERENCE_ROOT = (0, 0, 0, True)
+
+
 def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
     sweep = lattice_polygons._Sweep(budget)
+    states = {REFERENCE_ROOT: (0, None)}
     found = {}
     for d in lattice_polygons._primitive_directions(coord_bound):
         dx, dy = d
         mult_cap = coord_bound // max(abs(dx), abs(dy))
         additions = []
-        for key, (c, link) in sweep.states.items():
+        for key, (c, link) in states.items():
             j, wx, wy, prim = key
             if j >= k_max:
                 continue
@@ -586,7 +605,7 @@ def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
                     continue
                 additions.append(((j + 1, nwx, nwy, prim and m == 1), nc, (link, d, m)))
         for key, cost, link in additions:
-            _reference_offer(sweep.states, key, cost, link)
+            _reference_offer(states, key, cost, link)
         sweep.check_budget(
             str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
         )
@@ -595,11 +614,12 @@ def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
 
 def reference_sweep_symmetric(m_target, coord_bound, budget):
     sweep = lattice_polygons._Sweep(budget)
+    states = {REFERENCE_ROOT: (0, None)}
     for d in lattice_polygons._primitive_directions(coord_bound, upper_half_only=True):
         dx, dy = d
         mult_cap = coord_bound // max(abs(dx), abs(dy))
         additions = []
-        for key, (cost, link) in sweep.states.items():
+        for key, (cost, link) in states.items():
             j, wx, wy, prim = key
             if j >= m_target:
                 continue
@@ -619,9 +639,9 @@ def reference_sweep_symmetric(m_target, coord_bound, budget):
                     )
                 )
         for key, cost, link in additions:
-            _reference_offer(sweep.states, key, cost, link)
+            _reference_offer(states, key, cost, link)
         sweep.check_budget("(no symmetric polygon completed yet)")
-    finished = {key: v for key, v in sweep.states.items() if key[0] == m_target}
+    finished = {key: v for key, v in states.items() if key[0] == m_target}
     return finished, sweep.ops
 
 
@@ -689,8 +709,10 @@ class TestSweepAgainstReference:
         new = _memo(lattice_polygons._sweep_areas)
         seeded, _ops = ref(k_max, min(bound, 2 if k_max <= 8 else 3), None, UNBOUNDED)
         best = seeded[k_max][False][0]
-        # uncapped, capped below the seed (single k) and at it (table)
-        for cap in (None, best - 1, best):
+        # uncapped, capped far below the seed (where runs in every store
+        # break at their first step), just below it (single k) and at
+        # it (table)
+        for cap in (None, 0, best // 2, best - 1, best):
             ref_found, ref_ops = ref(k_max, bound, cap, UNBOUNDED)
             new_found, new_ops = new(k_max, bound, cap, UNBOUNDED)
             assert _in_order(new_found) == _in_order(ref_found), cap

@@ -792,6 +792,27 @@ class TestArithmeticGrid:
             with pytest.raises(ValidationError, match="first grid node"):
                 TorusGrid(first, 4, 0.25)
 
+    @pytest.mark.parametrize(
+        "loop_cost", [True, "1.0", 0, 0.0, -1.0, math.inf, -math.inf, math.nan, 0.5, 2.0, 1.0 + 1e-9]
+    )
+    def test_loop_cost_must_be_the_grid_loop(self, loop_cost):
+        # uniform_grid(4) loops at 4 * 0.25 = 1.0
+        with pytest.raises(ValidationError, match="loop cost"):
+            dataclasses.replace(uniform_grid(4), loop_cost=loop_cost)
+
+    def test_loop_cost_below_the_grid_loop_rejected(self, square_canyon):
+        # as the search cutoff, a loop cost below the grid's loop (here
+        # 1.0) would hide every cycle cheaper than the grid's own
+        with pytest.raises(ValidationError, match="loop cost"):
+            dataclasses.replace(square_canyon, loop_cost=0.5)
+
+    def test_loop_cost_off_by_rounding_accepted(self):
+        # 100 * (1.7 / 100) is one ulp above 1.7; the canyon keeps b
+        graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0)])
+        canyon = build_canyon_graph(graph, theta=0.14, background_systole=1.7, grid_resolution=100)
+        assert canyon.loop_cost == 1.7 != 100 * canyon.grid.weight
+        assert dataclasses.replace(canyon, loop_cost=100 * canyon.grid.weight).loop_cost > 1.7
+
     def test_build_memory_ceiling(self):
         # a grid-512 canyon has 524,288 grid steps; making one edge object
         # per step peaked at 136 MiB under tracemalloc (Python 3.11), the
