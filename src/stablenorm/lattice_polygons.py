@@ -257,8 +257,11 @@ def canonical_form(
     cyclic order is rotated to start at the smallest vertex, and with
     `translate` the bounding box corner moves to the origin.  Symmetric
     witnesses pass translate=False so the center stays at the origin.
+    Fewer than 3 vertices make no polygon and raise ValidationError.
     """
     n = len(vertices)
+    if n < 3:
+        raise ValidationError(f"a polygon needs at least 3 vertices, got {n}")
     twice = sum(_cross(vertices[i], vertices[(i + 1) % n]) for i in range(n))
     best: Optional[tuple[IntVec, ...]] = None
     for sx in (1, -1):

@@ -323,24 +323,49 @@ def _arc_ray_length(var: ArcPolygon, ux: float, uy: float) -> float:
     raise ValidationError(f"direction ({ux},{uy}) matched no sector of the arc polygon")
 
 
+def norm_evaluator(norm: NormSpec) -> Callable[[float, float], float]:
+    """The norm as a function of two floats (x, y), its constants bound
+    once: the one definition of each variant's formula, which
+    `eval_norm` and every loop that evaluates a norm many times call."""
+    var = norm.variant
+    scale = norm.scale
+    if isinstance(var, Ellipse):
+        q11, q12_twice, q22 = var.q11, 2.0 * var.q12, var.q22
+        sqrt = math.sqrt
+
+        def ellipse(x: float, y: float) -> float:
+            q = q11 * x * x + q12_twice * x * y + q22 * y * y
+            # max(q, 0.0): a NaN or -0.0 sum passes through unchanged
+            return scale * sqrt(0.0 if q < 0.0 else q)
+
+        return ellipse
+    if isinstance(var, PNorm):
+        p = var.p
+        inv_p = 1.0 / p
+
+        def pnorm(x: float, y: float) -> float:
+            ax, ay = abs(x), abs(y)
+            m = ay if ay > ax else ax
+            if m == 0.0:
+                return 0.0
+            return scale * m * ((ax / m) ** p + (ay / m) ** p) ** inv_p
+
+        return pnorm
+    hypot = math.hypot
+    gauge_level = scale * var.level
+
+    def arc(x: float, y: float) -> float:
+        r = hypot(x, y)
+        if r == 0.0:
+            return 0.0
+        return gauge_level * r / _arc_ray_length(var, x / r, y / r)
+
+    return arc
+
+
 def eval_norm(norm: NormSpec, v) -> float:
     """Evaluate the norm at v (an IntegralClass or a real 2-vector)."""
-    x, y = _coords(v)
-    var = norm.variant
-    if isinstance(var, Ellipse):
-        q = var.q11 * x * x + 2.0 * var.q12 * x * y + var.q22 * y * y
-        return norm.scale * math.sqrt(max(q, 0.0))
-    if isinstance(var, PNorm):
-        ax, ay = abs(x), abs(y)
-        m = max(ax, ay)
-        if m == 0.0:
-            return 0.0
-        return norm.scale * m * ((ax / m) ** var.p + (ay / m) ** var.p) ** (1.0 / var.p)
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return 0.0
-    t = _arc_ray_length(var, x / r, y / r)
-    return norm.scale * var.level * r / t
+    return norm_evaluator(norm)(*_coords(v))
 
 
 @dataclass(frozen=True)
@@ -361,11 +386,12 @@ def strict_convexity_check(norm: NormSpec) -> ConvexityReport:
     Returns:
         ConvexityReport with the smallest observed gap 2 - ||u + v||.
     """
+    norm_at = norm_evaluator(norm)
     pts: list[Vec] = []
     for j in range(_CONVEXITY_SAMPLES):
         th = 2.0 * math.pi * j / _CONVEXITY_SAMPLES
         dx, dy = math.cos(th), math.sin(th)
-        r = eval_norm(norm, (dx, dy))
+        r = norm_at(dx, dy)
         pts.append((dx / r, dy / r))
     worst: Optional[tuple[Vec, Vec]] = None
     min_gap = math.inf
@@ -375,7 +401,7 @@ def strict_convexity_check(norm: NormSpec) -> ConvexityReport:
             vx, vy = pts[j]
             if abs(_cross(ux, uy, vx, vy)) <= _PARALLEL_CUTOFF:
                 continue
-            gap = 2.0 - eval_norm(norm, (ux + vx, uy + vy))
+            gap = 2.0 - norm_at(ux + vx, uy + vy)
             if gap < min_gap:
                 min_gap = gap
                 worst = (pts[i], pts[j])
@@ -426,13 +452,14 @@ def tie_groups(
 def _sorted_box_classes(
     norm: NormSpec, box: int, keep: Callable[[IntegralClass], bool]
 ) -> list[tuple[IntegralClass, float]]:
+    norm_at = norm_evaluator(norm)
     out: list[tuple[IntegralClass, float]] = []
     for a in range(0, box + 1):
         b_lo = 0 if a == 0 else -box
         for b in range(b_lo, box + 1):
             h = IntegralClass(a, b)
             if keep(h):
-                out.append((h, eval_norm(norm, h)))
+                out.append((h, norm_at(float(a), float(b))))
     out.sort(key=lambda e: (e[1], e[0].tie_key()))
     # equal lengths up to float noise must be grouped before tie keys
     # apply; every member takes the group's smallest value, so the
@@ -522,13 +549,13 @@ def contained_lattice_points(var: ArcPolygon) -> set[tuple[int, int]]:
     bulged curve."""
     reach = max(math.hypot(x, y) for (x, y) in var.vertices) + var.max_sagitta()
     box = int(math.ceil(reach)) + 1
-    spec = NormSpec(var, 1.0)
+    norm_at = norm_evaluator(NormSpec(var, 1.0))
     found: set[tuple[int, int]] = set()
     for x in range(-box, box + 1):
         for y in range(-box, box + 1):
             if (x, y) == (0, 0):
                 found.add((x, y))
-            elif eval_norm(spec, (x, y)) <= var.level * (1.0 + _ON_CURVE_RTOL):
+            elif norm_at(float(x), float(y)) <= var.level * (1.0 + _ON_CURVE_RTOL):
                 found.add((x, y))
     return found
 

@@ -4,10 +4,11 @@ For pairwise non-proportional primitive classes h_1..h_k, the closed
 geodesics through a common base point are the lines t*(a_i, b_i) on
 R^2/Z^2.  Two such geodesics meet in exactly |det(h_i, h_j)| points,
 and on gamma_i those points sit at parameters r/|det| with exact
-rational values, so the whole graph (vertices, segment fractions q_ij,
-lift displacements) is computed in Fraction arithmetic and the stated
-identities (sum of q over a class is 1, displacements sum to h_i) hold
-exactly, not approximately.
+rational values.  The whole graph (vertices, segment fractions q_ij,
+lift displacements) is computed exactly, as integer numerators over one
+common denominator and turned into Fractions only at the end, so the
+stated identities (sum of q over a class is 1, displacements sum to
+h_i) hold exactly, not approximately.
 
 Cycle machinery: shortest representatives of integral classes via
 the certified A* search of `stablenorm.cover` in the Z^2-cover, and a
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 from stablenorm.cover import SearchIndex, build_search_index, shortest_cover_cycle
 from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError, check_budget
-from stablenorm.norms import IntegralClass, NormSpec, eval_norm, integral_class
+from stablenorm.norms import IntegralClass, NormSpec, integral_class, norm_evaluator
 
 FracVec = tuple[Fraction, Fraction]
 
@@ -96,31 +97,45 @@ class ToralGeodesicGraph:
     def scaled_disps(self) -> tuple[tuple[int, int], ...]:
         """Each edge's displacement times `disp_scale`, as exact ints."""
         scale = self.disp_scale
-        return tuple((int(e.disp[0] * scale), int(e.disp[1] * scale)) for e in self.edges)
+        return tuple(
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in (e.disp for e in self.edges)
+        )
 
     @cached_property
     def crossings(self) -> tuple[tuple[int, int], ...]:
         """Each edge's signed crossing numbers with the reference circles
         {x = x0} and {y = y0}, traversed from its tail.
 
-        The levels x0, y0 sit in the widest gaps of the vertex
-        coordinates, so no step starts or ends on a circle, and a step
-        from p along d crosses floor(p + d - x0) - floor(p - x0) times.
-        That count does not change when p moves by an integer, so it is
-        a property of the edge; reversing the step negates it.  The
-        segment is taken from the class geometry, q_e * h_i, not from
-        the stored displacement, which keeps the count independent of
-        `disp`.
+        The levels x0, y0 sit mid-way across the widest gaps of the
+        vertex coordinates, so no step starts or ends on a circle, and a
+        step from p along d crosses floor(p + d - x0) - floor(p - x0)
+        times.  That count does not change when p moves by an integer,
+        so it is a property of the edge; reversing the step negates it.
+        The segment is taken from the class geometry, q_e * h_i, not
+        from the stored displacement, which keeps the count independent
+        of `disp`.
+
+        All of it is integer arithmetic: with M the lcm of the
+        denominators of the vertex coordinates and of the q_e, every
+        coordinate, segment and level is an int over 2M (the factor 2
+        keeps a gap's midpoint whole), and each floor is a floor
+        division by 2M.
         """
-        x0 = _gap_midpoint(sorted({v[0] for v in self.vertices}))
-        y0 = _gap_midpoint(sorted({v[1] for v in self.vertices}))
+        period = 2 * math.lcm(
+            *(c.denominator for v in self.vertices for c in v), *(e.q.denominator for e in self.edges)
+        )
+        points = [tuple(c.numerator * (period // c.denominator) for c in v) for v in self.vertices]
+        x0 = _widest_gap_midpoint(sorted({x for x, _y in points}), period)
+        y0 = _widest_gap_midpoint(sorted({y for _x, y in points}), period)
         table = []
         for e in self.edges:
             h, _ell = self.classes[e.cls]
-            px, py = self.vertices[e.tail]
+            seg = e.q.numerator * (period // e.q.denominator)
+            px, py = points[e.tail]
             table.append((
-                math.floor(px + e.q * h.a - x0) - math.floor(px - x0),
-                math.floor(py + e.q * h.b - y0) - math.floor(py - y0),
+                (px + seg * h.a - x0) // period - (px - x0) // period,
+                (py + seg * h.b - y0) // period - (py - y0) // period,
             ))
         return tuple(table)
 
@@ -160,6 +175,14 @@ class ToralGeodesicGraph:
 def build_graph(classes: Sequence[tuple[IntegralClass, float]]) -> ToralGeodesicGraph:
     """Build the geodesic graph of the given primitive classes.
 
+    Geodesic i is cut at the parameters r/|det(h_i, h_j)| for every
+    other class j.  With D the lcm of the pairwise |det|, every cut
+    parameter, every segment fraction q and every torus point
+    (t*a_i mod 1, t*b_i mod 1) is an int numerator over D, so the
+    cuts, the vertex identification and the vertex order are integer
+    work.  The Fractions of the vertices, of q and of the displacements
+    q*h_i are made at the end, one object per distinct numerator.
+
     Args:
         classes: pairs (h_i, ell_i); the h_i must be pairwise
             non-proportional primitives and the lengths positive.
@@ -183,48 +206,44 @@ def build_graph(classes: Sequence[tuple[IntegralClass, float]]) -> ToralGeodesic
                     f"classes {classes[i][0]} and {classes[j][0]} are proportional"
                 )
 
-    def torus_point(h: IntegralClass, t: Fraction) -> FracVec:
-        return ((t * h.a) % 1, (t * h.b) % 1)
-
-    vertex_ix: dict[FracVec, int] = {}
-
-    def vertex_of(p: FracVec) -> int:
-        if p not in vertex_ix:
-            vertex_ix[p] = len(vertex_ix)
-        return vertex_ix[p]
-
-    raw_edges: list[tuple[int, int, int, Fraction, FracVec]] = []
-    for i, (h, ell) in enumerate(classes):
-        params = {Fraction(0)}
+    denom = math.lcm(*(abs(g.det(h)) for n, (g, _) in enumerate(classes) for h, _ in classes[:n]))
+    # (tail point, head point, class, q), numerators over denom
+    raw_edges: list[tuple[tuple[int, int], tuple[int, int], int, int]] = []
+    for i, (h, _ell) in enumerate(classes):
+        params = {0}
         for j, (g, _) in enumerate(classes):
-            if j == i:
-                continue
-            d = abs(h.det(g))
-            params.update(Fraction(r, d) for r in range(d))
-        cuts = sorted(params)
-        for r, t0 in enumerate(cuts):
-            t1 = cuts[r + 1] if r + 1 < len(cuts) else Fraction(1)
-            q = t1 - t0
-            tail = vertex_of(torus_point(h, t0))
-            head = vertex_of(torus_point(h, t1 % 1))
-            raw_edges.append((tail, head, i, q, (q * h.a, q * h.b)))
+            if j != i:
+                params.update(range(0, denom, denom // abs(h.det(g))))
+        cuts = sorted(params) + [denom]
+        tail = (0, 0)
+        for t0, t1 in zip(cuts, cuts[1:]):
+            head = (t1 * h.a % denom, t1 * h.b % denom)
+            raw_edges.append((tail, head, i, t1 - t0))
+            tail = head
 
-    insertion = list(vertex_ix)
-    order = sorted(range(len(insertion)), key=lambda ix: insertion[ix])
-    remap = {old: new for new, old in enumerate(order)}
-    coords = tuple(sorted(vertex_ix))
-    edges = tuple(
-        GraphEdge(
-            tail=remap[t],
-            head=remap[hd],
+    points = sorted({p for t, hd, _c, _q in raw_edges for p in (t, hd)})
+    index = {p: n for n, p in enumerate(points)}
+    fracs: dict[int, Fraction] = {}
+
+    def frac(numerator: int) -> Fraction:
+        f = fracs.get(numerator)
+        if f is None:
+            f = fracs[numerator] = Fraction(numerator, denom)
+        return f
+
+    edges = []
+    for t, hd, c, q in raw_edges:
+        h, ell = classes[c]
+        edges.append(GraphEdge(
+            tail=index[t],
+            head=index[hd],
             cls=c,
-            q=q,
-            disp=d,
-            length=float(q) * classes[c][1],
-        )
-        for (t, hd, c, q, d) in raw_edges
-    )
-    return ToralGeodesicGraph(vertices=coords, edges=edges, classes=tuple(classes))
+            q=frac(q),
+            disp=(frac(q * h.a), frac(q * h.b)),
+            length=float(frac(q)) * ell,
+        ))
+    coords = tuple((frac(x), frac(y)) for x, y in points)
+    return ToralGeodesicGraph(vertices=coords, edges=tuple(edges), classes=tuple(classes))
 
 
 @dataclass(frozen=True)
@@ -267,18 +286,15 @@ class Cycle:
         return IntegralClass(a, b)
 
 
-def _gap_midpoint(values: list[Fraction]) -> Fraction:
-    """Midpoint of the widest circular gap among fractions in [0,1)."""
-    if not values:
-        return Fraction(1, 2)
-    best_gap = Fraction(0)
-    best_mid = Fraction(1, 2)
-    for i, v in enumerate(values):
-        nxt = values[i + 1] if i + 1 < len(values) else values[0] + 1
-        gap = nxt - v
-        if gap > best_gap:
-            best_gap = gap
-            best_mid = (v + nxt) / 2 % 1
+def _widest_gap_midpoint(levels: list[int], period: int) -> int:
+    """Midpoint of the first widest circular gap among the sorted even
+    ints `levels` in [0, period), reduced mod period: period / 2 when
+    there are none."""
+    best_gap, best_mid = 0, period // 2
+    for i, v in enumerate(levels):
+        nxt = levels[i + 1] if i + 1 < len(levels) else levels[0] + period
+        if nxt - v > best_gap:
+            best_gap, best_mid = nxt - v, (v + nxt) // 2 % period
     return best_mid
 
 
@@ -411,10 +427,16 @@ def _min_gap_search(
 
     One loop runs a depth-first search from each start vertex s0 over
     paths on vertices >= s0, with an explicit stack of pending states
-    (vertex, depth, length, scaled displacement, whether the path mixes
-    classes, step into it).  Children are pushed in reverse edge order,
-    so they pop in edge order, and each pop cuts `steps` back to the
-    parent's path and appends its own step.  A popped state back at s0
+    (move into it, depth, the parent's length and scaled displacement,
+    whether the path mixes classes).  A move is one entry of the
+    per-vertex table built once per call: (to, step, its reversal,
+    scaled dx, scaled dy, edge length, class), with each oriented step
+    one (edge, sign) tuple, so a push allocates only the state tuple
+    and the no-backtrack test is an identity test of the reversal
+    against the last step.  Children are pushed in reverse edge order,
+    so they pop in edge order; a pop adds its move's length and
+    displacement to the parent's, cuts `steps` back to the parent's
+    path and appends its own step.  A popped state back at s0
     closes a cycle when the path is mixed and its last step does not
     undo its first; the cycle is recorded then, before the slack prune,
     with that state's slack as its gap.  Each pop counts one node
@@ -424,19 +446,26 @@ def _min_gap_search(
     `disp_scale` D, so the dominance keys are exact int tuples; the norm
     of a displacement is evaluated once per call at (dx / D, dy / D),
     which rounds exactly like the float of the rational it stands for.
+    It is evaluated by the one `norm_evaluator` compiled for the call,
+    the formula `eval_norm` also runs.
     """
     best_gap = math.inf
     best_cycle: Optional[Cycle] = None
     cycles = 0
     nodes = 0
     scale = graph.disp_scale
-    disps = graph.scaled_disps
+    norm_of = norm_evaluator(norm)
     norm_at: dict[tuple[int, int], float] = {}
-    # per vertex, in reverse edge order: (edge, sign, to, scaled dx,
-    # scaled dy, edge length, class)
+    disps = graph.scaled_disps
+    cls_of = [e.cls for e in graph.edges]
+    # each edge's two steps, forward then backward: [::sg] puts a step
+    # before its reversal
+    step_pairs = [((e, 1), (e, -1)) for e in range(len(graph.edges))]
+    # per vertex, in reverse edge order, the moves: (to, step, its
+    # reversal, scaled dx, scaled dy, edge length, class)
     out = [
         [
-            (e, sg, w, sg * disps[e][0], sg * disps[e][1], graph.edges[e].length, graph.edges[e].cls)
+            (w, *step_pairs[e][::sg], sg * disps[e][0], sg * disps[e][1], graph.edges[e].length, cls_of[e])
             for e, sg, w in reversed(adj)
         ]
         for adj in graph.oriented
@@ -449,9 +478,14 @@ def _min_gap_search(
         # agree on both
         memo: dict[tuple, list[tuple[int, float]]] = {}
         steps: list[tuple[int, int]] = []
-        stack: list[tuple] = [(s0, 0, 0.0, 0, 0, False, None)]
+        stack: list[tuple] = [((s0, None, None, 0, 0, 0.0, None), 0, 0.0, 0, 0, False)]
+        push = stack.append
         while stack:
-            v, depth, length, dx, dy, mixed, last = stack.pop()
+            move, depth, length, dx, dy, mixed = stack.pop()
+            v, last, _back, sdx, sdy, edge_length, _c = move
+            length += edge_length
+            dx += sdx
+            dy += sdy
             first = None
             if last is not None:
                 del steps[depth - 1 :]
@@ -459,7 +493,7 @@ def _min_gap_search(
                 first = steps[0]
             disp_norm = norm_at.get((dx, dy))
             if disp_norm is None:
-                disp_norm = norm_at[dx, dy] = eval_norm(norm, (dx / scale, dy / scale))
+                disp_norm = norm_at[dx, dy] = norm_of(dx / scale, dy / scale)
             slack = length - disp_norm
             if v == s0 and mixed and last != (first[0], -first[1]):
                 cycles += 1
@@ -475,19 +509,22 @@ def _min_gap_search(
             if slack >= best_gap:
                 continue
             key = (v, dx, dy, first, last)
-            front = memo.setdefault(key, [])
-            if any(d0 <= depth and l0 <= length + DOMINANCE_SLACK for d0, l0 in front):
-                continue
-            front[:] = [(d0, l0) for d0, l0 in front if not (depth <= d0 and length <= l0)]
-            front.append((depth, length))
+            front = memo.get(key)
+            if front is None:
+                memo[key] = [(depth, length)]
+            else:
+                if any(d0 <= depth and l0 <= length + DOMINANCE_SLACK for d0, l0 in front):
+                    continue
+                front[:] = [(d0, l0) for d0, l0 in front if not (depth <= d0 and length <= l0)]
+                front.append((depth, length))
             if depth == edge_bound:
                 continue
-            first_cls = None if first is None else graph.edges[first[0]].cls
-            for e, sg, w, sdx, sdy, edge_length, c in out[v]:
-                if w < s0 or (last is not None and e == last[0] and sg == -last[1]):
+            first_cls = None if first is None else cls_of[first[0]]
+            depth += 1
+            for move in out[v]:
+                if move[0] < s0 or move[2] is last:
                     continue
-                mixed_w = mixed or (first_cls is not None and c != first_cls)
-                stack.append((w, depth + 1, length + edge_length, dx + sdx, dy + sdy, mixed_w, (e, sg)))
+                push((move, depth, length, dx, dy, mixed or (first_cls is not None and move[6] != first_cls)))
     return best_gap, best_cycle, cycles, nodes
 
 

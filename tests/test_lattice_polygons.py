@@ -519,6 +519,14 @@ class TestCanonicalForm:
     def test_idempotent_on_square(self):
         assert canonical_form(UNIT_SQUARE.vertices) == UNIT_SQUARE.vertices
 
+    @pytest.mark.parametrize("vertices", [[], [(0, 0)], [(0, 0), (1, 0)]], ids=["none", "one", "two"])
+    @pytest.mark.parametrize("translate", [True, False])
+    def test_fewer_than_three_vertices_rejected(self, vertices, translate):
+        # the empty list leaked a raw ValueError from min(), and two
+        # points came back as a "polygon"
+        with pytest.raises(ValidationError, match="at least 3 vertices"):
+            canonical_form(vertices, translate=translate)
+
     @given(points_strategy, st.integers(0, 7))
     @settings(max_examples=60)
     def test_symmetry_invariant(self, pts, sym):

@@ -1,9 +1,12 @@
 """Geodesic graph geometry, minimal cycles, and tube constants."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,9 +23,11 @@ from stablenorm.norms import (
     eval_norm,
     hexagonal,
     leading_primitive_classes,
+    make_arc_polygon,
 )
 from stablenorm.toral_graph import (
     Cycle,
+    GraphEdge,
     ToralGeodesicGraph,
     build_graph,
     compute_zeta_epsilon_theta,
@@ -65,6 +70,66 @@ def gap_midpoint(values):
         if nxt - v > best_gap:
             best_gap, best_mid = nxt - v, (v + nxt) / 2 % 1
     return best_mid
+
+
+def reference_build_graph(classes):
+    """Reference: the geodesic graph built in Fraction arithmetic, each
+    cut parameter r/|det| and torus point as its own Fraction, the
+    vertices registered in first-seen order and then sorted."""
+    vertex_ix = {}
+
+    def vertex_of(p):
+        return vertex_ix.setdefault(p, len(vertex_ix))
+
+    raw_edges = []
+    for i, (h, _ell) in enumerate(classes):
+        params = {Fraction(0)}
+        for j, (g, _) in enumerate(classes):
+            if j != i:
+                d = abs(h.det(g))
+                params.update(Fraction(r, d) for r in range(d))
+        cuts = sorted(params)
+        for r, t0 in enumerate(cuts):
+            t1 = cuts[r + 1] if r + 1 < len(cuts) else Fraction(1)
+            q = t1 - t0
+            tail = vertex_of(((t0 * h.a) % 1, (t0 * h.b) % 1))
+            head = vertex_of(((t1 * h.a) % 1, (t1 * h.b) % 1))
+            raw_edges.append((tail, head, i, q, (q * h.a, q * h.b)))
+    insertion = list(vertex_ix)
+    order = sorted(range(len(insertion)), key=lambda ix: insertion[ix])
+    remap = {old: new for new, old in enumerate(order)}
+    edges = tuple(
+        GraphEdge(remap[t], remap[hd], c, q, d, float(q) * classes[c][1]) for (t, hd, c, q, d) in raw_edges
+    )
+    return ToralGeodesicGraph(tuple(sorted(vertex_ix)), edges, tuple(classes))
+
+
+def reference_crossings(graph):
+    """Reference: each edge's crossing numbers with {x = x0}, {y = y0}
+    by Fraction floors, the levels mid-way across the widest gaps."""
+    x0 = gap_midpoint(sorted({v[0] for v in graph.vertices}))
+    y0 = gap_midpoint(sorted({v[1] for v in graph.vertices}))
+    table = []
+    for e in graph.edges:
+        h, _ell = graph.classes[e.cls]
+        px, py = graph.vertices[e.tail]
+        table.append((
+            math.floor(px + e.q * h.a - x0) - math.floor(px - x0),
+            math.floor(py + e.q * h.b - y0) - math.floor(py - y0),
+        ))
+    return tuple(table)
+
+
+#: Pairwise non-proportional primitive classes with positive lengths:
+#: distinct canonical primitives are never proportional.
+class_sets = st.lists(
+    st.tuples(st.integers(-7, 7), st.integers(-7, 7))
+    .filter(lambda ab: math.gcd(*ab) == 1)
+    .map(lambda ab: IntegralClass(*ab)),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda h: h.canonical(),
+).flatmap(lambda hs: st.tuples(*(st.floats(0.1, 10.0).map(lambda ell, h=h: (h, ell)) for h in hs)).map(list))
 
 
 def crossings_by_position_walk(cycle, graph):
@@ -259,6 +324,29 @@ class TestBuildGraph:
             assert (dx, dy) == (Fraction(h.a), Fraction(h.b))
         assert g.vertices[0] == (Fraction(0), Fraction(0))
         assert list(g.vertices) == sorted(g.vertices)
+
+    @given(class_sets)
+    @settings(deadline=None, max_examples=80)
+    def test_matches_the_fraction_reference(self, classes):
+        graph = build_graph(classes)
+        reference = reference_build_graph(classes)
+        assert graph == reference
+        assert graph.to_jsonable() == reference.to_jsonable()
+        assert [type(c) for v in graph.vertices for c in v] == [Fraction] * 2 * len(graph.vertices)
+
+    @given(class_sets)
+    @settings(deadline=None, max_examples=80)
+    def test_crossings_match_the_fraction_reference(self, classes):
+        graph = build_graph(classes)
+        assert graph.crossings == reference_crossings(graph)
+
+    def test_references_agree_on_the_digest_panel(self):
+        for norm in digest_panel_norms():
+            for k in range(1, 8):
+                classes = leading_primitive_classes(norm, k)
+                graph = build_graph(classes)
+                assert graph == reference_build_graph(classes)
+                assert graph.crossings == reference_crossings(graph)
 
     def test_rejects_bad_classes(self):
         with pytest.raises(ValidationError):
@@ -514,12 +602,65 @@ class TestTubeConstants:
         assert "50" in str(err.value)
         assert err.value.budget == 50
 
+    def test_deep_search_memory_ceiling(self):
+        # peaks at about 13.2 MiB, so the ceiling leaves a 14% margin: a
+        # pending state is one tuple over its parent's numbers and a
+        # prebuilt move; with each child's length, displacement and step
+        # allocated at push, the pending siblings under an edge bound of
+        # 2,590 took about 19.5 MiB
+        classes = leading_primitive_classes(E, 40)
+        graph = build_graph(classes)
+        ell_k = max(ell for _h, ell in classes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetError):
+                compute_zeta_epsilon_theta(graph, E, ell_k, node_budget=20_000)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
+
     def test_witness_is_reduced_and_mixed(self):
         tc = compute_zeta_epsilon_theta(THREE, E, math.sqrt(2.0))
         steps = tc.witness.steps
         # no step is immediately undone, also across the wrap-around
         assert all(steps[i - 1] != (e, -s) for i, (e, s) in enumerate(steps))
         assert len({THREE.edges[e].cls for e, _ in steps}) >= 2
+
+
+def digest_panel_norms():
+    """Euclidean, hexagonal, p = 1.5, 3, 4, three seeded random
+    ellipses and one arc polygon."""
+    rng = random.Random(7)
+    norms = [E, hexagonal(), NormSpec(PNorm(1.5)), NormSpec(PNorm(3.0)), NormSpec(PNorm(4.0))]
+    for _ in range(3):
+        angle = rng.uniform(0.0, math.pi)
+        l1, l2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        c, s = math.cos(angle), math.sin(angle)
+        norms.append(NormSpec(Ellipse(l1 * c * c + l2 * s * s, (l1 - l2) * c * s, l1 * s * s + l2 * c * c)))
+    norms.append(make_arc_polygon(((2, 1), (-1, 1), (-2, -1), (1, -1)), level=3.0))
+    return norms
+
+
+def test_tube_constants_digest():
+    # sha256 over every graph field and tube constant, floats as hex, of
+    # the digest panel at k = 1..7: pins the graph build, its tables and
+    # the tube search bit for bit
+    rows = []
+    for norm in digest_panel_norms():
+        for k in range(1, 8):
+            classes = leading_primitive_classes(norm, k)
+            graph = build_graph(classes)
+            tc = compute_zeta_epsilon_theta(graph, norm, max(ell for _h, ell in classes), cross_check=True)
+            rows.append((
+                json.dumps(graph.to_jsonable(), sort_keys=True), graph.crossings, graph.scaled_disps,
+                tc.zeta.hex(), tc.edge_bound, tc.epsilon.hex(), tc.theta.hex(),
+                None if tc.witness is None else tc.witness.steps,
+                None if tc.witness_class is None else tc.witness_class.as_tuple(),
+                tc.cycles_checked, tc.nodes_expanded,
+            ))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "66637f9b85afac38fc3d465ec9c9abfd6e3b55484b634efa7a5700d795e95f78"
 
 
 def cycle_space_rank(walks, graph):
