@@ -380,18 +380,17 @@ def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
     )
 
 
-def _check_hub_separation(verts, n: int) -> None:
+def _check_hub_separation(points, d: int, n: int) -> None:
     """Raise `ValidationError` at the first hub pair (i, j), i < j in
     lexicographic order, whose torus gap is at most 2/n, the gap being
     the larger of the two per-axis distances around the circle.
 
-    The hubs go on integer coordinates over their common denominator d,
-    and into m = n // 2 cells per axis, of side 1/m >= 2/n.  Hubs that
+    The hubs come as integer coordinates `points` over one common
+    denominator d, a toral graph's `points` over its `denom`, and go
+    into m = n // 2 cells per axis, of side 1/m >= 2/n.  Hubs that
     close lie in the same or in cyclically adjacent cells, so each hub
     is compared only with the hubs of those nine cells.
     """
-    d = math.lcm(*(c.denominator for v in verts for c in v))
-    points = [(int(x * d), int(y * d)) for x, y in verts]
     m = n // 2
     cells: dict[tuple[int, int], list[int]] = {}
     for i, (x, y) in enumerate(points):
@@ -443,63 +442,55 @@ def build_canyon_graph(
         )
     n = grid_resolution
     _check_resolution(n, _MIN_GRID_RESOLUTION)
-    verts = graph.vertices
-    _check_hub_separation(verts, n)
+    d, points = graph.denom, graph.points
+    _check_hub_separation(points, d, n)
 
     b = float(background_systole)
     nodes: list[NodeId] = []
     positions: dict[NodeId, tuple[float, float]] = {}
     corridors: list[PeriodicEdge] = []
 
-    for idx in range(len(verts)):
+    for idx, (x, y) in enumerate(points):
         node = ("v", idx)
         nodes.append(node)
-        positions[node] = (float(verts[idx][0]), float(verts[idx][1]))
+        positions[node] = (x / d, y / d)
 
-    # corridor segments, subdivided roughly every four grid cells
-    corridor_nodes: list[NodeId] = [("v", i) for i in range(len(verts))]
+    # corridor segments, subdivided roughly every four grid cells, each
+    # walked exactly in int numerators over d * pieces
+    corridor_nodes: list[NodeId] = [("v", i) for i in range(len(points))]
     for edge_idx, ge in enumerate(graph.edges):
         cls_index = ge.cls
         cls, length_i = graph.classes[cls_index]
-        h = (Fraction(cls.a), Fraction(cls.b))
-        start = graph.vertices[ge.tail]
-        speed = math.hypot(cls.a, cls.b)
-        pieces = max(1, math.ceil(float(ge.q) * speed * n / 4))
-        lift_prev = start
+        q = graph.scaled(ge.q)
+        pieces = max(1, math.ceil(q / d * math.hypot(cls.a, cls.b) * n / 4))
+        scale = d * pieces
+        share = ge.q / pieces
+        weight = float(share) * length_i
+        lx, ly = points[ge.tail][0] * pieces, points[ge.tail][1] * pieces
+        floor_x, floor_y = lx // scale, ly // scale
         prev_node: NodeId = ("v", ge.tail)
         for piece in range(1, pieces + 1):
-            t = ge.q * piece / pieces
-            lift = (start[0] + t * h[0], start[1] + t * h[1])
+            lx += q * cls.a
+            ly += q * cls.b
+            fx, rx = divmod(lx, scale)
+            fy, ry = divmod(ly, scale)
             if piece == pieces:
                 node: NodeId = ("v", ge.head)
-                expected = (lift[0] % 1, lift[1] % 1)
-                if expected != tuple(graph.vertices[ge.head]):
+                hx, hy = points[ge.head]
+                if (rx, ry) != (hx * pieces, hy * pieces):
                     raise ConstructionError(
                         f"corridor endpoint drifted: segment {edge_idx} ends at "
-                        f"{expected}, not at vertex {ge.head}"
+                        f"({rx}/{scale}, {ry}/{scale}), not at vertex {ge.head}"
                     )
             else:
                 node = ("c", edge_idx, piece)
                 nodes.append(node)
-                positions[node] = (float(lift[0] % 1), float(lift[1] % 1))
+                positions[node] = (rx / scale, ry / scale)
                 corridor_nodes.append(node)
-            share = ge.q / pieces
-            disp = (
-                math.floor(lift[0]) - math.floor(lift_prev[0]),
-                math.floor(lift[1]) - math.floor(lift_prev[1]),
-            )
-            corridors.append(
-                PeriodicEdge(
-                    prev_node,
-                    node,
-                    float(share) * length_i,
-                    disp,
-                    "corridor",
-                    corridor=(cls_index, share),
-                )
-            )
-            lift_prev = lift
-            prev_node = node
+            corridors.append(PeriodicEdge(
+                prev_node, node, weight, (fx - floor_x, fy - floor_y), "corridor", corridor=(cls_index, share)
+            ))
+            floor_x, floor_y, prev_node = fx, fy, node
 
     grid = _add_torus_grid(n, b / n, nodes, positions)
 

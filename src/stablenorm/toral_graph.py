@@ -6,9 +6,10 @@ R^2/Z^2.  Two such geodesics meet in exactly |det(h_i, h_j)| points,
 and on gamma_i those points sit at parameters r/|det| with exact
 rational values.  The whole graph (vertices, segment fractions q_ij,
 lift displacements) is computed exactly, as integer numerators over one
-common denominator and turned into Fractions only at the end, so the
-stated identities (sum of q over a class is 1, displacements sum to
-h_i) hold exactly, not approximately.
+common denominator D, so the stated identities (sum of q over a class
+is 1, displacements sum to h_i) hold exactly, not approximately.  The
+graph keeps D as `denom`; its integer tables (vertex numerators, scaled
+displacements, deck shifts, crossings) are all over D.
 
 Cycle machinery: shortest representatives of integral classes via
 the certified A* search of `stablenorm.cover` in the Z^2-cover, and a
@@ -56,23 +57,25 @@ class GraphEdge:
     disp: FracVec
     length: float
 
-    def shift(self, coords: Sequence[FracVec]) -> tuple[int, int]:
-        """Integer deck transformation: disp minus the coordinate jump."""
-        sx = self.disp[0] - (coords[self.head][0] - coords[self.tail][0])
-        sy = self.disp[1] - (coords[self.head][1] - coords[self.tail][1])
-        if sx.denominator != 1 or sy.denominator != 1:
-            raise InvariantError(f"non-integral deck shift ({sx},{sy})")
-        return (int(sx), int(sy))
-
 
 @dataclass(frozen=True)
 class ToralGeodesicGraph:
     """Vertices in [0,1)^2 with exact rational coordinates, segment edges,
-    and the class table (h_i, ell_i)."""
+    the class table (h_i, ell_i), and `denom`, the common denominator D
+    of `build_graph`: every coordinate, q and displacement is an int
+    over D, and `scaled` is the one way from those Fractions to ints."""
 
     vertices: tuple[FracVec, ...]
     edges: tuple[GraphEdge, ...]
     classes: tuple[tuple[IntegralClass, float], ...]
+    denom: int
+
+    def scaled(self, f: Fraction) -> int:
+        """f * denom as an int; InvariantError when f is off the 1/denom grid."""
+        scale, rest = divmod(self.denom, f.denominator)
+        if rest:
+            raise InvariantError(f"{f} * {self.denom} = {f * self.denom} is not integral")
+        return f.numerator * scale
 
     @cached_property
     def oriented(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -84,23 +87,28 @@ class ToralGeodesicGraph:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
-    def shifts(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e.shift(self.vertices) for e in self.edges)
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """Each vertex's coordinates times `denom`, as exact ints."""
+        return tuple((self.scaled(x), self.scaled(y)) for x, y in self.vertices)
 
     @cached_property
-    def disp_scale(self) -> int:
-        """D, the least common multiple of the edge-displacement
-        denominators, so that D * disp is integral for every edge."""
-        return math.lcm(*(c.denominator for e in self.edges for c in e.disp))
+    def shifts(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's integer deck transformation: its displacement
+        minus the jump between its end points, which `denom` divides."""
+        d, points = self.denom, self.points
+        table = []
+        for e, (dx, dy) in zip(self.edges, self.scaled_disps):
+            sx = dx - points[e.head][0] + points[e.tail][0]
+            sy = dy - points[e.head][1] + points[e.tail][1]
+            if sx % d or sy % d:
+                raise InvariantError(f"non-integral deck shift ({Fraction(sx, d)},{Fraction(sy, d)})")
+            table.append((sx // d, sy // d))
+        return tuple(table)
 
     @cached_property
     def scaled_disps(self) -> tuple[tuple[int, int], ...]:
-        """Each edge's displacement times `disp_scale`, as exact ints."""
-        scale = self.disp_scale
-        return tuple(
-            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for x, y in (e.disp for e in self.edges)
-        )
+        """Each edge's displacement times `denom`, as exact ints."""
+        return tuple((self.scaled(x), self.scaled(y)) for x, y in (e.disp for e in self.edges))
 
     @cached_property
     def crossings(self) -> tuple[tuple[int, int], ...]:
@@ -116,22 +124,18 @@ class ToralGeodesicGraph:
         from the stored displacement, which keeps the count independent
         of `disp`.
 
-        All of it is integer arithmetic: with M the lcm of the
-        denominators of the vertex coordinates and of the q_e, every
-        coordinate, segment and level is an int over 2M (the factor 2
-        keeps a gap's midpoint whole), and each floor is a floor
-        division by 2M.
+        All of it is integer arithmetic: every coordinate, segment and
+        level is an int over 2D, D = `denom` (the factor 2 keeps a gap's
+        midpoint whole), and each floor is a floor division by 2D.
         """
-        period = 2 * math.lcm(
-            *(c.denominator for v in self.vertices for c in v), *(e.q.denominator for e in self.edges)
-        )
-        points = [tuple(c.numerator * (period // c.denominator) for c in v) for v in self.vertices]
+        period = 2 * self.denom
+        points = [(2 * x, 2 * y) for x, y in self.points]
         x0 = _widest_gap_midpoint(sorted({x for x, _y in points}), period)
         y0 = _widest_gap_midpoint(sorted({y for _x, y in points}), period)
         table = []
         for e in self.edges:
             h, _ell = self.classes[e.cls]
-            seg = e.q.numerator * (period // e.q.denominator)
+            seg = 2 * self.scaled(e.q)
             px, py = points[e.tail]
             table.append((
                 (px + seg * h.a - x0) // period - (px - x0) // period,
@@ -143,9 +147,11 @@ class ToralGeodesicGraph:
     def search_index(self) -> SearchIndex:
         """Cover-search data, built on the first `minimal_cycle` call:
         vertex coordinates as positions, deck shifts as step shifts,
-        and (edge index, orientation) as step labels."""
+        and (edge index, orientation) as step labels.  Int true division
+        x / D rounds a position as the float of its Fraction."""
+        d = self.denom
         return build_search_index(
-            [(float(x), float(y)) for x, y in self.vertices],
+            [(x / d, y / d) for x, y in self.points],
             (
                 (e.tail, e.head, e.length, sx, sy, (i, 1), (i, -1))
                 for i, (e, (sx, sy)) in enumerate(zip(self.edges, self.shifts))
@@ -181,7 +187,15 @@ def build_graph(classes: Sequence[tuple[IntegralClass, float]]) -> ToralGeodesic
     (t*a_i mod 1, t*b_i mod 1) is an int numerator over D, so the
     cuts, the vertex identification and the vertex order are integer
     work.  The Fractions of the vertices, of q and of the displacements
-    q*h_i are made at the end, one object per distinct numerator.
+    q*h_i are made at the end, one object per distinct numerator, and
+    the graph keeps D as `denom`.
+
+    D is also the lcm of the vertex denominators and the lcm of the
+    displacement denominators, so no table built over it is coarser or
+    finer than the graph: the vertex at parameter 1/|det(h_i, h_j)| on a
+    primitive h_i = (a, b) sits at (a, b)/|det| mod 1, whose coordinate
+    denominators have lcm |det|; and the prefix sums of geodesic i's q
+    hit every cut r/|det|, while q*h_i has the denominator of q.
 
     Args:
         classes: pairs (h_i, ell_i); the h_i must be pairwise
@@ -243,7 +257,7 @@ def build_graph(classes: Sequence[tuple[IntegralClass, float]]) -> ToralGeodesic
             length=float(frac(q)) * ell,
         ))
     coords = tuple((frac(x), frac(y)) for x, y in points)
-    return ToralGeodesicGraph(vertices=coords, edges=tuple(edges), classes=tuple(classes))
+    return ToralGeodesicGraph(vertices=coords, edges=tuple(edges), classes=tuple(classes), denom=denom)
 
 
 @dataclass(frozen=True)
@@ -258,32 +272,16 @@ class Cycle:
     def homology(self, graph: ToralGeodesicGraph) -> IntegralClass:
         """Sum of oriented lift displacements, exact: the graph's
         per-edge displacements scaled to ints (`scaled_disps`) are
-        summed, and the common scale `disp_scale` must divide the total."""
-        scale = graph.disp_scale
+        summed, and the graph's `denom` must divide the total."""
+        d = graph.denom
         dx = dy = 0
         for e, s in self.steps:
             sx, sy = graph.scaled_disps[e]
             dx += s * sx
             dy += s * sy
-        if dx % scale or dy % scale:
-            raise InvariantError(
-                f"cycle displacement ({Fraction(dx, scale)},{Fraction(dy, scale)}) is not integral"
-            )
-        return IntegralClass(dx // scale, dy // scale)
-
-    def class_by_crossings(self, graph: ToralGeodesicGraph) -> IntegralClass:
-        """Homology via algebraic intersection numbers with reference
-        circles {x = x0} and {y = y0}, an independent computation: the
-        sum of the oriented steps' entries in the graph's per-edge
-        crossing table (`crossings`), which is built from the vertex
-        coordinates and the class geometry, not from the displacements.
-        """
-        a = b = 0
-        for e, s in self.steps:
-            ca, cb = graph.crossings[e]
-            a += s * ca
-            b += s * cb
-        return IntegralClass(a, b)
+        if dx % d or dy % d:
+            raise InvariantError(f"cycle displacement ({Fraction(dx, d)},{Fraction(dy, d)}) is not integral")
+        return IntegralClass(dx // d, dy // d)
 
 
 def _widest_gap_midpoint(levels: list[int], period: int) -> int:
@@ -363,13 +361,15 @@ class TubeConstants:
 
 
 def _check_homology_tables(graph: ToralGeodesicGraph) -> None:
-    """Certify that `Cycle.homology` and `Cycle.class_by_crossings`
-    agree on every closed walk of the graph, or raise InvariantError
-    naming the first edge, in edge order, that disagrees with the
-    potential below.
+    """Certify that the graph's two homology readings, `Cycle.homology`
+    and the sum of a walk's oriented `crossings` entries (its algebraic
+    intersection numbers with the reference circles), agree on every
+    closed walk of the graph, or raise InvariantError naming the first
+    edge, in edge order, whose displacement is off the 1/D grid, or else
+    the first that disagrees with the potential below.
 
     Both are sums over a walk's oriented steps, of `scaled_disps` over
-    D = `disp_scale` and of `crossings`.  They agree on every closed walk,
+    D = `denom` and of `crossings`.  They agree on every closed walk,
     with an integral displacement, exactly when delta(e) =
     scaled_disps[e] - D * crossings[e] sums to zero around every closed
     walk, that is, when delta is a coboundary: delta(e) = phi(head) -
@@ -379,9 +379,15 @@ def _check_homology_tables(graph: ToralGeodesicGraph) -> None:
     cycles, so one O(V + E) pass covers every cycle the search could
     enumerate, and the ones it prunes.
     """
-    scale = graph.disp_scale
+    d = graph.denom
+    for i, e in enumerate(graph.edges):
+        if d % e.disp[0].denominator or d % e.disp[1].denominator:
+            raise InvariantError(
+                f"homology cross-check fails at edge {i} ({e.tail} -> {e.head}): displacement "
+                f"({e.disp[0]},{e.disp[1]}) is off the 1/{d} grid"
+            )
     delta = [
-        (dx - scale * cx, dy - scale * cy)
+        (dx - d * cx, dy - d * cy)
         for (dx, dy), (cx, cy) in zip(graph.scaled_disps, graph.crossings)
     ]
     phi: list[Optional[tuple[int, int]]] = [None] * len(graph.vertices)
@@ -443,7 +449,7 @@ def _min_gap_search(
     against `node_budget`, and only `edge_bound` limits the depth.
 
     Displacements are carried as ints scaled by the graph's
-    `disp_scale` D, so the dominance keys are exact int tuples; the norm
+    `denom` D, so the dominance keys are exact int tuples; the norm
     of a displacement is evaluated once per call at (dx / D, dy / D),
     which rounds exactly like the float of the rational it stands for.
     It is evaluated by the one `norm_evaluator` compiled for the call,
@@ -453,7 +459,7 @@ def _min_gap_search(
     best_cycle: Optional[Cycle] = None
     cycles = 0
     nodes = 0
-    scale = graph.disp_scale
+    scale = graph.denom
     norm_of = norm_evaluator(norm)
     norm_at: dict[tuple[int, int], float] = {}
     disps = graph.scaled_disps

@@ -859,29 +859,32 @@ _HUBS = st.lists(
 )
 
 
+def _assert_hub_check_matches(verts, points, d, n):
+    """The bucketed check on `points` over d raises what the pairwise
+    loop on the Fraction hubs `verts` says, or nothing."""
+    want = _pairwise_hub_check(verts, n)
+    if want is None:
+        periodic_metric._check_hub_separation(points, d, n)
+    else:
+        with pytest.raises(ValidationError) as caught:
+            periodic_metric._check_hub_separation(points, d, n)
+        assert str(caught.value) == want
+
+
 class TestHubSeparation:
     @settings(max_examples=300, deadline=None)
-    @given(verts=_HUBS, n=st.integers(2, 160))
-    def test_matches_the_pairwise_loop(self, verts, n):
-        want = _pairwise_hub_check(verts, n)
-        if want is None:
-            periodic_metric._check_hub_separation(verts, n)
-        else:
-            with pytest.raises(ValidationError) as caught:
-                periodic_metric._check_hub_separation(verts, n)
-            assert str(caught.value) == want
+    @given(verts=_HUBS, n=st.integers(2, 160), multiple=st.integers(1, 4))
+    def test_matches_the_pairwise_loop(self, verts, n, multiple):
+        # any common denominator will do, not only the least
+        d = multiple * math.lcm(*(c.denominator for v in verts for c in v))
+        points = [(int(x * d), int(y * d)) for x, y in verts]
+        _assert_hub_check_matches(verts, points, d, n)
 
     @pytest.mark.parametrize("norm,k", [(euclidean(), 12), (euclidean(), 16), (hexagonal(), 16)])
     @pytest.mark.parametrize("n", [64, 128])
     def test_canyon_hubs_match_the_pairwise_loop(self, norm, k, n):
-        verts = build_graph(leading_primitive_classes(norm, k)).vertices
-        want = _pairwise_hub_check(verts, n)
-        if want is None:
-            periodic_metric._check_hub_separation(verts, n)
-        else:
-            with pytest.raises(ValidationError) as caught:
-                periodic_metric._check_hub_separation(verts, n)
-            assert str(caught.value) == want
+        graph = build_graph(leading_primitive_classes(norm, k))
+        _assert_hub_check_matches(graph.vertices, graph.points, graph.denom, n)
 
 
 class TestInvariantErrors:

@@ -54,6 +54,36 @@ def test_lattice_polygons_stays_exact():
     assert not found, found
 
 
+def _is_lcm_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "lcm") or (
+        isinstance(func, ast.Name) and func.id == "lcm"
+    )
+
+
+def test_one_common_denominator():
+    # the toral graph's denominator D is made once, by build_graph, and
+    # stored as `denom`; every table reads it from there, so a second
+    # lcm would be a second frame for the same numbers
+    inside, found = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "toral_graph.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "build_graph":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if _is_lcm_call(node):
+                (inside if id(node) in allowed else found).append(f"{where} lcm call")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.extend(f"{where} math.lcm" for a in node.names if a.name == "lcm")
+    assert len(inside) == 1 and not found, (inside, found)
+
+
 _UPPER_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 

@@ -75,7 +75,8 @@ def gap_midpoint(values):
 def reference_build_graph(classes):
     """Reference: the geodesic graph built in Fraction arithmetic, each
     cut parameter r/|det| and torus point as its own Fraction, the
-    vertices registered in first-seen order and then sorted."""
+    vertices registered in first-seen order and then sorted; its
+    denominator is the lcm of every Fraction it holds."""
     vertex_ix = {}
 
     def vertex_of(p):
@@ -101,7 +102,49 @@ def reference_build_graph(classes):
     edges = tuple(
         GraphEdge(remap[t], remap[hd], c, q, d, float(q) * classes[c][1]) for (t, hd, c, q, d) in raw_edges
     )
-    return ToralGeodesicGraph(tuple(sorted(vertex_ix)), edges, tuple(classes))
+    vertices = tuple(sorted(vertex_ix))
+    denom = math.lcm(
+        *(c.denominator for v in vertices for c in v),
+        *(c.denominator for e in edges for c in (e.q, *e.disp)),
+    )
+    return ToralGeodesicGraph(vertices, edges, tuple(classes), denom)
+
+
+def reference_shifts(graph):
+    """Reference: each edge's deck shift in Fraction arithmetic, its
+    displacement minus the jump of its end coordinates."""
+    table = []
+    for e in graph.edges:
+        sx = e.disp[0] - (graph.vertices[e.head][0] - graph.vertices[e.tail][0])
+        sy = e.disp[1] - (graph.vertices[e.head][1] - graph.vertices[e.tail][1])
+        assert sx.denominator == 1 and sy.denominator == 1
+        table.append((int(sx), int(sy)))
+    return tuple(table)
+
+
+def assert_integer_frame(graph):
+    """`denom` is the lcm of the vertex denominators and of the
+    displacement denominators, the integer tables are the Fractions
+    over it, and the deck shifts match the Fraction reference."""
+    d = graph.denom
+    assert d == math.lcm(*(c.denominator for v in graph.vertices for c in v))
+    assert d == math.lcm(*(c.denominator for e in graph.edges for c in e.disp))
+    assert graph.points == tuple((x * d, y * d) for x, y in graph.vertices)
+    assert graph.scaled_disps == tuple((x * d, y * d) for x, y in (e.disp for e in graph.edges))
+    assert graph.shifts == reference_shifts(graph)
+
+
+def class_by_crossings(cycle, graph):
+    """Homology via algebraic intersection numbers with the reference
+    circles {x = x0} and {y = y0}: the sum of the oriented steps'
+    entries in the graph's crossing table, which reads the vertex
+    coordinates and the class geometry, not the displacements."""
+    a = b = 0
+    for e, s in cycle.steps:
+        ca, cb = graph.crossings[e]
+        a += s * ca
+        b += s * cb
+    return IntegralClass(a, b)
 
 
 def reference_crossings(graph):
@@ -324,6 +367,7 @@ class TestBuildGraph:
             assert (dx, dy) == (Fraction(h.a), Fraction(h.b))
         assert g.vertices[0] == (Fraction(0), Fraction(0))
         assert list(g.vertices) == sorted(g.vertices)
+        assert_integer_frame(g)
 
     @given(class_sets)
     @settings(deadline=None, max_examples=80)
@@ -332,6 +376,7 @@ class TestBuildGraph:
         reference = reference_build_graph(classes)
         assert graph == reference
         assert graph.to_jsonable() == reference.to_jsonable()
+        assert_integer_frame(graph)
         assert [type(c) for v in graph.vertices for c in v] == [Fraction] * 2 * len(graph.vertices)
 
     @given(class_sets)
@@ -427,7 +472,7 @@ class TestMinimalCycle:
                     walk = two_geodesic_walk(graph, h)
                     assert is_closed(walk, graph)
                     assert walk.homology(graph) == h
-                    assert walk.class_by_crossings(graph) == h
+                    assert class_by_crossings(walk, graph) == h
                     bound = two_geodesic_bound(graph, h)
                     assert length_exact(walk, graph) == pytest.approx(bound, rel=4 * cover.SEARCH_RTOL)
 
@@ -486,7 +531,7 @@ class TestMinimalCycle:
                     cycle = got[0]
                     assert is_closed(cycle, graph)
                     assert cycle.homology(graph) == IntegralClass(a, b)
-                    assert cycle.class_by_crossings(graph) == IntegralClass(a, b)
+                    assert class_by_crossings(cycle, graph) == IntegralClass(a, b)
 
 
 class TestSearchIndex:
@@ -704,7 +749,7 @@ def with_crossings(graph, e, axis, delta):
     """A copy of graph whose crossing table is off by delta at one entry."""
     table = [list(c) for c in graph.crossings]
     table[e][axis] += delta
-    broken = ToralGeodesicGraph(graph.vertices, graph.edges, graph.classes)
+    broken = ToralGeodesicGraph(graph.vertices, graph.edges, graph.classes, graph.denom)
     vars(broken)["crossings"] = tuple(map(tuple, table))
     return broken
 
@@ -715,7 +760,7 @@ def with_disp(graph, e, axis, offset):
     disp = list(edges[e].disp)
     disp[axis] += offset
     edges[e] = dataclasses.replace(edges[e], disp=tuple(disp))
-    return ToralGeodesicGraph(graph.vertices, tuple(edges), graph.classes)
+    return ToralGeodesicGraph(graph.vertices, tuple(edges), graph.classes, graph.denom)
 
 
 class TestCrossCheckTables:
@@ -733,7 +778,7 @@ class TestCrossCheckTables:
             assert cycle_space_rank(walks, graph) == len(graph.edges) - len(graph.vertices) + 1
             for cls, _length, steps in walks:
                 cycle = Cycle(steps)
-                assert cycle.class_by_crossings(graph) == crossings_by_position_walk(cycle, graph), steps
+                assert class_by_crossings(cycle, graph) == crossings_by_position_walk(cycle, graph), steps
                 assert cycle.homology(graph) == homology_by_fraction_sum(cycle, graph) == IntegralClass(*cls)
 
     def test_tables_built_once_per_graph(self):
@@ -742,7 +787,7 @@ class TestCrossCheckTables:
         tables = (graph.crossings, graph.scaled_disps)
         compute_zeta_epsilon_theta(graph, E, math.sqrt(5.0), cross_check=True)
         assert graph.crossings is tables[0] and graph.scaled_disps is tables[1]
-        assert graph.disp_scale == 3
+        assert graph.denom == 3
 
     @pytest.mark.parametrize("offset", [Fraction(1), Fraction(1, 2)], ids=["integer", "half"])
     def test_corrupted_displacement_is_caught(self, offset):
@@ -762,7 +807,8 @@ class TestCrossCheckTables:
                 try:
                     compute_zeta_epsilon_theta(with_disp(graph, e, axis, offset), E, ell_k)
                 except InvariantError as err:
-                    # unchecked, only the witness's own integrality test can see it
+                    # unchecked, a half offset is off the 1/D grid of the
+                    # scaled displacements; a whole one goes unseen
                     assert offset.denominator == 2 and "not integral" in str(err)
 
     @pytest.mark.parametrize("graph", [SKEW, ONE_CLASS], ids=["skew", "one-class"])
@@ -778,14 +824,13 @@ class TestCrossCheckTables:
 
     def test_check_cost_does_not_grow_with_the_cycles_closed(self, monkeypatch):
         calls = []
-        for name in ("homology", "class_by_crossings"):
-            method = getattr(Cycle, name)
+        homology = Cycle.homology
 
-            def counted(cycle, graph, method=method):
-                calls.append(cycle)
-                return method(cycle, graph)
+        def counted(cycle, graph):
+            calls.append(cycle)
+            return homology(cycle, graph)
 
-            monkeypatch.setattr(Cycle, name, counted)
+        monkeypatch.setattr(Cycle, "homology", counted)
         seen = {}
         for graph, ell_k in ((SQUARE, 1.0), (SQUARE, 600.0), (SKEW, math.sqrt(5.0)), (TOP5, math.sqrt(5.0))):
             calls.clear()
@@ -822,11 +867,11 @@ class TestCycle:
         for graph in (SQUARE, THREE, SKEW):
             for i, (h, _) in enumerate(graph.classes):
                 loop = Cycle(tuple((e, 1) for e in class_edges(graph, i)))
-                assert loop.class_by_crossings(graph) == h
+                assert class_by_crossings(loop, graph) == h
                 assert loop.homology(graph) == h
 
     def test_reversed_loop_negates_class(self):
         loop = Cycle(tuple((e, -1) for e in reversed(class_edges(SKEW, 0))))
         assert is_closed(loop, SKEW)
         assert loop.homology(SKEW) == IntegralClass(-1, -2)
-        assert loop.class_by_crossings(SKEW) == IntegralClass(-1, -2)
+        assert class_by_crossings(loop, SKEW) == IntegralClass(-1, -2)
