@@ -226,13 +226,9 @@ def _canyon_for(args, norm: NormSpec):
     theta = args.theta
     if theta is None:
         theta = compute_zeta_epsilon_theta(graph, norm, ell_k, node_budget=args.budget).theta
-    canyon = build_canyon_graph(
-        graph,
-        theta=theta,
-        background_systole=ell_k if args.background is None else args.background,
-        grid_resolution=args.grid_n,
-    )
-    return canyon, ell_k
+    background = ell_k if args.background is None else args.background
+    canyon = build_canyon_graph(graph, theta=theta, background_systole=background, grid_resolution=args.grid_n)
+    return canyon, ell_k, background
 
 
 def _cmd_norm_enumerate(args) -> None:
@@ -293,15 +289,15 @@ def _cmd_graph_epsilon(args) -> None:
 
 def _cmd_canyon_spectrum(args) -> None:
     norm = _norm_of(args)
-    canyon, ell_k = _canyon_for(args, norm)
+    canyon, ell_k, background = _canyon_for(args, norm)
     bound = ell_k * 1.05 if args.bound is None else args.bound
     res = spectrum(canyon, norm_bound=bound)
     payload = {
         "norm": norm_to_jsonable(norm),
         "k": args.k,
-        "grid_n": canyon.grid_resolution,
+        "grid_n": canyon.grid.n,
         "theta": canyon.hub_budget,
-        "background": canyon.loop_cost,
+        "background": background,
         "bound": bound,
         "spectrum": res.to_jsonable(),
     }
@@ -313,15 +309,15 @@ def _cmd_stable_norm(args) -> None:
     h = getattr(args, "class")
     if args.graph == "uniform":
         pg = uniform_grid(args.grid_n)
-        graph_desc = {"kind": "uniform", "grid_n": pg.grid_resolution}
+        graph_desc = {"kind": "uniform", "grid_n": pg.grid.n}
     else:
-        pg, _ell_k = _canyon_for(args, norm)
+        pg, _ell_k, background = _canyon_for(args, norm)
         graph_desc = {
             "kind": "canyon",
             "k": args.k,
-            "grid_n": pg.grid_resolution,
+            "grid_n": pg.grid.n,
             "theta": pg.hub_budget,
-            "background": pg.loop_cost,
+            "background": background,
             "norm": norm_to_jsonable(norm),
         }
     est = stable_norm_estimate(pg, h, args.n_max)

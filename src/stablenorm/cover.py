@@ -35,6 +35,9 @@ SEARCH_RTOL = 1e-12
 _ZERO_ADVANCE = 1e-15
 #: Hull facets with a smaller cross product are flat; their normal overflows.
 _DEGENERATE_FACET = 1e-18
+#: Rate points equal to this many decimals are one hull point, so
+#: rounding alone never makes a second vertex.
+_RATE_POINT_DIGITS = 12
 
 #: The heuristic is deflated by this factor to stay admissible under
 #: float rounding.
@@ -179,7 +182,7 @@ def gauge_normals(points: Iterable[Point]) -> tuple[Point, ...]:
         if abs(dx) + abs(dy) <= _ZERO_ADVANCE:
             continue
         for px, py in ((dx, dy), (-dx, -dy)):
-            reps.setdefault((round(px, 12), round(py, 12)), (px, py))
+            reps.setdefault((round(px, _RATE_POINT_DIGITS), round(py, _RATE_POINT_DIGITS)), (px, py))
     hull = convex_hull(reps.values())
     if len(hull) < 3:
         return FLAT_GAUGE

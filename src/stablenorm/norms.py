@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from stablenorm.errors import ConstructionError, ValidationError
@@ -279,7 +278,6 @@ def _validate_arc_polygon(var: ArcPolygon) -> None:
             )
 
 
-@lru_cache(maxsize=256)
 def _arc_centers(verts: tuple[tuple[int, int], ...], radius: float) -> tuple[Vec, ...]:
     """Center of the outward-bulging arc over each directed edge i -> i+1."""
     n = len(verts)
@@ -300,12 +298,14 @@ def _arc_centers(verts: tuple[tuple[int, int], ...], radius: float) -> tuple[Vec
     return tuple(centers)
 
 
-def _arc_ray_length(var: ArcPolygon, ux: float, uy: float) -> float:
+def _arc_ray_length(var: ArcPolygon, centers: Optional[Sequence[Vec]], ux: float, uy: float) -> float:
     """Distance from the origin to the bulged boundary along unit ray u.
 
     The curve is star shaped about the origin, so the hit lies in the
     angular sector spanned by one vertex pair; within it the arc-circle
     intersection has the closed form t = <u,O> + sqrt(<u,O>^2 + R^2 - |O|^2).
+    `centers` are the arc centers O, `_arc_centers` of the polygon, and
+    None for straight edges (radius inf).
     """
     verts = var.vertices
     n = len(verts)
@@ -313,10 +313,10 @@ def _arc_ray_length(var: ArcPolygon, ux: float, uy: float) -> float:
         v1x, v1y = verts[i]
         v2x, v2y = verts[(i + 1) % n]
         if _cross(v1x, v1y, ux, uy) >= 0.0 and _cross(ux, uy, v2x, v2y) >= 0.0:
-            if math.isinf(var.radius):
+            if centers is None:
                 ex, ey = v2x - v1x, v2y - v1y
                 return _cross(v1x, v1y, ex, ey) / _cross(ux, uy, ex, ey)
-            ox, oy = _arc_centers(verts, var.radius)[i]
+            ox, oy = centers[i]
             beta = ux * ox + uy * oy
             disc = beta * beta + var.radius * var.radius - (ox * ox + oy * oy)
             return beta + math.sqrt(disc)
@@ -353,12 +353,13 @@ def norm_evaluator(norm: NormSpec) -> Callable[[float, float], float]:
         return pnorm
     hypot = math.hypot
     gauge_level = scale * var.level
+    centers = None if math.isinf(var.radius) else _arc_centers(var.vertices, var.radius)
 
     def arc(x: float, y: float) -> float:
         r = hypot(x, y)
         if r == 0.0:
             return 0.0
-        return gauge_level * r / _arc_ray_length(var, x / r, y / r)
+        return gauge_level * r / _arc_ray_length(var, centers, x / r, y / r)
 
     return arc
 

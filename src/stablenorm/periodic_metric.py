@@ -25,7 +25,10 @@ node.  It is nearly every edge of a canyon, yet the search needs only
 its steps and its few rate points (Burago, "Periodic metrics"), so
 `pg.edges` makes a grid edge only when one is read, and validation,
 the search index and the witness recompute read the grid straight from
-that arithmetic.
+that arithmetic.  Its node positions and its loop cost follow from the
+same arithmetic, so the graph stores neither: `positions` places only
+the nodes outside the grid, and each query's one bound is the cost of
+its grid-loop seed.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ _STABLE_RTOL = 1e-9
 _BOX_SLACK = 1e-9
 #: Floor of the grouping scale, so a zero length groups only with zeros.
 _TINY_LENGTH = 1e-300
-#: A canyon's background b and its grid's loop n * (b / n) may differ by
-#: rounding alone.
-_LOOP_COST_RTOL = 1e-12
 #: Most candidate classes `spectrum` measures, one cover search each.
 _MAX_SPECTRUM_CLASSES = 10_000
 
@@ -96,8 +96,8 @@ def _check_resolution(n, least: int) -> None:
 class TorusGrid:
     """The N x N torus grid of a periodic graph, kept as arithmetic.
 
-    Grid node (i, j) is node `first + i n + j` of the graph, and the
-    graph's positions place it at (i/n, j/n).  Counted from the first
+    Grid node (i, j) is node `first + i n + j` of the graph, and it sits
+    at (`coords[i]`, `coords[j]`) = (i/n, j/n).  Counted from the first
     grid edge, grid edge 2 (i n + j) joins it to (i + 1, j) and the
     next one joins it to (i, j + 1), each of weight `weight` and
     crossing the period where it wraps.  `label` below is the graph's
@@ -113,6 +113,17 @@ class TorusGrid:
         if isinstance(self.first, bool) or not isinstance(self.first, int) or self.first < 0:
             raise ValidationError(f"first grid node must be a nonnegative integer, got {self.first!r}")
 
+    @property
+    def coords(self) -> list[float]:
+        """The coordinate j / n of grid row or column j, j = 0 .. n - 1."""
+        n = self.n
+        return [j / n for j in range(n)]
+
+    def positions(self) -> list[tuple[float, float]]:
+        """The positions of the grid's nodes, in node order."""
+        coords = self.coords
+        return [(x, y) for x in coords for y in coords]
+
     def edge(self, nodes: Sequence[NodeId], k: int) -> PeriodicEdge:
         """Grid edge k, its ends taken from the graph's node list `nodes`."""
         n = self.n
@@ -126,11 +137,11 @@ class TorusGrid:
             disp = (int(r == n - 1), 0)
         return PeriodicEdge(nodes[self.first + cell], nodes[self.first + v], self.weight, disp, "grid")
 
-    def index_block(self, label: int, xs, ys):
-        """What the grid adds to a search index whose node positions are
-        `xs` and `ys`, as `_IndexBuilder.add_block` takes it: the steps
-        out of each grid node, the grid's distinct rate points and the
-        ends of its edges crossing the x and the y period.
+    def index_block(self, label: int):
+        """What the grid adds to a search index, as
+        `_IndexBuilder.add_block` takes it: the steps out of each grid
+        node, the grid's distinct rate points and the ends of its edges
+        crossing the x and the y period.
 
         Each node's four steps come in edge order.  That order is left,
         down, right, up, except that the wrapping edges are numbered
@@ -164,20 +175,14 @@ class TorusGrid:
                 cells = list(zip(down, right, up, left))
                 cells[0] = (right[0], up[0], down[0], left[0])
             steps.extend(cells)
-        # rate points as `_IndexBuilder.add_edges` computes them, from
-        # the first node of each row and of each column
-        rate_x = []
-        for r in range(n):
-            u, v = first + r * n, first + (r + 1) % n * n
-            rate_x.append(((xs[v] + int(r == last) - xs[u]) / w, (ys[v] + 0 - ys[u]) / w))
-        rate_y = []
-        for c in range(n):
-            u, v = first + c, first + (c + 1) % n
-            rate_y.append(((xs[v] + 0 - xs[u]) / w, (ys[v] + int(c == last) - ys[u]) / w))
+        # rate points as `_IndexBuilder.add_edges` computes them from
+        # `coords`: the advance out of row or column j, and 0.0 across it
+        c = self.coords
+        advance = [(c[(j + 1) % n] + int(j == last) - c[j]) / w for j in range(n)]
         edge_row = first + last * n
         return (
             steps,
-            [rate_x[0], *rate_y, *rate_x[1:]],
+            [(advance[0], 0.0), *((0.0, p) for p in advance), *((p, 0.0) for p in advance[1:])],
             [*range(edge_row, edge_row + n), *range(first, first + n)],
             [*range(first + last, first + n * n, n), *range(first, first + n * n, n)],
         )
@@ -239,10 +244,10 @@ class PeriodicWeightedGraph:
     a canyon the head edges are the corridors and the tail edges the
     connectors; `uniform_grid` has neither.  `edges` reads all of them
     in that order, and each edge's place in it is its search-index
-    label.  The grid is connected by construction, so validation
-    checks its one weight and runs the union-find over the explicit
-    edges only.  `loop_cost` must be the grid's loop, n times its
-    weight, up to rounding.
+    label.  `positions` places every node outside the grid and no grid
+    node, since the grid places its own (`TorusGrid.coords`).  The grid
+    is connected by construction, so validation checks its one weight
+    and runs the union-find over the explicit edges only.
     """
 
     nodes: tuple[NodeId, ...]
@@ -250,8 +255,6 @@ class PeriodicWeightedGraph:
     head: tuple[PeriodicEdge, ...]
     grid: TorusGrid
     tail: tuple[PeriodicEdge, ...]
-    #: Cost of one background loop around either period.
-    loop_cost: float
     class_lengths: Optional[tuple[tuple[IntegralClass, float], ...]] = None
     hub_budget: Optional[float] = None
 
@@ -263,6 +266,17 @@ class PeriodicWeightedGraph:
         first, cells = grid.first, grid.n * grid.n
         if first + cells > len(index):
             raise ValidationError(f"a {grid.n} x {grid.n} grid from node {first} does not fit the node list")
+        # keys that are all nodes outside the grid, and as many as those
+        # nodes, are every one of them
+        positions, get = self.positions, index.get
+        for node in positions:
+            i = get(node)
+            if i is None or first <= i < first + cells:
+                raise ValidationError(f"position given for {node!r}, which is not a node outside the grid")
+        if len(positions) != len(index) - cells:
+            outside = chain(self.nodes[:first], self.nodes[first + cells:])
+            missing = next(node for node in outside if node not in positions)
+            raise ValidationError(f"node {missing!r} has no position")
         # union-find with path halving; each merge of two roots joins
         # two components, so the count left decides connectivity.  The
         # grid's nodes start as one component, and its first edge stands
@@ -271,7 +285,6 @@ class PeriodicWeightedGraph:
         parent = list(range(len(index)))
         parent[first:first + cells] = [first] * cells
         components = len(parent) - cells + 1
-        get = index.get
         for e in chain(self.head, (grid.edge(self.nodes, 0),), self.tail):
             if e.weight <= 0 or not math.isfinite(e.weight):
                 raise ValidationError(f"edge {e.u}-{e.v} has weight {e.weight}")
@@ -288,27 +301,11 @@ class PeriodicWeightedGraph:
                 components -= 1
         if components > 1:
             raise ValidationError("quotient graph is not connected")
-        # `marked_min_length` cuts its search off at this cost, so it must
-        # be the grid's own loop; written as `not <=` so that NaN fails
-        loop, grid_loop = self.loop_cost, grid.n * grid.weight
-        if (
-            isinstance(loop, bool)
-            or not isinstance(loop, (int, float))
-            or not abs(loop - grid_loop) <= _LOOP_COST_RTOL * grid_loop
-        ):
-            raise ValidationError(
-                f"loop cost {loop!r} is not the grid's loop {grid.n} * {grid.weight!r} = {grid_loop!r}"
-            )
 
     @property
     def edges(self) -> Sequence[PeriodicEdge]:
         """Every edge in label order: head, grid, then tail edges."""
         return _Edges(self)
-
-    @property
-    def grid_resolution(self) -> int:
-        """Resolution n of the background grid."""
-        return self.grid.n
 
     @cached_property
     def node_index(self) -> Mapping[NodeId, int]:
@@ -325,15 +322,17 @@ class PeriodicWeightedGraph:
         index = self.node_index
         nodes = self.nodes
         grid = self.grid
+        first, end = grid.first, grid.first + grid.n * grid.n
         label = len(self.head)
 
         def rows(explicit, start):
             for i, e in enumerate(explicit, start):
                 yield (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
 
-        builder = _IndexBuilder(list(map(self.positions.__getitem__, nodes)))
+        place = self.positions.__getitem__
+        builder = _IndexBuilder([*map(place, nodes[:first]), *grid.positions(), *map(place, nodes[end:])])
         builder.add_edges(rows(self.head, 0))
-        builder.add_block(grid.first, *grid.index_block(label, builder.xs, builder.ys))
+        builder.add_block(first, *grid.index_block(label))
         builder.add_edges(rows(self.tail, label + 2 * grid.n * grid.n))
         return builder.build(start_key=lambda i: (nodes[i][0] == "g", nodes[i]))
 
@@ -344,22 +343,11 @@ class PeriodicWeightedGraph:
         return self.grid.loops(len(self.head))
 
 
-def _add_torus_grid(
-    n: int,
-    weight: float,
-    nodes: list[NodeId],
-    positions: dict[NodeId, tuple[float, float]],
-) -> TorusGrid:
-    """Append the nodes ("g", i, j) of the N x N torus grid row by row,
-    placed at (i/N, j/N), and return that grid with edge weight
-    `weight`.  Rows share their column numbers and coordinates."""
+def _add_torus_grid(n: int, weight: float, nodes: list[NodeId]) -> TorusGrid:
+    """Append the nodes ("g", i, j) of the N x N torus grid row by row
+    and return that grid with edge weight `weight`."""
     grid = TorusGrid(len(nodes), n, weight)
-    numbers = list(range(n))
-    coords = [j / n for j in numbers]
-    for i, x in zip(numbers, coords):
-        row = [("g", i, j) for j in numbers]
-        nodes.extend(row)
-        positions.update(zip(row, zip(repeat(x), coords)))
+    nodes.extend(("g", i, j) for i in range(n) for j in range(n))
     return grid
 
 
@@ -373,11 +361,8 @@ def uniform_grid(resolution: int) -> PeriodicWeightedGraph:
     _check_resolution(n, 2)
     w = 1.0 / n
     nodes: list[NodeId] = []
-    positions: dict[NodeId, tuple[float, float]] = {}
-    grid = _add_torus_grid(n, w, nodes, positions)
-    return PeriodicWeightedGraph(
-        nodes=tuple(nodes), positions=positions, head=(), grid=grid, tail=(), loop_cost=n * w
-    )
+    grid = _add_torus_grid(n, w, nodes)
+    return PeriodicWeightedGraph(nodes=tuple(nodes), positions={}, head=(), grid=grid, tail=())
 
 
 def _check_hub_separation(points, d: int, n: int) -> None:
@@ -492,7 +477,7 @@ def build_canyon_graph(
             ))
             floor_x, floor_y, prev_node = fx, fy, node
 
-    grid = _add_torus_grid(n, b / n, nodes, positions)
+    grid = _add_torus_grid(n, b / n, nodes)
 
     connectors: list[PeriodicEdge] = []
     for cnode in corridor_nodes:
@@ -510,7 +495,6 @@ def build_canyon_graph(
         head=tuple(corridors),
         grid=grid,
         tail=tuple(connectors),
-        loop_cost=b,
         class_lengths=graph.classes,
         hub_budget=float(theta),
     )
@@ -535,9 +519,9 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     Returns (cost, witness states, path edge indices); states use node
     numbers of the search index.  The loops are made once per graph (`_grid_loops`) and
     replayed here, |a| row loops then |b| column loops, adding weights
-    in walking order.  Seeding the search with it means classes whose
-    optimum ties the background bound finish without exploring the tie
-    plateau at all.
+    in walking order.  Its cost is the search's one bound, so classes
+    whose optimum ties it finish without exploring the tie plateau at
+    all.
     """
     start, row, up, down = pg._grid_loops
     column = down if h.b < 0 else up
@@ -599,18 +583,18 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     from the node's origin lift to its h-translate.  The search runs
     only from endpoints of period-crossing edges, which every such
     cycle must visit, is guided by the admissible rate-hull gauge
-    heuristic, and is bounded by the cost of the background loops of
-    class h.  The graph's search index is built on the first query and
-    reused by every later one.
+    heuristic, and is bounded by its grid-loop seed, a cycle of class h
+    that it must beat.  The graph's search index is built on the first
+    query and reused by every later one.
     """
     h = integral_class(h).canonical()
     if h.is_trivial:
         return SpectrumEntry(cls=h, length=0.0, witness=((pg.nodes[0], 0, 0),))
 
-    # |a| row loops and |b| column loops close a cycle of class h
-    upper = abs(h.a) * pg.loop_cost + abs(h.b) * pg.loop_cost
+    # |a| row loops and |b| column loops close a cycle of class h, and
+    # its cost is the search's one bound
     seed = _grid_loop_seed(pg, h)
-    best, best_states, best_edges = shortest_cover_cycle(pg.search_index, h.a, h.b, upper, seed[0]) or seed
+    best, best_states, best_edges = shortest_cover_cycle(pg.search_index, h.a, h.b, seed[0], seed[0]) or seed
     exact = _exact_length(pg, best_edges)
     if abs(exact - best) > _RECOMPUTE_RTOL * max(1.0, best):
         raise InvariantError(

@@ -570,25 +570,14 @@ def compute_zeta_epsilon_theta(
     if cross_check:
         _check_homology_tables(graph)
     gap, witness, cycles, nodes = _min_gap_search(graph, norm, edge_bound, node_budget)
-    if math.isinf(gap):
-        return TubeConstants(
-            zeta=zeta,
-            edge_bound=edge_bound,
-            epsilon=math.inf,
-            theta=theta_cap,
-            witness=None,
-            witness_class=None,
-            cycles_checked=cycles,
-            nodes_expanded=nodes,
-        )
-    theta = gap / (2.0 * edge_bound)
+    # no competitor leaves gap = inf and no witness: theta is then the cap
     return TubeConstants(
         zeta=zeta,
         edge_bound=edge_bound,
         epsilon=gap,
-        theta=min(theta, theta_cap),
+        theta=min(gap / (2.0 * edge_bound), theta_cap),
         witness=witness,
-        witness_class=witness.homology(graph),
+        witness_class=None if witness is None else witness.homology(graph),
         cycles_checked=cycles,
         nodes_expanded=nodes,
     )

@@ -89,10 +89,8 @@ def _over_grid(names, head=(), tail=(), n=2, weight=0.5):
     `tail` after them."""
     nodes = list(names)
     positions = {node: (i / len(nodes), 0.5) for i, node in enumerate(nodes)}
-    grid = periodic_metric._add_torus_grid(n, weight, nodes, positions)
-    return PeriodicWeightedGraph(
-        tuple(nodes), positions, tuple(head), grid, tuple(tail), loop_cost=n * weight
-    )
+    grid = periodic_metric._add_torus_grid(n, weight, nodes)
+    return PeriodicWeightedGraph(tuple(nodes), positions, tuple(head), grid, tuple(tail))
 
 
 class TestGraphValidation:
@@ -242,7 +240,7 @@ class TestWindowCertification:
             tail=(_edge(A, ("g", 0, 0), kind="connector"),),
             weight=5.0,
         )
-        assert pg.loop_cost == 10.0
+        assert pg.grid.n * pg.grid.weight == 10.0
         entry = marked_min_length(pg, (50, 0))
         assert entry.length == 3.0
         assert entry.witness[0][1:] == (0, 0)
@@ -267,8 +265,8 @@ class TestCanyonBuild:
         assert all(total == 1 for total in by_class.values())
 
     def test_edge_cost_regimes(self, square_canyon):
-        b = square_canyon.loop_cost
-        n = square_canyon.grid_resolution
+        b = 1.0  # the fixture's background
+        n = square_canyon.grid.n
         for e in square_canyon.edges:
             if e.kind == "grid":
                 assert e.weight == b / n
@@ -353,7 +351,8 @@ class TestCanyonMarked:
         classes, _graph, consts, canyon = euclid3
         ell_k = max(length for _cls, length in classes)
         slack = consts.theta * consts.edge_bound
-        floor = min(ell_k, canyon.loop_cost) - slack
+        # the canyon's background is ell_k
+        floor = ell_k - slack
         for ab in [(1, -1), (2, 1), (0, 2), (2, 0), (1, 2)]:
             assert marked_min_length(canyon, ab).length >= floor
 
@@ -541,8 +540,8 @@ class TestSearchIndex:
         every_edge = []
         cheapest_x = cheapest_y = math.inf
         for e in canyon.edges:
-            ux, uy = canyon.positions[e.u]
-            vx, vy = canyon.positions[e.v]
+            ux, uy = _position(canyon, e.u)
+            vx, vy = _position(canyon, e.v)
             lx, ly = vx + e.disp[0] - ux, vy + e.disp[1] - uy
             every_edge.append((lx / e.weight, ly / e.weight))
             if lx != 0:
@@ -651,12 +650,21 @@ def _grid_case(n):
     return uniform_grid(n), _reference_grid_edges(n, 1.0 / n)
 
 
+def _position(pg, node):
+    """Where `node` sits: grid node ("g", i, j) at (i/n, j/n), any other
+    node where `pg.positions` places it."""
+    if node[0] == "g":
+        n = pg.grid.n
+        return (node[1] / n, node[2] / n)
+    return pg.positions[node]
+
+
 def _assert_index_of(pg, reference):
     """`pg.search_index` equals the index built from `reference`."""
     index = pg.node_index
     nodes = pg.nodes
     want = cover.build_search_index(
-        [pg.positions[n] for n in nodes],
+        [_position(pg, n) for n in nodes],
         ((index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i) for i, e in enumerate(reference)),
         start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
     )
@@ -682,7 +690,7 @@ def _explicit_edges_over_a_grid(draw):
             positions[(name, i)] = (draw(coord), draw(coord))
 
     extra("x")
-    grid = periodic_metric._add_torus_grid(n, draw(weight), nodes, positions)
+    grid = periodic_metric._add_torus_grid(n, draw(weight), nodes)
     extra("y")
     disp = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
     edge = st.builds(_edge, st.sampled_from(nodes), st.sampled_from(nodes), weight, disp)
@@ -693,7 +701,7 @@ def _explicit_edges_over_a_grid(draw):
             joined = _edge(node, ("g", draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))), draw(weight))
             side = head if draw(st.booleans()) else tail
             side.insert(draw(st.integers(0, len(side))), joined)
-    pg = PeriodicWeightedGraph(tuple(nodes), positions, tuple(head), grid, tuple(tail), loop_cost=n * grid.weight)
+    pg = PeriodicWeightedGraph(tuple(nodes), positions, tuple(head), grid, tuple(tail))
     return pg, head + _reference_grid_edges(n, grid.weight) + tail
 
 
@@ -770,13 +778,12 @@ class TestArithmeticGrid:
     def test_detached_explicit_edges_are_not_connected(self):
         grid = uniform_grid(4)
         nodes = grid.nodes + (A, B)
-        positions = dict(grid.positions)
-        positions[A] = positions[B] = (0.5, 0.5)
+        positions = {A: (0.5, 0.5), B: (0.5, 0.5)}
         detached = _edge(A, B)
         with pytest.raises(ValidationError, match="not connected"):
-            PeriodicWeightedGraph(nodes, positions, (detached,), grid.grid, (), loop_cost=1.0)
+            PeriodicWeightedGraph(nodes, positions, (detached,), grid.grid, ())
         joined = _edge(B, ("g", 1, 2), kind="connector")
-        pg = PeriodicWeightedGraph(nodes, positions, (detached,), grid.grid, (joined,), loop_cost=1.0)
+        pg = PeriodicWeightedGraph(nodes, positions, (detached,), grid.grid, (joined,))
         assert len(pg.edges) == 34
 
     def test_grid_must_fit_the_node_list(self):
@@ -792,26 +799,21 @@ class TestArithmeticGrid:
             with pytest.raises(ValidationError, match="first grid node"):
                 TorusGrid(first, 4, 0.25)
 
-    @pytest.mark.parametrize(
-        "loop_cost", [True, "1.0", 0, 0.0, -1.0, math.inf, -math.inf, math.nan, 0.5, 2.0, 1.0 + 1e-9]
-    )
-    def test_loop_cost_must_be_the_grid_loop(self, loop_cost):
-        # uniform_grid(4) loops at 4 * 0.25 = 1.0
-        with pytest.raises(ValidationError, match="loop cost"):
-            dataclasses.replace(uniform_grid(4), loop_cost=loop_cost)
+    def test_position_of_a_grid_node_rejected(self):
+        # the grid places its own nodes; a position for one would be a
+        # second, unchecked copy of it
+        pg = uniform_grid(4)
+        with pytest.raises(ValidationError, match=r"position given for \('g', 1, 2\)"):
+            dataclasses.replace(pg, positions={("g", 1, 2): (0.25, 0.5)})
+        with pytest.raises(ValidationError, match=r"position given for 'z'"):
+            dataclasses.replace(pg, positions={"z": (0.25, 0.5)})
 
-    def test_loop_cost_below_the_grid_loop_rejected(self, square_canyon):
-        # as the search cutoff, a loop cost below the grid's loop (here
-        # 1.0) would hide every cycle cheaper than the grid's own
-        with pytest.raises(ValidationError, match="loop cost"):
-            dataclasses.replace(square_canyon, loop_cost=0.5)
-
-    def test_loop_cost_off_by_rounding_accepted(self):
-        # 100 * (1.7 / 100) is one ulp above 1.7; the canyon keeps b
-        graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0)])
-        canyon = build_canyon_graph(graph, theta=0.14, background_systole=1.7, grid_resolution=100)
-        assert canyon.loop_cost == 1.7 != 100 * canyon.grid.weight
-        assert dataclasses.replace(canyon, loop_cost=100 * canyon.grid.weight).loop_cost > 1.7
+    def test_missing_position_rejected(self, square_canyon):
+        # without this check the first query fails on a raw KeyError
+        positions = dict(square_canyon.positions)
+        del positions[("c", 0, 1)]
+        with pytest.raises(ValidationError, match=r"node \('c', 0, 1\) has no position"):
+            dataclasses.replace(square_canyon, positions=positions)
 
     def test_build_memory_ceiling(self):
         # a grid-512 canyon has 524,288 grid steps; making one edge object

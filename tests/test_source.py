@@ -122,6 +122,30 @@ def test_small_float_literals_are_named():
     assert SOURCES and not found, found
 
 
+def _round_digits(node):
+    """The digit count of a `round(x, digits)` call, or None."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "round"):
+        return None
+    if len(node.args) > 1:
+        return node.args[1]
+    return next((k.value for k in node.keywords if k.arg == "ndigits"), None)
+
+
+def test_round_digit_counts_are_named():
+    # rounding to a digit count is a tolerance too, so its count is
+    # named once with its reason, as a small float literal is
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            digits = _round_digits(node)
+            if isinstance(digits, ast.UnaryOp):
+                digits = digits.operand
+            if isinstance(digits, ast.Constant):
+                found.append(f"{path.name}:{node.lineno} round(..., {digits.value!r})")
+    assert SOURCES and not found, found
+
+
 def test_public_functions_have_docstrings():
     # every exported function says what it computes
     missing = [
