@@ -8,10 +8,13 @@ intersections are shared nodes; switching corridors there is free,
 which keeps the switch cost within any nonnegative hub budget.
 
 Marked lengths come from shortest cycles with prescribed displacement
-in the Z^2 cover.  Every query bounds its search by the cost of a
-constructive cycle (grid row/column loops), and the per-start searches
-are guided by an admissible displacement-rate heuristic, so background
-regions far from the optimum are barely touched.
+in the Z^2 cover.  Every query bounds its search by the cost of the
+cheaper of two constructive cycles: grid row and column loops, and on a
+canyon the corridor walk s h_i + t h_j over adjacent vertices of the
+prescribed polygon P_k = conv{+-h_i / l_i}.  The per-start searches are
+guided by an admissible displacement-rate heuristic, the rate-hull
+gauge; on a canyon whose rate hull is P_k the corridor walk costs that
+gauge, so the search proves it optimal at its root.
 
 Corridor edges carry their exact rational share of the class length;
 witness lengths are recomputed from those shares, so a pure corridor
@@ -27,8 +30,8 @@ its steps and its few rate points (Burago, "Periodic metrics"), so
 the search index and the witness recompute read the grid straight from
 that arithmetic.  Its node positions and its loop cost follow from the
 same arithmetic, so the graph stores neither: `positions` places only
-the nodes outside the grid, and each query's one bound is the cost of
-its grid-loop seed.
+the nodes outside the grid, and each query's bound is the cost of its
+grid-loop or corridor seed.
 """
 
 from __future__ import annotations
@@ -42,9 +45,12 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional
 
 from stablenorm.cover import (
+    _HEUR_DEFLATE,
+    _PRUNE_RTOL,
     SEARCH_RTOL,
     SearchIndex,
     _IndexBuilder,
+    convex_hull,
     shortest_cover_cycle,
 )
 from stablenorm.errors import ConstructionError, InvariantError, SearchBudgetError, ValidationError
@@ -66,6 +72,12 @@ _BOX_SLACK = 1e-9
 _TINY_LENGTH = 1e-300
 #: Most candidate classes `spectrum` measures, one cover search each.
 _MAX_SPECTRUM_CLASSES = 10_000
+#: A length sits at or above its class's rate-hull gauge up to the
+#: heuristic's deflation and the recompute drift.
+_GAUGE_SKIP_RTOL = _HEUR_DEFLATE + _RECOMPUTE_RTOL
+#: Most steps a seed walk may take: at about 370 B a step, its states
+#: and labels stay under 400 MB.
+_MAX_SEED_STEPS = 1_000_000
 
 _MIN_GRID_RESOLUTION = 64
 
@@ -342,6 +354,48 @@ class PeriodicWeightedGraph:
         first query and kept for the life of the graph."""
         return self.grid.loops(len(self.head))
 
+    @cached_property
+    def _corridors(self):
+        """The corridor loops `_corridor_seed` replays, made on the
+        first query that needs them and kept for the life of the graph.
+
+        Returns (vertices, loops): the vertices of P_k = conv{+-h_i /
+        l_i} counterclockwise as (class index, sign), and per vertex
+        the search-index steps of its class's corridor loop, walked
+        against the class when the sign is -1, with the place on it
+        where the loop leaves each hub.  The loop is read from `head`:
+        every node on corridor i has one piece of class i out of it.
+        """
+        index = self.node_index
+        rates = {}
+        for i, (h, ell) in enumerate(self.class_lengths):
+            rates[h.a / ell, h.b / ell] = (i, 1)
+            rates[-h.a / ell, -h.b / ell] = (i, -1)
+        vertices = [rates[p] for p in convex_hull(rates)]
+        out = {(e.corridor[0], e.u): k for k, e in enumerate(self.head) if e.corridor is not None}
+        loops = {}
+        for i in {i for i, _sign in vertices}:
+            start = node = next(u for (c, u) in out if c == i)
+            forward, backward, at = [], [], {}
+            for _piece in range(len(self.head)):
+                k = out.get((i, node))
+                if k is None:
+                    raise InvariantError(f"corridor {i} breaks off at {node!r}")
+                e = self.head[k]
+                if node[0] == "v":
+                    at[index[node]] = len(forward)
+                forward.append((index[e.v], e.weight, e.disp[0], e.disp[1], k))
+                backward.append((index[e.u], e.weight, -e.disp[0], -e.disp[1], k))
+                node = e.v
+                if node == start:
+                    break
+            else:
+                raise InvariantError(f"corridor {i} does not close")
+            n = len(forward)
+            loops[i, 1] = (tuple(forward), at)
+            loops[i, -1] = (tuple(reversed(backward)), {hub: (n - j) % n for hub, j in at.items()})
+        return vertices, loops
+
 
 def _add_torus_grid(n: int, weight: float, nodes: list[NodeId]) -> TorusGrid:
     """Append the nodes ("g", i, j) of the N x N torus grid row by row
@@ -513,23 +567,27 @@ class SpectrumEntry:
         return {"class": [self.cls.a, self.cls.b], "length": self.length}
 
 
-def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
-    """Concrete cycle of class h from grid row and column loops.
+def _replay(h: IntegralClass, name: str, start: int, loops):
+    """Walk `loops`, pairs (search-index steps of one loop, times), from
+    node number `start`, adding weights in walking order.
 
-    Returns (cost, witness states, path edge indices); states use node
-    numbers of the search index.  The loops are made once per graph (`_grid_loops`) and
-    replayed here, |a| row loops then |b| column loops, adding weights
-    in walking order.  Its cost is the search's one bound, so classes
-    whose optimum ties it finish without exploring the tie plateau at
-    all.
+    Returns (cost, witness states, path edge indices).  The steps are
+    counted first: past `_MAX_SEED_STEPS` it raises `SearchBudgetError`
+    before it allocates anything, and a walk whose shift is not h
+    raises `InvariantError`.
     """
-    start, row, up, down = pg._grid_loops
-    column = down if h.b < 0 else up
+    steps = sum(len(loop) * times for loop, times in loops)
+    if steps > _MAX_SEED_STEPS:
+        raise SearchBudgetError(
+            f"the {name} seed of class {h} takes {steps} steps, past the cap of {_MAX_SEED_STEPS}",
+            nodes_expanded=0,
+            budget=_MAX_SEED_STEPS,
+        )
     states = [(start, 0, 0)]
     path_edges: list[int] = []
     cost = 0.0
     sx = sy = 0
-    for loop, times in ((row, abs(h.a)), (column, abs(h.b))):
+    for loop, times in loops:
         for _loop in range(times):
             for (nbr, w, dx, dy, idx) in loop:
                 sx += dx
@@ -538,8 +596,63 @@ def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
                 states.append((nbr, sx, sy))
                 path_edges.append(idx)
     if (sx, sy) != (h.a, h.b):
-        raise InvariantError(f"grid loop seed for class {h} shifted by {(sx, sy)}")
+        raise InvariantError(f"{name} seed for class {h} shifted by {(sx, sy)}")
     return cost, tuple(states), path_edges
+
+
+def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
+    """Concrete cycle of class h from grid row and column loops.
+
+    Returns (cost, witness states, path edge indices); states use node
+    numbers of the search index.  The loops are made once per graph
+    (`_grid_loops`) and replayed here, |a| row loops then |b| column
+    loops, (|a| + |b|) n steps in all.  Every graph has this seed, and
+    its cost bounds the search wherever the corridor seed does not
+    beat it.
+    """
+    start, row, up, down = pg._grid_loops
+    return _replay(h, "grid loop", start, ((row, abs(h.a)), (down if h.b < 0 else up, abs(h.b))))
+
+
+def _corridor_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
+    """Concrete cycle of class h along two corridors, or None.
+
+    Takes the adjacent vertices g_i = +-h_i / l_i and g_j of P_k whose
+    cone holds h, and writes h = s (+-h_i) + t (+-h_j) with s =
+    det(h, +-h_j) / D and t = det(+-h_i, h) / D, D = det(+-h_i, +-h_j).
+    When both are integers, the walk is s loops of corridor i, then t
+    of corridor j, from a hub both pass through; a loop runs against
+    its class where the vertex is -h_i / l_i.  It costs s l_i + t l_j,
+    the gauge of P_k at h, so on a stage whose rate hull is P_k the
+    search ends at its root.  Returns None for a fractional s or t
+    and on a graph without class lengths, such as `uniform_grid`; else
+    what `_grid_loop_seed` returns.
+    """
+    if pg.class_lengths is None:
+        return None
+    vertices, loops = pg._corridors
+    classes = pg.class_lengths
+    for (i, si), (j, sj) in zip(vertices, vertices[1:] + vertices[:1]):
+        ix, iy = si * classes[i][0].a, si * classes[i][0].b
+        jx, jy = sj * classes[j][0].a, sj * classes[j][0].b
+        det = ix * jy - iy * jx
+        if det <= 0:
+            # a single class: P_k is a segment, with no cone
+            continue
+        s, s_rest = divmod(h.a * jy - h.b * jx, det)
+        t, t_rest = divmod(ix * h.b - iy * h.a, det)
+        if s < 0 or t < 0:
+            continue
+        if s_rest or t_rest:
+            return None
+        steps_i, at_i = loops[i, si]
+        steps_j, at_j = loops[j, sj]
+        hub = min(at_i.keys() & at_j.keys())
+        return _replay(h, "corridor", hub, (
+            (steps_i[at_i[hub]:] + steps_i[:at_i[hub]], s),
+            (steps_j[at_j[hub]:] + steps_j[:at_j[hub]], t),
+        ))
+    return None
 
 
 def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[int]) -> float:
@@ -583,17 +696,24 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     from the node's origin lift to its h-translate.  The search runs
     only from endpoints of period-crossing edges, which every such
     cycle must visit, is guided by the admissible rate-hull gauge
-    heuristic, and is bounded by its grid-loop seed, a cycle of class h
-    that it must beat.  The graph's search index is built on the first
-    query and reused by every later one.
+    heuristic, and is bounded by a seed, a cycle of class h that it
+    must beat: the corridor seed where it beats the grid-loop seed by
+    more than the search's tie margin, else the grid-loop seed.  When
+    nothing beats the seed, the seed's walk is the witness.  The
+    graph's search index and seed loops are built on the first query
+    and reused by every later one.
     """
     h = integral_class(h).canonical()
     if h.is_trivial:
         return SpectrumEntry(cls=h, length=0.0, witness=((pg.nodes[0], 0, 0),))
 
-    # |a| row loops and |b| column loops close a cycle of class h, and
-    # its cost is the search's one bound
+    # a corridor seed within the tie margin of the grid seed leaves the
+    # grid seed's bound, and so its answer, in place; one that costs
+    # the gauge ends the search at its root
     seed = _grid_loop_seed(pg, h)
+    corridor = _corridor_seed(pg, h)
+    if corridor is not None and corridor[0] < seed[0] * (1 - _PRUNE_RTOL):
+        seed = corridor
     best, best_states, best_edges = shortest_cover_cycle(pg.search_index, h.a, h.b, seed[0], seed[0]) or seed
     exact = _exact_length(pg, best_edges)
     if abs(exact - best) > _RECOMPUTE_RTOL * max(1.0, best):
@@ -693,9 +813,12 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     """Marked lengths of every class that could fit under norm_bound.
 
     Candidate classes come from the rate hull's per-axis lower bound
-    (`SearchIndex.rates`), so the enumeration box provably contains every class whose marked length
-    can be at or below the bound.  Classes are measured one by one on
-    the graph's shared search index and sorted deterministically by
+    (`SearchIndex.rates`), so the enumeration box provably contains
+    every class whose marked length can be at or below the bound.  A
+    class's length is at least its rate-hull gauge, so a candidate
+    whose gauge tops the bound beyond `_GAUGE_SKIP_RTOL` is not
+    measured.  The rest are measured one by one on the graph's shared
+    search index and sorted deterministically by
     (length, class); ties group under the relative tolerance `GROUP_RTOL`.
     The bound must be finite, and a box of more than
     `_MAX_SPECTRUM_CLASSES` candidates raises `SearchBudgetError`
@@ -721,10 +844,16 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
         for b in range(-bmax, bmax + 1)
     )
 
-    measured = [marked_min_length(pg, c) for c in candidates]
+    normals = pg.search_index.normals
+    limit = norm_bound * (1 + SEARCH_RTOL)
+    measured = [
+        marked_min_length(pg, c)
+        for c in candidates
+        if max(ax * c.a + ay * c.b for ax, ay in normals) * (1 - _GAUGE_SKIP_RTOL) <= limit
+    ]
 
     entries = [marked_min_length(pg, IntegralClass(0, 0))]
-    entries.extend(e for e in measured if e.length <= norm_bound * (1 + SEARCH_RTOL))
+    entries.extend(e for e in measured if e.length <= limit)
     entries.sort(key=lambda e: (e.length, e.cls.tie_key()))
 
     groups: list[MultiplicityGroup] = []

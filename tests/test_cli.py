@@ -438,6 +438,18 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "search-budget"
 
+    def test_huge_class_exits_3_before_its_seed_walk(self, capsys):
+        # the seed walk's steps are counted before it is built
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "stable-norm", "--norm", "euclidean", "--k", "3", "--class", "1000000,0", "--n-max", "1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "search-budget"
+        assert "seed of class" in error["message"]
+
     def test_table_coord_bound_checked(self, capsys):
         for argv in (("--k", "4"), ("--k", "3", "--k-max", "4")):
             code, out, err = run_cli(capsys, "polygon-min-area", *argv, "--coord-bound", "1")

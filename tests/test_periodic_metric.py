@@ -62,16 +62,35 @@ def euclid3():
     return classes, graph, consts, canyon
 
 
-def _assert_valid_witness(pg, entry):
-    """The witness must be a closed walk in the cover realizing the class."""
+@pytest.fixture(scope="module")
+def hex4():
+    """The canyon of the four shortest hexagonal primitives."""
+    norm = hexagonal()
+    classes = leading_primitive_classes(norm, 4)
+    graph = build_graph(classes)
+    ell_k = max(length for _cls, length in classes)
+    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
+    return build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=64)
+
+
+def _witness_steps(pg):
+    """Per node, the (neighbor, shift) steps out of it, both ways along
+    every edge."""
+    steps = {}
+    for e in pg.edges:
+        steps.setdefault(e.u, set()).add((e.v, e.disp))
+        steps.setdefault(e.v, set()).add((e.u, (-e.disp[0], -e.disp[1])))
+    return steps
+
+
+def _assert_valid_witness(pg, entry, steps=None):
+    """The witness must be a closed walk in the cover realizing the
+    class; `steps` is `_witness_steps(pg)`, made here when not given."""
     states = entry.witness
     assert states[0][1:] == (0, 0)
     assert states[-1][0] == states[0][0]
     assert states[-1][1:] == (entry.cls.a, entry.cls.b)
-    steps = {}
-    for e in pg.edges:
-        steps.setdefault(e.u, []).append((e.v, e.disp))
-        steps.setdefault(e.v, []).append((e.u, (-e.disp[0], -e.disp[1])))
+    steps = steps or _witness_steps(pg)
     for (n1, sx1, sy1), (n2, sx2, sy2) in zip(states, states[1:]):
         assert (n2, (sx2 - sx1, sy2 - sy1)) in steps[n1]
 
@@ -477,6 +496,26 @@ class TestSpectrum:
         assert peak < 2**20
         assert err.value.budget == periodic_metric._MAX_SPECTRUM_CLASSES
 
+    @pytest.mark.parametrize(
+        "name,bound", [("grid16", 3.5), ("square_canyon", 2.5), ("euclid3", 1.5), ("hex4", 2.5)]
+    )
+    def test_gauge_skip_changes_nothing(self, request, monkeypatch, name, bound):
+        # a candidate whose rate-hull gauge tops the bound is never
+        # measured; a margin of 1 scales every gauge to 0, so the
+        # reference measures the whole box
+        pg = _graph(request, name)
+        measure = periodic_metric.marked_min_length
+        calls = []
+        monkeypatch.setattr(periodic_metric, "marked_min_length", lambda pg, h: calls.append(h) or measure(pg, h))
+        skipped = spectrum(pg, bound)
+        measured = len(calls)
+        monkeypatch.setattr(periodic_metric, "_GAUGE_SKIP_RTOL", 1.0)
+        calls.clear()
+        reference = spectrum(pg, bound)
+        assert skipped.entries == reference.entries
+        assert skipped.groups == reference.groups
+        assert measured < len(calls)
+
     def test_csv_rows(self, grid16):
         res = spectrum(grid16, 2.1)
         rows = spectrum_csv_rows(res)
@@ -562,24 +601,35 @@ class TestSearchIndex:
         marked_min_length(pg, (2, 3))
         assert pg._grid_loops is loops
 
-    def test_marked_lengths_digest(self, grid16, euclid3):
-        # sha256 over (class, length.hex(), witness) for every class with
-        # |a|, |b| <= 3 on three graphs: pins lengths and witnesses bit
-        # for bit against any change to the search or the graph build
-        norm = hexagonal()
-        classes = leading_primitive_classes(norm, 4)
-        graph = build_graph(classes)
-        ell_k = max(length for _cls, length in classes)
-        theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
-        hex4 = build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=64)
-        rows = []
-        for pg in (grid16, euclid3[3], hex4):
-            for a in range(-3, 4):
-                for b in range(-3, 4):
-                    e = marked_min_length(pg, (a, b))
-                    rows.append((e.cls.as_tuple(), e.length.hex(), e.witness))
+    @staticmethod
+    def _panel(grid16, euclid3, hex4):
+        """(graph, entry) for every class with |a|, |b| <= 3 on three graphs."""
+        return [
+            (pg, marked_min_length(pg, (a, b)))
+            for pg in (grid16, euclid3[3], hex4)
+            for a in range(-3, 4)
+            for b in range(-3, 4)
+        ]
+
+    def test_marked_lengths_only_digest(self, grid16, euclid3, hex4):
+        # sha256 over (class, length.hex()) on the panel: pins every
+        # length bit for bit against any change to the search, its seeds
+        # or the graph build
+        rows = [(e.cls.as_tuple(), e.length.hex()) for _pg, e in self._panel(grid16, euclid3, hex4)]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "899fffd6f30cd4247e2c19aaa48a29afe9a7713b20bcaadb98751d15b8e766a9"
+        assert digest == "5ceba33b7ec77807cb94e564dd93410dc875eb0a7e94e3faf80bdc2ae21cf2f0"
+
+    def test_marked_lengths_digest(self, grid16, euclid3, hex4):
+        # sha256 over (class, length.hex(), witness) on the panel: pins
+        # the witnesses too, each a valid closed walk of its class.  On
+        # a tie with its seed the witness is the seed's walk
+        panel = self._panel(grid16, euclid3, hex4)
+        steps = {id(pg): _witness_steps(pg) for pg in (grid16, euclid3[3], hex4)}
+        for pg, e in panel:
+            _assert_valid_witness(pg, e, steps[id(pg)])
+        rows = [(e.cls.as_tuple(), e.length.hex(), e.witness) for _pg, e in panel]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "ec721fff8be6751ac016af64da126e6b3031352039d0433ab94d8f51d8abc22e"
 
     def test_equal_graphs_stay_equal(self):
         queried = uniform_grid(8)
@@ -587,6 +637,91 @@ class TestSearchIndex:
         marked_min_length(queried, (1, 1))
         assert queried == untouched
         assert untouched == queried
+
+
+def _graph(request, name):
+    """The periodic graph of the module fixture `name`."""
+    pg = request.getfixturevalue(name)
+    return pg[3] if name == "euclid3" else pg
+
+
+#: Every nonzero class with |a|, |b| <= 3, canonical.
+_PANEL = [
+    h
+    for h in dict.fromkeys(IntegralClass(a, b).canonical() for a in range(-3, 4) for b in range(-3, 4))
+    if not h.is_trivial
+]
+
+
+class TestSeeds:
+    """Canyon queries end at the root on their corridor seed, while the
+    cover search keeps its own coverage from the grid-loop seed alone."""
+
+    # on a canyon the search beats every grid seed; on the uniform grid
+    # the grid seed is the L^1 optimum, so the search only confirms it
+    @pytest.mark.parametrize("name,beaten", [("euclid3", len(_PANEL)), ("hex4", len(_PANEL)), ("grid16", 0)])
+    def test_grid_seed_alone_gives_the_same_lengths(self, request, name, beaten):
+        # the search as it runs without a corridor seed
+        pg = _graph(request, name)
+        searched = 0
+        for h in _PANEL:
+            cost, _states, edges = periodic_metric._grid_loop_seed(pg, h)
+            found = cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost, cost)
+            if found is not None:
+                searched += 1
+                edges = found[2]
+            assert periodic_metric._exact_length(pg, edges).hex() == marked_min_length(pg, h).length.hex()
+        assert searched == beaten
+
+    @pytest.mark.parametrize("name", ["euclid3", "hex4"])
+    def test_corridor_seed_answered_at_the_root(self, request, name):
+        pg = _graph(request, name)
+        for h in _PANEL:
+            cost, _states, edges = periodic_metric._corridor_seed(pg, h)
+            assert cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost, cost) is None
+            assert periodic_metric._exact_length(pg, edges).hex() == marked_min_length(pg, h).length.hex()
+
+    def test_no_class_lengths_no_corridor_seed(self, grid16):
+        assert all(periodic_metric._corridor_seed(grid16, h) is None for h in _PANEL)
+        assert "_corridors" not in vars(grid16)
+
+    def test_fractional_cone_falls_back_to_the_search(self):
+        # P_k = conv{+-(1, 0), +-(1, 2)/2}: (1, 1) and (0, 1) are halves
+        # of its adjacent vertices' classes, so no corridor walk gives
+        # them; the search finds the gauge 1.5 by switching at a hub
+        graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(1, 2), 2.0)])
+        pg = build_canyon_graph(graph, theta=0.1, background_systole=3.0, grid_resolution=64)
+        for h in [(1, 1), (0, 1)]:
+            assert periodic_metric._corridor_seed(pg, IntegralClass(*h)) is None
+            entry = marked_min_length(pg, h)
+            assert entry.length == pytest.approx(1.5, rel=1e-12)
+            _assert_valid_witness(pg, entry)
+        assert periodic_metric._corridor_seed(pg, IntegralClass(2, 2)) is not None
+        assert marked_min_length(pg, (2, 2)).length == 3.0
+
+    def test_corridors_built_on_first_query(self, euclid3):
+        pg = dataclasses.replace(euclid3[3])
+        assert "_corridors" not in vars(pg)
+        marked_min_length(pg, (2, 1))
+        corridors = vars(pg)["_corridors"]
+        marked_min_length(pg, (1, -2))
+        assert pg._corridors is corridors
+
+    def test_oversized_seed_refused_before_its_walk(self, grid16, euclid3):
+        # (|a| + |b|) n grid steps and s |loop_i| + t |loop_j| corridor
+        # steps are counted before either walk is made
+        cap = periodic_metric._MAX_SEED_STEPS
+        huge = IntegralClass(10**6, 0)
+        tracemalloc.start()
+        try:
+            for seed, pg in ((periodic_metric._grid_loop_seed, grid16), (periodic_metric._corridor_seed, euclid3[3])):
+                with pytest.raises(SearchBudgetError, match="seed of class") as info:
+                    seed(pg, huge)
+                assert (info.value.nodes_expanded, info.value.budget) == (0, cap)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _reference_grid_edges(n, weight):
