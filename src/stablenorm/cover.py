@@ -5,13 +5,16 @@ loop in a homology class.  On the toral geodesic graph it checks that
 nothing beats the prescribed lengths; on the canyon graph it measures
 the marked lengths the corridors realise.
 
-A graph is compiled once into a `SearchIndex`: nodes numbered 0..n-1,
-their positions in the unit square, both orientations of every edge as
-labelled steps with their integer period shifts, and the lower bounds
-that guide the search.  `shortest_cover_cycle` then runs A* from each
+A graph is compiled into a `SearchIndex` in two parts.  Made at once:
+nodes numbered 0..n-1, their positions in the unit square, the start
+nodes and the lower bounds that guide the search, all read from the
+distinct rate points and the crossing-edge ends.  Built on first
+expansion: both orientations of every edge as labelled steps with their
+integer period shifts.  `shortest_cover_cycle` runs A* from each
 endpoint of a period-crossing edge, which every cycle of a nonzero
 class must visit, pruned by the best cycle so far and bounded by the
-caller's cost cutoff alone.
+caller's cost cutoff alone; a query whose root bound already meets the
+caller's seed ends before the steps are built.
 
 The lower bounds come from one rate hull, the origin-symmetric hull of
 the steps' displacement-per-cost points, whose gauge is the graph's
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 #: Relative slack for float comparisons in the cover search.
@@ -55,27 +59,37 @@ Point = tuple[float, float]
 FLAT_GAUGE: tuple[Point, ...] = ((0.0, 0.0),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchIndex:
-    """What every cover search on one graph reads, computed once.
+    """What every cover search on one graph reads.
+
+    `normals` are the `gauge_normals` of the steps' rate points, lifted
+    displacement per unit weight; `rates` are the least cost per unit of
+    x and of y advance on that hull, inf on an axis no step advances
+    along.  `x_starts` and `y_starts` are the endpoints of edges
+    crossing the x and y period, in search order.  These, with the node
+    positions `xs` and `ys`, are made with the index.
 
     `adj[i]` lists the steps out of node i as (neighbor, weight, dx, dy,
     label), in edge order, both orientations of every edge; (dx, dy)
-    counts the periods the step's lift crosses.  `normals` are the
-    `gauge_normals` of the steps' rate points, lifted displacement per
-    unit weight; `rates` are the least cost per unit of x and of y
-    advance on that hull, inf on an axis no step advances along.
-    `x_starts` and `y_starts` are the endpoints of edges crossing the x
-    and y period, in search order.
+    counts the periods the step's lift crosses.  It is built on first
+    read, by calling `steps`, and kept: a query whose root bound meets
+    its seed never reads it.
     """
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    adj: tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]
     rates: tuple[float, float]
     normals: tuple[Point, ...]
     x_starts: tuple[int, ...]
     y_starts: tuple[int, ...]
+    #: Makes `adj`; a module-level function or a `functools.partial`
+    #: of one, so that an index pickles whether `adj` is built or not.
+    steps: Callable[[], tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]] = field(repr=False)
+
+    @cached_property
+    def adj(self) -> tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]:
+        return self.steps()
 
 
 def build_search_index(
@@ -91,20 +105,22 @@ def build_search_index(
     `forward` and the step v -> u the label `backward`.  Start lists are
     sorted by `start_key` on node numbers, by number when it is None.
     """
-    builder = _IndexBuilder(positions)
+    builder = _IndexBuilder(*(tuple(zip(*positions)) or ((), ())))
     builder.add_edges(edges)
     return builder.build(start_key)
 
 
 class _IndexBuilder:
     """What `build_search_index` compiles, gathered edge by edge or, for
-    a block of nodes whose steps are already known, block by block."""
+    a block of nodes whose steps are made by a function, block by block.
+    Rate points and crossing ends are gathered at once; the edges and
+    blocks are kept in order, for `SearchIndex.adj` to make its steps
+    from on first read."""
 
-    def __init__(self, positions: Sequence[Point]):
-        self.xs, self.ys = tuple(zip(*positions)) or ((), ())
-        # steps out of each node, grown as tuples: a block's steps then
-        # need no copy, and a node without steps shares the empty tuple
-        self.adj: list[tuple[tuple[int, float, int, int, Hashable], ...]] = [()] * len(self.xs)
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]):
+        self.xs, self.ys = xs, ys
+        # (first node, step maker) per block, (None, edges) per edge run
+        self.parts: list[tuple[Optional[int], object]] = []
         # distinct rate points, in edge order; a background grid makes
         # up most edges but only a handful of rate points
         self.points: dict[Point, None] = {}
@@ -113,10 +129,9 @@ class _IndexBuilder:
 
     def add_edges(self, edges: Iterable[tuple[int, int, float, int, int, Hashable, Hashable]]) -> None:
         """Edges as `build_search_index` takes them."""
-        xs, ys, adj, points = self.xs, self.ys, self.adj, self.points
-        for u, v, w, dx, dy, forward, backward in edges:
-            adj[u] += ((v, w, dx, dy, forward),)
-            adj[v] += ((u, w, -dx, -dy, backward),)
+        edges = tuple(edges)
+        xs, ys, points = self.xs, self.ys, self.points
+        for u, v, w, dx, dy, _forward, _backward in edges:
             points[((xs[v] + dx - xs[u]) / w, (ys[v] + dy - ys[u]) / w)] = None
             # every cycle with nonzero x-displacement uses an edge whose
             # shift has a nonzero x component, so it passes through one
@@ -125,22 +140,22 @@ class _IndexBuilder:
                 self.x_ends.update((u, v))
             if dy != 0:
                 self.y_ends.update((u, v))
+        self.parts.append((None, edges))
 
     def add_block(
         self,
         first: int,
-        steps: Iterable[Iterable[tuple[int, float, int, int, Hashable]]],
+        steps: Callable[[], Iterable[Iterable[tuple[int, float, int, int, Hashable]]]],
         points: Iterable[Point],
         x_ends: Iterable[int],
         y_ends: Iterable[int],
     ) -> None:
-        """Edges whose steps are already compiled: `steps` lists the
-        steps out of nodes first, first + 1, ... as `add_edges` would
-        append them, and `points`, `x_ends` and `y_ends` are those
-        edges' rate points, in edge order, and crossing-edge ends."""
-        adj = self.adj
-        for node, out in enumerate(steps, first):
-            adj[node] += tuple(out)
+        """Edges whose steps a function makes: `steps()` lists the steps
+        out of nodes first, first + 1, ... as `add_edges` would append
+        them, and `points`, `x_ends` and `y_ends` are those edges' rate
+        points, in edge order, and crossing-edge ends.  `steps` is kept
+        in the index, so it must pickle: no lambda or local function."""
+        self.parts.append((first, steps))
         self.points.update(dict.fromkeys(points))
         self.x_ends.update(x_ends)
         self.y_ends.update(y_ends)
@@ -155,7 +170,6 @@ class _IndexBuilder:
         return SearchIndex(
             xs=self.xs,
             ys=self.ys,
-            adj=tuple(self.adj),
             rates=(
                 1 / reach_x if reach_x > _ZERO_ADVANCE else math.inf,
                 1 / reach_y if reach_y > _ZERO_ADVANCE else math.inf,
@@ -163,7 +177,24 @@ class _IndexBuilder:
             normals=gauge_normals(points),
             x_starts=tuple(sorted(self.x_ends, key=start_key)),
             y_starts=tuple(sorted(self.y_ends, key=start_key)),
+            steps=partial(_adjacency, len(self.xs), tuple(self.parts)),
         )
+
+
+def _adjacency(size: int, parts) -> tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]:
+    """`SearchIndex.adj` over `size` nodes from `_IndexBuilder.parts`."""
+    # steps out of each node, grown as tuples: a block's steps then
+    # need no copy, and a node without steps shares the empty tuple
+    adj: list[tuple[tuple[int, float, int, int, Hashable], ...]] = [()] * size
+    for first, part in parts:
+        if first is None:
+            for u, v, w, dx, dy, forward, backward in part:
+                adj[u] += ((v, w, dx, dy, forward),)
+                adj[v] += ((u, w, -dx, -dy, backward),)
+        else:
+            for node, out in enumerate(part(), first):
+                adj[node] += tuple(out)
+    return tuple(adj)
 
 
 def gauge_normals(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -242,7 +273,6 @@ def shortest_cover_cycle(
     when nothing beats both bounds: `states` are its (node, shift x,
     shift y) lifts from the start, `labels` its steps' labels.
     """
-    adj = ix.adj
     xs = ix.xs
     ys = ix.ys
     normals = ix.normals
@@ -275,6 +305,8 @@ def shortest_cover_cycle(
         # start can complete a walk under it either
         if h * deflate >= bar:
             break
+        # read only here: a query that ends at its root never builds it
+        adj = ix.adj
 
         dist: dict[tuple[int, int, int], float] = {}
         pred: dict[tuple[int, int, int], tuple] = {}

@@ -32,16 +32,24 @@ that arithmetic.  Its node positions and its loop cost follow from the
 same arithmetic, so the graph stores neither: `positions` places only
 the nodes outside the grid, and each query's bound is the cost of its
 grid-loop or corridor seed.
+
+A query does only the work its answer needs.  The first query makes the
+search index's positions, starts and bounds; its steps wait for the
+first search that gets past its root, and a grid-loop walk is made only
+when it is the answer.  On a canyon whose rate hull is P_k, every
+query ends at its root on its corridor seed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import chain, repeat
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from stablenorm.cover import (
@@ -131,10 +139,10 @@ class TorusGrid:
         n = self.n
         return [j / n for j in range(n)]
 
-    def positions(self) -> list[tuple[float, float]]:
-        """The positions of the grid's nodes, in node order."""
-        coords = self.coords
-        return [(x, y) for x in coords for y in coords]
+    def node_coords(self) -> tuple[list[float], list[float]]:
+        """The x and the y coordinates of the grid's nodes, in node order."""
+        coords, n = self.coords, self.n
+        return list(chain.from_iterable(map(repeat, coords, repeat(n)))), coords * n
 
     def edge(self, nodes: Sequence[NodeId], k: int) -> PeriodicEdge:
         """Grid edge k, its ends taken from the graph's node list `nodes`."""
@@ -151,16 +159,35 @@ class TorusGrid:
 
     def index_block(self, label: int):
         """What the grid adds to a search index, as
-        `_IndexBuilder.add_block` takes it: the steps out of each grid
-        node, the grid's distinct rate points and the ends of its edges
-        crossing the x and the y period.
+        `_IndexBuilder.add_block` takes it: a maker of the steps out of
+        each grid node (`steps`), then the grid's distinct rate points
+        and the ends of its edges crossing the x and the y period, all
+        three from arithmetic.  Every right edge of a row has one rate
+        point, and so has every up edge of a column, first seen in the
+        order row 0, columns 0 .. n - 1, rows 1 .. n - 1.
+        """
+        n, first, w = self.n, self.first, self.weight
+        last = n - 1
+        # rate points as `_IndexBuilder.add_edges` computes them from
+        # `coords`: the advance out of row or column j, and 0.0 across it
+        c = self.coords
+        advance = [(c[(j + 1) % n] + int(j == last) - c[j]) / w for j in range(n)]
+        edge_row = first + last * n
+        return (
+            partial(self.steps, label),
+            [(advance[0], 0.0), *((0.0, p) for p in advance), *((p, 0.0) for p in advance[1:])],
+            [*range(edge_row, edge_row + n), *range(first, first + n)],
+            [*range(first + last, first + n * n, n), *range(first, first + n * n, n)],
+        )
+
+    def steps(self, label: int):
+        """The search-index steps out of each grid node, in node order,
+        with edge labels counted from `label`.
 
         Each node's four steps come in edge order.  That order is left,
         down, right, up, except that the wrapping edges are numbered
         last: in column 0 the down step moves to the end, and in row 0
-        the left step does.  Every right edge of a row has one rate
-        point, and so has every up edge of a column, first seen in the
-        order row 0, columns 0 .. n - 1, rows 1 .. n - 1.
+        the left step does.
         """
         n, first, w = self.n, self.first, self.weight
         last = n - 1
@@ -187,17 +214,7 @@ class TorusGrid:
                 cells = list(zip(down, right, up, left))
                 cells[0] = (right[0], up[0], down[0], left[0])
             steps.extend(cells)
-        # rate points as `_IndexBuilder.add_edges` computes them from
-        # `coords`: the advance out of row or column j, and 0.0 across it
-        c = self.coords
-        advance = [(c[(j + 1) % n] + int(j == last) - c[j]) / w for j in range(n)]
-        edge_row = first + last * n
-        return (
-            steps,
-            [(advance[0], 0.0), *((0.0, p) for p in advance), *((p, 0.0) for p in advance[1:])],
-            [*range(edge_row, edge_row + n), *range(first, first + n)],
-            [*range(first + last, first + n * n, n), *range(first, first + n * n, n)],
-        )
+        return steps
 
     def loops(self, label: int):
         """(start, row, up, down): the number of grid node (0, 0) and the
@@ -326,11 +343,13 @@ class PeriodicWeightedGraph:
 
     @cached_property
     def search_index(self) -> SearchIndex:
-        """Per-graph data of the cover search, built on the first query
-        and kept for the life of the graph.  Each step's label is its
-        edge index; corridor nodes come first in the start lists, since
-        they bound the optimum early and let the heuristic close off
-        the background almost immediately."""
+        """Per-graph data of the cover search, made on the first query
+        and kept for the life of the graph.  Its positions, starts and
+        bounds are made at once, the grid's from arithmetic; its steps
+        (`adj`) only when a search first gets past its root.  Each
+        step's label is its edge index; corridor nodes come first in the
+        start lists, since they bound the optimum early and let the
+        heuristic close off the background almost immediately."""
         index = self.node_index
         nodes = self.nodes
         grid = self.grid
@@ -342,7 +361,13 @@ class PeriodicWeightedGraph:
                 yield (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
 
         place = self.positions.__getitem__
-        builder = _IndexBuilder([*map(place, nodes[:first]), *grid.positions(), *map(place, nodes[end:])])
+        before = [*map(place, nodes[:first])]
+        after = [*map(place, nodes[end:])]
+        grid_xs, grid_ys = grid.node_coords()
+        builder = _IndexBuilder(
+            (*(x for x, _y in before), *grid_xs, *(x for x, _y in after)),
+            (*(y for _x, y in before), *grid_ys, *(y for _x, y in after)),
+        )
         builder.add_edges(rows(self.head, 0))
         builder.add_block(first, *grid.index_block(label))
         builder.add_edges(rows(self.tail, label + 2 * grid.n * grid.n))
@@ -351,7 +376,8 @@ class PeriodicWeightedGraph:
     @cached_property
     def _grid_loops(self):
         """The background loops `_grid_loop_seed` replays, made on the
-        first query and kept for the life of the graph."""
+        first query whose answer is their walk and kept for the life of
+        the graph."""
         return self.grid.loops(len(self.head))
 
     @cached_property
@@ -567,6 +593,17 @@ class SpectrumEntry:
         return {"class": [self.cls.a, self.cls.b], "length": self.length}
 
 
+def _check_seed_steps(h: IntegralClass, name: str, steps: int) -> None:
+    """Raise `SearchBudgetError` for a seed walk of more than
+    `_MAX_SEED_STEPS` steps."""
+    if steps > _MAX_SEED_STEPS:
+        raise SearchBudgetError(
+            f"the {name} seed of class {h} takes {steps} steps, past the cap of {_MAX_SEED_STEPS}",
+            nodes_expanded=0,
+            budget=_MAX_SEED_STEPS,
+        )
+
+
 def _replay(h: IntegralClass, name: str, start: int, loops):
     """Walk `loops`, pairs (search-index steps of one loop, times), from
     node number `start`, adding weights in walking order.
@@ -576,13 +613,7 @@ def _replay(h: IntegralClass, name: str, start: int, loops):
     before it allocates anything, and a walk whose shift is not h
     raises `InvariantError`.
     """
-    steps = sum(len(loop) * times for loop, times in loops)
-    if steps > _MAX_SEED_STEPS:
-        raise SearchBudgetError(
-            f"the {name} seed of class {h} takes {steps} steps, past the cap of {_MAX_SEED_STEPS}",
-            nodes_expanded=0,
-            budget=_MAX_SEED_STEPS,
-        )
+    _check_seed_steps(h, name, sum(len(loop) * times for loop, times in loops))
     states = [(start, 0, 0)]
     path_edges: list[int] = []
     cost = 0.0
@@ -600,15 +631,25 @@ def _replay(h: IntegralClass, name: str, start: int, loops):
     return cost, tuple(states), path_edges
 
 
+def _grid_loop_cost(pg: PeriodicWeightedGraph, h: IntegralClass) -> float:
+    """The cost of `_grid_loop_seed(pg, h)`, bit for bit, without its
+    walk: the one grid weight added once per step, in walking order, as
+    `_replay` adds it.  An oversized seed raises as it does there."""
+    steps = (abs(h.a) + abs(h.b)) * pg.grid.n
+    _check_seed_steps(h, "grid loop", steps)
+    return reduce(add, repeat(pg.grid.weight, steps), 0.0)
+
+
 def _grid_loop_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     """Concrete cycle of class h from grid row and column loops.
 
     Returns (cost, witness states, path edge indices); states use node
-    numbers of the search index.  The loops are made once per graph
-    (`_grid_loops`) and replayed here, |a| row loops then |b| column
-    loops, (|a| + |b|) n steps in all.  Every graph has this seed, and
-    its cost bounds the search wherever the corridor seed does not
-    beat it.
+    numbers of the search index.  The loops are made once per graph, on
+    the first query whose answer is this walk (`_grid_loops`), and
+    replayed here, |a| row loops then |b| column loops, (|a| + |b|) n
+    steps in all.  Every graph has this seed, and its cost
+    (`_grid_loop_cost`) bounds the search wherever the corridor seed
+    does not beat it; the walk is made only when nothing beats that.
     """
     start, row, up, down = pg._grid_loops
     return _replay(h, "grid loop", start, ((row, abs(h.a)), (down if h.b < 0 else up, abs(h.b))))
@@ -658,29 +699,37 @@ def _corridor_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
 def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[int]) -> float:
     """Recompute a witness length from exact corridor shares.
 
-    Corridor shares accumulate as Fractions per class and multiply the
-    class length once, so full corridor loops reproduce the prescribed
-    lengths exactly; other edges group by weight before summing.
+    The path's edges are counted in ints.  Corridor pieces are then
+    summed per class as one Fraction per distinct share, count times
+    share, and the sum multiplies the class length once, so full
+    corridor loops reproduce the prescribed lengths exactly; other
+    edges group by weight before summing.
     """
-    shares: dict[int, Fraction] = {}
-    counts: dict[float, int] = {}
     head, tail, grid = pg.head, pg.tail, pg.grid
     grid_end = len(head) + 2 * grid.n * grid.n
-    for edge_idx in path_edges:
+    # times each share, as (class index, numerator, denominator), is
+    # walked; times each weight is walked
+    pieces: dict[tuple[int, int, int], int] = {}
+    counts: dict[float, int] = {}
+    for edge_idx, times in Counter(path_edges).items():
         if edge_idx < len(head):
             e = head[edge_idx]
         elif edge_idx >= grid_end:
             e = tail[edge_idx - grid_end]
         else:
-            counts[grid.weight] = counts.get(grid.weight, 0) + 1
+            counts[grid.weight] = counts.get(grid.weight, 0) + times
             continue
         if e.corridor is not None:
             idx, share = e.corridor
-            shares[idx] = shares.get(idx, Fraction(0)) + share
+            key = (idx, share.numerator, share.denominator)
+            pieces[key] = pieces.get(key, 0) + times
         else:
-            counts[e.weight] = counts.get(e.weight, 0) + 1
-    if shares and pg.class_lengths is None:
+            counts[e.weight] = counts.get(e.weight, 0) + times
+    if pieces and pg.class_lengths is None:
         raise ValidationError("corridor edges need the graph's class lengths; none are set")
+    shares: dict[int, Fraction] = {}
+    for (idx, num, den), times in pieces.items():
+        shares[idx] = shares.get(idx, 0) + Fraction(times * num, den)
     total = 0.0
     for idx in sorted(shares):
         total += float(shares[idx]) * pg.class_lengths[idx][1]
@@ -698,10 +747,13 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     cycle must visit, is guided by the admissible rate-hull gauge
     heuristic, and is bounded by a seed, a cycle of class h that it
     must beat: the corridor seed where it beats the grid-loop seed by
-    more than the search's tie margin, else the grid-loop seed.  When
-    nothing beats the seed, the seed's walk is the witness.  The
-    graph's search index and seed loops are built on the first query
-    and reused by every later one.
+    more than the search's tie margin, else the grid-loop seed, whose
+    cost is worked out without its walk.  When nothing beats the seed,
+    the seed's walk is the witness.  Per graph, the search index's
+    starts and bounds are made on the first query, its steps on the
+    first query whose search gets past the root, and each seed's loops
+    on the first query that walks them; all are reused by every later
+    query.
     """
     h = integral_class(h).canonical()
     if h.is_trivial:
@@ -709,12 +761,17 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
 
     # a corridor seed within the tie margin of the grid seed leaves the
     # grid seed's bound, and so its answer, in place; one that costs
-    # the gauge ends the search at its root
-    seed = _grid_loop_seed(pg, h)
-    corridor = _corridor_seed(pg, h)
-    if corridor is not None and corridor[0] < seed[0] * (1 - _PRUNE_RTOL):
-        seed = corridor
-    best, best_states, best_edges = shortest_cover_cycle(pg.search_index, h.a, h.b, seed[0], seed[0]) or seed
+    # the gauge ends the search at its root.  The grid seed's walk is
+    # made only when it is the answer
+    cost = _grid_loop_cost(pg, h)
+    seed = _corridor_seed(pg, h)
+    if seed is not None and seed[0] < cost * (1 - _PRUNE_RTOL):
+        cost = seed[0]
+    else:
+        seed = None
+    best, best_states, best_edges = (
+        shortest_cover_cycle(pg.search_index, h.a, h.b, cost, cost) or seed or _grid_loop_seed(pg, h)
+    )
     exact = _exact_length(pg, best_edges)
     if abs(exact - best) > _RECOMPUTE_RTOL * max(1.0, best):
         raise InvariantError(

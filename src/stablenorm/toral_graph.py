@@ -145,10 +145,11 @@ class ToralGeodesicGraph:
 
     @cached_property
     def search_index(self) -> SearchIndex:
-        """Cover-search data, built on the first `minimal_cycle` call:
-        vertex coordinates as positions, deck shifts as step shifts,
-        and (edge index, orientation) as step labels.  Int true division
-        x / D rounds a position as the float of its Fraction."""
+        """Cover-search data, made on the first `minimal_cycle` call,
+        its steps when a search first expands a node: vertex coordinates
+        as positions, deck shifts as step shifts, and (edge index,
+        orientation) as step labels.  Int true division x / D rounds a
+        position as the float of its Fraction."""
         d = self.denom
         return build_search_index(
             [(x / d, y / d) for x, y in self.points],

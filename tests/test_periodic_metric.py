@@ -631,12 +631,66 @@ class TestSearchIndex:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "ec721fff8be6751ac016af64da126e6b3031352039d0433ab94d8f51d8abc22e"
 
+    def test_exact_lengths_match_a_per_piece_sum(self, grid16, euclid3, hex4):
+        # every witness of the digest panel, read back as edge indices,
+        # sums bit for bit as it does one Fraction per corridor piece
+        for pg, e in self._panel(grid16, euclid3, hex4):
+            edges = _witness_edges(pg, e.witness)
+            got = periodic_metric._exact_length(pg, edges)
+            assert got.hex() == _per_piece_length(pg, edges).hex() == e.length.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exact_length_of_any_head_run(self, euclid3, hex4, data):
+        # runs that start and stop inside corridor segments, walked one
+        # or more times, with grid and connector edges mixed in
+        pg = data.draw(st.sampled_from([euclid3[3], hex4]))
+        first = data.draw(st.integers(0, len(pg.head) - 1))
+        run = list(range(first, data.draw(st.integers(first + 1, len(pg.head)))))
+        path = run * data.draw(st.integers(1, 4))
+        path += data.draw(st.lists(st.integers(len(pg.head), len(pg.edges) - 1), max_size=5))
+        path = data.draw(st.permutations(path))
+        assert periodic_metric._exact_length(pg, path).hex() == _per_piece_length(pg, path).hex()
+
     def test_equal_graphs_stay_equal(self):
         queried = uniform_grid(8)
         untouched = uniform_grid(8)
         marked_min_length(queried, (1, 1))
         assert queried == untouched
         assert untouched == queried
+
+
+def _witness_edges(pg, witness):
+    """The edge indices of a witness walk, read from its states; each
+    (node, neighbor, shift) step names one edge on the panel graphs."""
+    edge_of = {}
+    for k, e in enumerate(pg.edges):
+        for key in ((e.u, e.v, e.disp), (e.v, e.u, (-e.disp[0], -e.disp[1]))):
+            assert edge_of.setdefault(key, k) == k
+    return [
+        edge_of[n1, n2, (sx2 - sx1, sy2 - sy1)]
+        for (n1, sx1, sy1), (n2, sx2, sy2) in zip(witness, witness[1:])
+    ]
+
+
+def _per_piece_length(pg, path_edges):
+    """A witness length summed as one Fraction per corridor piece, per
+    class, and the other edges grouped by weight: the reference of
+    `_exact_length`."""
+    shares, counts = {}, {}
+    for k in path_edges:
+        e = pg.edges[k]
+        if e.corridor is not None:
+            idx, share = e.corridor
+            shares[idx] = shares.get(idx, Fraction(0)) + share
+        else:
+            counts[e.weight] = counts.get(e.weight, 0) + 1
+    total = 0.0
+    for idx in sorted(shares):
+        total += float(shares[idx]) * pg.class_lengths[idx][1]
+    for w in sorted(counts):
+        total += counts[w] * w
+    return total
 
 
 def _graph(request, name):
@@ -661,17 +715,22 @@ class TestSeeds:
     # the grid seed is the L^1 optimum, so the search only confirms it
     @pytest.mark.parametrize("name,beaten", [("euclid3", len(_PANEL)), ("hex4", len(_PANEL)), ("grid16", 0)])
     def test_grid_seed_alone_gives_the_same_lengths(self, request, name, beaten):
-        # the search as it runs without a corridor seed
-        pg = _graph(request, name)
+        # the search as it runs without a corridor seed, on a copy whose
+        # steps are not built yet
+        pg = dataclasses.replace(_graph(request, name))
         searched = 0
         for h in _PANEL:
             cost, _states, edges = periodic_metric._grid_loop_seed(pg, h)
+            assert periodic_metric._grid_loop_cost(pg, h).hex() == cost.hex()
             found = cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost, cost)
             if found is not None:
                 searched += 1
                 edges = found[2]
             assert periodic_metric._exact_length(pg, edges).hex() == marked_min_length(pg, h).length.hex()
         assert searched == beaten
+        # a search that gets past its root builds the steps; on the
+        # uniform grid the grid seed is the gauge, so every one ends there
+        assert ("adj" in vars(pg.search_index)) == (beaten > 0)
 
     @pytest.mark.parametrize("name", ["euclid3", "hex4"])
     def test_corridor_seed_answered_at_the_root(self, request, name):
@@ -706,6 +765,45 @@ class TestSeeds:
         corridors = vars(pg)["_corridors"]
         marked_min_length(pg, (1, -2))
         assert pg._corridors is corridors
+
+    @pytest.mark.parametrize("name", ["euclid3", "hex4", "grid16"])
+    def test_root_answers_build_no_steps(self, request, name):
+        # every panel query ends at its root: on a canyon on the corridor
+        # seed, on the uniform grid on the grid seed, which is the gauge
+        # there.  Neither the index's steps nor, on a canyon, the grid
+        # walk's loops are made
+        pg = dataclasses.replace(_graph(request, name))
+        lengths = [marked_min_length(pg, h).length for h in _PANEL]
+        assert "adj" not in vars(pg.search_index)
+        assert ("_grid_loops" in vars(pg)) == (name == "grid16")
+        assert lengths == [marked_min_length(_graph(request, name), h).length for h in _PANEL]
+
+    def test_oversized_grid_seed_refused_before_any_walk(self, euclid3, monkeypatch):
+        # (15626, 0) takes 15626 * 64 grid steps, past the cap, while its
+        # corridor seed, 15626 loops of corridor (1, 0), fits under it;
+        # the grid seed's count still refuses the class, and no walk of
+        # either seed is begun
+        pg = dataclasses.replace(euclid3[3])
+        cap = periodic_metric._MAX_SEED_STEPS
+        h = IntegralClass(15626, 0)
+        assert (abs(h.a) + abs(h.b)) * pg.grid.n > cap
+        _vertices, loops = pg._corridors
+        i = [cls for cls, _ell in pg.class_lengths].index(IntegralClass(1, 0))
+        assert h.a * len(loops[i, 1][0]) <= cap
+
+        def no_walk(*args):
+            raise AssertionError("a seed walk was begun")
+
+        monkeypatch.setattr(periodic_metric, "_replay", no_walk)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetError, match="grid loop seed of class") as info:
+                marked_min_length(pg, h)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (info.value.nodes_expanded, info.value.budget) == (0, cap)
+        assert peak < 1 << 20
 
     def test_oversized_seed_refused_before_its_walk(self, grid16, euclid3):
         # (|a| + |b|) n grid steps and s |loop_i| + t |loop_j| corridor
@@ -795,7 +893,8 @@ def _position(pg, node):
 
 
 def _assert_index_of(pg, reference):
-    """`pg.search_index` equals the index built from `reference`."""
+    """`pg.search_index` equals the index built from `reference`: every
+    field made with the index, then `adj`, which reading builds."""
     index = pg.node_index
     nodes = pg.nodes
     want = cover.build_search_index(
@@ -805,7 +904,9 @@ def _assert_index_of(pg, reference):
     )
     got = pg.search_index
     for field in dataclasses.fields(cover.SearchIndex):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+        if field.name != "steps":
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+    assert got.adj == want.adj
 
 
 @st.composite
@@ -902,6 +1003,25 @@ class TestArithmeticGrid:
         for copy in (pickle.loads(pickle.dumps(canyon)), dataclasses.replace(canyon)):
             assert copy == canyon
             assert marked_min_length(copy, (2, 1)) == marked_min_length(canyon, (2, 1))
+
+    def test_copies_pickle_with_steps_built_or_not(self):
+        # a canyon of its own, so no earlier query has warmed it: pickled
+        # before any query, after a query answered at its root (steps
+        # not built) and after a searched one (steps built).  (1, 1)
+        # lies in a fractional cone of P_k, so only a search answers it
+        graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(1, 2), 2.0)])
+        pg = build_canyon_graph(graph, theta=0.1, background_systole=3.0, grid_resolution=64)
+        classes = [(1, 0), (2, 2), (1, 1), (0, 1), (3, -1)]
+        want = [marked_min_length(dataclasses.replace(pg), h) for h in classes]
+        for query, built in [(None, None), ((1, 0), False), ((1, 1), True)]:
+            if query is not None:
+                marked_min_length(pg, query)
+                assert ("adj" in vars(pg.search_index)) is built
+            copy = pickle.loads(pickle.dumps(pg))
+            assert copy == pg
+            if query is not None:
+                assert ("adj" in vars(copy.search_index)) is built
+            assert [marked_min_length(copy, h) for h in classes] == want
 
     def test_bad_grid_weight_names_the_first_grid_edge(self):
         # an infinite background passes the systole check; the grid is
