@@ -10,11 +10,12 @@ nodes numbered 0..n-1, their positions in the unit square, the start
 nodes and the lower bounds that guide the search, all read from the
 distinct rate points and the crossing-edge ends.  Built on first
 expansion: both orientations of every edge as labelled steps with their
-integer period shifts.  `shortest_cover_cycle` runs A* from each
-endpoint of a period-crossing edge, which every cycle of a nonzero
-class must visit, pruned by the best cycle so far and bounded by the
-caller's cost cutoff alone; a query whose root bound already meets the
-caller's seed ends before the steps are built.
+integer period shifts, read from one list of edge rows, whether a row
+was given or a block's function makes it.  `shortest_cover_cycle` runs
+A* from each endpoint of a period-crossing edge, which every cycle of a
+nonzero class must visit, pruned by the best cycle so far and bounded
+by the caller's cost cutoff alone; a query whose root bound already
+meets the caller's seed ends before the steps are built.
 
 The lower bounds come from one rate hull, the origin-symmetric hull of
 the steps' displacement-per-cost points, whose gauge is the graph's
@@ -112,15 +113,15 @@ def build_search_index(
 
 class _IndexBuilder:
     """What `build_search_index` compiles, gathered edge by edge or, for
-    a block of nodes whose steps are made by a function, block by block.
-    Rate points and crossing ends are gathered at once; the edges and
-    blocks are kept in order, for `SearchIndex.adj` to make its steps
-    from on first read."""
+    a block of edges whose rows a function makes, block by block.  Rate
+    points and crossing ends are gathered at once; the edges and blocks
+    are kept in order, for `SearchIndex.adj` to make its steps from on
+    first read."""
 
     def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]):
         self.xs, self.ys = xs, ys
-        # (first node, step maker) per block, (None, edges) per edge run
-        self.parts: list[tuple[Optional[int], object]] = []
+        # edge rows per edge run, a maker of them per block
+        self.parts: list[object] = []
         # distinct rate points, in edge order; a background grid makes
         # up most edges but only a handful of rate points
         self.points: dict[Point, None] = {}
@@ -140,22 +141,21 @@ class _IndexBuilder:
                 self.x_ends.update((u, v))
             if dy != 0:
                 self.y_ends.update((u, v))
-        self.parts.append((None, edges))
+        self.parts.append(edges)
 
     def add_block(
         self,
-        first: int,
-        steps: Callable[[], Iterable[Iterable[tuple[int, float, int, int, Hashable]]]],
+        rows: Callable[[], Iterable[tuple[int, int, float, int, int, Hashable, Hashable]]],
         points: Iterable[Point],
         x_ends: Iterable[int],
         y_ends: Iterable[int],
     ) -> None:
-        """Edges whose steps a function makes: `steps()` lists the steps
-        out of nodes first, first + 1, ... as `add_edges` would append
-        them, and `points`, `x_ends` and `y_ends` are those edges' rate
-        points, in edge order, and crossing-edge ends.  `steps` is kept
-        in the index, so it must pickle: no lambda or local function."""
-        self.parts.append((first, steps))
+        """Edges whose rows a function makes: `rows()` gives them as
+        `add_edges` takes them, and `points`, `x_ends` and `y_ends` are
+        their rate points, in edge order, and crossing-edge ends.
+        `rows` is kept in the index, so it must pickle: no lambda or
+        local function."""
+        self.parts.append(rows)
         self.points.update(dict.fromkeys(points))
         self.x_ends.update(x_ends)
         self.y_ends.update(y_ends)
@@ -182,18 +182,15 @@ class _IndexBuilder:
 
 
 def _adjacency(size: int, parts) -> tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]:
-    """`SearchIndex.adj` over `size` nodes from `_IndexBuilder.parts`."""
-    # steps out of each node, grown as tuples: a block's steps then
-    # need no copy, and a node without steps shares the empty tuple
+    """`SearchIndex.adj` over `size` nodes from `_IndexBuilder.parts`:
+    both orientations of every edge row, in edge order."""
+    # steps out of each node, grown as tuples, so a node without steps
+    # shares the empty tuple
     adj: list[tuple[tuple[int, float, int, int, Hashable], ...]] = [()] * size
-    for first, part in parts:
-        if first is None:
-            for u, v, w, dx, dy, forward, backward in part:
-                adj[u] += ((v, w, dx, dy, forward),)
-                adj[v] += ((u, w, -dx, -dy, backward),)
-        else:
-            for node, out in enumerate(part(), first):
-                adj[node] += tuple(out)
+    for part in parts:
+        for u, v, w, dx, dy, forward, backward in part() if callable(part) else part:
+            adj[u] += ((v, w, dx, dy, forward),)
+            adj[v] += ((u, w, -dx, -dy, backward),)
     return tuple(adj)
 
 

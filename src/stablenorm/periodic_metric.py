@@ -24,14 +24,17 @@ Every graph has this one shape: explicit edges, then one background
 torus grid, then more explicit edges; the uniform grid is the shape
 with no explicit edges.  The grid is kept as arithmetic, not as edge
 objects: its resolution, its one weight and the number of its first
-node.  It is nearly every edge of a canyon, yet the search needs only
-its steps and its few rate points (Burago, "Periodic metrics"), so
-`pg.edges` makes a grid edge only when one is read, and validation,
-the search index and the witness recompute read the grid straight from
-that arithmetic.  Its node positions and its loop cost follow from the
-same arithmetic, so the graph stores neither: `positions` places only
-the nodes outside the grid, and each query's bound is the cost of its
-grid-loop or corridor seed.
+node, with one formula for its node numbers and one for its edges
+(`TorusGrid.node`, `TorusGrid.ends`).  It is nearly every edge of a
+canyon, yet the search index needs at once only its few rate points
+(Burago, "Periodic metrics"), so `pg.edges` makes a grid edge only
+when one is read, the index's steps read the grid's edges as rows
+only when a search first needs them, and validation and the witness
+recompute read the grid straight from that arithmetic.  Its node
+positions and its loop cost follow from the same arithmetic, so the
+graph stores neither: `positions` places only the nodes outside the
+grid, and each query's bound is the cost of its grid-loop or corridor
+seed.
 
 A query does only the work its answer needs.  The first query makes the
 search index's positions, starts and bounds; its steps wait for the
@@ -116,12 +119,14 @@ def _check_resolution(n, least: int) -> None:
 class TorusGrid:
     """The N x N torus grid of a periodic graph, kept as arithmetic.
 
-    Grid node (i, j) is node `first + i n + j` of the graph, and it sits
-    at (`coords[i]`, `coords[j]`) = (i/n, j/n).  Counted from the first
-    grid edge, grid edge 2 (i n + j) joins it to (i + 1, j) and the
-    next one joins it to (i, j + 1), each of weight `weight` and
-    crossing the period where it wraps.  `label` below is the graph's
-    edge number of the first grid edge.
+    Grid node (i, j) is node `first + i n + j` of the graph (`node`),
+    and it sits at (`coords[i]`, `coords[j]`) = (i/n, j/n).  Counted
+    from the first grid edge, grid edge 2 (i n + j) joins it to (i + 1,
+    j) and the next one joins it to (i, j + 1), each of weight `weight`
+    and crossing the period where it wraps (`ends`).  Every other view
+    of the grid, its `PeriodicEdge`s, its search-index rows and its
+    loops, reads those two.  `label` below is the graph's edge number
+    of the first grid edge.
     """
 
     first: int
@@ -132,6 +137,19 @@ class TorusGrid:
         _check_resolution(self.n, 2)
         if isinstance(self.first, bool) or not isinstance(self.first, int) or self.first < 0:
             raise ValidationError(f"first grid node must be a nonnegative integer, got {self.first!r}")
+
+    def node(self, i: int, j: int) -> int:
+        """The graph's number of grid node (i mod n, j mod n)."""
+        n = self.n
+        return self.first + i % n * n + j % n
+
+    def ends(self, k: int) -> tuple[int, int, int, int]:
+        """Grid edge k as (u, v, dx, dy): the numbers of its ends and the
+        periods it crosses from u to v."""
+        n = self.n
+        i, j = divmod(k // 2, n)
+        di, dj = (0, 1) if k % 2 else (1, 0)
+        return self.node(i, j), self.node(i + di, j + dj), (i + di) // n, (j + dj) // n
 
     @property
     def coords(self) -> list[float]:
@@ -146,88 +164,55 @@ class TorusGrid:
 
     def edge(self, nodes: Sequence[NodeId], k: int) -> PeriodicEdge:
         """Grid edge k, its ends taken from the graph's node list `nodes`."""
-        n = self.n
-        cell, up = divmod(k, 2)
-        r, c = divmod(cell, n)
-        if up:
-            v = cell - c + (c + 1) % n
-            disp = (0, int(c == n - 1))
-        else:
-            v = (r + 1) % n * n + c
-            disp = (int(r == n - 1), 0)
-        return PeriodicEdge(nodes[self.first + cell], nodes[self.first + v], self.weight, disp, "grid")
+        u, v, dx, dy = self.ends(k)
+        return PeriodicEdge(nodes[u], nodes[v], self.weight, (dx, dy), "grid")
+
+    def rows(self, label: int):
+        """Every grid edge, in edge order, as a search-index row (u, v,
+        weight, dx, dy, label + k, label + k), as
+        `_IndexBuilder.add_edges` takes it."""
+        w = self.weight
+        for k, (u, v, dx, dy) in enumerate(map(self.ends, range(2 * self.n * self.n)), label):
+            yield u, v, w, dx, dy, k, k
 
     def index_block(self, label: int):
         """What the grid adds to a search index, as
-        `_IndexBuilder.add_block` takes it: a maker of the steps out of
-        each grid node (`steps`), then the grid's distinct rate points
-        and the ends of its edges crossing the x and the y period, all
-        three from arithmetic.  Every right edge of a row has one rate
-        point, and so has every up edge of a column, first seen in the
-        order row 0, columns 0 .. n - 1, rows 1 .. n - 1.
+        `_IndexBuilder.add_block` takes it: a maker of its edge rows
+        (`rows`), then the grid's distinct rate points and the ends of
+        its edges crossing the x and the y period, all three from
+        arithmetic.  Every right edge of a row has one rate point, and
+        so has every up edge of a column, first seen in the order row 0,
+        columns 0 .. n - 1, rows 1 .. n - 1.
         """
-        n, first, w = self.n, self.first, self.weight
+        n, w = self.n, self.weight
         last = n - 1
         # rate points as `_IndexBuilder.add_edges` computes them from
         # `coords`: the advance out of row or column j, and 0.0 across it
         c = self.coords
         advance = [(c[(j + 1) % n] + int(j == last) - c[j]) / w for j in range(n)]
-        edge_row = first + last * n
         return (
-            partial(self.steps, label),
+            partial(self.rows, label),
             [(advance[0], 0.0), *((0.0, p) for p in advance), *((p, 0.0) for p in advance[1:])],
-            [*range(edge_row, edge_row + n), *range(first, first + n)],
-            [*range(first + last, first + n * n, n), *range(first, first + n * n, n)],
+            [self.node(i, j) for i in (last, 0) for j in range(n)],
+            [self.node(i, j) for j in (last, 0) for i in range(n)],
         )
-
-    def steps(self, label: int):
-        """The search-index steps out of each grid node, in node order,
-        with edge labels counted from `label`.
-
-        Each node's four steps come in edge order.  That order is left,
-        down, right, up, except that the wrapping edges are numbered
-        last: in column 0 the down step moves to the end, and in row 0
-        the left step does.
-        """
-        n, first, w = self.n, self.first, self.weight
-        last = n - 1
-
-        def line(nbr, dx, dy, edge):
-            # steps out of one row's nodes to nodes nbr, nbr + 1, ...
-            # along edges edge, edge + 2, ...
-            return list(zip(range(nbr, nbr + n), repeat(w), repeat(dx), repeat(dy), range(edge, edge + 2 * n, 2)))
-
-        steps = []
-        for r in range(n):
-            row = first + r * n
-            row_label = label + 2 * r * n
-            right = line(first + (r + 1) % n * n, int(r == last), 0, row_label)
-            left = line(first + (r - 1) % n * n, -int(r == 0), 0, row_label + (2 * last * n if r == 0 else -2 * n))
-            up = line(row + 1, 0, 0, row_label + 1)
-            down = line(row - 1, 0, 0, row_label - 1)
-            up[last] = (row, w, 0, 1, row_label + 2 * last + 1)
-            down[0] = (row + last, w, 0, -1, row_label + 2 * last + 1)
-            if r:
-                cells = list(zip(left, down, right, up))
-                cells[0] = (left[0], right[0], up[0], down[0])
-            else:
-                cells = list(zip(down, right, up, left))
-                cells[0] = (right[0], up[0], down[0], left[0])
-            steps.extend(cells)
-        return steps
 
     def loops(self, label: int):
         """(start, row, up, down): the number of grid node (0, 0) and the
         search-index steps (neighbor, weight, dx, dy, edge index) of one
         loop from it in +x along its row and in +y and -y along its
         column."""
-        n, first, w = self.n, self.first, self.weight
-        last = n - 1
+        n, w = self.n, self.weight
+
+        def step(k, back=False):
+            u, v, dx, dy = self.ends(k)
+            return (u, w, -dx, -dy, label + k) if back else (v, w, dx, dy, label + k)
+
         return (
-            first,
-            tuple((first + (r + 1) % n * n, w, int(r == last), 0, label + 2 * r * n) for r in range(n)),
-            tuple((first + (c + 1) % n, w, 0, int(c == last), label + 2 * c + 1) for c in range(n)),
-            tuple((first + last - c, w, 0, -int(c == 0), label + 2 * (last - c) + 1) for c in range(n)),
+            self.node(0, 0),
+            tuple(map(step, range(0, 2 * n * n, 2 * n))),
+            tuple(map(step, range(1, 2 * n, 2))),
+            tuple(step(k, True) for k in range(2 * n - 1, 0, -2)),
         )
 
 
@@ -369,7 +354,7 @@ class PeriodicWeightedGraph:
             (*(y for _x, y in before), *grid_ys, *(y for _x, y in after)),
         )
         builder.add_edges(rows(self.head, 0))
-        builder.add_block(first, *grid.index_block(label))
+        builder.add_block(*grid.index_block(label))
         builder.add_edges(rows(self.tail, label + 2 * grid.n * grid.n))
         return builder.build(start_key=lambda i: (nodes[i][0] == "g", nodes[i]))
 
@@ -390,7 +375,9 @@ class PeriodicWeightedGraph:
         the search-index steps of its class's corridor loop, walked
         against the class when the sign is -1, with the place on it
         where the loop leaves each hub.  The loop is read from `head`:
-        every node on corridor i has one piece of class i out of it.
+        every node on corridor i has one piece of class i out of it.  A
+        class with no corridor edge, possible in a caller-built graph,
+        has an empty loop that leaves no hub.
         """
         index = self.node_index
         rates = {}
@@ -399,8 +386,9 @@ class PeriodicWeightedGraph:
             rates[-h.a / ell, -h.b / ell] = (i, -1)
         vertices = [rates[p] for p in convex_hull(rates)]
         out = {(e.corridor[0], e.u): k for k, e in enumerate(self.head) if e.corridor is not None}
-        loops = {}
-        for i in {i for i, _sign in vertices}:
+        # a class without corridor edges keeps a loop with no hub
+        loops = dict.fromkeys(vertices, ((), {}))
+        for i in {i for i, _sign in vertices} & {c for c, _u in out}:
             start = node = next(u for (c, u) in out if c == i)
             forward, backward, at = [], [], {}
             for _piece in range(len(self.head)):
@@ -564,7 +552,7 @@ def build_canyon_graph(
         x, y = positions[cnode]
         gi = math.floor(x * n + 0.5)
         gj = math.floor(y * n + 0.5)
-        target = nodes[grid.first + gi % n * n + gj % n]
+        target = nodes[grid.node(gi, gj)]
         connectors.append(
             PeriodicEdge(cnode, target, b / 2, (gi // n, gj // n), "connector")
         )
@@ -665,9 +653,11 @@ def _corridor_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     of corridor j, from a hub both pass through; a loop runs against
     its class where the vertex is -h_i / l_i.  It costs s l_i + t l_j,
     the gauge of P_k at h, so on a stage whose rate hull is P_k the
-    search ends at its root.  Returns None for a fractional s or t
-    and on a graph without class lengths, such as `uniform_grid`; else
-    what `_grid_loop_seed` returns.
+    search ends at its root.  Returns None for a fractional s or t,
+    for two corridors that share no hub or a class without a corridor
+    loop, as a caller-built graph may have, and on a graph without
+    class lengths, such as `uniform_grid`; else what `_grid_loop_seed`
+    returns.
     """
     if pg.class_lengths is None:
         return None
@@ -688,7 +678,10 @@ def _corridor_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
             return None
         steps_i, at_i = loops[i, si]
         steps_j, at_j = loops[j, sj]
-        hub = min(at_i.keys() & at_j.keys())
+        hubs = at_i.keys() & at_j.keys()
+        if not hubs:
+            return None
+        hub = min(hubs)
         return _replay(h, "corridor", hub, (
             (steps_i[at_i[hub]:] + steps_i[:at_i[hub]], s),
             (steps_j[at_j[hub]:] + steps_j[:at_j[hub]], t),

@@ -822,6 +822,46 @@ class TestSeeds:
         assert peak < 1 << 20
 
 
+def _hubs_on_their_own_corridors(head_classes):
+    """A caller-built graph: hubs ("v", 0) and ("v", 1) over a 4 x 4
+    grid of weight 0.5, each joined to grid node (0, 0) by a connector
+    of weight 1.0, with `class_lengths` (1, 0) and (0, 1) at 1.0.  For
+    each class index in `head_classes` a one-piece corridor loop of
+    that class runs from hub ("v", index), so no hub is on two."""
+    classes = ((IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0))
+    nodes = [("v", 0), ("v", 1)]
+    positions = {("v", 0): (0.1, 0.1), ("v", 1): (0.6, 0.6)}
+    grid = periodic_metric._add_torus_grid(4, 0.5, nodes)
+    head = tuple(
+        _edge(("v", i), ("v", i), 1.0, (classes[i][0].a, classes[i][0].b), corridor=(i, Fraction(1)))
+        for i in head_classes
+    )
+    tail = tuple(_edge(hub, ("g", 0, 0), 1.0, kind="connector") for hub in nodes[:2])
+    return PeriodicWeightedGraph(tuple(nodes), positions, head, grid, tail, class_lengths=classes)
+
+
+class TestCallerBuiltCorridors:
+    """A corridor walk needs a hub on both corridors of its cone; where
+    a caller-built graph has none, the query falls back to the grid
+    seed and the search."""
+
+    def test_corridors_without_a_shared_hub(self):
+        pg = _hubs_on_their_own_corridors((0, 1))
+        for h in [(1, 0), (0, 1)]:
+            assert periodic_metric._corridor_seed(pg, IntegralClass(*h)) is None
+            entry = marked_min_length(pg, h)
+            assert entry.length == 1.0
+            _assert_valid_witness(pg, entry)
+
+    def test_class_without_a_corridor(self):
+        # (0, 1) is listed in `class_lengths` but has no corridor edge
+        pg = _hubs_on_their_own_corridors((0,))
+        for h in [(1, 0), (0, 1)]:
+            assert periodic_metric._corridor_seed(pg, IntegralClass(*h)) is None
+        assert marked_min_length(pg, (1, 0)).length == 1.0
+        assert marked_min_length(pg, (0, 1)).length == 2.0
+
+
 def _reference_grid_edges(n, weight):
     """The N x N torus grid as one `PeriodicEdge` per grid step: a right
     and an up edge per node, row by row."""
@@ -1085,6 +1125,36 @@ class TestArithmeticGrid:
             tracemalloc.stop()
         assert len(pg.edges) == 2 * 512 * 512 + len(pg.head) + len(pg.tail)
         assert peak < 100 * 2**20
+
+
+def _assert_loops_in_index(pg):
+    """Each step of the grid's row, up and down loops is a step of
+    `pg.search_index.adj` out of the node it leaves, label included,
+    and each loop closes with its shift."""
+    start, *loops = pg.grid.loops(len(pg.head))
+    adj = pg.search_index.adj
+    for loop, shift in zip(loops, [(1, 0), (0, 1), (0, -1)]):
+        node, sx, sy = start, 0, 0
+        for step in loop:
+            assert step in adj[node], (node, step)
+            node, sx, sy = step[0], sx + step[2], sy + step[3]
+        assert (node, sx, sy) == (start, *shift)
+
+
+class TestGridLoops:
+    """The grid seed's loops walk the search index's own steps."""
+
+    @pytest.fixture(scope="class", params=sorted(TestArithmeticGrid.CASES))
+    def case(self, request):
+        return TestArithmeticGrid.CASES[request.param]()
+
+    def test_loops_step_along_the_index(self, case):
+        _assert_loops_in_index(dataclasses.replace(case[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_explicit_edges_over_a_grid())
+    def test_loops_step_along_any_index(self, case):
+        _assert_loops_in_index(case[0])
 
 
 def _pairwise_hub_check(verts, n):

@@ -84,6 +84,37 @@ def test_one_common_denominator():
     assert len(inside) == 1 and not found, (inside, found)
 
 
+def _is_grid_node_product(node) -> bool:
+    """`x % n * n`: a grid's (i, j) -> node arithmetic."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Mod)
+        and ast.dump(node.left.right) == ast.dump(node.right)
+    )
+
+
+def _scoped(node, scope=""):
+    """(enclosing class and function names, node) for every node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
+def test_one_grid_numbering():
+    # the torus grid's node numbers come from `TorusGrid.node` alone;
+    # its edges, search-index rows and loops and the canyon's
+    # connectors read it from there, so no copy can fall out of step
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{scope}" for scope, node in _scoped(tree) if _is_grid_node_product(node))
+    assert found == ["periodic_metric.py:TorusGrid.node"], found
+
+
 _UPPER_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
