@@ -5,17 +5,17 @@ loop in a homology class.  On the toral geodesic graph it checks that
 nothing beats the prescribed lengths; on the canyon graph it measures
 the marked lengths the corridors realise.
 
-A graph is compiled into a `SearchIndex` in two parts.  Made at once:
-nodes numbered 0..n-1, their positions in the unit square, the start
-nodes and the lower bounds that guide the search, all read from the
-distinct rate points and the crossing-edge ends.  Built on first
-expansion: both orientations of every edge as labelled steps with their
-integer period shifts, read from one list of edge rows, whether a row
-was given or a block's function makes it.  `shortest_cover_cycle` runs
-A* from each endpoint of a period-crossing edge, which every cycle of a
-nonzero class must visit, pruned by the best cycle so far and bounded
-by the caller's cost cutoff alone; a query whose root bound already
-meets the caller's seed ends before the steps are built.
+A graph is compiled into a `SearchIndex` by one function,
+`build_search_index`, from blocks of edges: each `IndexBlock` holds a
+maker of its edge rows and, read from them or worked out, its distinct
+rate points and crossing-edge ends.  Made at once: the node positions,
+the start nodes and the lower bounds that guide the search.  Built on
+first expansion: both orientations of every edge as labelled steps with
+their integer period shifts, from the blocks' makers.
+`shortest_cover_cycle` runs A* from each endpoint of a period-crossing
+edge, which every cycle of a nonzero class must visit, under one bar:
+the caller's cost cutoff, lowered by each walk found; a query whose
+root bound already meets the bar ends before the steps are built.
 
 The lower bounds come from one rate hull, the origin-symmetric hull of
 the steps' displacement-per-cost points, whose gauge is the graph's
@@ -31,10 +31,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-#: Relative slack for float comparisons in the cover search.
+#: Relative slack a cost bound gets before it is a cover search's bar.
 SEARCH_RTOL = 1e-12
 #: Rate-point advances this small are rounding noise of the positions.
 _ZERO_ADVANCE = 1e-15
@@ -60,22 +61,67 @@ Point = tuple[float, float]
 FLAT_GAUGE: tuple[Point, ...] = ((0.0, 0.0),)
 
 
+#: A search-index row (u, v, weight, dx, dy, forward, backward), and a
+#: step out of a node (neighbor, weight, dx, dy, label).
+Row = tuple[int, int, float, int, int, Hashable, Hashable]
+Step = tuple[int, float, int, int, Hashable]
+
+
+@dataclass(frozen=True)
+class IndexBlock:
+    """A run of edges as `build_search_index` takes it.
+
+    `rows()` makes the run's rows (u, v, weight, dx, dy, forward,
+    backward): from u to v the edge's lift crosses (dx, dy) periods, and
+    the steps u -> v and v -> u carry the labels `forward` and
+    `backward`.  The index keeps `rows`, so it must pickle: no lambda or
+    local function.  `points` are the rows' distinct rate points, lifted
+    displacement per unit weight, in edge order; `x_ends` and `y_ends`
+    the ends of the rows crossing the x and the y period.
+    """
+
+    rows: Callable[[], Iterable[Row]]
+    points: Sequence[Point]
+    x_ends: Iterable[int]
+    y_ends: Iterable[int]
+
+
+def edge_block(xs: Sequence[float], ys: Sequence[float], rows: Callable[[], Iterable[Row]]) -> IndexBlock:
+    """The block of the rows `rows()` makes over nodes at (`xs[i]`,
+    `ys[i]`), its rate points and crossing ends read by calling `rows`
+    once."""
+    points: dict[Point, None] = {}
+    x_ends: set[int] = set()
+    y_ends: set[int] = set()
+    for u, v, w, dx, dy, _forward, _backward in rows():
+        points[((xs[v] + dx - xs[u]) / w, (ys[v] + dy - ys[u]) / w)] = None
+        # every cycle with nonzero x-displacement uses an edge whose
+        # shift has a nonzero x component, so it passes through one of
+        # these endpoints; starting only there loses nothing
+        if dx != 0:
+            x_ends.update((u, v))
+        if dy != 0:
+            y_ends.update((u, v))
+    return IndexBlock(rows, tuple(points), x_ends, y_ends)
+
+
 @dataclass(frozen=True, eq=False)
 class SearchIndex:
-    """What every cover search on one graph reads.
+    """What every cover search on one graph reads; `build_search_index`
+    makes it.
 
-    `normals` are the `gauge_normals` of the steps' rate points, lifted
-    displacement per unit weight; `rates` are the least cost per unit of
-    x and of y advance on that hull, inf on an axis no step advances
-    along.  `x_starts` and `y_starts` are the endpoints of edges
-    crossing the x and y period, in search order.  These, with the node
-    positions `xs` and `ys`, are made with the index.
+    `normals` are the `gauge_normals` of the edges' rate points; `rates`
+    are the least cost per unit of x and of y advance on that hull, inf
+    on an axis no edge advances along.  `x_starts` and `y_starts` are
+    the endpoints of edges crossing the x and y period, in search order.
+    These, with the node positions `xs` and `ys`, are made with the
+    index.
 
     `adj[i]` lists the steps out of node i as (neighbor, weight, dx, dy,
     label), in edge order, both orientations of every edge; (dx, dy)
     counts the periods the step's lift crosses.  It is built on first
-    read, by calling `steps`, and kept: a query whose root bound meets
-    its seed never reads it.
+    read, by calling each block's maker in `rows`, and kept: a query
+    whose root bound meets its bar never reads it.
     """
 
     xs: tuple[float, ...]
@@ -84,114 +130,50 @@ class SearchIndex:
     normals: tuple[Point, ...]
     x_starts: tuple[int, ...]
     y_starts: tuple[int, ...]
-    #: Makes `adj`; a module-level function or a `functools.partial`
-    #: of one, so that an index pickles whether `adj` is built or not.
-    steps: Callable[[], tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]] = field(repr=False)
+    rows: tuple[Callable[[], Iterable[Row]], ...] = field(repr=False)
 
     @cached_property
-    def adj(self) -> tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]:
-        return self.steps()
+    def adj(self) -> tuple[tuple[Step, ...], ...]:
+        # steps out of each node, grown as tuples, so a node without
+        # steps shares the empty tuple
+        adj: list[tuple[Step, ...]] = [()] * len(self.xs)
+        for rows in self.rows:
+            for u, v, w, dx, dy, forward, backward in rows():
+                adj[u] += ((v, w, dx, dy, forward),)
+                adj[v] += ((u, w, -dx, -dy, backward),)
+        return tuple(adj)
 
 
 def build_search_index(
-    positions: Sequence[Point],
-    edges: Iterable[tuple[int, int, float, int, int, Hashable, Hashable]],
+    xs: tuple[float, ...],
+    ys: tuple[float, ...],
+    blocks: Sequence[IndexBlock],
     start_key: Optional[Callable[[int], object]] = None,
 ) -> SearchIndex:
-    """Compile a periodic graph for `shortest_cover_cycle`.
-
-    `positions[i]` places node i in the unit square.  Each edge is
-    (u, v, weight, dx, dy, forward, backward): going from u to v its
-    lift crosses (dx, dy) periods; the step u -> v carries the label
-    `forward` and the step v -> u the label `backward`.  Start lists are
-    sorted by `start_key` on node numbers, by number when it is None.
-    """
-    builder = _IndexBuilder(*(tuple(zip(*positions)) or ((), ())))
-    builder.add_edges(edges)
-    return builder.build(start_key)
-
-
-class _IndexBuilder:
-    """What `build_search_index` compiles, gathered edge by edge or, for
-    a block of edges whose rows a function makes, block by block.  Rate
-    points and crossing ends are gathered at once; the edges and blocks
-    are kept in order, for `SearchIndex.adj` to make its steps from on
-    first read."""
-
-    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]):
-        self.xs, self.ys = xs, ys
-        # edge rows per edge run, a maker of them per block
-        self.parts: list[object] = []
-        # distinct rate points, in edge order; a background grid makes
-        # up most edges but only a handful of rate points
-        self.points: dict[Point, None] = {}
-        self.x_ends: set[int] = set()
-        self.y_ends: set[int] = set()
-
-    def add_edges(self, edges: Iterable[tuple[int, int, float, int, int, Hashable, Hashable]]) -> None:
-        """Edges as `build_search_index` takes them."""
-        edges = tuple(edges)
-        xs, ys, points = self.xs, self.ys, self.points
-        for u, v, w, dx, dy, _forward, _backward in edges:
-            points[((xs[v] + dx - xs[u]) / w, (ys[v] + dy - ys[u]) / w)] = None
-            # every cycle with nonzero x-displacement uses an edge whose
-            # shift has a nonzero x component, so it passes through one
-            # of these endpoints; starting only there loses nothing
-            if dx != 0:
-                self.x_ends.update((u, v))
-            if dy != 0:
-                self.y_ends.update((u, v))
-        self.parts.append(edges)
-
-    def add_block(
-        self,
-        rows: Callable[[], Iterable[tuple[int, int, float, int, int, Hashable, Hashable]]],
-        points: Iterable[Point],
-        x_ends: Iterable[int],
-        y_ends: Iterable[int],
-    ) -> None:
-        """Edges whose rows a function makes: `rows()` gives them as
-        `add_edges` takes them, and `points`, `x_ends` and `y_ends` are
-        their rate points, in edge order, and crossing-edge ends.
-        `rows` is kept in the index, so it must pickle: no lambda or
-        local function."""
-        self.parts.append(rows)
-        self.points.update(dict.fromkeys(points))
-        self.x_ends.update(x_ends)
-        self.y_ends.update(y_ends)
-
-    def build(self, start_key: Optional[Callable[[int], object]] = None) -> SearchIndex:
-        points = self.points
-        # a cycle of class (a, b) moves its lift by exactly a in x, and
-        # each step advances at most max|p_x| per unit weight, so the
-        # cycle costs at least |a| / max|p_x|; same in y
-        reach_x = max((abs(px) for px, _py in points), default=0.0)
-        reach_y = max((abs(py) for _px, py in points), default=0.0)
-        return SearchIndex(
-            xs=self.xs,
-            ys=self.ys,
-            rates=(
-                1 / reach_x if reach_x > _ZERO_ADVANCE else math.inf,
-                1 / reach_y if reach_y > _ZERO_ADVANCE else math.inf,
-            ),
-            normals=gauge_normals(points),
-            x_starts=tuple(sorted(self.x_ends, key=start_key)),
-            y_starts=tuple(sorted(self.y_ends, key=start_key)),
-            steps=partial(_adjacency, len(self.xs), tuple(self.parts)),
-        )
-
-
-def _adjacency(size: int, parts) -> tuple[tuple[tuple[int, float, int, int, Hashable], ...], ...]:
-    """`SearchIndex.adj` over `size` nodes from `_IndexBuilder.parts`:
-    both orientations of every edge row, in edge order."""
-    # steps out of each node, grown as tuples, so a node without steps
-    # shares the empty tuple
-    adj: list[tuple[tuple[int, float, int, int, Hashable], ...]] = [()] * size
-    for part in parts:
-        for u, v, w, dx, dy, forward, backward in part() if callable(part) else part:
-            adj[u] += ((v, w, dx, dy, forward),)
-            adj[v] += ((u, w, -dx, -dy, backward),)
-    return tuple(adj)
+    """Compile a periodic graph for `shortest_cover_cycle`: node i at
+    (`xs[i]`, `ys[i]`) in the unit square, its edges given block by
+    block.  Start lists are sorted by `start_key` on node numbers, by
+    number when it is None."""
+    # distinct rate points, in edge order; a background grid makes up
+    # most edges but only a handful of rate points
+    points = dict.fromkeys(chain.from_iterable(block.points for block in blocks))
+    # a cycle of class (a, b) moves its lift by exactly a in x, and each
+    # step advances at most max|p_x| per unit weight, so the cycle costs
+    # at least |a| / max|p_x|; same in y
+    reach_x = max((abs(px) for px, _py in points), default=0.0)
+    reach_y = max((abs(py) for _px, py in points), default=0.0)
+    return SearchIndex(
+        xs=xs,
+        ys=ys,
+        rates=(
+            1 / reach_x if reach_x > _ZERO_ADVANCE else math.inf,
+            1 / reach_y if reach_y > _ZERO_ADVANCE else math.inf,
+        ),
+        normals=gauge_normals(points),
+        x_starts=tuple(sorted(set().union(*(block.x_ends for block in blocks)), key=start_key)),
+        y_starts=tuple(sorted(set().union(*(block.y_ends for block in blocks)), key=start_key)),
+        rows=tuple(block.rows for block in blocks),
+    )
 
 
 def gauge_normals(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -254,27 +236,25 @@ def shortest_cover_cycle(
     ix: SearchIndex,
     a: int,
     b: int,
-    upper: float,
-    incumbent: float = math.inf,
+    bar: float,
 ) -> Optional[tuple[float, tuple[tuple[int, int, int], ...], list[Hashable]]]:
     """Shortest closed walk whose lift crosses (a, b) != (0, 0) periods.
 
     Equals the minimum over start nodes of the cover distance from the
-    node's origin lift to its (a, b)-translate.  Walks costing more than
-    `upper` (up to SEARCH_RTOL) or not beating `incumbent` by more than
-    _PRUNE_RTOL are never completed.  Weights are positive and the
-    heuristic admissible, so finitely many states lie under `upper`:
-    it alone bounds the search.
+    node's origin lift to its (a, b)-translate.  Walks costing `bar` or
+    more are never completed, and each walk found lowers the bar to its
+    cost less _PRUNE_RTOL, so a later one must beat it by more than that
+    tie margin.  Weights are positive and the heuristic admissible, so
+    finitely many states lie under a finite bar: it alone bounds the
+    search.
 
     Returns (length, states, labels) for the best walk found, or None
-    when nothing beats both bounds: `states` are its (node, shift x,
-    shift y) lifts from the start, `labels` its steps' labels.
+    when nothing costs less than `bar`: `states` are its (node, shift
+    x, shift y) lifts from the start, `labels` its steps' labels.
     """
     xs = ix.xs
     ys = ix.ys
     normals = ix.normals
-    cutoff = upper * (1 + SEARCH_RTOL)
-    best = incumbent
     found = None
 
     if a != 0 and (b == 0 or len(ix.x_starts) <= len(ix.y_starts)):
@@ -292,7 +272,6 @@ def shortest_cover_cycle(
     for start in starts:
         goal_x = xs[start] + a
         goal_y = ys[start] + b
-        bar = min(best * (1 - _PRUNE_RTOL), cutoff)
         rx = goal_x - xs[start]
         ry = goal_y - ys[start]
         h = max(ax * rx + ay * ry for ax, ay in normals)
@@ -319,7 +298,7 @@ def shortest_cover_cycle(
             if g > dist.get(state, inf):
                 continue
             if state == target:
-                best = g
+                bar = g * (1 - _PRUNE_RTOL)
                 path = []
                 cur = state
                 while cur != state0:

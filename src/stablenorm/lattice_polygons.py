@@ -181,9 +181,6 @@ class LatticePolygon:
         """Vertex multiset closed under negation (symmetry about the origin)."""
         return sorted(self.vertices) == sorted((-x, -y) for (x, y) in self.vertices)
 
-    def to_jsonable(self) -> list[list[int]]:
-        return [[x, y] for (x, y) in self.vertices]
-
 
 @dataclass(frozen=True)
 class PickCounts:

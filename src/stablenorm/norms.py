@@ -135,10 +135,6 @@ class Ellipse:
     q12: float
     q22: float
 
-    @property
-    def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.q11, self.q12), (self.q12, self.q22))
-
     def min_eigenvalue(self) -> float:
         tr = self.q11 + self.q22
         det = self.q11 * self.q22 - self.q12 * self.q12

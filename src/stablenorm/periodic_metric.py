@@ -59,9 +59,11 @@ from stablenorm.cover import (
     _HEUR_DEFLATE,
     _PRUNE_RTOL,
     SEARCH_RTOL,
+    IndexBlock,
     SearchIndex,
-    _IndexBuilder,
+    build_search_index,
     convex_hull,
+    edge_block,
     shortest_cover_cycle,
 )
 from stablenorm.errors import ConstructionError, InvariantError, SearchBudgetError, ValidationError
@@ -169,28 +171,27 @@ class TorusGrid:
 
     def rows(self, label: int):
         """Every grid edge, in edge order, as a search-index row (u, v,
-        weight, dx, dy, label + k, label + k), as
-        `_IndexBuilder.add_edges` takes it."""
+        weight, dx, dy, label + k, label + k), as an `IndexBlock`'s
+        `rows` makes them."""
         w = self.weight
         for k, (u, v, dx, dy) in enumerate(map(self.ends, range(2 * self.n * self.n)), label):
             yield u, v, w, dx, dy, k, k
 
-    def index_block(self, label: int):
-        """What the grid adds to a search index, as
-        `_IndexBuilder.add_block` takes it: a maker of its edge rows
-        (`rows`), then the grid's distinct rate points and the ends of
-        its edges crossing the x and the y period, all three from
-        arithmetic.  Every right edge of a row has one rate point, and
-        so has every up edge of a column, first seen in the order row 0,
-        columns 0 .. n - 1, rows 1 .. n - 1.
+    def index_block(self, label: int) -> IndexBlock:
+        """The grid's search-index block: a maker of its rows (`rows`),
+        then its distinct rate points and the ends of its edges crossing
+        the x and the y period, all from arithmetic, as `edge_block`
+        would read them from the rows.  Every right edge of a row has
+        one rate point, and so has every up edge of a column, first seen
+        in the order row 0, columns 0 .. n - 1, rows 1 .. n - 1.
         """
         n, w = self.n, self.weight
         last = n - 1
-        # rate points as `_IndexBuilder.add_edges` computes them from
-        # `coords`: the advance out of row or column j, and 0.0 across it
+        # rate points as `edge_block` computes them from `coords`: the
+        # advance out of row or column j, and 0.0 across it
         c = self.coords
         advance = [(c[(j + 1) % n] + int(j == last) - c[j]) / w for j in range(n)]
-        return (
+        return IndexBlock(
             partial(self.rows, label),
             [(advance[0], 0.0), *((0.0, p) for p in advance), *((p, 0.0) for p in advance[1:])],
             [self.node(i, j) for i in (last, 0) for j in range(n)],
@@ -261,7 +262,8 @@ class PeriodicWeightedGraph:
     label.  `positions` places every node outside the grid and no grid
     node, since the grid places its own (`TorusGrid.coords`).  The grid
     is connected by construction, so validation checks its one weight
-    and runs the union-find over the explicit edges only.
+    and runs the union-find over the explicit edges only, and checks
+    that each corridor edge's class index picks a class length.
     """
 
     nodes: tuple[NodeId, ...]
@@ -299,9 +301,16 @@ class PeriodicWeightedGraph:
         parent = list(range(len(index)))
         parent[first:first + cells] = [first] * cells
         components = len(parent) - cells + 1
+        # a corridor edge's class index picks its class length
+        classes = range(len(self.class_lengths or ()))
         for e in chain(self.head, (grid.edge(self.nodes, 0),), self.tail):
             if e.weight <= 0 or not math.isfinite(e.weight):
                 raise ValidationError(f"edge {e.u}-{e.v} has weight {e.weight}")
+            if e.corridor is not None and e.corridor[0] not in classes:
+                raise ValidationError(
+                    f"corridor edge {e.u}-{e.v} has class index {e.corridor[0]!r}, "
+                    f"but the graph has {len(classes)} class lengths"
+                )
             i = get(e.u)
             j = get(e.v)
             if i is None or j is None:
@@ -329,7 +338,8 @@ class PeriodicWeightedGraph:
     @cached_property
     def search_index(self) -> SearchIndex:
         """Per-graph data of the cover search, made on the first query
-        and kept for the life of the graph.  Its positions, starts and
+        and kept for the life of the graph, from the blocks of the head
+        edges, the grid and the tail edges.  Its positions, starts and
         bounds are made at once, the grid's from arithmetic; its steps
         (`adj`) only when a search first gets past its root.  Each
         step's label is its edge index; corridor nodes come first in the
@@ -340,23 +350,18 @@ class PeriodicWeightedGraph:
         grid = self.grid
         first, end = grid.first, grid.first + grid.n * grid.n
         label = len(self.head)
-
-        def rows(explicit, start):
-            for i, e in enumerate(explicit, start):
-                yield (index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i)
-
         place = self.positions.__getitem__
         before = [*map(place, nodes[:first])]
         after = [*map(place, nodes[end:])]
         grid_xs, grid_ys = grid.node_coords()
-        builder = _IndexBuilder(
-            (*(x for x, _y in before), *grid_xs, *(x for x, _y in after)),
-            (*(y for _x, y in before), *grid_ys, *(y for _x, y in after)),
+        xs = (*(x for x, _y in before), *grid_xs, *(x for x, _y in after))
+        ys = (*(y for _x, y in before), *grid_ys, *(y for _x, y in after))
+        blocks = (
+            edge_block(xs, ys, partial(_edge_rows, self.head, index, 0)),
+            grid.index_block(label),
+            edge_block(xs, ys, partial(_edge_rows, self.tail, index, label + 2 * grid.n * grid.n)),
         )
-        builder.add_edges(rows(self.head, 0))
-        builder.add_block(*grid.index_block(label))
-        builder.add_edges(rows(self.tail, label + 2 * grid.n * grid.n))
-        return builder.build(start_key=lambda i: (nodes[i][0] == "g", nodes[i]))
+        return build_search_index(xs, ys, blocks, start_key=lambda i: (nodes[i][0] == "g", nodes[i]))
 
     @cached_property
     def _grid_loops(self):
@@ -409,6 +414,13 @@ class PeriodicWeightedGraph:
             loops[i, 1] = (tuple(forward), at)
             loops[i, -1] = (tuple(reversed(backward)), {hub: (n - j) % n for hub, j in at.items()})
         return vertices, loops
+
+
+def _edge_rows(edges: Sequence[PeriodicEdge], index: Mapping[NodeId, int], label: int):
+    """The search-index rows of explicit `edges` over node numbers
+    `index`, labelled by edge index from `label` on."""
+    for i, e in enumerate(edges, label):
+        yield index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i
 
 
 def _add_torus_grid(n: int, weight: float, nodes: list[NodeId]) -> TorusGrid:
@@ -650,13 +662,14 @@ def _corridor_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
     cone holds h, and writes h = s (+-h_i) + t (+-h_j) with s =
     det(h, +-h_j) / D and t = det(+-h_i, h) / D, D = det(+-h_i, +-h_j).
     When both are integers, the walk is s loops of corridor i, then t
-    of corridor j, from a hub both pass through; a loop runs against
-    its class where the vertex is -h_i / l_i.  It costs s l_i + t l_j,
-    the gauge of P_k at h, so on a stage whose rate hull is P_k the
-    search ends at its root.  Returns None for a fractional s or t,
-    for two corridors that share no hub or a class without a corridor
-    loop, as a caller-built graph may have, and on a graph without
-    class lengths, such as `uniform_grid`; else what `_grid_loop_seed`
+    of corridor j, from the lowest-numbered hub both pass through, or,
+    when s or t is 0 and they share none, from the lowest hub of the one
+    corridor walked; a loop runs against its class where the vertex is
+    -h_i / l_i.  It costs s l_i + t l_j, the gauge of P_k at h, so on a
+    stage whose rate hull is P_k the search ends at its root.  Returns
+    None for a fractional s or t, for a walk with no hub to start from,
+    as a caller-built graph may have, and on a graph without class
+    lengths, such as `uniform_grid`; else what `_grid_loop_seed`
     returns.
     """
     if pg.class_lengths is None:
@@ -676,16 +689,19 @@ def _corridor_seed(pg: PeriodicWeightedGraph, h: IntegralClass):
             continue
         if s_rest or t_rest:
             return None
-        steps_i, at_i = loops[i, si]
-        steps_j, at_j = loops[j, sj]
-        hubs = at_i.keys() & at_j.keys()
+        at_i, at_j = loops[i, si][1], loops[j, sj][1]
+        # a hub on both corridors, else, for a walk of one, a hub on it
+        hubs = at_i.keys() & at_j.keys() or (at_j.keys() if s == 0 else at_i.keys() if t == 0 else ())
         if not hubs:
             return None
         hub = min(hubs)
-        return _replay(h, "corridor", hub, (
-            (steps_i[at_i[hub]:] + steps_i[:at_i[hub]], s),
-            (steps_j[at_j[hub]:] + steps_j[:at_j[hub]], t),
-        ))
+        # only the loops walked are rotated: one walked no times need not
+        # pass through the hub
+        return _replay(h, "corridor", hub, [
+            (steps[at[hub]:] + steps[:at[hub]], times)
+            for (steps, at), times in ((loops[i, si], s), (loops[j, sj], t))
+            if times
+        ])
     return None
 
 
@@ -718,8 +734,6 @@ def _exact_length(pg: PeriodicWeightedGraph, path_edges: Iterable[int]) -> float
             pieces[key] = pieces.get(key, 0) + times
         else:
             counts[e.weight] = counts.get(e.weight, 0) + times
-    if pieces and pg.class_lengths is None:
-        raise ValidationError("corridor edges need the graph's class lengths; none are set")
     shares: dict[int, Fraction] = {}
     for (idx, num, den), times in pieces.items():
         shares[idx] = shares.get(idx, 0) + Fraction(times * num, den)
@@ -762,9 +776,8 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
         cost = seed[0]
     else:
         seed = None
-    best, best_states, best_edges = (
-        shortest_cover_cycle(pg.search_index, h.a, h.b, cost, cost) or seed or _grid_loop_seed(pg, h)
-    )
+    found = shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - _PRUNE_RTOL))
+    best, best_states, best_edges = found or seed or _grid_loop_seed(pg, h)
     exact = _exact_length(pg, best_edges)
     if abs(exact - best) > _RECOMPUTE_RTOL * max(1.0, best):
         raise InvariantError(

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
-from stablenorm.cover import SearchIndex, build_search_index, shortest_cover_cycle
+from stablenorm.cover import SEARCH_RTOL, SearchIndex, build_search_index, edge_block, shortest_cover_cycle
 from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError, check_budget
 from stablenorm.norms import IntegralClass, NormSpec, integral_class, norm_evaluator
 
@@ -148,16 +148,12 @@ class ToralGeodesicGraph:
         """Cover-search data, made on the first `minimal_cycle` call,
         its steps when a search first expands a node: vertex coordinates
         as positions, deck shifts as step shifts, and (edge index,
-        orientation) as step labels.  Int true division x / D rounds a
-        position as the float of its Fraction."""
+        orientation) as step labels, all in one block.  Int true
+        division x / D rounds a position as the float of its Fraction."""
         d = self.denom
-        return build_search_index(
-            [(x / d, y / d) for x, y in self.points],
-            (
-                (e.tail, e.head, e.length, sx, sy, (i, 1), (i, -1))
-                for i, (e, (sx, sy)) in enumerate(zip(self.edges, self.shifts))
-            ),
-        )
+        xs = tuple(x / d for x, _y in self.points)
+        ys = tuple(y / d for _x, y in self.points)
+        return build_search_index(xs, ys, [edge_block(xs, ys, partial(_index_rows, self.edges, self.shifts))])
 
     def to_jsonable(self) -> dict:
         return {
@@ -177,6 +173,12 @@ class ToralGeodesicGraph:
                 {"class": [h.a, h.b], "length": ell} for (h, ell) in self.classes
             ],
         }
+
+
+def _index_rows(edges: Sequence[GraphEdge], shifts: Sequence[tuple[int, int]]):
+    """The search-index rows of a toral graph's edges and deck shifts."""
+    for i, (e, (sx, sy)) in enumerate(zip(edges, shifts)):
+        yield e.tail, e.head, e.length, sx, sy, (i, 1), (i, -1)
 
 
 def build_graph(classes: Sequence[tuple[IntegralClass, float]]) -> ToralGeodesicGraph:
@@ -336,7 +338,7 @@ def minimal_cycle(
         upper = math.gcd(h.a, h.b) * l1
     else:
         return None
-    found = shortest_cover_cycle(graph.search_index, h.a, h.b, upper)
+    found = shortest_cover_cycle(graph.search_index, h.a, h.b, upper * (1 + SEARCH_RTOL))
     if found is None:
         raise InvariantError(f"no representative of {h} within its two-geodesic bound {upper}")
     length, _states, steps = found

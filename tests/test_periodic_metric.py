@@ -19,7 +19,19 @@ from hypothesis import strategies as st
 
 from stablenorm import cover, periodic_metric
 from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
-from stablenorm.norms import IntegralClass, euclidean, hexagonal, leading_primitive_classes
+from stablenorm.norms import (
+    LENGTH_TIE_RTOL,
+    Ellipse,
+    IntegralClass,
+    NormSpec,
+    PNorm,
+    eval_norm,
+    euclidean,
+    hexagonal,
+    leading_primitive_classes,
+    tie_groups,
+    unit_circle_lower_bound,
+)
 from stablenorm.periodic_metric import (
     PeriodicEdge,
     PeriodicWeightedGraph,
@@ -722,7 +734,7 @@ class TestSeeds:
         for h in _PANEL:
             cost, _states, edges = periodic_metric._grid_loop_seed(pg, h)
             assert periodic_metric._grid_loop_cost(pg, h).hex() == cost.hex()
-            found = cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost, cost)
+            found = cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - cover._PRUNE_RTOL))
             if found is not None:
                 searched += 1
                 edges = found[2]
@@ -737,7 +749,7 @@ class TestSeeds:
         pg = _graph(request, name)
         for h in _PANEL:
             cost, _states, edges = periodic_metric._corridor_seed(pg, h)
-            assert cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost, cost) is None
+            assert cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - cover._PRUNE_RTOL)) is None
             assert periodic_metric._exact_length(pg, edges).hex() == marked_min_length(pg, h).length.hex()
 
     def test_no_class_lengths_no_corridor_seed(self, grid16):
@@ -841,14 +853,16 @@ def _hubs_on_their_own_corridors(head_classes):
 
 
 class TestCallerBuiltCorridors:
-    """A corridor walk needs a hub on both corridors of its cone; where
-    a caller-built graph has none, the query falls back to the grid
-    seed and the search."""
+    """A corridor walk of two corridors needs a hub on both, and a walk
+    of one a hub on it; where a caller-built graph has none, the query
+    falls back to the grid seed and the search."""
 
     def test_corridors_without_a_shared_hub(self):
+        # each class is a vertex of P_k, walked along its own corridor
+        # from that corridor's hub
         pg = _hubs_on_their_own_corridors((0, 1))
         for h in [(1, 0), (0, 1)]:
-            assert periodic_metric._corridor_seed(pg, IntegralClass(*h)) is None
+            assert periodic_metric._corridor_seed(pg, IntegralClass(*h))[0] == 1.0
             entry = marked_min_length(pg, h)
             assert entry.length == 1.0
             _assert_valid_witness(pg, entry)
@@ -856,8 +870,8 @@ class TestCallerBuiltCorridors:
     def test_class_without_a_corridor(self):
         # (0, 1) is listed in `class_lengths` but has no corridor edge
         pg = _hubs_on_their_own_corridors((0,))
-        for h in [(1, 0), (0, 1)]:
-            assert periodic_metric._corridor_seed(pg, IntegralClass(*h)) is None
+        assert periodic_metric._corridor_seed(pg, IntegralClass(1, 0))[0] == 1.0
+        assert periodic_metric._corridor_seed(pg, IntegralClass(0, 1)) is None
         assert marked_min_length(pg, (1, 0)).length == 1.0
         assert marked_min_length(pg, (0, 1)).length == 2.0
 
@@ -937,14 +951,17 @@ def _assert_index_of(pg, reference):
     field made with the index, then `adj`, which reading builds."""
     index = pg.node_index
     nodes = pg.nodes
+    xs, ys = (tuple(c) for c in zip(*(_position(pg, n) for n in nodes)))
+    rows = [(index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i) for i, e in enumerate(reference)]
     want = cover.build_search_index(
-        [_position(pg, n) for n in nodes],
-        ((index[e.u], index[e.v], e.weight, e.disp[0], e.disp[1], i, i) for i, e in enumerate(reference)),
+        xs,
+        ys,
+        [cover.edge_block(xs, ys, rows.__iter__)],
         start_key=lambda i: (nodes[i][0] == "g", nodes[i]),
     )
     got = pg.search_index
     for field in dataclasses.fields(cover.SearchIndex):
-        if field.name != "steps":
+        if field.name != "rows":
             assert getattr(got, field.name) == getattr(want, field.name), field.name
     assert got.adj == want.adj
 
@@ -1225,11 +1242,73 @@ class TestInvariantErrors:
 
     def test_corridor_edges_need_class_lengths(self):
         half = (0, Fraction(1, 2))
-        pg = _over_grid(
-            (A, B),
-            head=(_edge(A, B, 0.5, corridor=half), _edge(B, A, 0.5, (1, 0), corridor=half)),
-            tail=(_edge(A, ("g", 0, 0), kind="connector"),),
-            weight=5.0,
-        )
         with pytest.raises(ValidationError, match="class lengths"):
-            marked_min_length(pg, (1, 0))
+            _over_grid(
+                (A, B),
+                head=(_edge(A, B, 0.5, corridor=half), _edge(B, A, 0.5, (1, 0), corridor=half)),
+                tail=(_edge(A, ("g", 0, 0), kind="connector"),),
+                weight=5.0,
+            )
+
+    def test_corridor_class_index_out_of_range(self):
+        # with this edge built, the first query's exact recompute raised
+        # a raw IndexError
+        classes = ((IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0))
+        nodes = [("v", 0)]
+        grid = periodic_metric._add_torus_grid(4, 0.5, nodes)
+        head = (_edge(("v", 0), ("v", 0), 1.0, (1, 0), corridor=(5, Fraction(1))),)
+        tail = (_edge(("v", 0), ("g", 0, 0), 1.0, kind="connector"),)
+        with pytest.raises(ValidationError, match="class index 5, but the graph has 2 class lengths"):
+            PeriodicWeightedGraph(tuple(nodes), {("v", 0): (0.1, 0.1)}, head, grid, tail, class_lengths=classes)
+
+
+#: How far below l_k the agreement spectrum stops, so that no class of
+#: norm l_k, prescribed or not, sits on its bound.
+_BELOW_ELL_K = 1e-6
+
+_AGREEMENT_NORMS = {
+    "euclidean": euclidean(),
+    "hexagonal": hexagonal(),
+    "pnorm-3": NormSpec(PNorm(3.0)),
+    "pnorm-1.5": NormSpec(PNorm(1.5)),
+    "ellipse": NormSpec(Ellipse(1.2, -0.95, 1.0)),
+}
+
+
+class TestAgreementTheorem:
+    """The paper's agreement theorem on certified stages: below l_k the
+    canyon's marked lengths are the prescribed norm, class for class,
+    with the same tie groups."""
+
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize("name", sorted(_AGREEMENT_NORMS))
+    def test_spectrum_below_ell_k_is_the_norm(self, name, k):
+        norm = _AGREEMENT_NORMS[name]
+        classes = leading_primitive_classes(norm, k)
+        ell_k = max(length for _cls, length in classes)
+        # the stage's stable ball is P_k = conv{+-h_i / l_i} when the
+        # background l_k is at least P_k's gauge on both axes
+        normals = cover.gauge_normals((h.a / ell, h.b / ell) for h, ell in classes)
+        axis_gauge = max(max(ax for ax, _ay in normals), max(ay for _ax, ay in normals))
+        if ell_k < axis_gauge:
+            pytest.skip(f"background {ell_k} is below P_k's axis gauge {axis_gauge}")
+        pg = build_canyon_graph(build_graph(classes), theta=0.1, background_systole=ell_k, grid_resolution=64)
+        bound = ell_k * (1 - _BELOW_ELL_K)
+        got = spectrum(pg, bound).entries
+
+        box = math.ceil(bound / unit_circle_lower_bound(norm))
+        want = sorted(
+            (
+                (h, eval_norm(norm, h))
+                for h in {IntegralClass(a, b).canonical() for a in range(box + 1) for b in range(-box, box + 1)}
+                if eval_norm(norm, h) <= bound
+            ),
+            key=lambda e: (e[1], e[0].tie_key()),
+        )
+        assert {e.cls for e in got} == {h for h, _value in want}
+        value = dict(want)
+        for e in got:
+            assert abs(e.length - value[e.cls]) <= 4 * cover.SEARCH_RTOL * value[e.cls], e.cls
+        spectrum_groups = tie_groups([(e.cls, e.length) for e in got], LENGTH_TIE_RTOL)
+        norm_groups = tie_groups(want, LENGTH_TIE_RTOL)
+        assert [{h for h, _v in g} for g in spectrum_groups] == [{h for h, _v in g} for g in norm_groups]

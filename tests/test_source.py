@@ -185,3 +185,40 @@ def test_public_functions_have_docstrings():
         if inspect.isfunction(getattr(stablenorm, name)) and not getattr(stablenorm, name).__doc__
     ]
     assert missing == [], missing
+
+
+def _calls_to(node, name) -> bool:
+    """A call of `name` or of `<module>.name`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == name) or (
+        isinstance(func, ast.Attribute) and func.attr == name
+    )
+
+
+def test_one_way_to_compile_a_search_index():
+    # every graph compiles its cover-search index through one function,
+    # from edge blocks, so no second builder can fall out of step
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{scope}" for scope, node in _scoped(tree) if _calls_to(node, "SearchIndex"))
+    assert found == ["cover.py:build_search_index"], found
+
+
+def test_no_private_imports_across_modules():
+    # a module's private functions and classes are its own; only its
+    # private tolerance constants, named once with their reason, may be
+    # shared with another module
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("stablenorm")):
+                found.extend(
+                    f"{path.name}:{node.lineno} {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_") and not _UPPER_NAME.fullmatch(a.name)
+                )
+    assert SOURCES and not found, found
