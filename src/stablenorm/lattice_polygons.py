@@ -10,7 +10,10 @@ weighted sum vanishes; reading the directions in angle order traces the
 boundary.  Cutting the cyclic order at the 0-degree ray turns every
 polygon into a strictly increasing subsequence of the angle-sorted
 direction list, so one monotone sweep over that list enumerates each
-polygon exactly once.  The running shoelace sum relative to the start
+polygon exactly once.  That list is generated in angle order, with no
+sort: the Farey sequence's next-term rule gives the first quarter turn,
+and three rotations by 90 degrees (one for a half-plane) give the rest
+(`_primitive_directions`).  The running shoelace sum relative to the start
 vertex is twice the swept area; it never decreases along chains that
 can still close convexly (each increment is twice a fan triangle of the
 final polygon as seen from the start vertex), which makes both the
@@ -92,7 +95,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from stablenorm.errors import (
     ConstructionError,
@@ -137,6 +140,19 @@ def angle_key(v: IntVec) -> tuple[int, Fraction]:
     return (3, Fraction(-x, y))
 
 
+def _wraps(edges: Sequence[IntVec]) -> int:
+    """How often a cycle of strictly left-turning edges passes angle 0,
+    its winding number.
+
+    Each turn is less than a half turn, so the angle passes 0 exactly at
+    a step from an edge in the lower half-plane, angle in [pi, 2pi), to
+    one in the upper half-plane; the steps where `angle_key` decreases
+    are these.
+    """
+    lower = [y < 0 or (y == 0 and x < 0) for x, y in edges]
+    return sum(1 for i in range(len(lower)) if lower[i - 1] and not lower[i])
+
+
 @dataclass(frozen=True)
 class LatticePolygon:
     """Strictly convex lattice polygon with counterclockwise vertices.
@@ -164,9 +180,7 @@ class LatticePolygon:
                 raise ValidationError(
                     f"not strictly convex counterclockwise at vertex {(i + 1) % n}"
                 )
-        keys = [angle_key(e) for e in edges]
-        wraps = sum(1 for i in range(n) if keys[(i + 1) % n] < keys[i])
-        if wraps != 1:
+        if _wraps(edges) != 1:
             raise ValidationError("edge directions wind around more than once")
 
     @property
@@ -202,12 +216,14 @@ def pick_counts(p: LatticePolygon, self_check: bool = False) -> PickCounts:
     twice_area = sum(_cross(v[i], v[(i + 1) % n]) for i in range(n))
     if twice_area <= 0:
         raise ValidationError("polygon is not positively oriented")
-    area = Fraction(twice_area, 2)
-    boundary = sum(gcd(abs(ex), abs(ey)) for (ex, ey) in p.edge_vectors)
-    interior_f = area - Fraction(boundary, 2) + 1
-    if interior_f.denominator != 1 or interior_f < 0:
-        raise ValidationError(f"interior count came out as {interior_f}, not a count")
-    interior = int(interior_f)
+    boundary = sum(gcd(ex, ey) for (ex, ey) in p.edge_vectors)
+    # Pick's identity doubled, in ints: 2i = 2A - b + 2
+    twice_interior = twice_area - boundary + 2
+    if twice_interior % 2 or twice_interior < 0:
+        raise ValidationError(
+            f"interior count came out as {Fraction(twice_interior, 2)}, not a count"
+        )
+    interior = twice_interior // 2
     if self_check:
         got_i, got_b = _scan_counts(v)
         if (got_i, got_b) != (interior, boundary):
@@ -215,7 +231,7 @@ def pick_counts(p: LatticePolygon, self_check: bool = False) -> PickCounts:
                 "point scan disagrees with Pick: "
                 f"formula ({interior}, {boundary}), scan ({got_i}, {got_b})"
             )
-    return PickCounts(area=area, interior=interior, boundary=boundary)
+    return PickCounts(area=Fraction(twice_area, 2), interior=interior, boundary=boundary)
 
 
 def _scan_counts(v: Sequence[IntVec]) -> tuple[int, int]:
@@ -308,6 +324,14 @@ def _primitive_directions(
     """Primitive vectors with coordinates within `bound` in angle order,
     only those with angle in [0, pi) if `upper_half_only`.
 
+    The first quarter turn, angles in [0, pi/2), comes from the Farey
+    sequence F_bound, the reduced fractions a/b in [0, 1] with
+    b <= bound in ascending order, which the next-term rule generates
+    without sorting (Hardy & Wright, ch. III): (b, a) for each a/b gives
+    the angles up to pi/4, and (a, b) for the a/b strictly between 0 and
+    1, in descending order, the rest.  The other quarter turns are that
+    list rotated by pi/2.
+
     A sweep expands its root at least once on every direction but the
     last `rootless`, so given the `sweep` this first counts the
     directions, 8*phi(n) (4*phi(n) in the upper half) with largest
@@ -328,13 +352,17 @@ def _primitive_directions(
                     nodes_expanded=sweep.ops,
                     budget=sweep.budget,
                 )
-    out = [
-        (x, y)
-        for x in range(-bound, bound + 1)
-        for y in range(0 if upper_half_only else -bound, bound + 1)
-        if gcd(x, y) == 1 and not (upper_half_only and y == 0 and x < 0)
-    ]
-    out.sort(key=angle_key)
+    farey = [(0, 1)]
+    a, b, c, d = 0, 1, 1, bound
+    while c <= bound:
+        t = (bound + b) // d
+        a, b, c, d = c, d, t * c - a, t * d - b
+        farey.append((a, b))
+    quarter = [(b, a) for a, b in farey] + [(a, b) for a, b in reversed(farey) if 0 < a < b]
+    out = list(quarter)
+    for _ in range(1 if upper_half_only else 3):
+        quarter = [(-y, x) for x, y in quarter]
+        out += quarter
     return out
 
 
@@ -500,6 +528,7 @@ def _sweep_areas(
         for j in range(k_max - 1, -1, -1):
             here, here_links = costs[j], links[j]
             ahead, ahead_links = costs[j + 1], links[j + 1]
+            get = ahead.get
             # the box a new partial sum must lie in to close with r more
             # edges, all on directions after d
             r = k_max - j - 1
@@ -540,20 +569,21 @@ def _sweep_areas(
                 nc, nwx, nwy = c + cr, wx + dx, wy + dy
                 if xl <= nwx <= xh and yl <= nwy <= yh:
                     nkey = (nwx, nwy, prim)
-                    old = ahead.get(nkey)
+                    old = get(nkey)
                     if old is None or nc < old:
                         ahead[nkey] = nc
                         ahead_links[nkey] = (here_links[key], d, 1)
-                for m in range(2, top + 1):
-                    nc += cr
-                    nwx += dx
-                    nwy += dy
-                    if xl <= nwx <= xh and yl <= nwy <= yh:
-                        nkey = (nwx, nwy, False)
-                        old = ahead.get(nkey)
-                        if old is None or nc < old:
-                            ahead[nkey] = nc
-                            ahead_links[nkey] = (here_links[key], d, m)
+                if top > 1:
+                    for m in range(2, top + 1):
+                        nc += cr
+                        nwx += dx
+                        nwy += dy
+                        if xl <= nwx <= xh and yl <= nwy <= yh:
+                            nkey = (nwx, nwy, False)
+                            old = get(nkey)
+                            if old is None or nc < old:
+                                ahead[nkey] = nc
+                                ahead_links[nkey] = (here_links[key], d, m)
             for key in dead:
                 del here[key], here_links[key]
         sweep.ops += ops
@@ -565,20 +595,48 @@ def _sweep_areas(
     return {k: found[k] for k in sorted(found)}, sweep.ops
 
 
+def _most_compact(
+    corner_sets: Iterable[tuple[IntVec, ...]], translate: bool
+) -> Optional[tuple[int, LatticePolygon]]:
+    """The position of the candidate with the least score, (spread,
+    canonical vertices), and that candidate as a polygon in canonical
+    form; None if there is no candidate.
+
+    The spread, the largest coordinate size of the canonical form, does
+    not change under the 8 lattice symmetries, so it is read off the raw
+    corners: the larger side of their bounding box with `translate`, the
+    largest |coordinate| about the origin without.  Only a candidate
+    whose spread ties or beats the best so far is canonicalized; equal
+    scores are equal canonical vertices, so the pick is that of scoring
+    every candidate.
+    """
+    best: Optional[tuple[tuple, int, LatticePolygon]] = None
+    for i, corners in enumerate(corner_sets):
+        if translate:
+            xs = [x for x, _ in corners]
+            ys = [y for _, y in corners]
+            spread = max(max(xs) - min(xs), max(ys) - min(ys))
+        else:
+            spread = max(max(abs(x), abs(y)) for x, y in corners)
+        if best is not None and spread > best[0][0]:
+            continue
+        poly = LatticePolygon(canonical_form(corners, translate))
+        score = (spread, poly.vertices)
+        if best is None or score < best[0]:
+            best = (score, i, poly)
+    return None if best is None else best[1:]
+
+
 def _pick_area_witness(slot: AreaSlot) -> tuple[int, LatticePolygon]:
     """Most compact canonical witness among the pooled optimal chains,
     drawn from the all-primitive pool when it ties the optimum."""
     c2, links = slot[False]
     if True in slot and slot[True][0] == c2:
         links = slot[True][1]
-    best: Optional[tuple[tuple, LatticePolygon]] = None
-    for link in links:
-        corners = _corners_from_edges(_expand_edges(_chain_steps(link)), (0, 0))
-        poly = LatticePolygon(canonical_form(corners))
-        spread = max(max(abs(x), abs(y)) for (x, y) in poly.vertices)
-        score = (spread, poly.vertices)
-        if best is None or score < best[0]:
-            best = (score, poly)
+    best = _most_compact(
+        (_corners_from_edges(_expand_edges(_chain_steps(link)), (0, 0)) for link in links),
+        translate=True,
+    )
     if best is None:
         raise InvariantError(f"optimal area {Fraction(c2, 2)} has no witness chain")
     return c2, best[1]
@@ -783,6 +841,7 @@ def _sweep_symmetric(
         for j in range(m_target - 1, -1, -1):
             here, here_links = costs[j], links[j]
             ahead, ahead_links = costs[j + 1], links[j + 1]
+            get = ahead.get
             for key, cost in here.items():
                 wx, wy, prim = key
                 cr = wx * dy - wy * dx
@@ -802,19 +861,20 @@ def _sweep_symmetric(
                 # step 1 keeps the primitive flag, as in `_sweep_areas`
                 nc, nwx, nwy = cost + step, wx + dx, wy + dy
                 nkey = (nwx, nwy, prim)
-                old = ahead.get(nkey)
+                old = get(nkey)
                 if old is None or nc < old:
                     ahead[nkey] = nc
                     ahead_links[nkey] = (here_links[key], d, 1)
-                for mult in range(2, top + 1):
-                    nc += step
-                    nwx += dx
-                    nwy += dy
-                    nkey = (nwx, nwy, False)
-                    old = ahead.get(nkey)
-                    if old is None or nc < old:
-                        ahead[nkey] = nc
-                        ahead_links[nkey] = (here_links[key], d, mult)
+                if top > 1:
+                    for mult in range(2, top + 1):
+                        nc += step
+                        nwx += dx
+                        nwy += dy
+                        nkey = (nwx, nwy, False)
+                        old = get(nkey)
+                        if old is None or nc < old:
+                            ahead[nkey] = nc
+                            ahead_links[nkey] = (here_links[key], d, mult)
         sweep.ops += ops
         sweep.check_budget("(no symmetric polygon completed yet)")
     finished_links = links[m_target]
@@ -833,6 +893,16 @@ def _even_finals(finished: dict) -> list[tuple[int, bool, tuple]]:
         for (_j, wx, wy, prim), (cost, link) in finished.items()
         if wx % 2 == 0 and wy % 2 == 0
     ]
+
+
+def _symmetric_corners(link: tuple) -> tuple[IntVec, ...]:
+    """Corners of the polygon a finished half-chain closes into, centered
+    on the origin; its sum is even."""
+    half_edges = _expand_edges(_chain_steps(link))
+    sx = sum(e[0] for e in half_edges)
+    sy = sum(e[1] for e in half_edges)
+    edges = half_edges + [(-ex, -ey) for (ex, ey) in half_edges]
+    return _corners_from_edges(edges, (-sx // 2, -sy // 2))
 
 
 def min_interior_symmetric(
@@ -893,24 +963,16 @@ def min_interior_symmetric(
         raise InvariantError(f"interior count {interior} below the origin floor")
     want_prim = prefer_primitive and prim_ties
 
-    best_pick: Optional[tuple[tuple, LatticePolygon, bool]] = None
-    for cost, prim, link in finals:
-        if cost != min_cost or (want_prim and not prim):
-            continue
-        half_edges = _expand_edges(_chain_steps(link))
-        sx = sum(e[0] for e in half_edges)
-        sy = sum(e[1] for e in half_edges)
-        edges = half_edges + [(-ex, -ey) for (ex, ey) in half_edges]
-        corners = _corners_from_edges(edges, (-sx // 2, -sy // 2))
-        poly = LatticePolygon(canonical_form(corners, translate=False))
-        spread = max(max(abs(x), abs(y)) for (x, y) in poly.vertices)
-        score = (spread, poly.vertices)
-        if best_pick is None or score < best_pick[0]:
-            best_pick = (score, poly, prim)
-    if best_pick is None:
+    candidates = [
+        (prim, link)
+        for cost, prim, link in finals
+        if cost == min_cost and (prim or not want_prim)
+    ]
+    best = _most_compact((_symmetric_corners(link) for _prim, link in candidates), translate=False)
+    if best is None:
         raise InvariantError(f"minimal symmetric {two_m}-gon has no witness chain")
-    witness = best_pick[1]
-    prim = best_pick[2]
+    prim = candidates[best[0]][0]
+    witness = best[1]
     counts = pick_counts(witness)
     if counts.interior != interior:
         raise InvariantError(

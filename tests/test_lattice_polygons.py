@@ -8,6 +8,7 @@ counts through Pick's identity and through the brute-force point scan.
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,14 @@ def strict_hull(points):
 points_strategy = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=3, max_size=24
 )
+nonzero_vectors = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0))
+
+
+def reference_wraps(edges):
+    """How often the `angle_key` order of a cyclic edge list decreases,
+    the winding check `LatticePolygon` made before it counted in ints."""
+    keys = [angle_key(e) for e in edges]
+    return sum(1 for i in range(len(keys)) if keys[(i + 1) % len(keys)] < keys[i])
 
 
 class TestPickCounts:
@@ -157,6 +166,24 @@ class TestLatticePolygonValidation:
         verts = ((0, 0), (3, 0), (3, 3), (-1, 3), (-1, 1), (1, 1), (1, 2), (0, 2))
         with pytest.raises(ValidationError, match="wind"):
             LatticePolygon(verts)
+        edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
+        assert lattice_polygons._wraps(edges) == reference_wraps(edges) == 2
+
+    @given(
+        st.lists(st.lists(nonzero_vectors, min_size=3, max_size=10), min_size=1, max_size=3),
+        st.integers(0, 23),
+    )
+    @settings(max_examples=300)
+    def test_wrap_count_matches_angle_order(self, windings, offset):
+        # every strictly turning edge cycle, cut just after it passes
+        # angle 0, is a run of angle-sorted edges, one per direction, for
+        # each winding
+        edges = [e for run in windings for _key, e in sorted({angle_key(e): e for e in run}.items())]
+        offset %= len(edges)
+        edges = edges[offset:] + edges[:offset]
+        if any(_cross(edges[i - 1], edges[i]) <= 0 for i in range(len(edges))):
+            return
+        assert lattice_polygons._wraps(edges) == reference_wraps(edges)
 
     def test_pick_rejects_nonsense_k(self):
         for bad in (2, 13, "5", 4.0):
@@ -550,6 +577,29 @@ class TestCanonicalForm:
         shifted = [(x + dx, y + dy) for (x, y) in hull]
         assert canonical_form(shifted) == canonical_form(hull)
 
+    @given(points_strategy, st.integers(-9, 9), st.integers(-9, 9))
+    @settings(max_examples=60)
+    def test_spread_read_off_the_raw_corners(self, pts, dx, dy):
+        # the witness pick scores the canonical form by its largest
+        # coordinate size, and reads it off the corners it starts from
+        hull = strict_hull([(x + dx, y + dy) for (x, y) in pts])
+        if hull is None:
+            return
+        xs, ys = [x for x, _ in hull], [y for _, y in hull]
+        spread = max(max(abs(x), abs(y)) for x, y in canonical_form(hull))
+        assert spread == max(max(xs) - min(xs), max(ys) - min(ys))
+
+    @given(points_strategy, st.integers(-6, 6), st.integers(-6, 6))
+    @settings(max_examples=60)
+    def test_spread_about_the_center_read_off_the_raw_corners(self, pts, dx, dy):
+        shifted = [(x + dx, y + dy) for (x, y) in pts]
+        hull = strict_hull(shifted + [(-x, -y) for (x, y) in shifted])
+        if hull is None:
+            return
+        assert LatticePolygon(hull).is_centrally_symmetric()
+        spread = max(max(abs(x), abs(y)) for x, y in canonical_form(hull, translate=False))
+        assert spread == max(max(abs(x), abs(y)) for x, y in hull)
+
 
 # -- reference sweeps -------------------------------------------------------
 #
@@ -651,6 +701,32 @@ def reference_sweep_symmetric(m_target, coord_bound, budget):
         sweep.check_budget("(no symmetric polygon completed yet)")
     finished = {key: v for key, v in states.items() if key[0] == m_target}
     return finished, sweep.ops
+
+
+def reference_primitive_directions(bound, upper_half_only=False):
+    """The primitive vectors within `bound` sorted by `angle_key`, as the
+    sweeps ordered them before the Farey rule generated them in order."""
+    out = [
+        (x, y)
+        for x in range(-bound, bound + 1)
+        for y in range(0 if upper_half_only else -bound, bound + 1)
+        if gcd(x, y) == 1 and not (upper_half_only and y == 0 and x < 0)
+    ]
+    out.sort(key=angle_key)
+    return out
+
+
+def reference_most_compact(corner_sets, translate):
+    """`_most_compact` as it was before it read the spread off the raw
+    corners: every candidate is canonicalized and scored."""
+    best = None
+    for i, corners in enumerate(corner_sets):
+        poly = LatticePolygon(canonical_form(corners, translate))
+        spread = max(max(abs(x), abs(y)) for (x, y) in poly.vertices)
+        score = (spread, poly.vertices)
+        if best is None or score < best[0]:
+            best = (score, i, poly)
+    return None if best is None else best[1:]
 
 
 def reference_areas_capped(k_max, coord_bound, cap, budget):
@@ -779,3 +855,30 @@ class TestSweepAgainstReference:
                 for prefer in (False, True)
             ]
         assert results["new"] == results["ref"]
+
+
+class TestSelectionAgainstReference:
+    @pytest.mark.parametrize("upper_half_only", [False, True])
+    def test_directions_match_reference(self, upper_half_only):
+        for bound in range(1, 17):
+            assert lattice_polygons._primitive_directions(
+                bound, upper_half_only
+            ) == reference_primitive_directions(bound, upper_half_only), bound
+
+    @pytest.mark.parametrize("bound", range(2, 7))
+    @pytest.mark.parametrize("pruned", [True, False])
+    def test_area_witnesses_match_reference(self, bound, pruned, monkeypatch):
+        call = lambda: min_area_table(3, 8, coord_bound=bound, pruned=pruned)
+        new = _area_results(call)
+        monkeypatch.setattr(lattice_polygons, "_most_compact", reference_most_compact)
+        assert new == _area_results(call)
+
+    @pytest.mark.parametrize("two_m", range(4, 17, 2))
+    def test_symmetric_witnesses_match_reference(self, two_m, monkeypatch):
+        calls = [
+            lambda prefer=prefer: min_interior_symmetric(two_m, prefer_primitive=prefer)
+            for prefer in (False, True)
+        ]
+        new = [_symmetric_results(call) for call in calls]
+        monkeypatch.setattr(lattice_polygons, "_most_compact", reference_most_compact)
+        assert new == [_symmetric_results(call) for call in calls]
