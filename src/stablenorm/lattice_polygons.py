@@ -10,16 +10,18 @@ weighted sum vanishes; reading the directions in angle order traces the
 boundary.  Cutting the cyclic order at the 0-degree ray turns every
 polygon into a strictly increasing subsequence of the angle-sorted
 direction list, so one monotone sweep over that list enumerates each
-polygon exactly once.  That list is generated in angle order, with no
-sort: the Farey sequence's next-term rule gives the first quarter turn,
-and three rotations by 90 degrees (one for a half-plane) give the rest
-(`_primitive_directions`).  The running shoelace sum relative to the start
-vertex is twice the swept area; it never decreases along chains that
-can still close convexly (each increment is twice a fan triangle of the
-final polygon as seen from the start vertex), which makes both the
-cost cap and the minimum-merge on repeated (edges used, partial sum)
-states sound.  A closing edge always runs straight back to the
-start, so closures happen exactly at the anti-parallel steps.
+polygon exactly once; starting chains only in the first quarter turn,
+it enumerates each polygon up to a quarter turn (below).  That list is
+generated in angle order, with no sort: the Farey sequence's next-term
+rule gives the first quarter turn, and three rotations by 90 degrees
+(one for a half-plane) give the rest (`_primitive_directions`).  The
+running shoelace sum relative to the start vertex is twice the swept
+area; it never decreases along chains that can still close convexly
+(each increment is twice a fan triangle of the final polygon as seen
+from the start vertex), which makes both the cost cap and the
+minimum-merge on repeated (edges used, partial sum) states sound.  A
+closing edge always runs straight back to the start, so closures happen
+exactly at the anti-parallel steps.
 
 Each direction layer visits only chains that can still close:
 
@@ -41,7 +43,34 @@ Each direction layer visits only chains that can still close:
 Dropping a state never changes the cost or the store position of a
 kept one: a chain that can close has only parents that can close, and a
 dropped key is never offered again.  Closures, witness pools and
-witnesses therefore come out exactly as from the full sweep.
+witnesses therefore come out exactly as from the sweep that keeps them.
+
+Quarter-turn symmetry.  The quarter turn R(x, y) = (-y, x) has
+determinant 1 and keeps max(|x|, |y|), so it keeps cross products,
+doubled areas, interior and corner counts, primitivity, multiplicity
+caps and the coordinate bound, and it maps each quarter of the
+direction list onto the next (`_primitive_directions`).
+
+- Polygons.  Let a convex lattice polygon's least edge angle in
+  [0, 2pi) be a, with q*pi/2 <= a < (q+1)*pi/2.  R^-q turns every edge
+  angle t in [a, 2pi) into t - q*pi/2 in [0, 2pi), so the image's least
+  edge angle is a - q*pi/2, in [0, pi/2), and the image is a polygon of
+  the same class within the same bound.
+- Half-chains.  A centrally symmetric polygon's half-chain holds its
+  edges with angle in [0, pi).  If its least angle is at least pi/2,
+  the polygon has no edge in [0, pi/2) and, by the symmetry, none in
+  [pi, 3pi/2), so R^-1 takes the half-chain's edges into [0, pi/2):
+  they are the image's half-chain, with the same cost, and its sum
+  R^-1 S is even exactly when S is.
+
+So every minimum, `certified` flag, interior count, f(m) and
+all-primitive preference is attained by a chain whose first edge lies in
+[0, pi/2), and the root, store 0, is cleared once the layer index
+reaches a quarter of the list (half of the upper-half list).  The cut
+drops live chains, so a kept key can lose the cheaper or earlier chain
+that started later and its pool holds other chains than an uncut
+sweep's; witnesses are canonical over the 8 lattice symmetries, and the
+tests check them against the uncut sweep.
 
 Layered stores.  A sweep keeps one store per edge count j, keyed
 (x, y, all primitive) with costs and chain links in two dicts, and a
@@ -332,19 +361,22 @@ def _primitive_directions(
     1, in descending order, the rest.  The other quarter turns are that
     list rotated by pi/2.
 
-    A sweep expands its root at least once on every direction but the
-    last `rootless`, so given the `sweep` this first counts the
-    directions, 8*phi(n) (4*phi(n) in the upper half) with largest
-    coordinate n for n = 1..bound, and raises SearchBudgetError as soon
-    as the count forces more transitions than its budget has left,
-    before it builds the list.
+    A sweep expands its root at least once on every direction of the
+    first quarter turn but those among its last `rootless` (quarter-turn
+    symmetry, module docstring).  Given the `sweep`, this first counts
+    them: the first quarter holds 2*phi(n) directions with largest
+    coordinate n for n = 1..bound, and the whole list 4 (2 in the upper
+    half) times as many.  It raises SearchBudgetError as soon as the
+    count forces more transitions than the budget has left, before it
+    builds the list; a partial count forces no more than the full one.
     """
     if sweep is not None:
-        room = sweep.budget - sweep.ops + rootless
-        count = 0
+        room = sweep.budget - sweep.ops
+        quarters = 2 if upper_half_only else 4
+        quarter = 0
         for n in range(1, bound + 1):
-            count += (4 if upper_half_only else 8) * _totient(n)
-            if count > room:
+            quarter += 2 * _totient(n)
+            if quarter - max(0, rootless - (quarters - 1) * quarter) > room:
                 raise SearchBudgetError(
                     f"polygon search exhausted its budget of {sweep.budget} transitions: "
                     f"the primitive directions within coordinate bound {bound} "
@@ -413,37 +445,21 @@ def _rooted_stores(count: int) -> tuple[list[dict], list[dict]]:
 _WITNESS_POOL = 64
 
 
-def _chain_steps(link) -> list[tuple[IntVec, int]]:
+def _chain_corners(link) -> list[IntVec]:
+    """The partial sums of a chain's steps from the origin, its end
+    included.  A step is a run on one direction and the next step turns
+    strictly left, so these are the corners the chain passes."""
     steps = []
     while link is not None:
         link, d, m = link
         steps.append((d, m))
-    steps.reverse()
-    return steps
-
-
-def _expand_edges(steps: Sequence[tuple[IntVec, int]]) -> list[IntVec]:
-    edges: list[IntVec] = []
-    for d, m in steps:
-        edges.extend([d] * m)
-    return edges
-
-
-def _corners_from_edges(edges: Sequence[IntVec], start: IntVec) -> tuple[IntVec, ...]:
-    """Walk the edge cycle from `start`, dropping the division points
-    that edge multiplicities introduce along straight runs."""
-    verts = [start]
-    for e in edges[:-1]:
-        verts.append((verts[-1][0] + e[0], verts[-1][1] + e[1]))
-    n = len(verts)
-    corners = []
-    for i in range(n):
-        prev = verts[i - 1]
-        cur = verts[i]
-        nxt = verts[(i + 1) % n]
-        if _cross((cur[0] - prev[0], cur[1] - prev[1]), (nxt[0] - cur[0], nxt[1] - cur[1])) != 0:
-            corners.append(cur)
-    return tuple(corners)
+    x = y = 0
+    corners = [(0, 0)]
+    for (dx, dy), m in reversed(steps):
+        x += m * dx
+        y += m * dy
+        corners.append((x, y))
+    return corners
 
 
 @dataclass(frozen=True)
@@ -454,7 +470,9 @@ class MinAreaResult:
     k/2 - 1, where no polygon outside the coordinate bound can do
     better; otherwise the minimum is exact only over polygons whose
     edge vectors fit the bound.  `states_explored` counts the
-    transitions of every sweep the search ran, its seed sweep included.
+    transitions of every sweep the search ran, its seed sweep included;
+    each sweep starts chains only on the first quarter turn's directions
+    (module docstring).
     """
 
     k: int
@@ -507,12 +525,14 @@ def _sweep_areas(
     is tracked separately so callers can prefer witnesses whose boundary
     points are exactly the corners.  `cap` is the largest doubled area a
     chain may sweep (module docstring); None keeps the enumeration
-    complete.  Each layer keeps only the chains that can still close,
-    in their insertion order.
+    complete up to a quarter turn: the root starts chains only on the
+    first quarter of the directions, angles in [0, pi/2).  Each layer
+    keeps only the chains that can still close, in their insertion
+    order.
     """
     sweep = _Sweep(budget, spent)
     found: dict[int, AreaSlot] = {}
-    # every layer expands the root at least once
+    # every layer of the first quarter turn expands the root at least once
     dirs = _primitive_directions(coord_bound, sweep=sweep)
     caps = [coord_bound // max(abs(dx), abs(dy)) for dx, dy in dirs]
     reach = _later_reach(dirs, caps)
@@ -521,6 +541,10 @@ def _sweep_areas(
     # the origin, which only a closure reaches
     costs, links = _rooted_stores(k_max + 1)
     for i, d in enumerate(dirs):
+        if i == len(dirs) // 4:
+            # chains start only in the first quarter turn (module docstring)
+            costs[0].clear()
+            links[0].clear()
         dx, dy = d
         mult_cap = caps[i]
         px, mx, py, my = reach[i + 1]
@@ -537,7 +561,8 @@ def _sweep_areas(
             for key, c in here.items():
                 wx, wy, prim = key
                 cr = wx * dy - wy * dx
-                # the root (j == 0) starts a chain on every direction
+                # the root (j == 0), while kept, starts a chain on every
+                # direction
                 if cr <= 0 and j:
                     if cr == 0:
                         # the closing edge runs straight back to the
@@ -596,35 +621,42 @@ def _sweep_areas(
 
 
 def _most_compact(
-    corner_sets: Iterable[tuple[IntVec, ...]], translate: bool
+    corner_sets: Iterable[Sequence[IntVec]], translate: bool
 ) -> Optional[tuple[int, LatticePolygon]]:
     """The position of the candidate with the least score, (spread,
     canonical vertices), and that candidate as a polygon in canonical
     form; None if there is no candidate.
 
-    The spread, the largest coordinate size of the canonical form, does
-    not change under the 8 lattice symmetries, so it is read off the raw
-    corners: the larger side of their bounding box with `translate`, the
-    largest |coordinate| about the origin without.  Only a candidate
-    whose spread ties or beats the best so far is canonicalized; equal
-    scores are equal canonical vertices, so the pick is that of scoring
-    every candidate.
+    With `translate` a candidate is its polygon's corners.  Without, it
+    is the first half of the corners of a polygon symmetric about the
+    origin, and the rest are their negations.  The spread, the largest
+    coordinate size of the canonical form, does not change under the 8
+    lattice symmetries, so it is read off the raw corners: the larger
+    side of their bounding box with `translate`, the largest |coordinate|
+    of the half without (negation keeps it).  Only the candidates of
+    least spread are completed and canonicalized; the first of least
+    canonical vertices among them is the pick of scoring every candidate.
     """
-    best: Optional[tuple[tuple, int, LatticePolygon]] = None
-    for i, corners in enumerate(corner_sets):
+    candidates = list(corner_sets)
+    spreads = []
+    for corners in candidates:
         if translate:
             xs = [x for x, _ in corners]
             ys = [y for _, y in corners]
-            spread = max(max(xs) - min(xs), max(ys) - min(ys))
+            spreads.append(max(max(xs) - min(xs), max(ys) - min(ys)))
         else:
-            spread = max(max(abs(x), abs(y)) for x, y in corners)
-        if best is not None and spread > best[0][0]:
+            spreads.append(max(max(abs(x), abs(y)) for x, y in corners))
+    least = min(spreads, default=None)
+    best: Optional[tuple[int, LatticePolygon]] = None
+    for i, corners in enumerate(candidates):
+        if spreads[i] != least:
             continue
+        if not translate:
+            corners = [*corners, *((-x, -y) for x, y in corners)]
         poly = LatticePolygon(canonical_form(corners, translate))
-        score = (spread, poly.vertices)
-        if best is None or score < best[0]:
-            best = (score, i, poly)
-    return None if best is None else best[1:]
+        if best is None or poly.vertices < best[1].vertices:
+            best = (i, poly)
+    return best
 
 
 def _pick_area_witness(slot: AreaSlot) -> tuple[int, LatticePolygon]:
@@ -633,10 +665,8 @@ def _pick_area_witness(slot: AreaSlot) -> tuple[int, LatticePolygon]:
     c2, links = slot[False]
     if True in slot and slot[True][0] == c2:
         links = slot[True][1]
-    best = _most_compact(
-        (_corners_from_edges(_expand_edges(_chain_steps(link)), (0, 0)) for link in links),
-        translate=True,
-    )
+    # a closed chain ends where it starts
+    best = _most_compact((_chain_corners(link)[:-1] for link in links), translate=True)
     if best is None:
         raise InvariantError(f"optimal area {Fraction(c2, 2)} has no witness chain")
     return c2, best[1]
@@ -715,11 +745,12 @@ def min_area_convex_kgon(
     directions whose edge vectors have coordinates within `coord_bound`
     (default 6 for k <= 8, else 10).  With `pruned`, a quick small-bound
     sweep seeds a cost cap, and chains that already sweep the seeded
-    area are cut; with `pruned=False` the sweep enumerates every
-    polygon that can close within the bound, dropping only chains that
-    cannot close (module docstring).  The witness comes back in
-    canonical position, preferring one whose edges are all primitive
-    when that ties the minimum.  This is the one row of
+    area are cut; with `pruned=False` the sweep has no cost cap and
+    enumerates every polygon that can close within the bound up to a
+    quarter turn, dropping only chains that cannot close and chains
+    that start after the first quarter turn (module docstring).  The
+    witness comes back in canonical position, preferring one whose edges
+    are all primitive when that ties the minimum.  This is the one row of
     `min_area_table(k, k, ...)`.
     """
     if not isinstance(k, int) or not 3 <= k <= 12:
@@ -820,17 +851,26 @@ def _sweep_symmetric(
     A finished half-chain is set aside in store `m_target`, which no
     layer walks, as soon as it is made, and a half-chain that cannot
     reach `m_target` edges on the directions left is dropped, so each
-    layer visits only half-chains that can still finish.  `cap` is the
-    largest cost a half-chain may carry (module docstring); None keeps
-    every half-chain.
+    layer visits only half-chains that can still finish.  The root
+    starts half-chains only on the first half of the upper-half
+    directions, angles in [0, pi/2), and every centrally symmetric
+    polygon has a quarter turn whose half-chain starts there (module
+    docstring).  `cap` is the largest cost a half-chain may carry; None
+    keeps every half-chain that starts there.
     """
     sweep = _Sweep(budget, spent)
-    # the root is dropped only in the last m_target - 1 layers
+    # the root is dropped after the first quarter turn, and in the last
+    # m_target - 1 layers
     dirs = _primitive_directions(
         coord_bound, upper_half_only=True, sweep=sweep, rootless=m_target - 1
     )
     costs, links = _rooted_stores(m_target + 1)
     for i, d in enumerate(dirs):
+        if i == len(dirs) // 2:
+            # half-chains start only in the first quarter turn (module
+            # docstring)
+            costs[0].clear()
+            links[0].clear()
         dx, dy = d
         mult_cap = coord_bound // max(abs(dx), abs(dy))
         # a half-chain takes at most one edge per direction still to come
@@ -895,14 +935,13 @@ def _even_finals(finished: dict) -> list[tuple[int, bool, tuple]]:
     ]
 
 
-def _symmetric_corners(link: tuple) -> tuple[IntVec, ...]:
-    """Corners of the polygon a finished half-chain closes into, centered
-    on the origin; its sum is even."""
-    half_edges = _expand_edges(_chain_steps(link))
-    sx = sum(e[0] for e in half_edges)
-    sy = sum(e[1] for e in half_edges)
-    edges = half_edges + [(-ex, -ey) for (ex, ey) in half_edges]
-    return _corners_from_edges(edges, (-sx // 2, -sy // 2))
+def _centred_half(link: tuple) -> list[IntVec]:
+    """The first half of the corners of the polygon a finished half-chain
+    closes into, centred on the origin: the chain's corners less half its
+    sum S, which is even, S/2 itself left out as the negation of -S/2."""
+    corners = _chain_corners(link)
+    sx, sy = corners.pop()
+    return [(x - sx // 2, y - sy // 2) for x, y in corners]
 
 
 def min_interior_symmetric(
@@ -968,7 +1007,7 @@ def min_interior_symmetric(
         for cost, prim, link in finals
         if cost == min_cost and (prim or not want_prim)
     ]
-    best = _most_compact((_symmetric_corners(link) for _prim, link in candidates), translate=False)
+    best = _most_compact((_centred_half(link) for _prim, link in candidates), translate=False)
     if best is None:
         raise InvariantError(f"minimal symmetric {two_m}-gon has no witness chain")
     prim = candidates[best[0]][0]

@@ -248,6 +248,15 @@ class TestMinArea:
             assert min_area_table(row.k, row.k, bound, pruned)[0] == single
             assert dataclasses.replace(row, states_explored=single.states_explored) == single
 
+    @pytest.mark.parametrize("k_max", [8, 9, 10])
+    def test_row_witness_independent_of_k_max(self, k_max):
+        # past k_max = 8 the default bound is 10; a table of that bound
+        # whose sweeps started chains on every direction gave rows 5 and
+        # 7 a less compact witness than the single-k searches
+        for row in min_area_table(3, k_max)[: 8 - 3 + 1]:
+            single = min_area_convex_kgon(row.k)
+            assert (row.area, row.witness) == (single.area, single.witness), row.k
+
     def test_areas_nondecreasing(self):
         areas = [min_area_convex_kgon(k).area for k in range(3, 9)]
         assert areas == sorted(areas)
@@ -292,18 +301,20 @@ class TestMinArea:
     @pytest.mark.parametrize(
         "search,seed",
         [
-            (lambda b: min_interior_symmetric(6, coord_bound=b, budget=5), None),
-            (lambda b: min_area_convex_kgon(4, coord_bound=b, budget=10), None),
+            (lambda b: min_interior_symmetric(6, coord_bound=b, budget=3), None),
+            (lambda b: min_area_convex_kgon(4, coord_bound=b, budget=3), None),
             (lambda b: min_area_table(3, 5, coord_bound=b, budget=2000), lambda r: r[0]),
             (lambda b: min_interior_symmetric(6, coord_bound=b, budget=1000), lambda r: r),
         ],
         ids=["symmetric-seed", "kgon-seed", "table-full", "symmetric-full"],
     )
     def test_direction_count_checked_against_budget(self, search, seed):
-        # about 6e10 primitive directions fit the bound and each forces a
-        # transition, so the search stops while still making them: in the
-        # seed sweep's set-up, or in the full sweep's once the seed sweep
-        # (the whole search at bound 2) has run
+        # about 6e10 primitive directions fit the bound and each of the
+        # first quarter turn's forces a transition, so the search stops
+        # while still making them: in the seed sweep's set-up, whose 4
+        # forced transitions at bound 2 top the budget of 3, or in the
+        # full sweep's once the seed sweep (the whole search at bound 2)
+        # has run
         spent = 0 if seed is None else seed(search(2)).states_explored
         with pytest.raises(SearchBudgetError, match="directions") as exc:
             search(100_000)
@@ -312,18 +323,28 @@ class TestMinArea:
     @pytest.mark.parametrize(
         "search,enough",
         [
-            (lambda b: min_area_convex_kgon(4, coord_bound=3, pruned=False, budget=b), 32),
-            (lambda b: min_interior_symmetric(6, coord_bound=2, budget=b), 6),
+            (lambda b: min_area_convex_kgon(4, coord_bound=3, pruned=False, budget=b), 8),
+            (lambda b: min_interior_symmetric(6, coord_bound=2, budget=b), 4),
         ],
         ids=["kgon", "symmetric"],
     )
     def test_direction_count_is_exact(self, search, enough):
-        # 8*(1 + 1 + 2) directions at bound 3; 4*(1 + 1) at bound 2, less
-        # the m_target - 1 = 2 layers that do not expand the root
+        # the root expands on the first quarter turn's 2*(1 + 1 + 2)
+        # directions at bound 3, and on its 2*(1 + 1) at bound 2, where
+        # the last m_target - 1 = 2 layers that do not expand the root all
+        # lie past the first quarter
         with pytest.raises(SearchBudgetError, match="directions"):
             search(enough - 1)
         with pytest.raises(SearchBudgetError) as exc:
             search(enough)
+        assert "directions" not in str(exc.value)
+
+    def test_root_free_layers_inside_the_first_quarter(self):
+        # at bound 1 the upper half holds 4 directions, 2 of them in the
+        # first quarter; for 2m = 8 the last 3 layers do not expand the
+        # root, one of them in the first quarter, so 1 transition is forced
+        with pytest.raises(SearchBudgetError) as exc:
+            min_interior_symmetric(8, coord_bound=1, budget=1)
         assert "directions" not in str(exc.value)
 
     def test_directions_counted_by_totients(self):
@@ -425,11 +446,11 @@ class TestWorkCounts:
     @pytest.mark.parametrize(
         "k,unpruned,pruned",
         [
-            (4, 63_995, 9_968),
-            (5, 109_011, 29_318),
-            (6, 199_828, 38_012),
-            (7, 295_286, 101_993),
-            (8, 446_227, 114_289),
+            (4, 46_575, 5_204),
+            (5, 89_243, 17_658),
+            (6, 163_453, 23_695),
+            (7, 254_761, 70_679),
+            (8, 386_150, 80_294),
         ],
     )
     def test_area_search_transitions(self, k, unpruned, pruned):
@@ -437,7 +458,7 @@ class TestWorkCounts:
         assert min_area_convex_kgon(k, coord_bound=6).states_explored == pruned
 
     @pytest.mark.parametrize(
-        "two_m,transitions", [(4, 2_515), (6, 9_150), (8, 26_196), (10, 50_015)]
+        "two_m,transitions", [(4, 1_822), (6, 7_117), (8, 21_669), (10, 42_988)]
     )
     def test_symmetric_search_transitions(self, two_m, transitions):
         assert min_interior_symmetric(two_m).states_explored == transitions
@@ -718,9 +739,12 @@ def reference_primitive_directions(bound, upper_half_only=False):
 
 def reference_most_compact(corner_sets, translate):
     """`_most_compact` as it was before it read the spread off the raw
-    corners: every candidate is canonicalized and scored."""
+    corners: every candidate is completed (a centred one comes as the
+    first half of its corners), canonicalized and scored."""
     best = None
     for i, corners in enumerate(corner_sets):
+        if not translate:
+            corners = list(corners) + [(-x, -y) for x, y in corners]
         poly = LatticePolygon(canonical_form(corners, translate))
         spread = max(max(abs(x), abs(y)) for (x, y) in poly.vertices)
         score = (spread, poly.vertices)
@@ -742,9 +766,88 @@ def reference_symmetric_uncapped(m_target, coord_bound, cap, budget):
     return reference_sweep_symmetric(m_target, coord_bound, budget)
 
 
-def _in_order(found):
-    """Slots with their pools, in the order the sweep filled them."""
-    return [(k, list(slot.items())) for k, slot in found.items()]
+def reference_steps(link):
+    """The (direction, multiplicity) steps of a chain, from its first."""
+    steps = []
+    while link is not None:
+        link, d, m = link
+        steps.append((d, m))
+    return steps[::-1]
+
+
+def reference_corner_walk(edges, start):
+    """Walk an edge cycle from `start`, dropping the division points that
+    multiplicities put along straight runs: the corners as the witness
+    picks found them before they summed a chain's steps."""
+    verts = [start]
+    for e in edges[:-1]:
+        verts.append((verts[-1][0] + e[0], verts[-1][1] + e[1]))
+    n = len(verts)
+    return tuple(
+        verts[i]
+        for i in range(n)
+        if _cross(
+            (verts[i][0] - verts[i - 1][0], verts[i][1] - verts[i - 1][1]),
+            (verts[(i + 1) % n][0] - verts[i][0], verts[(i + 1) % n][1] - verts[i][1]),
+        )
+        != 0
+    )
+
+
+def reference_edges(link):
+    return [d for d, m in reference_steps(link) for _ in range(m)]
+
+
+def reference_symmetric_corners(link):
+    """Corners of the centred polygon an even-sum half-chain closes into."""
+    half = reference_edges(link)
+    sx, sy = sum(x for x, _ in half), sum(y for _, y in half)
+    return reference_corner_walk(half + [(-x, -y) for x, y in half], (-sx // 2, -sy // 2))
+
+
+def _minima(found):
+    """Each slot's least doubled area, over all chains and over the
+    all-primitive ones."""
+    return {k: {prim: c2 for prim, (c2, _pool) in slot.items()} for k, slot in found.items()}
+
+
+def _even_minima(finished):
+    """The least cost of a finished half-chain with an even sum, over all
+    of them and over the all-primitive ones."""
+    even = [
+        (cost, prim)
+        for (_j, wx, wy, prim), (cost, _link) in finished.items()
+        if wx % 2 == wy % 2 == 0
+    ]
+    return min((c for c, _p in even), default=None), min((c for c, p in even if p), default=None)
+
+
+def _check_area_chain(link, k, c2, prim):
+    """A pooled chain closes into a k-gon of doubled area c2, all of
+    whose edges are primitive if `prim`, and starts in [0, pi/2)."""
+    steps = reference_steps(link)
+    edges = reference_edges(link)
+    assert (sum(x for x, _ in edges), sum(y for _, y in edges)) == (0, 0)
+    poly = LatticePolygon(reference_corner_walk(edges, (0, 0)))
+    assert len(poly.vertices) == k
+    assert 2 * pick_counts(poly).area == c2
+    assert angle_key(steps[0][0])[0] == 0
+    assert not prim or all(m == 1 for _d, m in steps)
+
+
+def _check_half_chain(key, cost, link):
+    """A finished half-chain has its key's edge count, sum and primitive
+    flag, starts in [0, pi/2) and, with an even sum, closes into a
+    centred 2m-gon with cost + 1 interior points."""
+    m, wx, wy, prim = key
+    steps = reference_steps(link)
+    assert len(steps) == m and angle_key(steps[0][0])[0] == 0
+    assert (sum(mu * x for (x, _), mu in steps), sum(mu * y for (_, y), mu in steps)) == (wx, wy)
+    assert prim == all(mu == 1 for _d, mu in steps)
+    if wx % 2 == wy % 2 == 0:
+        poly = LatticePolygon(reference_symmetric_corners(link))
+        assert len(poly.vertices) == 2 * m and poly.is_centrally_symmetric()
+        assert pick_counts(poly).interior == cost + 1
 
 
 def _memo(sweep):
@@ -799,7 +902,14 @@ class TestSweepAgainstReference:
         for cap in (None, 0, best // 2, best - 1, best):
             ref_found, ref_ops = ref(k_max, bound, cap, UNBOUNDED)
             new_found, new_ops = new(k_max, bound, cap, UNBOUNDED)
-            assert _in_order(new_found) == _in_order(ref_found), cap
+            # the sweep starts chains only in the first quarter turn, so
+            # its pools hold other chains than the uncut reference's; the
+            # minima are the reference's
+            assert _minima(new_found) == _minima(ref_found), cap
+            for k, slot in new_found.items():
+                for prim, (c2, pool) in slot.items():
+                    for link in pool:
+                        _check_area_chain(link, k, c2, prim)
             if cap is None:
                 assert new_ops < ref_ops
 
@@ -828,17 +938,19 @@ class TestSweepAgainstReference:
         if m >= 2:
             ref_finished, ref_ops = ref(m, 6, None, UNBOUNDED)
             new_finished, new_ops = new(m, 6, None, UNBOUNDED)
-            assert list(new_finished.items()) == list(ref_finished.items())
+            # half-chains start only in the first quarter turn; the least
+            # even-sum costs are the uncut reference's
+            assert _even_minima(new_finished) == _even_minima(ref_finished)
+            for key, (cost, link) in new_finished.items():
+                _check_half_chain(key, cost, link)
             assert new_ops < ref_ops
 
             # capped at the seed's least even-sum cost, the sweep keeps
             # exactly the finished half-chains that can still win or tie
             seeded, _ops = new(m, 2, None, UNBOUNDED)
-            cap = min(
-                cost for (_j, wx, wy, _p), (cost, _l) in seeded.items() if wx % 2 == wy % 2 == 0
-            )
+            cap = _even_minima(seeded)[0]
             capped, _ops = new(m, 6, cap, UNBOUNDED)
-            assert _costs(capped) == _costs(ref_finished, cap)
+            assert _costs(capped) == _costs(new_finished, cap)
             if two_m >= 6:
                 assert min_interior_symmetric(two_m).states_explored < new_ops
 
@@ -882,3 +994,89 @@ class TestSelectionAgainstReference:
         new = [_symmetric_results(call) for call in calls]
         monkeypatch.setattr(lattice_polygons, "_most_compact", reference_most_compact)
         assert new == [_symmetric_results(call) for call in calls]
+
+    @pytest.mark.parametrize("k_max,bound", [(8, 4), (6, 6)])
+    def test_chain_corners_match_edge_walk(self, k_max, bound):
+        # the witness picks sum a chain's steps into its corners; the walk
+        # over its unit edges they replaced gives the same corners
+        found, _ops = lattice_polygons._sweep_areas(k_max, bound, None, UNBOUNDED)
+        links = [link for slot in found.values() for _c2, pool in slot.values() for link in pool]
+        assert links
+        for link in links:
+            corners = lattice_polygons._chain_corners(link)
+            assert tuple(corners[:-1]) == reference_corner_walk(reference_edges(link), (0, 0))
+        finished, _ops = lattice_polygons._sweep_symmetric(k_max // 2, bound, None, UNBOUNDED)
+        even = [link for (_j, wx, wy, _p), (_c, link) in finished.items() if wx % 2 == wy % 2 == 0]
+        assert even
+        for link in even:
+            half = lattice_polygons._centred_half(link)
+            assert tuple(half + [(-x, -y) for x, y in half]) == reference_symmetric_corners(link)
+
+
+def _quarter_turn(v, q):
+    """R^q v for the quarter turn R(x, y) = (-y, x)."""
+    x, y = v
+    for _ in range(q % 4):
+        x, y = -y, x
+    return x, y
+
+
+class TestQuarterTurnSymmetry:
+    """The lemma behind starting chains only on the first quarter turn's
+    directions (module docstring, "Quarter-turn symmetry")."""
+
+    @given(points_strategy)
+    @settings(max_examples=200)
+    def test_a_quarter_turn_starts_a_polygon_in_the_first_quadrant(self, pts):
+        hull = strict_hull(pts)
+        if hull is None:
+            return
+        poly = LatticePolygon(hull)
+        bound = max(max(abs(x), abs(y)) for x, y in poly.edge_vectors)
+        counts = pick_counts(poly)
+        starts = []
+        for q in range(4):
+            image = LatticePolygon(tuple(_quarter_turn(v, q) for v in hull))
+            edges = image.edge_vectors
+            assert max(max(abs(x), abs(y)) for x, y in edges) == bound
+            assert pick_counts(image) == counts
+            if angle_key(min(edges, key=angle_key))[0] == 0:
+                starts.append(q)
+        assert starts
+
+    @given(points_strategy, st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=200)
+    def test_a_quarter_turn_starts_a_half_chain_in_the_first_quadrant(self, pts, cx, cy):
+        # symmetric about (cx, cy) / 2, so the half-chain's sum is odd
+        # when cx or cy is
+        hull = strict_hull(pts + [(cx - x, cy - y) for x, y in pts])
+        if hull is None:
+            return
+        poly = LatticePolygon(hull)
+        bound = max(max(abs(x), abs(y)) for x, y in poly.edge_vectors)
+        counts = pick_counts(poly)
+        starts = []
+        for q in range(4):
+            image = LatticePolygon(tuple(_quarter_turn(v, q) for v in hull))
+            edges = image.edge_vectors
+            half = [e for e in edges if angle_key(e)[0] < 2]
+            assert len(half) * 2 == len(edges)
+            assert max(max(abs(x), abs(y)) for x, y in half) == bound
+            assert pick_counts(image) == counts
+            sx, sy = sum(x for x, _ in half), sum(y for _, y in half)
+            assert (sx % 2 == sy % 2 == 0) == (cx % 2 == cy % 2 == 0)
+            if angle_key(min(half, key=angle_key))[0] == 0:
+                starts.append(q)
+        assert starts
+
+    @pytest.mark.parametrize("upper_half_only", [False, True])
+    def test_direction_quarters_are_quarter_turns(self, upper_half_only):
+        for bound in range(1, 17):
+            dirs = lattice_polygons._primitive_directions(bound, upper_half_only)
+            quarters = 2 if upper_half_only else 4
+            n = len(dirs) // quarters
+            assert n * quarters == len(dirs)
+            first = dirs[:n]
+            assert all(angle_key(d)[0] == 0 for d in first)
+            for q in range(quarters):
+                assert dirs[q * n : (q + 1) * n] == [_quarter_turn(d, q) for d in first], (bound, q)
