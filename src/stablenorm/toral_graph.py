@@ -33,9 +33,6 @@ from stablenorm.norms import IntegralClass, NormSpec, integral_class, norm_evalu
 
 FracVec = tuple[Fraction, Fraction]
 
-#: A recorded path still dominates a new one that is shorter only by the
-#: rounding of summing the same edge lengths in another order.
-DOMINANCE_SLACK = 1e-15
 #: Keeps ell_k / zeta, an integer in exact arithmetic whenever zeta is
 #: half a segment of the longest loop, from flooring to the one below.
 EDGE_BOUND_SLACK = 1e-9
@@ -349,8 +346,10 @@ def minimal_cycle(
 class TubeConstants:
     """Outputs of the corridor-width computation.
 
-    epsilon is +inf when no competitor cycle exists under the edge
-    bound; theta then falls back to the configured cap.
+    epsilon > 0 always: `compute_zeta_epsilon_theta` rejects a norm
+    whose gap is not positive.  epsilon is +inf when no competitor
+    cycle exists under the edge bound; theta then falls back to the
+    configured cap.
     """
 
     zeta: float
@@ -430,9 +429,11 @@ def _min_gap_search(
     an edge displacement equals the edge length, so the slack
     L(path) - ||delta(path)|| never decreases along a path and equals
     the final gap at closure.  A partial path whose slack already
-    reaches the best known gap cannot produce anything smaller, and a
-    path reaching a repeated (vertex, delta) state at greater depth and
-    length is dominated outright.
+    reaches the best known gap cannot produce anything smaller.  That
+    prune, the edge bound and the node budget are the search's only
+    cuts.  No path state outlives its path: besides the pending stack
+    and the current path, the search keeps only the norm of each
+    distinct displacement it has met.
 
     One loop runs a depth-first search from each start vertex s0 over
     paths on vertices >= s0, with an explicit stack of pending states
@@ -451,12 +452,12 @@ def _min_gap_search(
     with that state's slack as its gap.  Each pop counts one node
     against `node_budget`, and only `edge_bound` limits the depth.
 
-    Displacements are carried as ints scaled by the graph's
-    `denom` D, so the dominance keys are exact int tuples; the norm
-    of a displacement is evaluated once per call at (dx / D, dy / D),
-    which rounds exactly like the float of the rational it stands for.
-    It is evaluated by the one `norm_evaluator` compiled for the call,
-    the formula `eval_norm` also runs.
+    Displacements are carried as ints scaled by the graph's `denom` D,
+    so they are exact; the norm of a displacement is evaluated once per
+    call at (dx / D, dy / D), which rounds exactly like the float of
+    the rational it stands for.  It is evaluated by the one
+    `norm_evaluator` compiled for the call, the formula `eval_norm`
+    also runs.
     """
     best_gap = math.inf
     best_cycle: Optional[Cycle] = None
@@ -481,11 +482,8 @@ def _min_gap_search(
     ]
 
     for s0 in range(len(graph.vertices)):
-        # first and last step are part of the state: closure legality under
-        # cyclic reduction depends on the first step and continuation
-        # legality on the last, so dominance may only compare paths that
-        # agree on both
-        memo: dict[tuple, list[tuple[int, float]]] = {}
+        # closure legality under cyclic reduction reads the path's first
+        # step, and the no-backtrack test its last
         steps: list[tuple[int, int]] = []
         stack: list[tuple] = [((s0, None, None, 0, 0, 0.0, None), 0, 0.0, 0, 0, False)]
         push = stack.append
@@ -515,18 +513,7 @@ def _min_gap_search(
                     nodes_expanded=nodes,
                     budget=node_budget,
                 )
-            if slack >= best_gap:
-                continue
-            key = (v, dx, dy, first, last)
-            front = memo.get(key)
-            if front is None:
-                memo[key] = [(depth, length)]
-            else:
-                if any(d0 <= depth and l0 <= length + DOMINANCE_SLACK for d0, l0 in front):
-                    continue
-                front[:] = [(d0, l0) for d0, l0 in front if not (depth <= d0 and length <= l0)]
-                front.append((depth, length))
-            if depth == edge_bound:
+            if slack >= best_gap or depth == edge_bound:
                 continue
             first_cls = None if first is None else cls_of[first[0]]
             depth += 1
@@ -553,7 +540,9 @@ def compute_zeta_epsilon_theta(
     zero excess by construction and are excluded); theta = epsilon
     divided by twice the edge bound, capped at `theta_cap` when no
     competitor exists.  An `ell_k` below the shortest segment gives an
-    edge bound under 2, which no mixed cycle fits, and is rejected.
+    edge bound under 2, which no mixed cycle fits, and is rejected.  So
+    is a gap of zero or less, which a norm that is not strictly convex
+    gives (a straight-edged gauge): no positive theta exists for it.
 
     With `cross_check`, the graph's two homology computations, lift
     displacements and crossing counts with the reference circles, are
@@ -573,6 +562,12 @@ def compute_zeta_epsilon_theta(
     if cross_check:
         _check_homology_tables(graph)
     gap, witness, cycles, nodes = _min_gap_search(graph, norm, edge_bound, node_budget)
+    witness_class = None if witness is None else witness.homology(graph)
+    if gap <= 0:
+        raise ValidationError(
+            f"epsilon {gap!r} is not positive at witness class {witness_class}: "
+            f"the norm is not strictly convex there"
+        )
     # no competitor leaves gap = inf and no witness: theta is then the cap
     return TubeConstants(
         zeta=zeta,
@@ -580,7 +575,7 @@ def compute_zeta_epsilon_theta(
         epsilon=gap,
         theta=min(gap / (2.0 * edge_bound), theta_cap),
         witness=witness,
-        witness_class=None if witness is None else witness.homology(graph),
+        witness_class=witness_class,
         cycles_checked=cycles,
         nodes_expanded=nodes,
     )

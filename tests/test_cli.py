@@ -317,6 +317,25 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert json.loads(out)["edge_bound"] == 1200
 
+    @pytest.mark.parametrize(
+        "argv", [("graph-epsilon",), ("stable-norm", "--class", "1,1")], ids=["graph-epsilon", "stable-norm"]
+    )
+    def test_straight_edged_gauge_exits_2(self, capsys, argv):
+        # the diamond's edges are straight, so the tube search finds a
+        # gap of -8.9e-16 at (1, 3): no positive theta exists, and both
+        # commands name that cause rather than printing theta < 0 or
+        # failing on the canyon's hub budget
+        diamond = '{"variant":"arcpolygon","vertices":[[1,0],[0,1],[-1,0],[0,-1]],"radius":null,"level":1}'
+        code, out, err = run_cli(capsys, argv[0], "--norm", diamond, "--k", "3", *argv[1:])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert re.fullmatch(
+            r"epsilon -8\.88\d*e-16 is not positive at witness class \(1,3\): "
+            r"the norm is not strictly convex there",
+            error["message"],
+        )
+
     def test_validation_error_is_structured(self, capsys):
         code, out, err = run_cli(capsys, "norm-enumerate", "--norm", "taxicab")
         assert code == 2 and out == ""

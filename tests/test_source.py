@@ -222,3 +222,24 @@ def test_no_private_imports_across_modules():
                     if a.name.startswith("_") and not _UPPER_NAME.fullmatch(a.name)
                 )
     assert SOURCES and not found, found
+
+
+def test_every_module_constant_is_read():
+    # a module-level UPPER_CASE name that nothing reads is a tolerance or
+    # limit left behind by deleted code, which misleads about what the
+    # code checks
+    assigned, read = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            for t in targets:
+                if isinstance(t, ast.Name) and _UPPER_NAME.fullmatch(t.id):
+                    assigned[t.id] = f"{path.name}:{stmt.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = sorted(f"{where} {name}" for name, where in assigned.items() if name not in read)
+    assert assigned and not orphans, orphans

@@ -1,6 +1,7 @@
 """Geodesic graph geometry, minimal cycles, and tube constants."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
 from stablenorm import cover
 from stablenorm.norms import (
+    ArcPolygon,
     Ellipse,
     IntegralClass,
     NormSpec,
@@ -29,6 +31,7 @@ from stablenorm.toral_graph import (
     Cycle,
     GraphEdge,
     ToralGeodesicGraph,
+    _min_gap_search,
     build_graph,
     compute_zeta_epsilon_theta,
     minimal_cycle,
@@ -665,6 +668,70 @@ class TestTubeConstants:
             tracemalloc.stop()
         assert peak < 15 * 2**20
 
+    def test_complete_search_memory_ceiling(self):
+        # the complete Euclidean k = 12 search (edge bound 140, 54,233
+        # nodes) peaks at about 4.9 MiB: the move table, the pending
+        # stack, the current path and one norm per displacement met; a
+        # per-state dominance memo over the same search takes 7.6 MiB
+        classes = leading_primitive_classes(E, 12)
+        graph = build_graph(classes)
+        ell_k = max(ell for _h, ell in classes)
+        tracemalloc.start()
+        try:
+            tc = compute_zeta_epsilon_theta(graph, E, ell_k)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tc.edge_bound == 140 and tc.witness_class == IntegralClass(2, 5)
+        assert peak < 6 * 2**20
+
+    @given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 19), k=st.integers(1, 5), b=st.integers(1, 4))
+    @settings(deadline=None, max_examples=40)
+    def test_search_matches_the_unpruned_oracle(self, seed, pick, k, b):
+        # the slack prune is sound where each edge's length is the norm
+        # of its displacement, as prescribed classes make it; arbitrary
+        # class lengths (class_sets) would break that, so the graphs come
+        # from leading_primitive_classes of seeded ellipses and p-norms
+        norm = tube_panel_norms(seed)[pick]
+        graph = build_graph(leading_primitive_classes(norm, k))
+        got = _min_gap_search(graph, norm, b, 10**6)[0]
+        expected = oracle_min_gap(graph, norm, b)
+        assert got == expected or abs(got - expected) <= 1e-12
+
+    def test_non_positive_gap_is_rejected_with_its_witness(self):
+        # a straight edge of the gauge from (1, 0) to (0, 1) lets a
+        # mixed cycle run along it at zero excess, up to rounding
+        diamond = NormSpec(ArcPolygon(((1, 0), (0, 1), (-1, 0), (0, -1)), radius=math.inf, level=1.0))
+        classes = leading_primitive_classes(diamond, 3)
+        with pytest.raises(
+            ValidationError,
+            match=r"epsilon -8\.88\d*e-16 is not positive at witness class \(1,3\): "
+            r"the norm is not strictly convex there",
+        ):
+            compute_zeta_epsilon_theta(build_graph(classes), diamond, max(ell for _h, ell in classes))
+
+    def test_straight_edged_gauges_give_no_positive_gap(self):
+        # at k = 2..7 only the square's first stage, (1, 0) and (0, 1)
+        # against (1, 1) at norm 1, keeps a positive gap; every other
+        # stage is rejected rather than handing the canyon theta <= 0
+        gauges = {
+            "diamond": ((1, 0), (0, 1), (-1, 0), (0, -1)),
+            "square": ((1, 1), (-1, 1), (-1, -1), (1, -1)),
+            "hexagon": ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+        }
+        accepted = {}
+        for name, vertices in gauges.items():
+            norm = NormSpec(ArcPolygon(vertices, radius=math.inf, level=1.0))
+            for k in range(2, 8):
+                classes = leading_primitive_classes(norm, k)
+                try:
+                    tc = compute_zeta_epsilon_theta(build_graph(classes), norm, max(ell for _h, ell in classes))
+                except ValidationError as err:
+                    assert "not strictly convex" in str(err)
+                else:
+                    accepted[name, k] = (tc.epsilon, tc.theta)
+        assert accepted == {("square", 2): (1.0, 0.25)}
+
     def test_witness_is_reduced_and_mixed(self):
         tc = compute_zeta_epsilon_theta(THREE, E, math.sqrt(2.0))
         steps = tc.witness.steps
@@ -687,25 +754,56 @@ def digest_panel_norms():
     return norms
 
 
-def test_tube_constants_digest():
-    # sha256 over every graph field and tube constant, floats as hex, of
-    # the digest panel at k = 1..7: pins the graph build, its tables and
-    # the tube search bit for bit
-    rows = []
+@functools.cache
+def digest_panel_rows():
+    """For the digest panel at k = 1..7: each case's graph fields and
+    tube results (floats as hex), and apart from them its work counts
+    (cycles_checked, nodes_expanded)."""
+    results, counts = [], []
     for norm in digest_panel_norms():
         for k in range(1, 8):
             classes = leading_primitive_classes(norm, k)
             graph = build_graph(classes)
             tc = compute_zeta_epsilon_theta(graph, norm, max(ell for _h, ell in classes), cross_check=True)
-            rows.append((
+            results.append((
                 json.dumps(graph.to_jsonable(), sort_keys=True), graph.crossings, graph.scaled_disps,
                 tc.zeta.hex(), tc.edge_bound, tc.epsilon.hex(), tc.theta.hex(),
                 None if tc.witness is None else tc.witness.steps,
                 None if tc.witness_class is None else tc.witness_class.as_tuple(),
-                tc.cycles_checked, tc.nodes_expanded,
             ))
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "66637f9b85afac38fc3d465ec9c9abfd6e3b55484b634efa7a5700d795e95f78"
+            counts.append((tc.cycles_checked, tc.nodes_expanded))
+    return results, counts
+
+
+def test_tube_constants_digest():
+    # sha256 over every graph field and tube result of the digest panel:
+    # pins the graph build, its tables, zeta, the edge bound, epsilon,
+    # theta and the witness bit for bit, whatever work the search does
+    results, _counts = digest_panel_rows()
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "0f5be948b3a01436d3904fea9b6042a5f380f31888a8d8ceca1e47c6b9ce6e4c"
+
+
+#: (cycles_checked, nodes_expanded) of the digest panel, one row per
+#: norm in `digest_panel_norms` order, k = 1..7.
+DIGEST_PANEL_COUNTS = [
+    [(0, 5), (8, 17), (24, 37), (104, 194), (350, 1419), (561, 2859), (769, 6165)],
+    [(0, 5), (8, 17), (24, 37), (129, 275), (278, 1020), (364, 1393), (566, 5580)],
+    [(0, 5), (8, 17), (48, 67), (86, 176), (370, 1449), (659, 3156), (837, 6487)],
+    [(0, 5), (8, 17), (24, 37), (104, 194), (320, 1368), (574, 2861), (736, 5806)],
+    [(0, 5), (8, 17), (24, 37), (104, 194), (358, 1458), (546, 2753), (678, 5385)],
+    [(0, 5), (8, 17), (24, 37), (125, 247), (309, 1125), (425, 1713), (642, 5691)],
+    [(0, 5), (8, 17), (24, 37), (104, 194), (345, 1368), (554, 2841), (737, 6071)],
+    [(0, 5), (8, 17), (48, 67), (95, 185), (339, 1224), (598, 3356), (840, 6992)],
+    [(0, 5), (8, 17), (24, 37), (89, 179), (253, 958), (750, 4135), (766, 5693)],
+]
+
+
+def test_tube_search_work_counts():
+    # the search's work, not its results: a change to its cuts moves
+    # these and leaves the digest above alone
+    _results, counts = digest_panel_rows()
+    assert [counts[i : i + 7] for i in range(0, len(counts), 7)] == DIGEST_PANEL_COUNTS
 
 
 def cycle_space_rank(walks, graph):
@@ -810,6 +908,11 @@ class TestCrossCheckTables:
                     # unchecked, a half offset is off the 1/D grid of the
                     # scaled displacements; a whole one goes unseen
                     assert offset.denominator == 2 and "not integral" in str(err)
+                except ValidationError as err:
+                    # ...by the tables, but a whole period more on one
+                    # edge can make a mixed cycle shorter than its
+                    # class's norm, a gap that is not positive
+                    assert offset.denominator == 1 and "is not positive" in str(err)
 
     @pytest.mark.parametrize("graph", [SKEW, ONE_CLASS], ids=["skew", "one-class"])
     @pytest.mark.parametrize("delta", [1, -1])
