@@ -207,7 +207,10 @@ def _emit(ns, payload, csv_header=None, csv_rows=None) -> None:
     else:
         text = json.dumps(jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
+        try:
+            Path(ns.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {ns.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

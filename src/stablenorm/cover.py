@@ -35,25 +35,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-#: Relative slack a cost bound gets before it is a cover search's bar.
-SEARCH_RTOL = 1e-12
-#: Rate-point advances this small are rounding noise of the positions.
-_ZERO_ADVANCE = 1e-15
-#: Hull facets with a smaller cross product are flat; their normal overflows.
-_DEGENERATE_FACET = 1e-18
-#: Rate points equal to this many decimals are one hull point, so
-#: rounding alone never makes a second vertex.
-_RATE_POINT_DIGITS = 12
-
-#: The heuristic is deflated by this factor to stay admissible under
-#: float rounding.
-_HEUR_DEFLATE = 1e-12
-
-#: Paths within this relative margin of the incumbent are treated as
-#: ties and pruned.  Strictly wider than the heuristic deflation, so a
-#: tie plateau never survives the bar; returned lengths are minimal up
-#: to this relative tolerance.
-_PRUNE_RTOL = 4e-12
+from stablenorm.tolerances import DEGENERATE_FACET, HEUR_DEFLATE, PRUNE_RTOL, RATE_POINT_DIGITS, ZERO_ADVANCE
 
 Point = tuple[float, float]
 
@@ -166,8 +148,8 @@ def build_search_index(
         xs=xs,
         ys=ys,
         rates=(
-            1 / reach_x if reach_x > _ZERO_ADVANCE else math.inf,
-            1 / reach_y if reach_y > _ZERO_ADVANCE else math.inf,
+            1 / reach_x if reach_x > ZERO_ADVANCE else math.inf,
+            1 / reach_y if reach_y > ZERO_ADVANCE else math.inf,
         ),
         normals=gauge_normals(points),
         x_starts=tuple(sorted(set().union(*(block.x_ends for block in blocks)), key=start_key)),
@@ -189,10 +171,10 @@ def gauge_normals(points: Iterable[Point]) -> tuple[Point, ...]:
     """
     reps: dict[Point, Point] = {}
     for dx, dy in points:
-        if abs(dx) + abs(dy) <= _ZERO_ADVANCE:
+        if abs(dx) + abs(dy) <= ZERO_ADVANCE:
             continue
         for px, py in ((dx, dy), (-dx, -dy)):
-            reps.setdefault((round(px, _RATE_POINT_DIGITS), round(py, _RATE_POINT_DIGITS)), (px, py))
+            reps.setdefault((round(px, RATE_POINT_DIGITS), round(py, RATE_POINT_DIGITS)), (px, py))
     hull = convex_hull(reps.values())
     if len(hull) < 3:
         return FLAT_GAUGE
@@ -200,7 +182,7 @@ def gauge_normals(points: Iterable[Point]) -> tuple[Point, ...]:
     for i, (px, py) in enumerate(hull):
         qx, qy = hull[(i + 1) % len(hull)]
         t = qx * py - qy * px
-        if abs(t) < _DEGENERATE_FACET:
+        if abs(t) < DEGENERATE_FACET:
             return FLAT_GAUGE
         # a . p = a . q = 1, so a . r is the gauge on this facet's cone
         normals.append(((py - qy) / t, (qx - px) / t))
@@ -243,7 +225,7 @@ def shortest_cover_cycle(
     Equals the minimum over start nodes of the cover distance from the
     node's origin lift to its (a, b)-translate.  Walks costing `bar` or
     more are never completed, and each walk found lowers the bar to its
-    cost less _PRUNE_RTOL, so a later one must beat it by more than that
+    cost less PRUNE_RTOL, so a later one must beat it by more than that
     tie margin.  Weights are positive and the heuristic admissible, so
     finitely many states lie under a finite bar: it alone bounds the
     search.
@@ -261,7 +243,7 @@ def shortest_cover_cycle(
         starts = ix.x_starts
     else:
         starts = ix.y_starts
-    deflate = 1 - _HEUR_DEFLATE
+    deflate = 1 - HEUR_DEFLATE
     inf = math.inf
     # the heuristic is the `gauge_normals` gauge of the remaining
     # displacement (rx, ry), deflated; on every push it is inlined as a
@@ -277,7 +259,7 @@ def shortest_cover_cycle(
         h = max(ax * rx + ay * ry for ax, ay in normals)
         # a dead start: its root bound is already at the bar.  Every
         # start's root bound is the gauge of (a, b), up to a rounding
-        # far below _HEUR_DEFLATE, and the bar only falls, so no later
+        # far below HEUR_DEFLATE, and the bar only falls, so no later
         # start can complete a walk under it either
         if h * deflate >= bar:
             break
@@ -298,7 +280,7 @@ def shortest_cover_cycle(
             if g > dist.get(state, inf):
                 continue
             if state == target:
-                bar = g * (1 - _PRUNE_RTOL)
+                bar = g * (1 - PRUNE_RTOL)
                 path = []
                 cur = state
                 while cur != state0:

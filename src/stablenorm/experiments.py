@@ -32,15 +32,11 @@ from stablenorm.norms import (
     lipschitz_bound,
 )
 from stablenorm.periodic_metric import build_canyon_graph, stable_norm_estimate
+from stablenorm.tolerances import CONVERGENCE_SLACK
 from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 DEFAULT_KS = (2, 3, 4, 5, 6)
 DEFAULT_PINNED = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
-
-#: Slack for the pairwise Lipschitz comparison.
-LIPSCHITZ_TOL = 1e-9
-#: Stages equal in exact arithmetic may differ by rounding in their sups.
-_MONOTONE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -197,7 +193,7 @@ def run_convergence(
         )
 
     sups = [s.sup_pinned_deviation for s in stages]
-    monotone = all(b <= a + _MONOTONE_SLACK for a, b in zip(sups, sups[1:]))
+    monotone = all(b <= a + CONVERGENCE_SLACK for a, b in zip(sups, sups[1:]))
     return ConvergenceReport(
         stages=tuple(stages),
         pinned=pinned_classes,
@@ -205,5 +201,5 @@ def run_convergence(
         lipschitz_bound=b_lip,
         monotone=monotone,
         final_deviation=sups[-1],
-        lipschitz_ok=all(s.lipschitz_excess <= LIPSCHITZ_TOL for s in stages),
+        lipschitz_ok=all(s.lipschitz_excess <= CONVERGENCE_SLACK for s in stages),
     )

@@ -150,33 +150,14 @@ def _cross(a: IntVec, b: IntVec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def angle_key(v: IntVec) -> tuple[int, Fraction]:
-    """Exact total order on nonzero integer vectors by angle in [0, 2pi).
-
-    Quadrants [0,90), [90,180), [180,270), [270,360) come first in the
-    key; within each quadrant a monotone rational slope substitutes for
-    the angle, so no trigonometry is involved.
-    """
-    x, y = v
-    if x == 0 and y == 0:
-        raise ValidationError("zero vector has no direction")
-    if x > 0 and y >= 0:
-        return (0, Fraction(y, x))
-    if x <= 0 and y > 0:
-        return (1, Fraction(-x, y))
-    if x < 0 and y <= 0:
-        return (2, Fraction(y, x))
-    return (3, Fraction(-x, y))
-
-
 def _wraps(edges: Sequence[IntVec]) -> int:
     """How often a cycle of strictly left-turning edges passes angle 0,
     its winding number.
 
     Each turn is less than a half turn, so the angle passes 0 exactly at
     a step from an edge in the lower half-plane, angle in [pi, 2pi), to
-    one in the upper half-plane; the steps where `angle_key` decreases
-    are these.
+    one in the upper half-plane; the steps where the polar angle in
+    [0, 2pi) decreases are these.
     """
     lower = [y < 0 or (y == 0 and x < 0) for x, y in edges]
     return sum(1 for i in range(len(lower)) if lower[i - 1] and not lower[i])
@@ -199,7 +180,8 @@ class LatticePolygon:
         if n < 3:
             raise ValidationError(f"a polygon needs at least 3 vertices, got {n}")
         for p in v:
-            if not (isinstance(p[0], int) and isinstance(p[1], int)):
+            # `type(c) is int` refuses bools, which `isinstance` passes
+            if not (isinstance(p, tuple) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
                 raise ValidationError(f"vertex {p!r} is not a lattice point")
         if len(set(v)) != n:
             raise ValidationError("vertices repeat")

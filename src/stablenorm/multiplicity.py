@@ -28,7 +28,6 @@ from stablenorm.lattice_polygons import (
 from stablenorm.norms import (
     Ellipse,
     IntegralClass,
-    LENGTH_TIE_RTOL,
     NormSpec,
     enumerate_classes,
     make_arc_polygon,
@@ -36,6 +35,7 @@ from stablenorm.norms import (
     tie_groups,
 )
 from stablenorm.periodic_metric import SpectrumResult
+from stablenorm.tolerances import LENGTH_TIE_RTOL, LEVEL_MATCH_RTOL
 
 #: Fraction of distinct consecutive values a tolerance may merge before
 #: the profile warns that it is probably too coarse.
@@ -43,9 +43,6 @@ _COARSE_MERGE_SHARE = 0.2
 
 #: f is tabulated exactly up to this m; larger groups go unchecked.
 _F_TABLE_LIMIT = 8
-
-#: Tie-group lengths are gauges on the bulged curve, which round off level.
-_LEVEL_MATCH_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -271,7 +268,7 @@ def verify_sharpness(m: int, level: float = 1.0) -> SharpnessReport:
     groups = tie_groups(entries, LENGTH_TIE_RTOL)
     below: list[IntegralClass] = []
     for bucket in groups:
-        if abs(bucket[0][1] - level) <= _LEVEL_MATCH_RTOL * max(level, 1.0):
+        if abs(bucket[0][1] - level) <= LEVEL_MATCH_RTOL * max(level, 1.0):
             break
         below.extend(c for c, _v in bucket)
     else:

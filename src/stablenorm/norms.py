@@ -18,24 +18,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from stablenorm.errors import ConstructionError, ValidationError
+from stablenorm.tolerances import (
+    BOX_TIE_MARGIN,
+    CONVEXITY_GAP,
+    IDENTITY_RTOL,
+    JUNCTION_SLACK,
+    LENGTH_TIE_RTOL,
+    PARALLEL_CUTOFF,
+)
 
 Vec = tuple[float, float]
 
-#: Relative tolerance at which two analytically computed lengths are
-#: considered equal (tie detection in enumeration and spectra).
-LENGTH_TIE_RTOL = 1e-9
-#: Arc centers carry square-root rounding, so a junction may look this reflex.
-_JUNCTION_SLACK = 1e-12
 #: Directions, uniform in angle, that `strict_convexity_check` samples.
 _CONVEXITY_SAMPLES = 64
-#: Gap below 2 required of ||u + v||; a straight boundary edge gives 0.
-_CONVEXITY_GAP = 1e-9
-#: Sample pairs with a smaller cross product are parallel: no information.
-_PARALLEL_CUTOFF = _CONVEXITY_GAP * 1e-3
-#: Headroom past the count-th value, so the box also covers its ties.
-_BOX_TIE_MARGIN = 1e-6
-#: A vertex lies exactly on the bulged curve, but its gauge rounds.
-_ON_CURVE_RTOL = 1e-9
 #: Bulge-radius doublings `make_arc_polygon` tries before giving up.
 _MAX_BULGE_DOUBLINGS = 32
 
@@ -238,7 +233,8 @@ def _validate_arc_polygon(var: ArcPolygon) -> None:
     if var.level <= 0 or not math.isfinite(var.level):
         raise ValidationError(f"arc polygon level must be positive, got {var.level!r}")
     for v in verts:
-        if not (isinstance(v[0], int) and isinstance(v[1], int)):
+        # `type(c) is int` refuses bools, which `isinstance` passes
+        if not (len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
             raise ValidationError(f"arc polygon vertex {v!r} is not a lattice point")
     if len(set(verts)) != n:
         raise ValidationError("arc polygon vertices must be distinct")
@@ -268,7 +264,7 @@ def _validate_arc_polygon(var: ArcPolygon) -> None:
         # convex junction at vertex i+1: incoming tangent not past outgoing
         px, py = centers[(i + 1) % n]
         wx, wy = float(verts[(i + 1) % n][0]), float(verts[(i + 1) % n][1])
-        if _cross(wx - ox, wy - oy, wx - px, wy - py) < -_JUNCTION_SLACK:
+        if _cross(wx - ox, wy - oy, wx - px, wy - py) < -JUNCTION_SLACK:
             raise ValidationError(
                 f"arc radius {var.radius} makes the boundary reflex at vertex {verts[(i + 1) % n]}"
             )
@@ -376,7 +372,7 @@ def strict_convexity_check(norm: NormSpec) -> ConvexityReport:
     """Sample the unit sphere of the norm and test strict midpoint convexity.
 
     For unit-norm samples u, v in distinct directions the triangle
-    inequality must be strict: ||u + v|| <= 2 - `_CONVEXITY_GAP`.  A
+    inequality must be strict: ||u + v|| <= 2 - `CONVEXITY_GAP`.  A
     straight edge on the boundary makes same-edge pairs achieve
     equality, and the first such pair is returned as the witness.
 
@@ -396,13 +392,13 @@ def strict_convexity_check(norm: NormSpec) -> ConvexityReport:
         for j in range(i + 1, len(pts)):
             ux, uy = pts[i]
             vx, vy = pts[j]
-            if abs(_cross(ux, uy, vx, vy)) <= _PARALLEL_CUTOFF:
+            if abs(_cross(ux, uy, vx, vy)) <= PARALLEL_CUTOFF:
                 continue
             gap = 2.0 - norm_at(ux + vx, uy + vy)
             if gap < min_gap:
                 min_gap = gap
                 worst = (pts[i], pts[j])
-    ok = min_gap >= _CONVEXITY_GAP
+    ok = min_gap >= CONVEXITY_GAP
     return ConvexityReport(ok=ok, witness=None if ok else worst, min_gap=min_gap)
 
 
@@ -480,7 +476,7 @@ def _complete_prefix(
         ranked = _sorted_box_classes(norm, box, keep)
         if len(ranked) >= count:
             vcut = ranked[count - 1][1]
-            needed = int(math.ceil(vcut * (1.0 + _BOX_TIE_MARGIN) / c)) + 1
+            needed = int(math.ceil(vcut * (1.0 + BOX_TIE_MARGIN) / c)) + 1
             if box >= needed:
                 return ranked
             box = needed
@@ -538,11 +534,11 @@ def lipschitz_bound(v1: float, v2: float) -> float:
 
 
 def _ccw_sorted(vertices: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(((int(x), int(y)) for x, y in vertices), key=lambda v: math.atan2(v[1], v[0])))
+    return tuple(sorted(((x, y) for x, y in vertices), key=lambda v: math.atan2(v[1], v[0])))
 
 
 def contained_lattice_points(var: ArcPolygon) -> set[tuple[int, int]]:
-    """Lattice points with gauge at most 1 + `_ON_CURVE_RTOL` for the
+    """Lattice points with gauge at most 1 + `IDENTITY_RTOL` for the
     bulged curve."""
     reach = max(math.hypot(x, y) for (x, y) in var.vertices) + var.max_sagitta()
     box = int(math.ceil(reach)) + 1
@@ -552,7 +548,7 @@ def contained_lattice_points(var: ArcPolygon) -> set[tuple[int, int]]:
         for y in range(-box, box + 1):
             if (x, y) == (0, 0):
                 found.add((x, y))
-            elif norm_at(float(x), float(y)) <= var.level * (1.0 + _ON_CURVE_RTOL):
+            elif norm_at(float(x), float(y)) <= var.level * (1.0 + IDENTITY_RTOL):
                 found.add((x, y))
     return found
 
@@ -627,25 +623,34 @@ def norm_to_jsonable(norm: NormSpec) -> dict:
     }
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; bools and strings are refused, not
+    coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"norm JSON {what} must be a number, got {value!r}")
+    return float(value)
+
+
 def norm_from_jsonable(obj: dict) -> NormSpec:
     """Parse the JSON form of a norm; raises ValidationError on bad shape."""
     if not isinstance(obj, dict):
         raise ValidationError(f"norm JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("variant")
-    scale = obj.get("scale", 1.0)
     try:
+        scale = _json_number(obj.get("scale", 1.0), "scale")
         if kind == "ellipse":
             (q11, q12), (q21, q22) = obj["q"]
             if q12 != q21:
                 raise ValidationError(f"ellipse matrix must be symmetric, got q12={q12}, q21={q21}")
-            return NormSpec(Ellipse(float(q11), float(q12), float(q22)), float(scale))
+            return NormSpec(Ellipse(*(_json_number(q, "ellipse entry") for q in (q11, q12, q22))), scale)
         if kind == "pnorm":
-            return NormSpec(PNorm(float(obj["p"])), float(scale))
+            return NormSpec(PNorm(_json_number(obj["p"], "p")), scale)
         if kind == "arcpolygon":
-            verts = tuple((int(x), int(y)) for x, y in obj["vertices"])
+            # validation refuses a float or bool coordinate, not truncating it
+            verts = tuple(tuple(v) for v in obj["vertices"])
             raw = obj.get("radius")
-            radius = math.inf if raw is None else float(raw)
-            return NormSpec(ArcPolygon(verts, radius, float(obj["level"])), float(scale))
+            radius = math.inf if raw is None else _json_number(raw, "radius")
+            return NormSpec(ArcPolygon(verts, radius, _json_number(obj["level"], "level")), scale)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

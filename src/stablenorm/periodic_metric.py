@@ -56,9 +56,6 @@ from operator import add
 from typing import Iterable, Mapping, Optional
 
 from stablenorm.cover import (
-    _HEUR_DEFLATE,
-    _PRUNE_RTOL,
-    SEARCH_RTOL,
     IndexBlock,
     SearchIndex,
     build_search_index,
@@ -68,26 +65,22 @@ from stablenorm.cover import (
 )
 from stablenorm.errors import ConstructionError, InvariantError, SearchBudgetError, ValidationError
 from stablenorm.norms import IntegralClass, integral_class, tie_groups
+from stablenorm.tolerances import (
+    FLOOR_SLACK,
+    GAUGE_SKIP_RTOL,
+    GROUP_RTOL,
+    IDENTITY_RTOL,
+    PRUNE_RTOL,
+    SEARCH_RTOL,
+    TINY_LENGTH,
+)
 from stablenorm.toral_graph import ToralGeodesicGraph
 
 NodeId = tuple
 IntVec = tuple[int, int]
 
-#: Relative tolerance when grouping spectrum lengths.
-GROUP_RTOL = 1e-6
-#: Search and exact recompute sum the same edges in other orders.
-_RECOMPUTE_RTOL = 1e-9
-#: f(n h) / n and f(h) may differ by rounding alone and still be stable.
-_STABLE_RTOL = 1e-9
-#: Keeps a bound that is an exact multiple of a rate from flooring low.
-_BOX_SLACK = 1e-9
-#: Floor of the grouping scale, so a zero length groups only with zeros.
-_TINY_LENGTH = 1e-300
 #: Most candidate classes `spectrum` measures, one cover search each.
 _MAX_SPECTRUM_CLASSES = 10_000
-#: A length sits at or above its class's rate-hull gauge up to the
-#: heuristic's deflation and the recompute drift.
-_GAUGE_SKIP_RTOL = _HEUR_DEFLATE + _RECOMPUTE_RTOL
 #: Most steps a seed walk may take: at about 370 B a step, its states
 #: and labels stay under 400 MB.
 _MAX_SEED_STEPS = 1_000_000
@@ -772,14 +765,14 @@ def marked_min_length(pg: PeriodicWeightedGraph, h: IntegralClass | tuple[int, i
     # made only when it is the answer
     cost = _grid_loop_cost(pg, h)
     seed = _corridor_seed(pg, h)
-    if seed is not None and seed[0] < cost * (1 - _PRUNE_RTOL):
+    if seed is not None and seed[0] < cost * (1 - PRUNE_RTOL):
         cost = seed[0]
     else:
         seed = None
-    found = shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - _PRUNE_RTOL))
+    found = shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - PRUNE_RTOL))
     best, best_states, best_edges = found or seed or _grid_loop_seed(pg, h)
     exact = _exact_length(pg, best_edges)
-    if abs(exact - best) > _RECOMPUTE_RTOL * max(1.0, best):
+    if abs(exact - best) > IDENTITY_RTOL * max(1.0, best):
         raise InvariantError(
             f"exact recompute drifted for class {h}: search found {best!r}, "
             f"corridor shares give {exact!r}"
@@ -815,7 +808,7 @@ def stable_norm_estimate(
     minimal length of `pg`.  The stable norm is the infimum of these
     ratios, since f is subadditive, so the estimate is an upper bound on
     it.  `stable` certifies that n = 1 attains that minimum to relative
-    tolerance `_STABLE_RTOL`, so f(n h) = n f(h) for every n computed.
+    tolerance `IDENTITY_RTOL`, so f(n h) = n f(h) for every n computed.
     """
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
@@ -827,7 +820,7 @@ def stable_norm_estimate(
         entry = marked_min_length(pg, IntegralClass(n * h.a, n * h.b))
         ratios.append(entry.length / n)
     estimate = min(ratios)
-    stable = ratios[0] <= estimate * (1 + _STABLE_RTOL)
+    stable = ratios[0] <= estimate * (1 + IDENTITY_RTOL)
     return StableNormEstimate(
         cls=h,
         ratios=tuple(ratios),
@@ -879,7 +872,7 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     (`SearchIndex.rates`), so the enumeration box provably contains
     every class whose marked length can be at or below the bound.  A
     class's length is at least its rate-hull gauge, so a candidate
-    whose gauge tops the bound beyond `_GAUGE_SKIP_RTOL` is not
+    whose gauge tops the bound beyond `GAUGE_SKIP_RTOL` is not
     measured.  The rest are measured one by one on the graph's shared
     search index and sorted deterministically by
     (length, class); ties group under the relative tolerance `GROUP_RTOL`.
@@ -890,8 +883,8 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     if not (norm_bound > 0 and math.isfinite(norm_bound)):
         raise ValidationError(f"norm bound must be finite and positive, got {norm_bound}")
     rate_x, rate_y = pg.search_index.rates
-    amax = math.floor(norm_bound / rate_x + _BOX_SLACK) if math.isfinite(rate_x) else 0
-    bmax = math.floor(norm_bound / rate_y + _BOX_SLACK) if math.isfinite(rate_y) else 0
+    amax = math.floor(norm_bound / rate_x + FLOOR_SLACK) if math.isfinite(rate_x) else 0
+    bmax = math.floor(norm_bound / rate_y + FLOOR_SLACK) if math.isfinite(rate_y) else 0
     count = amax * (2 * bmax + 1) + bmax
     if count > _MAX_SPECTRUM_CLASSES:
         raise SearchBudgetError(
@@ -912,7 +905,7 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     measured = [
         marked_min_length(pg, c)
         for c in candidates
-        if max(ax * c.a + ay * c.b for ax, ay in normals) * (1 - _GAUGE_SKIP_RTOL) <= limit
+        if max(ax * c.a + ay * c.b for ax, ay in normals) * (1 - GAUGE_SKIP_RTOL) <= limit
     ]
 
     entries = [marked_min_length(pg, IntegralClass(0, 0))]
@@ -921,7 +914,7 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
 
     groups: list[MultiplicityGroup] = []
     shorter = 0
-    for grp in tie_groups([(e.cls, e.length) for e in entries], GROUP_RTOL, _TINY_LENGTH):
+    for grp in tie_groups([(e.cls, e.length) for e in entries], GROUP_RTOL, TINY_LENGTH):
         groups.append(
             MultiplicityGroup(
                 length=grp[0][1],

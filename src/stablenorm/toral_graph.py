@@ -27,15 +27,12 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
-from stablenorm.cover import SEARCH_RTOL, SearchIndex, build_search_index, edge_block, shortest_cover_cycle
+from stablenorm.cover import SearchIndex, build_search_index, edge_block, shortest_cover_cycle
 from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError, check_budget
 from stablenorm.norms import IntegralClass, NormSpec, integral_class, norm_evaluator
+from stablenorm.tolerances import FLOOR_SLACK, SEARCH_RTOL
 
 FracVec = tuple[Fraction, Fraction]
-
-#: Keeps ell_k / zeta, an integer in exact arithmetic whenever zeta is
-#: half a segment of the longest loop, from flooring to the one below.
-EDGE_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -556,7 +553,7 @@ def compute_zeta_epsilon_theta(
         raise ValidationError(f"theta cap must be a positive finite real, got {theta_cap!r}")
     check_budget(node_budget)
     zeta = 0.5 * min(e.length for e in graph.edges)
-    edge_bound = int(math.floor(ell_k / zeta + EDGE_BOUND_SLACK))
+    edge_bound = int(math.floor(ell_k / zeta + FLOOR_SLACK))
     if edge_bound < 2:
         raise ValidationError(f"ell_k {ell_k!r} is below the shortest segment {2 * zeta!r}: no mixed cycle fits")
     if cross_check:

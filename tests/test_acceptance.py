@@ -35,13 +35,13 @@ from stablenorm.norms import (
     leading_primitive_classes,
 )
 from stablenorm.periodic_metric import (
-    SEARCH_RTOL,
     build_canyon_graph,
     marked_min_length,
     spectrum,
     uniform_grid,
 )
 from stablenorm.experiments import run_convergence
+from stablenorm.tolerances import SEARCH_RTOL
 from stablenorm.toral_graph import (
     build_graph,
     compute_zeta_epsilon_theta,

@@ -210,6 +210,14 @@ class TestFormats:
         assert code == 0 and out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["area"] == "1/2"
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / "absent" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(capsys, "polygon-min-area", "--k", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation" and str(target) in error["message"]
+
 
 class TestEpsilonTable:
     def test_rows_are_the_single_k_documents(self, capsys):

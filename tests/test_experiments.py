@@ -7,7 +7,7 @@ import pytest
 from stablenorm import experiments
 from stablenorm.cover import FLAT_GAUGE, gauge_normals
 from stablenorm.errors import InvariantError, ValidationError
-from stablenorm.experiments import LIPSCHITZ_TOL, PinnedDeviation, run_convergence
+from stablenorm.experiments import PinnedDeviation, run_convergence
 from stablenorm.norms import (
     Ellipse,
     IntegralClass,
@@ -18,6 +18,7 @@ from stablenorm.norms import (
     leading_primitive_classes,
 )
 from stablenorm.periodic_metric import build_canyon_graph, stable_norm_estimate
+from stablenorm.tolerances import CONVERGENCE_SLACK
 from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 
@@ -114,7 +115,7 @@ class TestSmallRun:
     def test_lipschitz_within_tolerance(self, report):
         assert report.lipschitz_ok
         for stage in report.stages:
-            assert stage.lipschitz_excess <= LIPSCHITZ_TOL
+            assert stage.lipschitz_excess <= CONVERGENCE_SLACK
 
     def test_hull_deviation_nonnegative(self, report):
         for stage in report.stages:

@@ -25,7 +25,6 @@ from stablenorm.lattice_polygons import (
     EIGHT_PI_SQUARED_FLOOR,
     MIN_AREA_CUBIC_FLOOR,
     LatticePolygon,
-    angle_key,
     canonical_form,
     cubic_ratio_exceeds_floor,
     f_of_m,
@@ -55,6 +54,26 @@ UNBOUNDED = 10**12
 
 def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def angle_key(v):
+    """Exact total order on nonzero integer vectors by angle in [0, 2pi),
+    the reference order of the direction sweeps and the winding check.
+
+    Quadrants [0,90), [90,180), [180,270), [270,360) come first in the
+    key; within each quadrant a monotone rational slope substitutes for
+    the angle, so no trigonometry is involved.
+    """
+    x, y = v
+    if x == 0 and y == 0:
+        raise ValidationError("zero vector has no direction")
+    if x > 0 and y >= 0:
+        return (0, Fraction(y, x))
+    if x <= 0 and y > 0:
+        return (1, Fraction(-x, y))
+    if x < 0 and y <= 0:
+        return (2, Fraction(y, x))
+    return (3, Fraction(-x, y))
 
 
 def strict_hull(points):
@@ -159,6 +178,19 @@ class TestLatticePolygonValidation:
     def test_non_integer_vertex(self):
         with pytest.raises(ValidationError):
             LatticePolygon(((0, 0), (1, 0), (0.5, 1.0)))
+
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            ((0,), (1, 0), (0, 1)),  # was a raw IndexError
+            ((True, 0), (1, 1), (0, 1)),  # was accepted as (1, 0)
+            ((0, 0, 0), (1, 0), (0, 1)),
+            ([0, 0], (1, 0), (0, 1)),
+        ],
+    )
+    def test_vertex_not_an_integer_pair(self, verts):
+        with pytest.raises(ValidationError, match="not a lattice point"):
+            LatticePolygon(verts)
 
     def test_double_wound_loop_rejected(self):
         # every turn is a left turn and all vertices are distinct, but

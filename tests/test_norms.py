@@ -328,6 +328,34 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             norm_from_jsonable({"variant": "ellipse", "q": [[1.0, 0.2], [0.3, 1.0]], "scale": 1.0})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # a float vertex was truncated to the diamond (1, 0)
+            {"variant": "arcpolygon", "vertices": [[1.9, 0], [0, 1], [-1.9, 0], [0, -1]], "radius": 5, "level": 1},
+            {"variant": "arcpolygon", "vertices": [[True, 0], [0, 1], [-1, 0], [0, -1]], "radius": 5, "level": 1},
+            {"variant": "arcpolygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "radius": "5", "level": 1},
+            {"variant": "arcpolygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "radius": 5, "level": True},
+            {"variant": "pnorm", "p": "3"},
+            {"variant": "pnorm", "p": 3, "scale": True},
+            {"variant": "pnorm", "p": 3, "scale": "2"},
+            {"variant": "ellipse", "q": [["1", 0], [0, 1]]},
+            {"variant": "ellipse", "q": [[True, 0], [0, 1]]},
+        ],
+    )
+    def test_non_numbers_refused_not_coerced(self, obj):
+        with pytest.raises(ValidationError):
+            norm_from_jsonable(obj)
+
+    def test_make_arc_polygon_refuses_float_vertices(self):
+        # it truncated (1.9, 0) to the diamond's (1, 0)
+        with pytest.raises(ValidationError, match="not a lattice point"):
+            make_arc_polygon(((1.9, 0), (0, 1), (-1.9, 0), (0, -1)), level=1.0)
+
+    def test_integer_json_numbers_accepted(self):
+        spec = norm_from_jsonable({"variant": "ellipse", "q": [[2, 0], [0, 1]], "scale": 3})
+        assert spec == NormSpec(Ellipse(2.0, 0.0, 1.0), 3.0)
+
 
 class TestValidation:
     def test_non_spd_ellipse(self):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from stablenorm import cover, periodic_metric
 from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
 from stablenorm.norms import (
-    LENGTH_TIE_RTOL,
     Ellipse,
     IntegralClass,
     NormSpec,
@@ -43,6 +42,7 @@ from stablenorm.periodic_metric import (
     stable_norm_estimate,
     uniform_grid,
 )
+from stablenorm.tolerances import GROUP_RTOL, LENGTH_TIE_RTOL, PRUNE_RTOL, SEARCH_RTOL
 from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 SQRT2 = math.sqrt(2.0)
@@ -521,7 +521,7 @@ class TestSpectrum:
         monkeypatch.setattr(periodic_metric, "marked_min_length", lambda pg, h: calls.append(h) or measure(pg, h))
         skipped = spectrum(pg, bound)
         measured = len(calls)
-        monkeypatch.setattr(periodic_metric, "_GAUGE_SKIP_RTOL", 1.0)
+        monkeypatch.setattr(periodic_metric, "GAUGE_SKIP_RTOL", 1.0)
         calls.clear()
         reference = spectrum(pg, bound)
         assert skipped.entries == reference.entries
@@ -540,7 +540,7 @@ class TestSpectrum:
         res = spectrum(grid16, 1.1)
         blob = res.to_jsonable()
         assert blob["norm_bound"] == 1.1
-        assert blob["group_rtol"] == periodic_metric.GROUP_RTOL
+        assert blob["group_rtol"] == GROUP_RTOL
         assert all(set(e) == {"class", "length"} for e in blob["entries"])
 
 
@@ -734,7 +734,7 @@ class TestSeeds:
         for h in _PANEL:
             cost, _states, edges = periodic_metric._grid_loop_seed(pg, h)
             assert periodic_metric._grid_loop_cost(pg, h).hex() == cost.hex()
-            found = cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - cover._PRUNE_RTOL))
+            found = cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - PRUNE_RTOL))
             if found is not None:
                 searched += 1
                 edges = found[2]
@@ -749,7 +749,7 @@ class TestSeeds:
         pg = _graph(request, name)
         for h in _PANEL:
             cost, _states, edges = periodic_metric._corridor_seed(pg, h)
-            assert cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - cover._PRUNE_RTOL)) is None
+            assert cover.shortest_cover_cycle(pg.search_index, h.a, h.b, cost * (1 - PRUNE_RTOL)) is None
             assert periodic_metric._exact_length(pg, edges).hex() == marked_min_length(pg, h).length.hex()
 
     def test_no_class_lengths_no_corridor_seed(self, grid16):
@@ -1308,7 +1308,7 @@ class TestAgreementTheorem:
         assert {e.cls for e in got} == {h for h, _value in want}
         value = dict(want)
         for e in got:
-            assert abs(e.length - value[e.cls]) <= 4 * cover.SEARCH_RTOL * value[e.cls], e.cls
+            assert abs(e.length - value[e.cls]) <= 4 * SEARCH_RTOL * value[e.cls], e.cls
         spectrum_groups = tie_groups([(e.cls, e.length) for e in got], LENGTH_TIE_RTOL)
         norm_groups = tie_groups(want, LENGTH_TIE_RTOL)
         assert [{h for h, _v in g} for g in spectrum_groups] == [{h for h, _v in g} for g in norm_groups]

@@ -8,6 +8,7 @@ from pathlib import Path
 import stablenorm
 
 SOURCES = sorted(Path(stablenorm.__file__).parent.glob("*.py"))
+TOLERANCES = "tolerances.py"
 
 
 def _ast_nodes():
@@ -136,12 +137,23 @@ def _named_constants(tree):
     return named
 
 
+def _tolerance_names(tree):
+    """Names a module imports from the tolerance module."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "stablenorm.tolerances"
+        for alias in node.names
+    }
+
+
 def test_small_float_literals_are_named():
-    # a tolerance is named once with its reason, not repeated bare
+    # a tolerance is named once, with its reason, in the tolerance
+    # module; a small float literal anywhere else is a second copy
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        named = _named_constants(tree)
+        named = _named_constants(tree) if path.name == TOLERANCES else set()
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Constant)
@@ -163,17 +175,16 @@ def _round_digits(node):
 
 
 def test_round_digit_counts_are_named():
-    # rounding to a digit count is a tolerance too, so its count is
-    # named once with its reason, as a small float literal is
+    # rounding to a digit count is a tolerance too, so its count is a
+    # name from the tolerance module, as a small float literal is
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = _tolerance_names(tree)
         for node in ast.walk(tree):
             digits = _round_digits(node)
-            if isinstance(digits, ast.UnaryOp):
-                digits = digits.operand
-            if isinstance(digits, ast.Constant):
-                found.append(f"{path.name}:{node.lineno} round(..., {digits.value!r})")
+            if digits is not None and not (isinstance(digits, ast.Name) and digits.id in imported):
+                found.append(f"{path.name}:{node.lineno} round(..., {ast.unparse(digits)})")
     assert SOURCES and not found, found
 
 
@@ -208,9 +219,8 @@ def test_one_way_to_compile_a_search_index():
 
 
 def test_no_private_imports_across_modules():
-    # a module's private functions and classes are its own; only its
-    # private tolerance constants, named once with their reason, may be
-    # shared with another module
+    # a module's private names are its own; what two modules share is
+    # public, as every tolerance is in the tolerance module
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -219,7 +229,7 @@ def test_no_private_imports_across_modules():
                 found.extend(
                     f"{path.name}:{node.lineno} {a.name}"
                     for a in node.names
-                    if a.name.startswith("_") and not _UPPER_NAME.fullmatch(a.name)
+                    if a.name.startswith("_")
                 )
     assert SOURCES and not found, found
 

@@ -27,6 +27,7 @@ from stablenorm.norms import (
     leading_primitive_classes,
     make_arc_polygon,
 )
+from stablenorm.tolerances import SEARCH_RTOL
 from stablenorm.toral_graph import (
     Cycle,
     GraphEdge,
@@ -462,7 +463,7 @@ class TestMinimalCycle:
             for h, ell in graph.classes:
                 cycle, length = minimal_cycle(graph, h)
                 assert length_exact(cycle, graph) == ell
-                assert length == pytest.approx(ell, rel=4 * cover.SEARCH_RTOL)
+                assert length == pytest.approx(ell, rel=4 * SEARCH_RTOL)
 
     def test_two_geodesic_walk_attains_the_bound(self):
         # the search bound is the length of an explicit cycle of class h
@@ -477,7 +478,7 @@ class TestMinimalCycle:
                     assert walk.homology(graph) == h
                     assert class_by_crossings(walk, graph) == h
                     bound = two_geodesic_bound(graph, h)
-                    assert length_exact(walk, graph) == pytest.approx(bound, rel=4 * cover.SEARCH_RTOL)
+                    assert length_exact(walk, graph) == pytest.approx(bound, rel=4 * SEARCH_RTOL)
 
     @given(
         q11=st.floats(0.5, 3.0),
@@ -496,7 +497,7 @@ class TestMinimalCycle:
         graph = build_graph(leading_primitive_classes(norm, k))
         got = minimal_cycle(graph, h)
         assert got is not None
-        assert got[1] <= two_geodesic_bound(graph, h) * (1 + cover.SEARCH_RTOL)
+        assert got[1] <= two_geodesic_bound(graph, h) * (1 + SEARCH_RTOL)
 
     def test_square_exact_against_oracle(self):
         oracle = oracle_min_lengths(SQUARE, 6)
