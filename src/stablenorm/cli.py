@@ -102,6 +102,8 @@ def parse_norm(text, scale: Optional[float] = None) -> NormSpec:
 
 
 def _float(text, what: str) -> float:
+    if isinstance(text, bool):
+        raise ValidationError(f"{what} must be a number, got {text!r}")
     try:
         value = float(text)
     except (TypeError, ValueError) as exc:

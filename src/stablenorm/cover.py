@@ -35,9 +35,14 @@ from functools import cached_property
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
+from stablenorm.errors import SearchMeter
 from stablenorm.tolerances import DEGENERATE_FACET, HEUR_DEFLATE, PRUNE_RTOL, RATE_POINT_DIGITS, ZERO_ADVANCE
 
 Point = tuple[float, float]
+
+#: Most states one cover search may push, over all its starts: at under
+#: 300 B a state, its heap, distances and links stay under 300 MB.
+_MAX_COVER_PUSHES = 1_000_000
 
 #: The normals `gauge_normals` returns for a flat hull: the zero gauge.
 FLAT_GAUGE: tuple[Point, ...] = ((0.0, 0.0),)
@@ -227,8 +232,9 @@ def shortest_cover_cycle(
     more are never completed, and each walk found lowers the bar to its
     cost less PRUNE_RTOL, so a later one must beat it by more than that
     tie margin.  Weights are positive and the heuristic admissible, so
-    finitely many states lie under a finite bar: it alone bounds the
-    search.
+    finitely many states lie under a finite bar, so it bounds the
+    search; one that pushes more than `_MAX_COVER_PUSHES` states raises
+    `SearchBudgetError` instead.
 
     Returns (length, states, labels) for the best walk found, or None
     when nothing costs less than `bar`: `states` are its (node, shift
@@ -251,6 +257,9 @@ def shortest_cover_cycle(
     # only by a strictly greater one), so both forms give the same float
     ax0, ay0 = normals[0]
     more = normals[1:]
+    # the pushes of every start, and each heap's tie-break
+    tick = 0
+    push_cap = _MAX_COVER_PUSHES
     for start in starts:
         goal_x = xs[start] + a
         goal_y = ys[start] + b
@@ -271,7 +280,6 @@ def shortest_cover_cycle(
         state0 = (start, 0, 0)
         target = (start, a, b)
         dist[state0] = 0.0
-        tick = 0
         heap = [(h * deflate, tick, 0.0, state0)]
         while heap:
             f, _t, g, state = heapq.heappop(heap)
@@ -311,5 +319,7 @@ def shortest_cover_cycle(
                     dist[nstate] = ng
                     pred[nstate] = (state, label)
                     tick += 1
+                    if tick > push_cap:
+                        SearchMeter(push_cap, f"cover search of class ({a}, {b})", "states pushed").spend(tick)
                     heapq.heappush(heap, (nf, tick, ng, nstate))
     return found

@@ -74,7 +74,11 @@ tests check them against the uncut sweep.
 
 Layered stores.  A sweep keeps one store per edge count j, keyed
 (x, y, all primitive) with costs and chain links in two dicts, and a
-layer visits the stores from the longest chains down.  Store j offers
+layer visits the stores from the longest chains down.  A link is the
+immutable triple (parent link, direction, mult), captured when an offer
+wins, so climbing links rebuilds the path of the stored cost however
+the parent is later improved.  Keeping the least cost per key is sound:
+every continuation adds a cost that depends only on the partial sum.  Store j offers
 only into store j + 1, which this layer has already walked, so every
 chain extends from its cost before the layer and no walk meets a key
 offered in it.  An offer that wins writes its cost and reads its
@@ -126,13 +130,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from stablenorm.errors import (
-    ConstructionError,
-    InvariantError,
-    SearchBudgetError,
-    ValidationError,
-    check_budget,
-)
+from stablenorm.errors import ConstructionError, InvariantError, SearchMeter, ValidationError
 
 IntVec = tuple[int, int]
 
@@ -326,12 +324,30 @@ def _totient(n: int) -> int:
     return out
 
 
-def _primitive_directions(
-    bound: int,
-    upper_half_only: bool = False,
-    sweep: Optional[_Sweep] = None,
-    rootless: int = 0,
-) -> list[IntVec]:
+def _reserve_root_steps(
+    meter: SearchMeter, bound: int, upper_half_only: bool = False, rootless: int = 0
+) -> None:
+    """Reserve the transitions a sweep over `_primitive_directions(bound,
+    upper_half_only)` must make before the list is built: its root
+    expands at least once on every direction of the first quarter turn
+    but those among its last `rootless` (quarter-turn symmetry, module
+    docstring).  The first quarter holds 2*phi(n) directions with
+    largest coordinate n for n = 1..bound, the whole list 4 (2 in the
+    upper half) times as many.  The count is reserved as it grows, so a
+    huge bound raises at once; a partial count forces no more than the
+    full one.
+    """
+    quarters = 2 if upper_half_only else 4
+    quarter = 0
+    for n in range(1, bound + 1):
+        quarter += 2 * _totient(n)
+        meter.reserve(
+            quarter - max(0, rootless - (quarters - 1) * quarter),
+            lambda: f"the primitive directions within coordinate bound {bound} force that many",
+        )
+
+
+def _primitive_directions(bound: int, upper_half_only: bool = False) -> list[IntVec]:
     """Primitive vectors with coordinates within `bound` in angle order,
     only those with angle in [0, pi) if `upper_half_only`.
 
@@ -342,30 +358,7 @@ def _primitive_directions(
     the angles up to pi/4, and (a, b) for the a/b strictly between 0 and
     1, in descending order, the rest.  The other quarter turns are that
     list rotated by pi/2.
-
-    A sweep expands its root at least once on every direction of the
-    first quarter turn but those among its last `rootless` (quarter-turn
-    symmetry, module docstring).  Given the `sweep`, this first counts
-    them: the first quarter holds 2*phi(n) directions with largest
-    coordinate n for n = 1..bound, and the whole list 4 (2 in the upper
-    half) times as many.  It raises SearchBudgetError as soon as the
-    count forces more transitions than the budget has left, before it
-    builds the list; a partial count forces no more than the full one.
     """
-    if sweep is not None:
-        room = sweep.budget - sweep.ops
-        quarters = 2 if upper_half_only else 4
-        quarter = 0
-        for n in range(1, bound + 1):
-            quarter += 2 * _totient(n)
-            if quarter - max(0, rootless - (quarters - 1) * quarter) > room:
-                raise SearchBudgetError(
-                    f"polygon search exhausted its budget of {sweep.budget} transitions: "
-                    f"the primitive directions within coordinate bound {bound} "
-                    f"force more than are left",
-                    nodes_expanded=sweep.ops,
-                    budget=sweep.budget,
-                )
     farey = [(0, 1)]
     a, b, c, d = 0, 1, 1, bound
     while c <= bound:
@@ -378,39 +371,6 @@ def _primitive_directions(
         quarter = [(-y, x) for x, y in quarter]
         out += quarter
     return out
-
-
-class _Sweep:
-    """The meter of a monotone sweep over angle-sorted primitive
-    directions: its transition `budget` and the `ops` spent so far.
-
-    The sweeps themselves keep one state store per edge count j, keyed
-    (partial sum x, partial sum y, all edges primitive so far), with the
-    accumulated costs and the chain links in two dicts of the same keys.
-    A link is the immutable triple (parent link, direction, mult),
-    captured when an offer wins; climbing links reconstructs exactly the
-    path that produced the stored cost, no matter how the parent state
-    is later improved.  Cost merging keeps the minimum, which is sound
-    because every continuation adds a cost that depends only on the
-    partial sum, never on the path that reached it.  A sweep visits its
-    stores longest chains first within each direction layer (module
-    docstring), counts the layer's transitions locally and brings `ops`
-    up to date once per layer, before the budget check.
-    """
-
-    def __init__(self, budget: int, spent: int = 0):
-        self.budget = budget
-        self.ops = spent
-
-    def check_budget(self, best_so_far: str) -> None:
-        """Called between direction layers, so overshoot is one layer at most."""
-        if self.ops > self.budget:
-            raise SearchBudgetError(
-                f"polygon search exhausted its budget of {self.budget} transitions; "
-                f"best non-certified bound so far: {best_so_far}",
-                nodes_expanded=self.ops,
-                budget=self.budget,
-            )
 
 
 def _rooted_stores(count: int) -> tuple[list[dict], list[dict]]:
@@ -492,15 +452,10 @@ def _later_reach(dirs: Sequence[IntVec], caps: Sequence[int]) -> list[tuple[int,
 
 
 def _sweep_areas(
-    k_max: int,
-    coord_bound: int,
-    cap: Optional[int],
-    budget: int,
-    spent: int = 0,
-) -> tuple[dict[int, AreaSlot], int]:
-    """Run the sweep; return per edge-count closures in ascending k and
-    the op count, `spent` (the ops of an earlier sweep of the same
-    search) included.
+    k_max: int, coord_bound: int, cap: Optional[int], meter: SearchMeter
+) -> dict[int, AreaSlot]:
+    """Run the sweep, spending its transitions on `meter`; return per
+    edge-count closures in ascending k.
 
     `found[k][prim]` holds the best doubled area over k-gons plus a
     capped pool of chain links attaining it; the all-primitive optimum
@@ -510,14 +465,20 @@ def _sweep_areas(
     complete up to a quarter turn: the root starts chains only on the
     first quarter of the directions, angles in [0, pi/2).  Each layer
     keeps only the chains that can still close, in their insertion
-    order.
+    order.  A layer's transitions are counted locally and spent once,
+    so the sweep overshoots its budget by one layer at most.
     """
-    sweep = _Sweep(budget, spent)
     found: dict[int, AreaSlot] = {}
     # every layer of the first quarter turn expands the root at least once
-    dirs = _primitive_directions(coord_bound, sweep=sweep)
+    _reserve_root_steps(meter, coord_bound)
+    dirs = _primitive_directions(coord_bound)
     caps = [coord_bound // max(abs(dx), abs(dy)) for dx, dy in dirs]
     reach = _later_reach(dirs, caps)
+
+    def best_so_far() -> str:
+        return "best non-certified bound so far: " + str(
+            {k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())}
+        )
 
     # store k_max stays empty: an offer into it would have to land on
     # the origin, which only a closure reaches
@@ -593,13 +554,9 @@ def _sweep_areas(
                                 ahead_links[nkey] = (here_links[key], d, m)
             for key in dead:
                 del here[key], here_links[key]
-        sweep.ops += ops
-        if sweep.ops > sweep.budget:
-            sweep.check_budget(
-                str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
-            )
+        meter.spend(ops, best_so_far)
 
-    return {k: found[k] for k in sorted(found)}, sweep.ops
+    return {k: found[k] for k in sorted(found)}
 
 
 def _most_compact(
@@ -759,17 +716,17 @@ def min_area_table(
     if not (isinstance(k_min, int) and isinstance(k_max, int) and 3 <= k_min <= k_max <= 12):
         raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min!r}..{k_max!r}")
     coord_bound = _coord_bound(k_max, coord_bound)
-    check_budget(budget)
+    meter = SearchMeter(budget, "polygon search", "transitions")
 
     rows = range(k_min, k_max + 1)
     seed_bound = _seed_bound(k_max, coord_bound, pruned)
-    found, ops = _sweep_areas(k_max, seed_bound, None, budget)
+    found = _sweep_areas(k_max, seed_bound, None, meter)
     slots = [found.get(k) for k in rows]
     if seed_bound < coord_bound:
         cap = None if None in slots else max(slot[False][0] for slot in slots) - 1
-        found, ops = _sweep_areas(k_max, coord_bound, cap, budget, ops)
+        found = _sweep_areas(k_max, coord_bound, cap, meter)
         slots = [_merge_slots(found.get(k), slot) for k, slot in zip(rows, slots)]
-    return [_min_area_result(k, slot, coord_bound, ops) for k, slot in zip(rows, slots)]
+    return [_min_area_result(k, slot, coord_bound, meter.spent) for k, slot in zip(rows, slots)]
 
 
 def i_of_k(k: int) -> int:
@@ -823,12 +780,12 @@ class SymmetricInteriorResult:
 
 
 def _sweep_symmetric(
-    m_target: int, coord_bound: int, cap: Optional[int], budget: int, spent: int = 0
-) -> tuple[dict[tuple[int, int, int, bool], tuple[int, tuple]], int]:
-    """Run the half-chain sweep; return the finished half-chains (those
-    with `m_target` edges), keyed (m_target, x, y, all primitive) with
-    their (cost, link) in insertion order, and the op count, `spent`
-    included.
+    m_target: int, coord_bound: int, cap: Optional[int], meter: SearchMeter
+) -> dict[tuple[int, int, int, bool], tuple[int, tuple]]:
+    """Run the half-chain sweep, spending its transitions on `meter`;
+    return the finished half-chains (those with `m_target` edges), keyed
+    (m_target, x, y, all primitive) with their (cost, link) in insertion
+    order.
 
     A finished half-chain is set aside in store `m_target`, which no
     layer walks, as soon as it is made, and a half-chain that cannot
@@ -838,14 +795,13 @@ def _sweep_symmetric(
     directions, angles in [0, pi/2), and every centrally symmetric
     polygon has a quarter turn whose half-chain starts there (module
     docstring).  `cap` is the largest cost a half-chain may carry; None
-    keeps every half-chain that starts there.
+    keeps every half-chain that starts there.  It spends as
+    `_sweep_areas` does.
     """
-    sweep = _Sweep(budget, spent)
     # the root is dropped after the first quarter turn, and in the last
     # m_target - 1 layers
-    dirs = _primitive_directions(
-        coord_bound, upper_half_only=True, sweep=sweep, rootless=m_target - 1
-    )
+    _reserve_root_steps(meter, coord_bound, upper_half_only=True, rootless=m_target - 1)
+    dirs = _primitive_directions(coord_bound, upper_half_only=True)
     costs, links = _rooted_stores(m_target + 1)
     for i, d in enumerate(dirs):
         if i == len(dirs) // 2:
@@ -897,13 +853,12 @@ def _sweep_symmetric(
                         if old is None or nc < old:
                             ahead[nkey] = nc
                             ahead_links[nkey] = (here_links[key], d, mult)
-        sweep.ops += ops
-        sweep.check_budget("(no symmetric polygon completed yet)")
+        meter.spend(ops, lambda: "no symmetric polygon completed yet")
     finished_links = links[m_target]
     return {
         (m_target, wx, wy, prim): (cost, finished_links[wx, wy, prim])
         for (wx, wy, prim), cost in costs[m_target].items()
-    }, sweep.ops
+    }
 
 
 def _even_finals(finished: dict) -> list[tuple[int, bool, tuple]]:
@@ -953,7 +908,7 @@ def min_interior_symmetric(
         raise ValidationError(
             f"coordinate bound must be an integer of at least 1, got {coord_bound!r}"
         )
-    check_budget(budget)
+    meter = SearchMeter(budget, "polygon search", "transitions")
     if two_m == 2:
         return SymmetricInteriorResult(
             two_m=2,
@@ -967,12 +922,10 @@ def min_interior_symmetric(
         )
     m_target = two_m // 2
     seed_bound = min(coord_bound, 2)
-    finished, ops = _sweep_symmetric(m_target, seed_bound, None, budget)
-    finals = _even_finals(finished)
+    finals = _even_finals(_sweep_symmetric(m_target, seed_bound, None, meter))
     if seed_bound < coord_bound:
         cap = min((cost for cost, _prim, _link in finals), default=None)
-        finished, ops = _sweep_symmetric(m_target, coord_bound, cap, budget, ops)
-        finals = _even_finals(finished)
+        finals = _even_finals(_sweep_symmetric(m_target, coord_bound, cap, meter))
     if not finals:
         raise ConstructionError(
             f"no symmetric {two_m}-gon with even half-sum exists within bound {coord_bound}"
@@ -1009,7 +962,7 @@ def min_interior_symmetric(
         all_primitive=prim,
         certified=interior == 1,
         coord_bound=coord_bound,
-        states_explored=ops,
+        states_explored=meter.spent,
     )
 
 

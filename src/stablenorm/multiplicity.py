@@ -35,7 +35,7 @@ from stablenorm.norms import (
     tie_groups,
 )
 from stablenorm.periodic_metric import SpectrumResult
-from stablenorm.tolerances import LENGTH_TIE_RTOL, LEVEL_MATCH_RTOL
+from stablenorm.tolerances import LENGTH_TIE_RTOL, LEVEL_MATCH_RTOL, ROUNDING_GAP_RTOL
 
 #: Fraction of distinct consecutive values a tolerance may merge before
 #: the profile warns that it is probably too coarse.
@@ -103,9 +103,10 @@ def _warn_if_coarse(entries: Sequence[tuple[IntegralClass, float]], tol: float) 
     distinct_gaps = 0
     merged = 0
     for (_c1, v1), (_c2, v2) in zip(entries, entries[1:]):
-        if v2 > v1:
+        scale = max(v1, 1.0)
+        if v2 - v1 > ROUNDING_GAP_RTOL * scale:
             distinct_gaps += 1
-            if v2 - v1 <= tol * max(v1, 1.0):
+            if v2 - v1 <= tol * scale:
                 merged += 1
     if distinct_gaps and merged / distinct_gaps > _COARSE_MERGE_SHARE:
         warnings.warn(

@@ -63,7 +63,7 @@ from stablenorm.cover import (
     edge_block,
     shortest_cover_cycle,
 )
-from stablenorm.errors import ConstructionError, InvariantError, SearchBudgetError, ValidationError
+from stablenorm.errors import ConstructionError, InvariantError, SearchMeter, ValidationError
 from stablenorm.norms import IntegralClass, integral_class, tie_groups
 from stablenorm.tolerances import (
     FLOOR_SLACK,
@@ -586,17 +586,6 @@ class SpectrumEntry:
         return {"class": [self.cls.a, self.cls.b], "length": self.length}
 
 
-def _check_seed_steps(h: IntegralClass, name: str, steps: int) -> None:
-    """Raise `SearchBudgetError` for a seed walk of more than
-    `_MAX_SEED_STEPS` steps."""
-    if steps > _MAX_SEED_STEPS:
-        raise SearchBudgetError(
-            f"the {name} seed of class {h} takes {steps} steps, past the cap of {_MAX_SEED_STEPS}",
-            nodes_expanded=0,
-            budget=_MAX_SEED_STEPS,
-        )
-
-
 def _replay(h: IntegralClass, name: str, start: int, loops):
     """Walk `loops`, pairs (search-index steps of one loop, times), from
     node number `start`, adding weights in walking order.
@@ -606,7 +595,10 @@ def _replay(h: IntegralClass, name: str, start: int, loops):
     before it allocates anything, and a walk whose shift is not h
     raises `InvariantError`.
     """
-    _check_seed_steps(h, name, sum(len(loop) * times for loop, times in loops))
+    steps = sum(len(loop) * times for loop, times in loops)
+    if steps > _MAX_SEED_STEPS:
+        seed = f"the {name} seed of class {h}, {steps} steps long,"
+        SearchMeter(_MAX_SEED_STEPS, seed, "steps").reserve(steps)
     states = [(start, 0, 0)]
     path_edges: list[int] = []
     cost = 0.0
@@ -629,7 +621,9 @@ def _grid_loop_cost(pg: PeriodicWeightedGraph, h: IntegralClass) -> float:
     walk: the one grid weight added once per step, in walking order, as
     `_replay` adds it.  An oversized seed raises as it does there."""
     steps = (abs(h.a) + abs(h.b)) * pg.grid.n
-    _check_seed_steps(h, "grid loop", steps)
+    if steps > _MAX_SEED_STEPS:
+        seed = f"the grid loop seed of class {h}, {steps} steps long,"
+        SearchMeter(_MAX_SEED_STEPS, seed, "steps").reserve(steps)
     return reduce(add, repeat(pg.grid.weight, steps), 0.0)
 
 
@@ -886,13 +880,9 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     amax = math.floor(norm_bound / rate_x + FLOOR_SLACK) if math.isfinite(rate_x) else 0
     bmax = math.floor(norm_bound / rate_y + FLOOR_SLACK) if math.isfinite(rate_y) else 0
     count = amax * (2 * bmax + 1) + bmax
-    if count > _MAX_SPECTRUM_CLASSES:
-        raise SearchBudgetError(
-            f"norm bound {norm_bound} spans {count} candidate classes, "
-            f"past the cap of {_MAX_SPECTRUM_CLASSES}",
-            nodes_expanded=0,
-            budget=_MAX_SPECTRUM_CLASSES,
-        )
+    SearchMeter(_MAX_SPECTRUM_CLASSES, "spectrum", "candidate classes").reserve(
+        count, lambda: f"norm bound {norm_bound} spans {count}"
+    )
     candidates = [IntegralClass(0, b) for b in range(1, bmax + 1)]
     candidates.extend(
         IntegralClass(a, b)

@@ -44,6 +44,8 @@ RATE_POINT_DIGITS = 12
 
 #: Relative tolerance at which two analytically computed norm values tie.
 LENGTH_TIE_RTOL = 1e-9
+#: Lengths closer than this, relative, differ only by float rounding.
+ROUNDING_GAP_RTOL = 1e-12
 #: Relative tolerance at which two searched spectrum lengths tie; >= `LENGTH_TIE_RTOL`.
 GROUP_RTOL = 1e-6
 #: Floor of the spectrum's grouping scale, so a zero length groups only with zeros.

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from stablenorm.cover import SearchIndex, build_search_index, edge_block, shortest_cover_cycle
-from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError, check_budget
+from stablenorm.errors import InvariantError, SearchMeter, ValidationError
 from stablenorm.norms import IntegralClass, NormSpec, integral_class, norm_evaluator
 from stablenorm.tolerances import FLOOR_SLACK, SEARCH_RTOL
 
@@ -416,11 +416,12 @@ def _min_gap_search(
     graph: ToralGeodesicGraph,
     norm: NormSpec,
     edge_bound: int,
-    node_budget: int,
-) -> tuple[float, Optional[Cycle], int, int]:
+    meter: SearchMeter,
+) -> tuple[float, Optional[Cycle], int]:
     """Minimum of L(c) - ||h_c|| over cyclically reduced cycles with at
     most `edge_bound` edges that mix classes or orientations, with its
-    witness, the number of such cycles closed and the nodes expanded.
+    witness and the number of such cycles closed; the nodes expanded are
+    spent on `meter`.
 
     Soundness of the pruning: with prescribed class lengths the norm of
     an edge displacement equals the edge length, so the slack
@@ -446,8 +447,9 @@ def _min_gap_search(
     path and appends its own step.  A popped state back at s0
     closes a cycle when the path is mixed and its last step does not
     undo its first; the cycle is recorded then, before the slack prune,
-    with that state's slack as its gap.  Each pop counts one node
-    against `node_budget`, and only `edge_bound` limits the depth.
+    with that state's slack as its gap.  Each pop counts one node in a
+    local count, spent on the meter at the end or once it passes the
+    budget, and only `edge_bound` limits the depth.
 
     Displacements are carried as ints scaled by the graph's `denom` D,
     so they are exact; the norm of a displacement is evaluated once per
@@ -460,6 +462,7 @@ def _min_gap_search(
     best_cycle: Optional[Cycle] = None
     cycles = 0
     nodes = 0
+    node_budget = meter.budget
     scale = graph.denom
     norm_of = norm_evaluator(norm)
     norm_at: dict[tuple[int, int], float] = {}
@@ -505,11 +508,7 @@ def _min_gap_search(
                     best_gap, best_cycle = slack, Cycle(tuple(steps))
             nodes += 1
             if nodes > node_budget:
-                raise SearchBudgetError(
-                    f"cycle enumeration spent its node budget of {node_budget}",
-                    nodes_expanded=nodes,
-                    budget=node_budget,
-                )
+                meter.spend(nodes)
             if slack >= best_gap or depth == edge_bound:
                 continue
             first_cls = None if first is None else cls_of[first[0]]
@@ -518,7 +517,8 @@ def _min_gap_search(
                 if move[0] < s0 or move[2] is last:
                     continue
                 push((move, depth, length, dx, dy, mixed or (first_cls is not None and move[6] != first_cls)))
-    return best_gap, best_cycle, cycles, nodes
+    meter.spend(nodes)
+    return best_gap, best_cycle, cycles
 
 
 def compute_zeta_epsilon_theta(
@@ -551,14 +551,14 @@ def compute_zeta_epsilon_theta(
         raise ValidationError(f"ell_k must be a positive finite real, got {ell_k!r}")
     if isinstance(theta_cap, bool) or not (theta_cap > 0 and math.isfinite(theta_cap)):
         raise ValidationError(f"theta cap must be a positive finite real, got {theta_cap!r}")
-    check_budget(node_budget)
+    meter = SearchMeter(node_budget, "cycle enumeration", "nodes")
     zeta = 0.5 * min(e.length for e in graph.edges)
     edge_bound = int(math.floor(ell_k / zeta + FLOOR_SLACK))
     if edge_bound < 2:
         raise ValidationError(f"ell_k {ell_k!r} is below the shortest segment {2 * zeta!r}: no mixed cycle fits")
     if cross_check:
         _check_homology_tables(graph)
-    gap, witness, cycles, nodes = _min_gap_search(graph, norm, edge_bound, node_budget)
+    gap, witness, cycles = _min_gap_search(graph, norm, edge_bound, meter)
     witness_class = None if witness is None else witness.homology(graph)
     if gap <= 0:
         raise ValidationError(
@@ -574,6 +574,6 @@ def compute_zeta_epsilon_theta(
         witness=witness,
         witness_class=witness_class,
         cycles_checked=cycles,
-        nodes_expanded=nodes,
+        nodes_expanded=meter.spent,
     )
 

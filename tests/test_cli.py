@@ -18,7 +18,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from stablenorm import cli
+from stablenorm import cli, cover
 from stablenorm.cli import jsonify, main, parse_class, parse_norm
 from stablenorm.errors import InvariantError, ValidationError
 from stablenorm.norms import Ellipse, PNorm
@@ -275,6 +275,7 @@ class TestScenario:
             ("polygon-min-area", {"coord_bound": "6"}),
             ("sharpness", {"level": "hi"}),
             ("norm-enumerate", {"scale": "big"}),
+            ("norm-enumerate", {"scale": True, "count": 3}),
             ("canyon-spectrum", {"bound": "x"}),
             ("canyon-spectrum", {"theta": "x"}),
             ("stable-norm", {"background": "x"}),
@@ -476,6 +477,18 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert error["type"] == "search-budget"
         assert "seed of class" in error["message"]
+
+    def test_cover_search_cap_exits_3(self, capsys, monkeypatch):
+        # (2, 1) on this stage crawls for about 755,000 pushes under the
+        # real cap; a cap of 1,000 stops it at once
+        monkeypatch.setattr(cover, "_MAX_COVER_PUSHES", 1_000)
+        code, out, err = run_cli(
+            capsys, "stable-norm", "--norm", "ellipse:1.2,-0.95,1", "--k", "2", "--class", "2,1", "--n-max", "1"
+        )
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "search-budget" and "cover search" in error["message"]
+        assert (error["nodes_expanded"], error["budget"]) == (1_001, 1_000)
 
     def test_table_coord_bound_checked(self, capsys):
         for argv in (("--k", "4"), ("--k", "3", "--k-max", "4")):

@@ -19,6 +19,7 @@ from stablenorm.errors import (
     ConstructionError,
     InvariantError,
     SearchBudgetError,
+    SearchMeter,
     ValidationError,
 )
 from stablenorm.lattice_polygons import (
@@ -50,6 +51,10 @@ EXPECTED_SYMMETRIC_INTERIOR = {2: 1, 4: 1, 6: 1, 8: 7, 10: 13, 12: 19, 14: 35, 1
 EXPECTED_F = {1: 1, 2: 1, 3: 1, 4: 4, 5: 7, 6: 10, 7: 18, 8: 29}
 
 UNBOUNDED = 10**12
+
+
+def unbounded_meter():
+    return SearchMeter(UNBOUNDED, "polygon search", "transitions")
 
 
 def _cross(a, b):
@@ -672,20 +677,20 @@ def _reference_offer(states, key, cost, link):
 REFERENCE_ROOT = (0, 0, 0, True)
 
 
-def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
-    sweep = lattice_polygons._Sweep(budget)
+def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, meter):
     states = {REFERENCE_ROOT: (0, None)}
     found = {}
     for d in lattice_polygons._primitive_directions(coord_bound):
         dx, dy = d
         mult_cap = coord_bound // max(abs(dx), abs(dy))
         additions = []
+        ops = 0
         for key, (c, link) in states.items():
             j, wx, wy, prim = key
             if j >= k_max:
                 continue
             if (wx, wy) == (0, 0):
-                sweep.ops += mult_cap
+                ops += mult_cap
                 for m in range(1, mult_cap + 1):
                     additions.append(((1, m * dx, m * dy, m == 1), 0, (link, d, m)))
                 continue
@@ -693,7 +698,7 @@ def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
             if cr < 0:
                 continue
             if cr == 0:
-                sweep.ops += 1
+                ops += 1
                 if dx != 0:
                     m, r = divmod(-wx, dx)
                 else:
@@ -706,7 +711,7 @@ def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
                 continue
             reach = coord_bound * (k_max - j - 1)
             for m in range(1, mult_cap + 1):
-                sweep.ops += 1
+                ops += 1
                 nc = c + m * cr
                 if incumbent_doubled is not None and nc >= incumbent_doubled:
                     break
@@ -717,19 +722,17 @@ def reference_sweep_areas(k_max, coord_bound, incumbent_doubled, budget):
                 additions.append(((j + 1, nwx, nwy, prim and m == 1), nc, (link, d, m)))
         for key, cost, link in additions:
             _reference_offer(states, key, cost, link)
-        sweep.check_budget(
-            str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())})
-        )
-    return found, sweep.ops
+        meter.spend(ops, lambda: str({k: Fraction(slot[False][0], 2) for k, slot in sorted(found.items())}))
+    return found
 
 
-def reference_sweep_symmetric(m_target, coord_bound, budget):
-    sweep = lattice_polygons._Sweep(budget)
+def reference_sweep_symmetric(m_target, coord_bound, meter):
     states = {REFERENCE_ROOT: (0, None)}
     for d in lattice_polygons._primitive_directions(coord_bound, upper_half_only=True):
         dx, dy = d
         mult_cap = coord_bound // max(abs(dx), abs(dy))
         additions = []
+        ops = 0
         for key, (cost, link) in states.items():
             j, wx, wy, prim = key
             if j >= m_target:
@@ -741,7 +744,7 @@ def reference_sweep_symmetric(m_target, coord_bound, budget):
                 if cr <= 0:
                     raise InvariantError("half-plane chain lost convexity")
             for mult in range(1, mult_cap + 1):
-                sweep.ops += 1
+                ops += 1
                 additions.append(
                     (
                         (j + 1, wx + mult * dx, wy + mult * dy, prim and mult == 1),
@@ -751,9 +754,9 @@ def reference_sweep_symmetric(m_target, coord_bound, budget):
                 )
         for key, cost, link in additions:
             _reference_offer(states, key, cost, link)
-        sweep.check_budget("(no symmetric polygon completed yet)")
+        meter.spend(ops, lambda: "no symmetric polygon completed yet")
     finished = {key: v for key, v in states.items() if key[0] == m_target}
-    return finished, sweep.ops
+    return finished
 
 
 def reference_primitive_directions(bound, upper_half_only=False):
@@ -785,17 +788,17 @@ def reference_most_compact(corner_sets, translate):
     return None if best is None else best[1:]
 
 
-def reference_areas_capped(k_max, coord_bound, cap, budget):
+def reference_areas_capped(k_max, coord_bound, cap, meter):
     """`reference_sweep_areas` with `_sweep_areas`'s arguments: an
     incumbent prunes costs that reach it, a cap only those above it."""
-    return reference_sweep_areas(k_max, coord_bound, None if cap is None else cap + 1, budget)
+    return reference_sweep_areas(k_max, coord_bound, None if cap is None else cap + 1, meter)
 
 
-def reference_symmetric_uncapped(m_target, coord_bound, cap, budget):
+def reference_symmetric_uncapped(m_target, coord_bound, cap, meter):
     """`reference_sweep_symmetric` with `_sweep_symmetric`'s arguments;
     it ignores the cap, so a search run on it sees every finished
     half-chain."""
-    return reference_sweep_symmetric(m_target, coord_bound, budget)
+    return reference_sweep_symmetric(m_target, coord_bound, meter)
 
 
 def reference_steps(link):
@@ -883,16 +886,22 @@ def _check_half_chain(key, cost, link):
 
 
 def _memo(sweep):
-    """Run each sweep once per (size, bound, cap); every call in these
-    tests has a budget it cannot reach, so the budget is left out of the
-    key, and the ops an earlier sweep spent are added to the count."""
+    """Run each sweep once per (size, bound, cap), on a meter of its own;
+    every call in these tests has a budget it cannot reach, so the budget
+    is left out of the key.  `run(size, bound, cap)` gives the sweep's
+    result and ops, and `run(size, bound, cap, meter)`, the sweep's own
+    signature, spends the ops on `meter` and gives the result."""
     cache = {}
 
-    def run(size, bound, cap, budget, spent=0):
+    def run(size, bound, cap, meter=None):
         if (size, bound, cap) not in cache:
-            cache[size, bound, cap] = sweep(size, bound, cap, budget)
+            own = unbounded_meter()
+            cache[size, bound, cap] = sweep(size, bound, cap, own), own.spent
         found, ops = cache[size, bound, cap]
-        return found, ops + spent
+        if meter is None:
+            return found, ops
+        meter.spend(ops)
+        return found
 
     return run
 
@@ -926,14 +935,14 @@ class TestSweepAgainstReference:
     def test_area_sweep_matches_reference(self, k_max, bound, monkeypatch):
         ref = _memo(reference_areas_capped)
         new = _memo(lattice_polygons._sweep_areas)
-        seeded, _ops = ref(k_max, min(bound, 2 if k_max <= 8 else 3), None, UNBOUNDED)
+        seeded, _ops = ref(k_max, min(bound, 2 if k_max <= 8 else 3), None)
         best = seeded[k_max][False][0]
         # uncapped, capped far below the seed (where runs in every store
         # break at their first step), just below it (single k) and at
         # it (table)
         for cap in (None, 0, best // 2, best - 1, best):
-            ref_found, ref_ops = ref(k_max, bound, cap, UNBOUNDED)
-            new_found, new_ops = new(k_max, bound, cap, UNBOUNDED)
+            ref_found, ref_ops = ref(k_max, bound, cap)
+            new_found, new_ops = new(k_max, bound, cap)
             # the sweep starts chains only in the first quarter turn, so
             # its pools hold other chains than the uncut reference's; the
             # minima are the reference's
@@ -968,8 +977,8 @@ class TestSweepAgainstReference:
         new = _memo(lattice_polygons._sweep_symmetric)
         m = two_m // 2
         if m >= 2:
-            ref_finished, ref_ops = ref(m, 6, None, UNBOUNDED)
-            new_finished, new_ops = new(m, 6, None, UNBOUNDED)
+            ref_finished, ref_ops = ref(m, 6, None)
+            new_finished, new_ops = new(m, 6, None)
             # half-chains start only in the first quarter turn; the least
             # even-sum costs are the uncut reference's
             assert _even_minima(new_finished) == _even_minima(ref_finished)
@@ -979,9 +988,9 @@ class TestSweepAgainstReference:
 
             # capped at the seed's least even-sum cost, the sweep keeps
             # exactly the finished half-chains that can still win or tie
-            seeded, _ops = new(m, 2, None, UNBOUNDED)
+            seeded, _ops = new(m, 2, None)
             cap = _even_minima(seeded)[0]
-            capped, _ops = new(m, 6, cap, UNBOUNDED)
+            capped, _ops = new(m, 6, cap)
             assert _costs(capped) == _costs(new_finished, cap)
             if two_m >= 6:
                 assert min_interior_symmetric(two_m).states_explored < new_ops
@@ -1031,13 +1040,13 @@ class TestSelectionAgainstReference:
     def test_chain_corners_match_edge_walk(self, k_max, bound):
         # the witness picks sum a chain's steps into its corners; the walk
         # over its unit edges they replaced gives the same corners
-        found, _ops = lattice_polygons._sweep_areas(k_max, bound, None, UNBOUNDED)
+        found = lattice_polygons._sweep_areas(k_max, bound, None, unbounded_meter())
         links = [link for slot in found.values() for _c2, pool in slot.values() for link in pool]
         assert links
         for link in links:
             corners = lattice_polygons._chain_corners(link)
             assert tuple(corners[:-1]) == reference_corner_walk(reference_edges(link), (0, 0))
-        finished, _ops = lattice_polygons._sweep_symmetric(k_max // 2, bound, None, UNBOUNDED)
+        finished = lattice_polygons._sweep_symmetric(k_max // 2, bound, None, unbounded_meter())
         even = [link for (_j, wx, wy, _p), (_c, link) in finished.items() if wx % 2 == wy % 2 == 0]
         assert even
         for link in even:

@@ -23,6 +23,7 @@ from stablenorm.multiplicity import (
 from stablenorm.norms import (
     ArcPolygon,
     Ellipse,
+    IntegralClass,
     NormSpec,
     PNorm,
     euclidean,
@@ -30,7 +31,7 @@ from stablenorm.norms import (
     hexagonal,
     strict_convexity_check,
 )
-from stablenorm.periodic_metric import spectrum, uniform_grid
+from stablenorm.periodic_metric import SpectrumEntry, SpectrumResult, spectrum, uniform_grid
 
 
 class TestProfileGrouping:
@@ -155,6 +156,20 @@ class TestCoarseToleranceWarning:
         with pytest.warns(UserWarning, match="coarse"):
             multiplicity_profile(euclidean(), class_budget=12, tie_tolerance=0.5)
 
+    def test_rounding_gap_is_a_tie(self):
+        # 0.9999999999999992 and 0.9999999999999999 are 7 ulps apart:
+        # rounding of one length, not two lengths the tolerance merges
+        lengths = [((0, 0), 0.0)] + [(c, 0.9999999999999992) for c in ((1, 0), (0, 1), (1, 1))]
+        lengths.append(((1, -1), 0.9999999999999999))
+        entries = tuple(SpectrumEntry(IntegralClass(*c), v, ()) for c, v in lengths)
+        res = SpectrumResult(entries=entries, groups=(), norm_bound=1.0, group_rtol=1e-6)
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = multiplicity_profile(res, tie_tolerance=1e-9)
+        assert [g.multiplicity for g in profile.groups] == [1, 4]
+
     def test_default_tolerance_silent(self):
         import warnings
 
@@ -226,13 +241,13 @@ class TestSharpnessVerification:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_bound_attained(self, m, monkeypatch):
         sweeps = []
+        sweep = lattice_polygons._sweep_symmetric
 
-        class CountingSweep(lattice_polygons._Sweep):
-            def __init__(self, budget, spent=0):
-                super().__init__(budget, spent)
-                sweeps.append(budget)
+        def counting_sweep(*args):
+            sweeps.append(args)
+            return sweep(*args)
 
-        monkeypatch.setattr(lattice_polygons, "_Sweep", CountingSweep)
+        monkeypatch.setattr(lattice_polygons, "_sweep_symmetric", counting_sweep)
         report = verify_sharpness(m)
         # f(m) comes from the one search that built the norm, a seed
         # sweep and the capped full sweep; m = 1 needs none

@@ -253,3 +253,13 @@ def test_every_module_constant_is_read():
                 read.add(node.attr)
     orphans = sorted(f"{where} {name}" for name, where in assigned.items() if name not in read)
     assert assigned and not orphans, orphans
+
+
+def test_one_place_raises_a_search_budget_error():
+    # every bounded search spends through `SearchMeter`, so its budget is
+    # checked, spent and exhausted in one place
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{scope}" for scope, node in _scoped(tree) if _calls_to(node, "SearchBudgetError"))
+    assert found == ["errors.py:SearchMeter._refuse"], found

@@ -10,6 +10,7 @@ from stablenorm.tolerances import (
     LENGTH_TIE_RTOL,
     PARALLEL_CUTOFF,
     PRUNE_RTOL,
+    ROUNDING_GAP_RTOL,
 )
 
 
@@ -29,3 +30,6 @@ def test_stated_relations_hold():
     # lengths; a spectrum may also join lengths the norm keeps apart
     # (between 1e-9 and 1e-6 apart, relative)
     assert GROUP_RTOL >= LENGTH_TIE_RTOL
+    # a rounding gap is far below the default tie tolerance, so gaps the
+    # tolerance merges are not all rounding
+    assert ROUNDING_GAP_RTOL < LENGTH_TIE_RTOL

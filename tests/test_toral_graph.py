@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablenorm.errors import InvariantError, SearchBudgetError, ValidationError
+from stablenorm.errors import InvariantError, SearchBudgetError, SearchMeter, ValidationError
 from stablenorm import cover
 from stablenorm.norms import (
     ArcPolygon,
@@ -435,6 +435,19 @@ class TestMinimalCycle:
     def test_pair_of_ints_accepted(self):
         assert minimal_cycle(THREE, (2, -1)) == minimal_cycle(THREE, IntegralClass(2, -1))
 
+    def test_cover_search_capped_in_pushes(self, monkeypatch):
+        # (2, 1) on the Euclidean k = 2 graph pushes 5 states; a cap of 5
+        # lets it finish, a cap of 4 stops it at the fifth push
+        graph = build_graph(leading_primitive_classes(euclidean(), 2))
+        h = IntegralClass(2, 1)
+        expected = minimal_cycle(graph, h)
+        monkeypatch.setattr(cover, "_MAX_COVER_PUSHES", 5)
+        assert minimal_cycle(graph, h) == expected
+        monkeypatch.setattr(cover, "_MAX_COVER_PUSHES", 4)
+        with pytest.raises(SearchBudgetError, match="cover search") as err:
+            minimal_cycle(graph, h)
+        assert (err.value.nodes_expanded, err.value.budget) == (5, 4)
+
     @pytest.mark.parametrize("h", [IntegralClass(1.5, 0), (1.5, 0), (1, True), "10"])
     def test_non_integer_class_rejected(self, h):
         with pytest.raises(ValidationError, match="pair of integers"):
@@ -695,7 +708,7 @@ class TestTubeConstants:
         # from leading_primitive_classes of seeded ellipses and p-norms
         norm = tube_panel_norms(seed)[pick]
         graph = build_graph(leading_primitive_classes(norm, k))
-        got = _min_gap_search(graph, norm, b, 10**6)[0]
+        got = _min_gap_search(graph, norm, b, SearchMeter(10**6, "cycle enumeration", "nodes"))[0]
         expected = oracle_min_gap(graph, norm, b)
         assert got == expected or abs(got - expected) <= 1e-12
 
