@@ -10,8 +10,9 @@ weighted sum vanishes; reading the directions in angle order traces the
 boundary.  Cutting the cyclic order at the 0-degree ray turns every
 polygon into a strictly increasing subsequence of the angle-sorted
 direction list, so one monotone sweep over that list enumerates each
-polygon exactly once; starting chains only in the first quarter turn,
-it enumerates each polygon up to a quarter turn (below).  That list is
+polygon exactly once; starting chains only on the directions (1, 0)
+through (1, 1), it enumerates at least one image of each polygon under
+the 8 lattice symmetries (below).  That list is
 generated in angle order, with no sort: the Farey sequence's next-term
 rule gives the first quarter turn, and three rotations by 90 degrees
 (one for a half-plane) give the rest (`_primitive_directions`).  The
@@ -45,30 +46,51 @@ kept one: a chain that can close has only parents that can close, and a
 dropped key is never offered again.  Closures, witness pools and
 witnesses therefore come out exactly as from the sweep that keeps them.
 
-Quarter-turn symmetry.  The quarter turn R(x, y) = (-y, x) has
-determinant 1 and keeps max(|x|, |y|), so it keeps cross products,
-doubled areas, interior and corner counts, primitivity, multiplicity
-caps and the coordinate bound, and it maps each quarter of the
-direction list onto the next (`_primitive_directions`).
+Lattice symmetry.  The 8 lattice symmetries, the signed permutations
+of the coordinates, have determinant +-1 and keep max(|x|, |y|), gcds
+and the lattice.  With a reflection's image traversed backwards, to
+restore counterclockwise order, they keep doubled areas, interior and
+corner counts, primitivity, multiplicity caps and the coordinate bound.
+They commute with negation, so they keep central symmetry, and they map
+a lattice point to a lattice point.
 
-- Polygons.  Let a convex lattice polygon's least edge angle in
-  [0, 2pi) be a, with q*pi/2 <= a < (q+1)*pi/2.  R^-q turns every edge
-  angle t in [a, 2pi) into t - q*pi/2 in [0, 2pi), so the image's least
-  edge angle is a - q*pi/2, in [0, pi/2), and the image is a polygon of
-  the same class within the same bound.
+- Edge angles.  The quarter turn R(x, y) = (-y, x) maps an edge angle t
+  to t + pi/2 and each quarter of the direction list onto the next
+  (`_primitive_directions`).  A reflection, say (x, y) -> (y, x), maps t
+  to pi/2 - t, and traversing the image backwards negates every edge,
+  adding pi.  So the rotations map t to t - c, and the reflections
+  followed by the reversal map t to c - t, where c takes each of the
+  values 0, pi/2, pi and 3pi/2 (mod 2pi) in both families.
+- Polygons.  Every edge angle t of a convex lattice polygon lies within
+  pi/4 of some multiple c of pi/2.  If t - c is in [0, pi/4], the
+  rotation t -> t - c gives an image whose least edge angle in
+  [0, 2pi) is the angle from c counterclockwise to the nearest edge, at
+  most t - c.  Otherwise c - t is in (0, pi/4], and the reflection
+  t -> c - t gives an image whose least edge angle is the angle to c
+  from the nearest edge clockwise of it, at most c - t.  Either way the
+  image's first edge in angle order is one of the directions (1, 0)
+  through (1, 1), and the image is a polygon of the same class within
+  the same bound.  The interval must be closed: a diagonal diamond, with
+  edges on (1, 1), (-1, 1), (-1, -1) and (1, -1), has least edge angle
+  pi/4 in each of its images.
 - Half-chains.  A centrally symmetric polygon's half-chain holds its
-  edges with angle in [0, pi).  If its least angle is at least pi/2,
-  the polygon has no edge in [0, pi/2) and, by the symmetry, none in
-  [pi, 3pi/2), so R^-1 takes the half-chain's edges into [0, pi/2):
-  they are the image's half-chain, with the same cost, and its sum
-  R^-1 S is even exactly when S is.
+  edges with angle in [0, pi).  The image above is centrally symmetric
+  too, so its half-chain starts on its least edge, one of (1, 0)
+  through (1, 1).  It has the same cost and all-primitive flag, and its
+  sum, twice the vector from its start vertex to the centre, is even
+  exactly when the original's is: the centre is a lattice point in
+  both or in neither.
 
+Those directions are the first |F_B| = 1 + phi(1) + ... + phi(B) of the
+list, one per fraction of the Farey sequence F_B (`_root_layer_counts`).
 So every minimum, `certified` flag, interior count, f(m) and
-all-primitive preference is attained by a chain whose first edge lies in
-[0, pi/2), and the root, store 0, is cleared once the layer index
-reaches a quarter of the list (half of the upper-half list).  The cut
-drops live chains, so a kept key can lose the cheaper or earlier chain
-that started later and its pool holds other chains than an uncut
+all-primitive preference is attained by a chain whose first edge is
+one of them, and the root, store 0, is cleared once the layer index
+reaches |F_B|, in the whole list and in the upper half alike.  A cut
+one layer earlier drops (1, 1) and with it the diagonal diamonds:
+`min_interior_symmetric(4, coord_bound=1)` then finds no polygon.  The
+cut drops live chains, so a kept key can lose the cheaper or earlier
+chain that started later and its pool holds other chains than an uncut
 sweep's; witnesses are canonical over the 8 lattice symmetries, and the
 tests check them against the uncut sweep.
 
@@ -128,7 +150,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from stablenorm.errors import ConstructionError, InvariantError, SearchMeter, ValidationError
 
@@ -324,27 +346,37 @@ def _totient(n: int) -> int:
     return out
 
 
+def _root_layer_counts(bound: int) -> Iterator[int]:
+    """|F_n| = 1 + phi(1) + ... + phi(n) for n = 1..bound: the directions
+    (1, 0) through (1, 1) with largest coordinate at most n, one per
+    fraction of the Farey sequence F_n.  The last is the number of first
+    layers of a sweep at `bound` on which its root starts chains
+    (lattice symmetry, module docstring)."""
+    count = 1
+    for n in range(1, bound + 1):
+        count += _totient(n)
+        yield count
+
+
 def _reserve_root_steps(
     meter: SearchMeter, bound: int, upper_half_only: bool = False, rootless: int = 0
-) -> None:
+) -> int:
     """Reserve the transitions a sweep over `_primitive_directions(bound,
-    upper_half_only)` must make before the list is built: its root
-    expands at least once on every direction of the first quarter turn
-    but those among its last `rootless` (quarter-turn symmetry, module
-    docstring).  The first quarter holds 2*phi(n) directions with
-    largest coordinate n for n = 1..bound, the whole list 4 (2 in the
-    upper half) times as many.  The count is reserved as it grows, so a
-    huge bound raises at once; a partial count forces no more than the
-    full one.
+    upper_half_only)` must make before the list is built, and return the
+    number of its first layers on which the root starts chains.  The root
+    expands at least once on each of those layers but those among the
+    list's last `rootless`.  With r root layers the list holds 8 (4 in
+    the upper half) times r - 1 directions.  The count is reserved as it
+    grows, so a huge bound raises at once; a partial count forces no
+    more than the full one.
     """
-    quarters = 2 if upper_half_only else 4
-    quarter = 0
-    for n in range(1, bound + 1):
-        quarter += 2 * _totient(n)
+    per_fraction = 4 if upper_half_only else 8
+    for root_layers in _root_layer_counts(bound):
         meter.reserve(
-            quarter - max(0, rootless - (quarters - 1) * quarter),
+            min(root_layers, per_fraction * (root_layers - 1) - rootless),
             lambda: f"the primitive directions within coordinate bound {bound} force that many",
         )
+    return root_layers
 
 
 def _primitive_directions(bound: int, upper_half_only: bool = False) -> list[IntVec]:
@@ -413,7 +445,8 @@ class MinAreaResult:
     better; otherwise the minimum is exact only over polygons whose
     edge vectors fit the bound.  `states_explored` counts the
     transitions of every sweep the search ran, its seed sweep included;
-    each sweep starts chains only on the first quarter turn's directions
+    each sweep starts chains only on the directions (1, 0) through
+    (1, 1), which finds every minimum up to the 8 lattice symmetries
     (module docstring).
     """
 
@@ -462,15 +495,16 @@ def _sweep_areas(
     is tracked separately so callers can prefer witnesses whose boundary
     points are exactly the corners.  `cap` is the largest doubled area a
     chain may sweep (module docstring); None keeps the enumeration
-    complete up to a quarter turn: the root starts chains only on the
-    first quarter of the directions, angles in [0, pi/2).  Each layer
-    keeps only the chains that can still close, in their insertion
+    complete up to the 8 lattice symmetries: the root starts chains only
+    on the directions (1, 0) through (1, 1), angles in [0, pi/4].  Each
+    layer keeps only the chains that can still close, in their insertion
     order.  A layer's transitions are counted locally and spent once,
     so the sweep overshoots its budget by one layer at most.
     """
     found: dict[int, AreaSlot] = {}
-    # every layer of the first quarter turn expands the root at least once
-    _reserve_root_steps(meter, coord_bound)
+    # the root starts chains on directions (1, 0) through (1, 1) only
+    # (module docstring) and expands at least once on each
+    root_layers = _reserve_root_steps(meter, coord_bound)
     dirs = _primitive_directions(coord_bound)
     caps = [coord_bound // max(abs(dx), abs(dy)) for dx, dy in dirs]
     reach = _later_reach(dirs, caps)
@@ -484,8 +518,7 @@ def _sweep_areas(
     # the origin, which only a closure reaches
     costs, links = _rooted_stores(k_max + 1)
     for i, d in enumerate(dirs):
-        if i == len(dirs) // 4:
-            # chains start only in the first quarter turn (module docstring)
+        if i == root_layers:
             costs[0].clear()
             links[0].clear()
         dx, dy = d
@@ -685,9 +718,9 @@ def min_area_convex_kgon(
     (default 6 for k <= 8, else 10).  With `pruned`, a quick small-bound
     sweep seeds a cost cap, and chains that already sweep the seeded
     area are cut; with `pruned=False` the sweep has no cost cap and
-    enumerates every polygon that can close within the bound up to a
-    quarter turn, dropping only chains that cannot close and chains
-    that start after the first quarter turn (module docstring).  The
+    enumerates every polygon that can close within the bound up to the
+    8 lattice symmetries, dropping only chains that cannot close and
+    chains that start after direction (1, 1) (module docstring).  The
     witness comes back in canonical position, preferring one whose edges
     are all primitive when that ties the minimum.  This is the one row of
     `min_area_table(k, k, ...)`.
@@ -791,22 +824,22 @@ def _sweep_symmetric(
     layer walks, as soon as it is made, and a half-chain that cannot
     reach `m_target` edges on the directions left is dropped, so each
     layer visits only half-chains that can still finish.  The root
-    starts half-chains only on the first half of the upper-half
-    directions, angles in [0, pi/2), and every centrally symmetric
-    polygon has a quarter turn whose half-chain starts there (module
-    docstring).  `cap` is the largest cost a half-chain may carry; None
-    keeps every half-chain that starts there.  It spends as
+    starts half-chains only on the directions (1, 0) through (1, 1),
+    angles in [0, pi/4], and every centrally symmetric polygon has an
+    image under the 8 lattice symmetries whose half-chain starts there
+    (module docstring).  `cap` is the largest cost a half-chain may
+    carry; None keeps every half-chain that starts there.  It spends as
     `_sweep_areas` does.
     """
-    # the root is dropped after the first quarter turn, and in the last
-    # m_target - 1 layers
-    _reserve_root_steps(meter, coord_bound, upper_half_only=True, rootless=m_target - 1)
+    # the root starts half-chains on directions (1, 0) through (1, 1)
+    # only (module docstring), and not in the last m_target - 1 layers
+    root_layers = _reserve_root_steps(
+        meter, coord_bound, upper_half_only=True, rootless=m_target - 1
+    )
     dirs = _primitive_directions(coord_bound, upper_half_only=True)
     costs, links = _rooted_stores(m_target + 1)
     for i, d in enumerate(dirs):
-        if i == len(dirs) // 2:
-            # half-chains start only in the first quarter turn (module
-            # docstring)
+        if i == root_layers:
             costs[0].clear()
             links[0].clear()
         dx, dy = d

@@ -15,8 +15,10 @@ and seeing them flagged is the point of the report.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 from stablenorm.errors import ConstructionError, ValidationError
@@ -211,8 +213,10 @@ def _sharp_norm(m: int, level: float) -> tuple[NormSpec, SymmetricInteriorResult
     """The sharp norm for m, with the symmetric minimum it was built from."""
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 6:
         raise ValidationError(f"sharp construction covers 1 <= m <= 6, got {m!r}")
-    if not level > 0:
-        raise ValidationError(f"level must be positive, got {level}")
+    # a bool would run as 1.0, and infinity would fail later, in the arc
+    # gauge or the scale check, with another message
+    if isinstance(level, bool) or not (isinstance(level, Real) and 0 < level < math.inf):
+        raise ValidationError(f"level must be a positive finite number, got {level!r}")
     if m == 1:
         return NormSpec(Ellipse(1.0, 0.0, 1.3), scale=float(level)), min_interior_symmetric(2)
     sym = min_interior_symmetric(2 * m, prefer_primitive=True)

@@ -338,20 +338,21 @@ class TestMinArea:
     @pytest.mark.parametrize(
         "search,seed",
         [
-            (lambda b: min_interior_symmetric(6, coord_bound=b, budget=3), None),
-            (lambda b: min_area_convex_kgon(4, coord_bound=b, budget=3), None),
+            (lambda b: min_interior_symmetric(6, coord_bound=b, budget=2), None),
+            (lambda b: min_area_convex_kgon(4, coord_bound=b, budget=2), None),
             (lambda b: min_area_table(3, 5, coord_bound=b, budget=2000), lambda r: r[0]),
             (lambda b: min_interior_symmetric(6, coord_bound=b, budget=1000), lambda r: r),
         ],
         ids=["symmetric-seed", "kgon-seed", "table-full", "symmetric-full"],
     )
     def test_direction_count_checked_against_budget(self, search, seed):
-        # about 6e10 primitive directions fit the bound and each of the
-        # first quarter turn's forces a transition, so the search stops
-        # while still making them: in the seed sweep's set-up, whose 4
-        # forced transitions at bound 2 top the budget of 3, or in the
-        # full sweep's once the seed sweep (the whole search at bound 2)
-        # has run
+        # about 3e9 of the primitive directions within the bound are root
+        # directions, (1, 0) through (1, 1): |F_B| = 1 + phi(1) + ... +
+        # phi(B), and each forces a transition.  So the search stops while
+        # still counting them: in the seed sweep's set-up, whose
+        # |F_2| = 3 forced transitions at bound 2 top the budget of 2, or
+        # in the full sweep's once the seed sweep (the whole search at
+        # bound 2) has run
         spent = 0 if seed is None else seed(search(2)).states_explored
         with pytest.raises(SearchBudgetError, match="directions") as exc:
             search(100_000)
@@ -360,16 +361,18 @@ class TestMinArea:
     @pytest.mark.parametrize(
         "search,enough",
         [
-            (lambda b: min_area_convex_kgon(4, coord_bound=3, pruned=False, budget=b), 8),
-            (lambda b: min_interior_symmetric(6, coord_bound=2, budget=b), 4),
+            (lambda b: min_area_convex_kgon(4, coord_bound=3, pruned=False, budget=b), 5),
+            (lambda b: min_interior_symmetric(6, coord_bound=2, budget=b), 3),
         ],
         ids=["kgon", "symmetric"],
     )
     def test_direction_count_is_exact(self, search, enough):
-        # the root expands on the first quarter turn's 2*(1 + 1 + 2)
-        # directions at bound 3, and on its 2*(1 + 1) at bound 2, where
-        # the last m_target - 1 = 2 layers that do not expand the root all
-        # lie past the first quarter
+        # the root expands on the |F_3| = 1 + (1 + 1 + 2) = 5 directions
+        # (1, 0), (3, 1), (2, 1), (3, 2), (1, 1) at bound 3, and on the
+        # |F_2| = 1 + (1 + 1) = 3 directions (1, 0), (2, 1), (1, 1) at
+        # bound 2.  There the upper half holds 4 * (1 + 1) = 8 directions,
+        # and the last m_target - 1 = 2 layers, which do not expand the
+        # root, all lie past the root's 3
         with pytest.raises(SearchBudgetError, match="directions"):
             search(enough - 1)
         with pytest.raises(SearchBudgetError) as exc:
@@ -377,12 +380,16 @@ class TestMinArea:
         assert "directions" not in str(exc.value)
 
     def test_root_free_layers_inside_the_first_quarter(self):
-        # at bound 1 the upper half holds 4 directions, 2 of them in the
-        # first quarter; for 2m = 8 the last 3 layers do not expand the
-        # root, one of them in the first quarter, so 1 transition is forced
+        # at bound 1 the upper half holds the 4 directions (1, 0), (1, 1),
+        # (0, 1), (-1, 1), and the root expands on the first |F_1| = 2.
+        # For 2m = 8 the last 3 layers do not expand the root, one of them
+        # (1, 1), so 1 transition is forced; for 2m = 6 the last 2 do not,
+        # neither of them a root layer, so 2 are
         with pytest.raises(SearchBudgetError) as exc:
             min_interior_symmetric(8, coord_bound=1, budget=1)
         assert "directions" not in str(exc.value)
+        with pytest.raises(SearchBudgetError, match="directions"):
+            min_interior_symmetric(6, coord_bound=1, budget=1)
 
     def test_directions_counted_by_totients(self):
         for bound in range(1, 31):
@@ -478,16 +485,24 @@ class TestMinArea:
 class TestWorkCounts:
     """Transitions of the searches at coordinate bound 6, pinned so that
     a change to the sweep kernels cannot change the work they do without
-    notice."""
+    notice.
+
+    At bound 6 the list holds 8 * (1 + 1 + 2 + 2 + 4 + 2) = 96
+    directions, 48 in the upper half, and the root starts chains on the
+    first |F_6| = 1 + 12 = 13 of both, (1, 0) through (1, 1) (module
+    docstring, "Lattice symmetry").  The counts are those of sweeps cut
+    there: the transitions of every chain that starts on one of the 13
+    and can still close, or still finish, on the later directions.
+    """
 
     @pytest.mark.parametrize(
         "k,unpruned,pruned",
         [
-            (4, 46_575, 5_204),
-            (5, 89_243, 17_658),
-            (6, 163_453, 23_695),
-            (7, 254_761, 70_679),
-            (8, 386_150, 80_294),
+            (4, 41_069, 3_607),
+            (5, 83_199, 13_919),
+            (6, 152_284, 19_161),
+            (7, 242_189, 60_990),
+            (8, 367_816, 69_645),
         ],
     )
     def test_area_search_transitions(self, k, unpruned, pruned):
@@ -495,7 +510,7 @@ class TestWorkCounts:
         assert min_area_convex_kgon(k, coord_bound=6).states_explored == pruned
 
     @pytest.mark.parametrize(
-        "two_m,transitions", [(4, 1_822), (6, 7_117), (8, 21_669), (10, 42_988)]
+        "two_m,transitions", [(4, 1_320), (6, 5_451), (8, 18_042), (10, 37_202)]
     )
     def test_symmetric_search_transitions(self, two_m, transitions):
         assert min_interior_symmetric(two_m).states_explored == transitions
@@ -1062,32 +1077,53 @@ def _quarter_turn(v, q):
     return x, y
 
 
-class TestQuarterTurnSymmetry:
-    """The lemma behind starting chains only on the first quarter turn's
-    directions (module docstring, "Quarter-turn symmetry")."""
+def _lattice_symmetry_images(vertices):
+    """The images of a counterclockwise vertex cycle under the 8 lattice
+    symmetries (x, y) -> (sx * x, sy * y), with or without the swap of
+    x and y; a reflection's image is traversed backwards, so that every
+    image is counterclockwise again."""
+    images = []
+    for sx in (1, -1):
+        for sy in (1, -1):
+            for swap in (False, True):
+                pts = [(sx * (y if swap else x), sy * (x if swap else y)) for x, y in vertices]
+                if sx * sy * (-1 if swap else 1) < 0:
+                    pts.reverse()
+                images.append(LatticePolygon(tuple(pts)))
+    return images
+
+
+#: The angle order position of direction (1, 1), the last on which the
+#: sweeps' root starts chains.
+ONE_ONE = angle_key((1, 1))
+
+
+class TestLatticeSymmetry:
+    """The lemma behind starting chains only on the directions (1, 0)
+    through (1, 1) (module docstring, "Lattice symmetry"), and the place
+    of that cut."""
 
     @given(points_strategy)
     @settings(max_examples=200)
-    def test_a_quarter_turn_starts_a_polygon_in_the_first_quadrant(self, pts):
+    def test_a_lattice_symmetry_starts_a_polygon_by_one_one(self, pts):
         hull = strict_hull(pts)
         if hull is None:
             return
         poly = LatticePolygon(hull)
         bound = max(max(abs(x), abs(y)) for x, y in poly.edge_vectors)
         counts = pick_counts(poly)
-        starts = []
-        for q in range(4):
-            image = LatticePolygon(tuple(_quarter_turn(v, q) for v in hull))
+        starts = 0
+        for image in _lattice_symmetry_images(hull):
             edges = image.edge_vectors
             assert max(max(abs(x), abs(y)) for x, y in edges) == bound
             assert pick_counts(image) == counts
-            if angle_key(min(edges, key=angle_key))[0] == 0:
-                starts.append(q)
+            if angle_key(min(edges, key=angle_key)) <= ONE_ONE:
+                starts += 1
         assert starts
 
     @given(points_strategy, st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=200)
-    def test_a_quarter_turn_starts_a_half_chain_in_the_first_quadrant(self, pts, cx, cy):
+    def test_a_lattice_symmetry_starts_a_half_chain_by_one_one(self, pts, cx, cy):
         # symmetric about (cx, cy) / 2, so the half-chain's sum is odd
         # when cx or cy is
         hull = strict_hull(pts + [(cx - x, cy - y) for x, y in pts])
@@ -1096,9 +1132,9 @@ class TestQuarterTurnSymmetry:
         poly = LatticePolygon(hull)
         bound = max(max(abs(x), abs(y)) for x, y in poly.edge_vectors)
         counts = pick_counts(poly)
-        starts = []
-        for q in range(4):
-            image = LatticePolygon(tuple(_quarter_turn(v, q) for v in hull))
+        starts = 0
+        for image in _lattice_symmetry_images(hull):
+            assert image.is_centrally_symmetric() == poly.is_centrally_symmetric()
             edges = image.edge_vectors
             half = [e for e in edges if angle_key(e)[0] < 2]
             assert len(half) * 2 == len(edges)
@@ -1106,9 +1142,40 @@ class TestQuarterTurnSymmetry:
             assert pick_counts(image) == counts
             sx, sy = sum(x for x, _ in half), sum(y for _, y in half)
             assert (sx % 2 == sy % 2 == 0) == (cx % 2 == cy % 2 == 0)
-            if angle_key(min(half, key=angle_key))[0] == 0:
-                starts.append(q)
+            if angle_key(min(half, key=angle_key)) <= ONE_ONE:
+                starts += 1
         assert starts
+
+    def test_diamonds_start_on_one_one(self):
+        # the closed end of [0, pi/4]: every image of a diagonal diamond
+        # has its least edge on (1, 1)
+        for a, b in [(1, 1), (1, 2), (3, 1)]:
+            diamond = ((a, -a), (a + b, b - a), (b, b), (0, 0))
+            for image in _lattice_symmetry_images(diamond):
+                assert angle_key(min(image.edge_vectors, key=angle_key)) == ONE_ONE
+
+    @pytest.mark.parametrize("upper_half_only", [False, True])
+    def test_root_layers_end_on_one_one(self, upper_half_only):
+        for bound in range(1, 17):
+            dirs = lattice_polygons._primitive_directions(bound, upper_half_only)
+            root_layers = lattice_polygons._reserve_root_steps(
+                unbounded_meter(), bound, upper_half_only
+            )
+            assert dirs[root_layers - 1] == (1, 1), bound
+            assert all(angle_key(d) > ONE_ONE for d in dirs[root_layers:]), bound
+
+    def test_cut_keeps_one_one(self, monkeypatch):
+        # within bound 1 the only symmetric 4-gon with an even half-sum is
+        # the diamond on (1, 1) and (-1, 1), whose every image starts on
+        # (1, 1); a cut one layer earlier finds no polygon
+        res = min_interior_symmetric(4, coord_bound=1)
+        assert res.witness_vertices == ((-1, 0), (0, -1), (1, 0), (0, 1))
+        counts = lattice_polygons._root_layer_counts
+        monkeypatch.setattr(
+            lattice_polygons, "_root_layer_counts", lambda bound: (c - 1 for c in counts(bound))
+        )
+        with pytest.raises(ConstructionError):
+            min_interior_symmetric(4, coord_bound=1)
 
     @pytest.mark.parametrize("upper_half_only", [False, True])
     def test_direction_quarters_are_quarter_turns(self, upper_half_only):

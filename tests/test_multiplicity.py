@@ -6,6 +6,8 @@ tested, since the failure report is part of the contract.
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +28,22 @@ from stablenorm.norms import (
     IntegralClass,
     NormSpec,
     PNorm,
+    enumerate_classes,
     euclidean,
     eval_norm,
     hexagonal,
+    leading_primitive_classes,
     strict_convexity_check,
 )
-from stablenorm.periodic_metric import SpectrumEntry, SpectrumResult, spectrum, uniform_grid
+from stablenorm.periodic_metric import (
+    SpectrumEntry,
+    SpectrumResult,
+    build_canyon_graph,
+    spectrum,
+    uniform_grid,
+)
+from stablenorm.tolerances import LEVEL_MATCH_RTOL
+from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 
 class TestProfileGrouping:
@@ -236,6 +248,21 @@ class TestSharpConstruction:
         with pytest.raises(ValidationError):
             construct_sharp_norm(2, level=level)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("level", [True, False, math.inf, -math.inf, math.nan, "1.0", 0, -2.0])
+    def test_level_refused_with_one_message(self, m, level):
+        # checked up front: a bool would run as 1.0, and infinity would
+        # fail later, in the arc gauge (m = 3) or the scale check (m = 1)
+        for build in (construct_sharp_norm, verify_sharpness):
+            with pytest.raises(ValidationError, match="level must be a positive finite number"):
+                build(m, level=level)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_integer_and_fraction_levels_accepted(self, m):
+        for level in (2, Fraction(5, 2)):
+            report = verify_sharpness(m, level=level)
+            assert report.passed and report.level == float(level)
+
 
 class TestSharpnessVerification:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -268,3 +295,60 @@ class TestSharpnessVerification:
         report = verify_sharpness(3, level=2.0)
         assert report.passed
         assert report.level == 2.0
+
+
+#: The level-1 group (m, n) of each sharp norm's least canyon stage.  The
+#: paper's corollary gives (m, f(m)); m = 2 gives (3, 1) instead, the open
+#: defect of ROADMAP item 1: at the default background b = l_k = 1.0 a
+#: grid row realises (1, 0) at length 1, though its norm is 1.3246.
+_SHARP_STAGE_GROUPS = {2: (3, 1), 3: (3, 1), 4: (4, 4), 5: (5, 7), 6: (6, 10)}
+
+
+def _least_sharp_stage(m, background=None):
+    """The canyon stage on grid 64 of the sharp norm for m whose
+    prescribed classes are exactly the primitive classes at or below
+    level 1, with theta from the tube search and background l_k unless
+    given; returns the stage and its k."""
+    norm = construct_sharp_norm(m)
+    entries = enumerate_classes(norm, f_of_m(m) + m + 3).entries
+    k = sum(1 for c, v in entries if c.is_primitive and v <= 1 + LEVEL_MATCH_RTOL)
+    classes = leading_primitive_classes(norm, k)
+    graph = build_graph(classes)
+    ell_k = max(length for _c, length in classes)
+    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
+    b = ell_k if background is None else background
+    return build_canyon_graph(graph, theta=theta, background_systole=b, grid_resolution=64), k
+
+
+def _level_one_group(stage):
+    """(m, n) of the tie group at length 1 of the stage's spectrum; the
+    profile must not warn that its tolerance is too coarse."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = multiplicity_profile(spectrum(stage, 1.0), tie_tolerance=1e-9)
+    (group,) = [g for g in profile.groups if abs(g.length - 1.0) <= LEVEL_MATCH_RTOL]
+    return group.multiplicity, group.shorter_count
+
+
+class TestSharpCanyonStage:
+    """The multiplicity corollary on a torus metric: the least canyon
+    stage of the sharp norm for m shows its level-1 tie group in
+    `spectrum`, with f(m) classes strictly below it."""
+
+    @pytest.mark.parametrize("m", sorted(_SHARP_STAGE_GROUPS))
+    def test_level_one_group(self, m):
+        stage, k = _least_sharp_stage(m)
+        assert k == {2: 2, 3: 3, 4: 6, 5: 8, 6: 12}[m]
+        got = _level_one_group(stage)
+        assert got == _SHARP_STAGE_GROUPS[m]
+        if m == 2:
+            # pinned defect, not the corollary: (1, 0) joins the group
+            assert got != (m, f_of_m(m))
+        else:
+            assert got == (m, f_of_m(m))
+
+    def test_m2_background_at_the_axis_gauge(self):
+        # with b = 2 = gauge_P(e_1) the stage's stable ball is P_k and the
+        # group is the corollary's (2, f(2))
+        stage, _k = _least_sharp_stage(2, background=2.0)
+        assert _level_one_group(stage) == (2, f_of_m(2)) == (2, 1)

@@ -263,3 +263,29 @@ def test_one_place_raises_a_search_budget_error():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.extend(f"{path.name}:{scope}" for scope, node in _scoped(tree) if _calls_to(node, "SearchBudgetError"))
     assert found == ["errors.py:SearchMeter._refuse"], found
+
+
+def _divides_a_length(node) -> bool:
+    """`len(...) // n`, a count read off a list's length."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and _calls_to(node.left, "len")
+
+
+def test_one_root_layer_count():
+    # the sweeps' root starts chains on the directions (1, 0) through
+    # (1, 1), the first |F_B| = 1 + phi(1) + ... + phi(B) of their list.
+    # One expression counts them, in `_root_layer_counts`;
+    # `_reserve_root_steps` reserves and returns that count, and each
+    # sweep clears its root at that layer, with no count of its own
+    path = Path(stablenorm.__file__).parent / "lattice_polygons.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    scoped = list(_scoped(tree))
+    assert [scope for scope, node in scoped if _calls_to(node, "_totient")] == ["_root_layer_counts"]
+    assert [scope for scope, node in scoped if _calls_to(node, "_root_layer_counts")] == ["_reserve_root_steps"]
+    assert [scope for scope, node in scoped if _divides_a_length(node)] == []
+    sweeps = {"_sweep_areas": [], "_sweep_symmetric": []}
+    for scope, node in scoped:
+        if scope in sweeps and isinstance(node, ast.Assign) and _calls_to(node.value, "_reserve_root_steps"):
+            sweeps[scope].append(ast.unparse(node.targets[0]))
+        elif scope in sweeps and isinstance(node, ast.Compare) and "root_layers" in ast.unparse(node):
+            sweeps[scope].append(ast.unparse(node))
+    assert sweeps == {sweep: ["root_layers", "i == root_layers"] for sweep in sweeps}, sweeps
