@@ -94,28 +94,53 @@ chain that started later and its pool holds other chains than an uncut
 sweep's; witnesses are canonical over the 8 lattice symmetries, and the
 tests check them against the uncut sweep.
 
-Layered stores.  A sweep keeps one store per edge count j, keyed
-(x, y, all primitive) with costs and chain links in two dicts, and a
-layer visits the stores from the longest chains down.  A link is the
-immutable triple (parent link, direction, mult), captured when an offer
-wins, so climbing links rebuilds the path of the stored cost however
-the parent is later improved.  Keeping the least cost per key is sound:
-every continuation adds a cost that depends only on the partial sum.  Store j offers
-only into store j + 1, which this layer has already walked, so every
-chain extends from its cost before the layer and no walk meets a key
-offered in it.  An offer that wins writes its cost and reads its
-parent's link; one that loses builds nothing.  Dead keys are collected
-during a walk and deleted after it.  That is the same as collecting the layer's
-offers and merging them after the deletions: a key that dies at d
-(cross(w, d) <= 0) is never offered at d, since an offer w = w' + m*d
-has cross(w, d) = cross(w', d), so its parent died too, or its parent
-is the root and (1, m*d) is new at d.  Every kept key keeps its cost
-and its place in its store, and a store's insertion order is the order
-of its keys in one dict over all edge counts, so merges, ties, witness
-pools and witnesses are those of such a dict.  Transitions are counted
-once per multiplicity run, in closed form: mult_cap, or where the cost
-cap breaks the run, the steps within the cap and the one that breaks
-it.
+Layered stores.  A sweep keeps one store per edge count j, with values
+and chain links in two dicts, and a layer visits the stores from the
+longest chains down.  A link is the immutable triple (parent link,
+direction, mult), captured when an offer wins, so climbing links
+rebuilds the path of the stored value however the parent is later
+improved.  Keeping the least value per key is sound: every continuation
+adds a cost that depends only on the partial sum, the edge count and
+the layer.
+
+- Area stores.  The key is the partial sum (x, y) alone, and the value
+  one integer rank, 2 * cost + (0 if every step so far has multiplicity
+  1 else 1).  A step of multiplicity 1 adds 2 * cr; a longer run first
+  sets the low bit, then adds 2 * cr per step.  The cost cap reads
+  rank >> 1, and a closure is all primitive when its rank is even and
+  its closing step has multiplicity 1.  The least rank is the least
+  cost and, among equal costs, an all-primitive chain: merging the
+  primitive and the other chains at one sum is the same min-merge.
+  Take an all-primitive polygon of least area.  Each of its prefixes
+  has the least cost at its key, or the cheaper chain there, completed
+  the same way, would beat it; each prefix is all primitive, so its
+  even rank wins the tie, and the polygon still closes as an
+  all-primitive closure.  So the all-primitive minimum a sweep reports
+  for k edges is exact whenever it equals the overall one, the only
+  case in which a witness is drawn from its pool
+  (`_pick_area_witness`); otherwise it may be larger, or missing.
+- Symmetric stores.  The key is (x, y, all primitive) and the value the
+  cost, so one sum can be held twice.  `min_interior_symmetric` without
+  `prefer_primitive` picks the most compact of every tying half-chain,
+  primitive or not, and a rank would drop the non-primitive ties at a
+  sum where a primitive chain ties: the `polygon-symm --two-m 8`
+  witness changes at bounds 2..6 that way.
+
+Store j offers only into store j + 1, which this layer has already
+walked, so every chain extends from its value before the layer and no
+walk meets a key offered in it.  An offer that wins writes its value
+and reads its parent's link; one that loses builds nothing.  Dead keys
+are collected during a walk and deleted after it.  That is the same as
+collecting the layer's offers and merging them after the deletions: a
+key that dies at d (cross(w, d) <= 0) is never offered at d, since an
+offer w = w' + m*d has cross(w, d) = cross(w', d), so its parent died
+too, or its parent is the root and (1, m*d) is new at d.  Every kept
+key keeps its value and its place in its store, and a store's insertion
+order is the order of its keys in one dict over all edge counts, so
+merges, ties, witness pools and witnesses are those of such a dict.
+Transitions are counted once per multiplicity run, in closed form:
+mult_cap, or where the cost cap breaks the run, the steps within the
+cap and the one that breaks it.
 
 Seeded cost caps.  Each search first sweeps a small coordinate bound.
 Every polygon that seed sweep finds is also a polygon of the full
@@ -405,13 +430,16 @@ def _primitive_directions(bound: int, upper_half_only: bool = False) -> list[Int
     return out
 
 
-def _rooted_stores(count: int) -> tuple[list[dict], list[dict]]:
+def _rooted_stores(count: int, root: tuple) -> tuple[list[dict], list[dict]]:
     """Cost and link stores for edge counts 0..count - 1, the root (no
-    edges, at the origin, all primitive) alone in store 0."""
-    costs: list[dict[tuple[int, int, bool], int]] = [{} for _ in range(count)]
-    links: list[dict[tuple[int, int, bool], Optional[tuple]]] = [{} for _ in range(count)]
-    costs[0][0, 0, True] = 0
-    links[0][0, 0, True] = None
+    edges, at the origin, all primitive) alone in store 0 under the key
+    `root` with value 0: (0, 0) for the area sweep, whose value is a
+    rank, and (0, 0, True) for the symmetric sweep, whose key carries
+    the flag (module docstring, "Layered stores")."""
+    costs: list[dict[tuple, int]] = [{} for _ in range(count)]
+    links: list[dict[tuple, Optional[tuple]]] = [{} for _ in range(count)]
+    costs[0][root] = 0
+    links[0][root] = None
     return costs, links
 
 
@@ -490,16 +518,20 @@ def _sweep_areas(
     """Run the sweep, spending its transitions on `meter`; return per
     edge-count closures in ascending k.
 
-    `found[k][prim]` holds the best doubled area over k-gons plus a
-    capped pool of chain links attaining it; the all-primitive optimum
-    is tracked separately so callers can prefer witnesses whose boundary
-    points are exactly the corners.  `cap` is the largest doubled area a
-    chain may sweep (module docstring); None keeps the enumeration
-    complete up to the 8 lattice symmetries: the root starts chains only
-    on the directions (1, 0) through (1, 1), angles in [0, pi/4].  Each
-    layer keeps only the chains that can still close, in their insertion
-    order.  A layer's transitions are counted locally and spent once,
-    so the sweep overshoots its budget by one layer at most.
+    `found[k][False]` holds the least doubled area over k-gons plus a
+    capped pool of chain links attaining it, and `found[k][True]` the
+    same over the all-primitive closures, so callers can prefer
+    witnesses whose boundary points are exactly the corners.  Each store
+    keeps one rank per partial sum, so `found[k][True]` is exact
+    whenever it equals `found[k][False]`, and otherwise may be larger or
+    missing (module docstring, "Layered stores").  `cap` is the largest
+    doubled area a chain may sweep (module docstring); None keeps the
+    enumeration complete up to the 8 lattice symmetries: the root starts
+    chains only on the directions (1, 0) through (1, 1), angles in
+    [0, pi/4].  Each layer keeps only the chains that can still close,
+    in their insertion order.  A layer's transitions are counted locally
+    and spent once, so the sweep overshoots its budget by one layer at
+    most.
     """
     found: dict[int, AreaSlot] = {}
     # the root starts chains on directions (1, 0) through (1, 1) only
@@ -515,27 +547,28 @@ def _sweep_areas(
         )
 
     # store k_max stays empty: an offer into it would have to land on
-    # the origin, which only a closure reaches
-    costs, links = _rooted_stores(k_max + 1)
+    # the origin, which only a closure reaches; a store maps a partial
+    # sum to its rank (module docstring, "Layered stores")
+    ranks, links = _rooted_stores(k_max + 1, (0, 0))
     for i, d in enumerate(dirs):
         if i == root_layers:
-            costs[0].clear()
+            ranks[0].clear()
             links[0].clear()
         dx, dy = d
         mult_cap = caps[i]
         px, mx, py, my = reach[i + 1]
         ops = 0
         for j in range(k_max - 1, -1, -1):
-            here, here_links = costs[j], links[j]
-            ahead, ahead_links = costs[j + 1], links[j + 1]
+            here, here_links = ranks[j], links[j]
+            ahead, ahead_links = ranks[j + 1], links[j + 1]
             get = ahead.get
             # the box a new partial sum must lie in to close with r more
             # edges, all on directions after d
             r = k_max - j - 1
             xl, xh, yl, yh = -r * px, r * mx, -r * py, r * my
             dead = []
-            for key, c in here.items():
-                wx, wy, prim = key
+            for key, rank in here.items():
+                wx, wy = key
                 cr = wx * dy - wy * dx
                 # the root (j == 0), while kept, starts a chain on every
                 # direction
@@ -551,7 +584,8 @@ def _sweep_areas(
                         closes = rem == 0 and 1 <= m <= mult_cap and (wx + m * dx, wy + m * dy) == (0, 0)
                         if closes and j + 1 >= 3:
                             link = (here_links[key], d, m)
-                            _record_closure(found.setdefault(j + 1, {}), prim and m == 1, c, link)
+                            prim = not rank & 1 and m == 1
+                            _record_closure(found.setdefault(j + 1, {}), prim, rank >> 1, link)
                     # at cr < 0 for good: no later direction turns back
                     dead.append(key)
                     continue
@@ -559,31 +593,33 @@ def _sweep_areas(
                 # also counts the step that breaks it (every kept chain
                 # is within the cap, so then 0 <= top < mult_cap)
                 top = mult_cap
-                if cap is not None and c + mult_cap * cr > cap:
-                    top = (cap - c) // cr
+                if cap is not None and (rank >> 1) + mult_cap * cr > cap:
+                    top = (cap - (rank >> 1)) // cr
                     ops += 1
                     if not top:
                         continue
                 ops += top
-                # step 1 keeps the primitive flag, and is the whole run
-                # on the directions with mult_cap == 1
-                nc, nwx, nwy = c + cr, wx + dx, wy + dy
+                # step 1 keeps the rank's low bit, and is the whole run
+                # on the directions with mult_cap == 1; step 2 sets it
+                step = 2 * cr
+                nr, nwx, nwy = rank + step, wx + dx, wy + dy
                 if xl <= nwx <= xh and yl <= nwy <= yh:
-                    nkey = (nwx, nwy, prim)
+                    nkey = (nwx, nwy)
                     old = get(nkey)
-                    if old is None or nc < old:
-                        ahead[nkey] = nc
+                    if old is None or nr < old:
+                        ahead[nkey] = nr
                         ahead_links[nkey] = (here_links[key], d, 1)
                 if top > 1:
+                    nr |= 1
                     for m in range(2, top + 1):
-                        nc += cr
+                        nr += step
                         nwx += dx
                         nwy += dy
                         if xl <= nwx <= xh and yl <= nwy <= yh:
-                            nkey = (nwx, nwy, False)
+                            nkey = (nwx, nwy)
                             old = get(nkey)
-                            if old is None or nc < old:
-                                ahead[nkey] = nc
+                            if old is None or nr < old:
+                                ahead[nkey] = nr
                                 ahead_links[nkey] = (here_links[key], d, m)
             for key in dead:
                 del here[key], here_links[key]
@@ -633,7 +669,8 @@ def _most_compact(
 
 def _pick_area_witness(slot: AreaSlot) -> tuple[int, LatticePolygon]:
     """Most compact canonical witness among the pooled optimal chains,
-    drawn from the all-primitive pool when it ties the optimum."""
+    drawn from the all-primitive pool when it ties the optimum, the one
+    case in which that pool is exact (`_sweep_areas`)."""
     c2, links = slot[False]
     if True in slot and slot[True][0] == c2:
         links = slot[True][1]
@@ -829,7 +866,10 @@ def _sweep_symmetric(
     image under the 8 lattice symmetries whose half-chain starts there
     (module docstring).  `cap` is the largest cost a half-chain may
     carry; None keeps every half-chain that starts there.  It spends as
-    `_sweep_areas` does.
+    `_sweep_areas` does, but its stores key the all-primitive flag
+    beside the sum instead of ranking it, so each sum keeps its least
+    non-primitive chain for the witness pick (module docstring,
+    "Layered stores").
     """
     # the root starts half-chains on directions (1, 0) through (1, 1)
     # only (module docstring), and not in the last m_target - 1 layers
@@ -837,7 +877,7 @@ def _sweep_symmetric(
         meter, coord_bound, upper_half_only=True, rootless=m_target - 1
     )
     dirs = _primitive_directions(coord_bound, upper_half_only=True)
-    costs, links = _rooted_stores(m_target + 1)
+    costs, links = _rooted_stores(m_target + 1, (0, 0, True))
     for i, d in enumerate(dirs):
         if i == root_layers:
             costs[0].clear()
@@ -869,7 +909,7 @@ def _sweep_symmetric(
                     if not top:
                         continue
                 ops += top
-                # step 1 keeps the primitive flag, as in `_sweep_areas`
+                # step 1 keeps the primitive flag, and a longer run clears it
                 nc, nwx, nwy = cost + step, wx + dx, wy + dy
                 nkey = (nwx, nwy, prim)
                 old = get(nkey)
@@ -1011,6 +1051,9 @@ def cubic_ratio_exceeds_floor(k: int, area: Fraction) -> bool:
     """Strict exact check that area/k^3 clears 1/(8*pi^2).
 
     Compares against MIN_AREA_CUBIC_FLOOR, a rational that is provably
-    at least 1/(8*pi^2), so a True answer is a certificate.
+    at least 1/(8*pi^2), so a True answer is a certificate.  k must be
+    an integer of at least 3, the fewest corners of a polygon.
     """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 3:
+        raise ValidationError(f"k must be an integer of at least 3, got {k!r}")
     return Fraction(area) / k**3 > MIN_AREA_CUBIC_FLOOR

@@ -131,12 +131,17 @@ def multiplicity_profile(
     entries and must state an explicit tolerance, since its
     discretization error is not ours to guess.  The zero-length group
     is exempt from the bound: the trivial class is not a geodesic.  A
-    class budget, when given, must be an integer of at least 1.
+    class budget, when given, must be an integer of at least 1, and a
+    tie tolerance a nonnegative number (not a bool or a string).
     """
     if class_budget is not None and (
         isinstance(class_budget, bool) or not isinstance(class_budget, int) or class_budget < 1
     ):
         raise ValidationError(f"class budget must be an integer of at least 1, got {class_budget!r}")
+    if tie_tolerance is not None and (
+        isinstance(tie_tolerance, bool) or not isinstance(tie_tolerance, Real)
+    ):
+        raise ValidationError(f"tie tolerance must be a number, got {tie_tolerance!r}")
     if isinstance(source, NormSpec):
         if class_budget is None:
             raise ValidationError("a norm profile needs a class budget")

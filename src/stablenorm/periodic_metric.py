@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
+from numbers import Real
 from operator import add
 from typing import Iterable, Mapping, Optional
 
@@ -870,10 +871,12 @@ def spectrum(pg: PeriodicWeightedGraph, norm_bound: float) -> SpectrumResult:
     measured.  The rest are measured one by one on the graph's shared
     search index and sorted deterministically by
     (length, class); ties group under the relative tolerance `GROUP_RTOL`.
-    The bound must be finite, and a box of more than
-    `_MAX_SPECTRUM_CLASSES` candidates raises `SearchBudgetError`
-    before it is built.
+    The bound must be a finite positive number, not a bool, and a box of
+    more than `_MAX_SPECTRUM_CLASSES` candidates raises
+    `SearchBudgetError` before it is built.
     """
+    if isinstance(norm_bound, bool) or not isinstance(norm_bound, Real):
+        raise ValidationError(f"norm bound must be a number, got {norm_bound!r}")
     if not (norm_bound > 0 and math.isfinite(norm_bound)):
         raise ValidationError(f"norm bound must be finite and positive, got {norm_bound}")
     rate_x, rate_y = pg.search_index.rates

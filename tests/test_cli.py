@@ -592,6 +592,26 @@ def test_readme_examples_have_their_pinned_output_bytes(capsys):
         assert err == "", line
 
 
+#: Exit code and SHA-256 of stdout of the widest minimal-area tables:
+#: every row the CLI takes, 3..12 at the default bound 10, and the
+#: uncapped (`--no-prune`) oracle over 3..8 at bound 6.  Neither is a
+#: README example, so they are kept apart from `README_OUTPUT_DIGESTS`;
+#: the same rule holds for them.
+WIDEST_TABLE_DIGESTS = {
+    "stablenorm polygon-min-area --k 3 --k-max 12":
+        (0, "fea60a9c976ebea9ce87da6c0295848c3981408f265cbc3dbf29c376513835c1"),
+    "stablenorm polygon-min-area --k 3 --k-max 8 --no-prune":
+        (0, "a42eca047401da34290da4a01a59fdb74d04da60cd7a09916223a8498c5a5834"),
+}
+
+
+@pytest.mark.parametrize("line", list(WIDEST_TABLE_DIGESTS))
+def test_widest_area_tables_have_their_pinned_output_bytes(capsys, line):
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == WIDEST_TABLE_DIGESTS[line]
+    assert err == ""
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stablenorm", "polygon-min-area", "--k", "3"],

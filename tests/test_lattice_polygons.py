@@ -492,17 +492,20 @@ class TestWorkCounts:
     first |F_6| = 1 + 12 = 13 of both, (1, 0) through (1, 1) (module
     docstring, "Lattice symmetry").  The counts are those of sweeps cut
     there: the transitions of every chain that starts on one of the 13
-    and can still close, or still finish, on the later directions.
+    and can still close, or still finish, on the later directions.  The
+    area sweeps hold one chain per partial sum, the symmetric sweep one
+    per partial sum and all-primitive flag (module docstring, "Layered
+    stores").
     """
 
     @pytest.mark.parametrize(
         "k,unpruned,pruned",
         [
-            (4, 41_069, 3_607),
-            (5, 83_199, 13_919),
-            (6, 152_284, 19_161),
-            (7, 242_189, 60_990),
-            (8, 367_816, 69_645),
+            (4, 23_883, 3_420),
+            (5, 45_469, 10_757),
+            (6, 83_459, 13_687),
+            (7, 129_755, 37_754),
+            (8, 198_282, 43_633),
         ],
     )
     def test_area_search_transitions(self, k, unpruned, pruned):
@@ -529,6 +532,12 @@ class TestInteriorCounts:
         for k, area in EXPECTED_MIN_AREA.items():
             assert cubic_ratio_exceeds_floor(k, area)
             assert Fraction(area) / k**3 > MIN_AREA_CUBIC_FLOOR
+
+    @pytest.mark.parametrize("k", [0, 2, -3, True, 3.0, "5", None])
+    def test_cubic_ratio_rejects_a_non_polygon_k(self, k):
+        # k = 0 would divide by zero, and True would read as k = 1
+        with pytest.raises(ValidationError, match="k must be an integer of at least 3"):
+            cubic_ratio_exceeds_floor(k, Fraction(1, 2))
 
     def test_floor_constant_is_sane(self):
         # 8*pi^2 is a little above 78.9568, so the reciprocal floor sits

@@ -124,6 +124,12 @@ class TestProfileGrouping:
         with pytest.raises(ValidationError, match="tolerance"):
             multiplicity_profile(euclidean(), class_budget=5, tie_tolerance=math.nan)
 
+    @pytest.mark.parametrize("tol", [True, False, "1e-3", b"0", [1e-3]])
+    def test_non_number_tolerance_rejected(self, tol):
+        # True would run at tolerance 1.0, and a string would be parsed
+        with pytest.raises(ValidationError, match="tie tolerance must be a number"):
+            multiplicity_profile(euclidean(), class_budget=5, tie_tolerance=tol)
+
 
 class TestSpectrumInput:
     def test_grid_spectrum_violates_bound(self):

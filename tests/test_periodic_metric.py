@@ -491,6 +491,12 @@ class TestSpectrum:
         with pytest.raises(ValidationError):
             spectrum(grid16, -2.0)
 
+    @pytest.mark.parametrize("bound", [True, False, "3", None, [1.0]])
+    def test_non_number_bound(self, grid16, bound):
+        # True would run as bound 1.0
+        with pytest.raises(ValidationError, match="norm bound must be a number"):
+            spectrum(grid16, bound)
+
     @pytest.mark.parametrize("bound", [math.inf, math.nan])
     def test_non_finite_bound(self, grid16, bound):
         with pytest.raises(ValidationError, match="finite"):
