@@ -11,6 +11,10 @@ Parameters can also come from a JSON scenario file (--scenario); flags
 win over it.  Its keys are the flag names with underscores (grid_n,
 n_max, class) and its values are checked like the flags, so an unknown
 key or a bad value exits 2 as well.
+
+A call builds the argument parser of its own subcommand only.  A call
+that names none (no arguments, --help, an unknown name) builds all of
+them, since the top-level help and its errors list every subcommand.
 """
 
 from __future__ import annotations
@@ -504,14 +508,24 @@ _FLAG_KWARGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for `argv`: only its subcommand's parser when `argv`
+    starts with a subcommand name, else every subcommand's parser, which
+    the top-level help and the missing or unknown subcommand errors read."""
     parser = argparse.ArgumentParser(
         prog="stablenorm",
         description="Marked length spectra of periodic graphs and the "
         "lattice-polygon bounds on their multiplicities.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_handler, help_text, params) in _COMMANDS.items():
+    if argv and argv[0] in _COMMANDS:
+        # the usage line still names every subcommand, as argparse's
+        # default metavar does when all of them are added
+        names, metavar = (argv[0],), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = tuple(_COMMANDS), None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        _handler, help_text, params = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
@@ -557,8 +571,9 @@ def _load_scenario(path: Optional[str]) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _build_parser(argv).parse_args(argv)
     handler, _help, params = _COMMANDS[ns.subcommand]
     try:
         _resolve(ns, _load_scenario(ns.scenario), params)

@@ -1052,8 +1052,11 @@ def cubic_ratio_exceeds_floor(k: int, area: Fraction) -> bool:
 
     Compares against MIN_AREA_CUBIC_FLOOR, a rational that is provably
     at least 1/(8*pi^2), so a True answer is a certificate.  k must be
-    an integer of at least 3, the fewest corners of a polygon.
+    an integer of at least 3, the fewest corners of a polygon, and area
+    a nonnegative int or Fraction.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 3:
         raise ValidationError(f"k must be an integer of at least 3, got {k!r}")
+    if isinstance(area, bool) or not isinstance(area, (int, Fraction)) or area < 0:
+        raise ValidationError(f"area must be a nonnegative int or Fraction, got {area!r}")
     return Fraction(area) / k**3 > MIN_AREA_CUBIC_FLOOR

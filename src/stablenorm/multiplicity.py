@@ -132,7 +132,7 @@ def multiplicity_profile(
     discretization error is not ours to guess.  The zero-length group
     is exempt from the bound: the trivial class is not a geodesic.  A
     class budget, when given, must be an integer of at least 1, and a
-    tie tolerance a nonnegative number (not a bool or a string).
+    tie tolerance a finite nonnegative number (not a bool or a string).
     """
     if class_budget is not None and (
         isinstance(class_budget, bool) or not isinstance(class_budget, int) or class_budget < 1
@@ -163,8 +163,10 @@ def multiplicity_profile(
         raise ValidationError(
             f"source must be a NormSpec or SpectrumResult, got {type(source).__name__}"
         )
-    if not tol >= 0:  # also false for NaN, which would split every tie
-        raise ValidationError(f"tie tolerance must be nonnegative, got {tol}")
+    # NaN would split every tie, and inf would merge every class, the
+    # zero class included, into one group exempt from the bound
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValidationError(f"tie tolerance must be finite and nonnegative, got {tol}")
     if not entries:
         raise ValidationError("empty spectrum has no profile")
 

@@ -612,6 +612,69 @@ def test_widest_area_tables_have_their_pinned_output_bytes(capsys, line):
     assert err == ""
 
 
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: Exit code and SHA-256 of stdout and stderr of the argparse layer:
+#: the top-level help, each subcommand's help and the usage errors.
+#: Help wraps to the terminal width, so these are taken at COLUMNS=80.
+#: They are kept apart from `README_OUTPUT_DIGESTS`; the same rule holds
+#: for them.
+ARGPARSE_OUTPUT_DIGESTS = {
+    "stablenorm --help":
+        (0, "e0e585b28a293967d959bd2772461ae70e629484a22531fb784145bee45bfa63", _EMPTY),
+    "stablenorm":
+        (2, _EMPTY, "5ccbe0ea0d6e747c967a43256335a3ca7b8ce9912ee53a9e5b8800aff1c3e057"),
+    "stablenorm bogus":
+        (2, _EMPTY, "3f17d023d61a4ed2984eff949c77cf7fed8ad64e5057a5a4ece366fac254a01f"),
+    "stablenorm -- graph-build":
+        (2, _EMPTY, "59a1230ee2b43cdc08a79f877d5b80d04bc9333f8a53e710196f2f5d5c057e26"),
+    "stablenorm graph-build --bogus":
+        (2, _EMPTY, "81453941348ab08ee421a3582fe63166e51fcd379860eda6bd3e2a75a7c17e1b"),
+    "stablenorm graph-build --k x":
+        (2, _EMPTY, "2a7d0c5c3c18e94af209ac28daba733e0a1bdef1e7fa8c14b67ca2571b46165a"),
+    "stablenorm graph-build extra":
+        (2, _EMPTY, "be1916be69a32db54f142ce6fea985be21864b09a341f7e6739198f28d8ea381"),
+    "stablenorm polygon-symm --two-m 8 --no-such":
+        (2, _EMPTY, "f33172981de898507cc7b2b4d2de3f5633638eb6a8f69fbd664a737bfa22c3aa"),
+    "stablenorm norm-enumerate --help":
+        (0, "44ec85e421cbcde029a2a0cb9fb6c2ad6ec632098927f20f543d173954e279f7", _EMPTY),
+    "stablenorm graph-build --help":
+        (0, "8eb2b8a482a01db0acca25442e039d1fa576c2b9266cfb2e89ee05998b6bfcfa", _EMPTY),
+    "stablenorm graph-epsilon --help":
+        (0, "c01b21417a75777add79bae77c996d3abea98e8ba0415db3a1c4601e606509c2", _EMPTY),
+    "stablenorm canyon-spectrum --help":
+        (0, "c93e2c4fa6acfe792d6c6f12b45d56ca079f4dd9668d86a3c2e281ec5829188b", _EMPTY),
+    "stablenorm stable-norm --help":
+        (0, "426197e86e2e1e253d12ea838d71ea13d74cceeb6d65d67cd56788cd00f21782", _EMPTY),
+    "stablenorm polygon-min-area --help":
+        (0, "3bbf66a9972f3208bcc60262342d13de68d32f2f6a6de9241049e97419150534", _EMPTY),
+    "stablenorm polygon-symm --help":
+        (0, "dd5529d4f4c9871d448318706bd9cb8886f10939feef1b5792bfea242d4a2052", _EMPTY),
+    "stablenorm multiplicity --help":
+        (0, "ea41f31191ba833841769d416f8c5fe5a6770613040a3c8f5fbddee56ae3d79e", _EMPTY),
+    "stablenorm sharpness --help":
+        (0, "acdff708157905aebe93f8f2cf1f3706bcf247b7e93466a98e21151e6409936d", _EMPTY),
+    "stablenorm convergence --help":
+        (0, "b138546fd484f95d0e0f944361a77933e6f06d33975176accc0aac4eed23453c", _EMPTY),
+}
+
+
+@pytest.mark.parametrize("line", list(ARGPARSE_OUTPUT_DIGESTS))
+def test_argparse_output_has_its_pinned_bytes(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(shlex.split(line)[1:])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    digests = tuple(hashlib.sha256(s.encode("utf-8")).hexdigest() for s in (captured.out, captured.err))
+    assert (code, *digests) == ARGPARSE_OUTPUT_DIGESTS[line]
+
+
+def test_argparse_pins_cover_every_subcommand_help():
+    assert {f"stablenorm {name} --help" for name in cli._COMMANDS} <= set(ARGPARSE_OUTPUT_DIGESTS)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stablenorm", "polygon-min-area", "--k", "3"],

@@ -539,6 +539,17 @@ class TestInteriorCounts:
         with pytest.raises(ValidationError, match="k must be an integer of at least 3"):
             cubic_ratio_exceeds_floor(k, Fraction(1, 2))
 
+    @pytest.mark.parametrize("area", [True, False, "1/2", 0.5, None, -1, Fraction(-1, 2)])
+    def test_cubic_ratio_rejects_a_non_area(self, area):
+        # True would read as area 1 and "1/2" would be parsed; a negative
+        # area would answer False as if it were a real polygon's
+        with pytest.raises(ValidationError, match="area must be a nonnegative int or Fraction"):
+            cubic_ratio_exceeds_floor(3, area)
+
+    def test_cubic_ratio_takes_an_int_area(self):
+        assert cubic_ratio_exceeds_floor(4, 1) == cubic_ratio_exceeds_floor(4, Fraction(1))
+        assert cubic_ratio_exceeds_floor(3, 0) is False
+
     def test_floor_constant_is_sane(self):
         # 8*pi^2 is a little above 78.9568, so the reciprocal floor sits
         # just above the true asymptotic constant

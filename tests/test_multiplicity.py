@@ -124,6 +124,18 @@ class TestProfileGrouping:
         with pytest.raises(ValidationError, match="tolerance"):
             multiplicity_profile(euclidean(), class_budget=5, tie_tolerance=math.nan)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf])
+    def test_infinite_tolerance_rejected(self, tol):
+        # inf would merge all five Euclidean classes, the zero class
+        # included, into one group that reads theorem_ok True
+        with pytest.raises(ValidationError, match="tie tolerance must be finite"):
+            multiplicity_profile(euclidean(), class_budget=5, tie_tolerance=tol)
+
+    def test_infinite_tolerance_rejected_for_a_spectrum(self):
+        res = spectrum(uniform_grid(4), norm_bound=2.0)
+        with pytest.raises(ValidationError, match="tie tolerance must be finite"):
+            multiplicity_profile(res, tie_tolerance=math.inf)
+
     @pytest.mark.parametrize("tol", [True, False, "1e-3", b"0", [1e-3]])
     def test_non_number_tolerance_rejected(self, tol):
         # True would run at tolerance 1.0, and a string would be parsed

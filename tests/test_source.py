@@ -289,3 +289,18 @@ def test_one_root_layer_count():
         elif scope in sweeps and isinstance(node, ast.Compare) and "root_layers" in ast.unparse(node):
             sweeps[scope].append(ast.unparse(node))
     assert sweeps == {sweep: ["root_layers", "i == root_layers"] for sweep in sweeps}, sweeps
+
+
+def test_one_place_declares_the_cli_flags():
+    # every subcommand and flag comes from `cli._COMMANDS` through one
+    # builder, so a flag added elsewhere cannot miss the parser of the
+    # one subcommand a call builds
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(
+            f"{path.name}:{scope}"
+            for scope, node in _scoped(tree)
+            if _calls_to(node, "add_argument") or _calls_to(node, "add_parser")
+        )
+    assert found and set(found) == {"cli.py:_build_parser"}, found
