@@ -140,32 +140,47 @@ order is the order of its keys in one dict over all edge counts, so
 merges, ties, witness pools and witnesses are those of such a dict.
 Transitions are counted once per multiplicity run, in closed form:
 mult_cap, or where the cost cap breaks the run, the steps within the
-cap and the one that breaks it.
+cap and the one that breaks it (for a half-chain's root run, which the
+cap cuts from below, the one below the first kept step).
 
 Seeded cost caps.  Each search first sweeps a small coordinate bound.
 Every polygon that seed sweep finds is also a polygon of the full
 bound, with the same cost, so the full minimum is at most the seed's.
 Unless the seed bound is the full bound (then the seed sweep is the
-result), the full sweep drops every chain whose cost exceeds a cap:
+result), the full sweep keeps a chain in store s only while its cost
+is within that store's cap: the largest final cost it must find, less
+a proven lower bound on what a chain with s edges still adds.
 
-- Area sweeps.  The swept area never decreases along a chain that can
-  still close, and a closure adds nothing, so a chain above the cap
-  closes only into a polygon above it.  `min_area_table` caps at one
-  below the largest seeded area over its rows and merges each row's
-  seed slot back in; `min_area_convex_kgon` is its one-row table.
-- Symmetric sweep.  A half-chain's first step, from the root, adds
-  -mult; every later step adds mult*(cr - 1) >= 0, because cr >= 1 in
-  the half-plane.  So a half-chain above the cap can never finish at or
-  below it.  The cap, the least even-sum cost the seed finished, is at
-  least 0 (the origin is interior), so no step from the root is cut.
+- Area sweeps.  Take a chain with s edges that closes as a k-gon.  The
+  cost still to come is the doubled area of the rest polygon: the
+  chain's end, the later corners and the start.  Those are k - s + 1
+  corners of the final convex polygon, so for s <= k - 2 they span a
+  convex lattice polygon, whose doubled area 2i + b - 2 is at least
+  k - s - 1 by Pick; for s = k - 1 the bound 0 holds as well.  Each row
+  k of `min_area_table` keeps the closures of doubled area at most
+  cap_k, one below its seeded minimum, and store s takes the largest
+  cap_k - (k - s - 1) over the rows k >= s + 1.  The caps need not grow
+  with s: a row with few corners and a large cap lifts the small
+  stores only.  The root's steps have cr = 0, so they are kept all or
+  none, by the sign of store 1's cap.  `min_area_convex_kgon` is the
+  one-row table.
+- Symmetric sweep.  Take a half-chain with s edges on directions d_t,
+  of multiplicities mu_t, and its sum w.  Every later direction d is
+  strictly left of each d_t in the half-plane, so cross(d_t, d) >= 1
+  and cross(w, d) = sum mu_t * cross(d_t, d) >= sum mu_t >= s.  An edge
+  added from store t then costs mult*(cr - 1) >= t - 1, and the edges
+  s + 1..m add at least (s - 1) + s + ... + (m - 2): store s's cap is
+  the least even-sum cost the seed finished less that sum.  From the
+  root a run costs -mult, so when store 1's cap is negative only the
+  runs of mult >= -cap fit.
 
-A capped sweep keeps every chain that can still win or tie, with the
-cost the full sweep gives it (an area row whose seed sits above the cap
-gets its ties from the merged seed slot), so minima and `certified`
-flags are the full sweep's.  A dropped chain can change where a kept
-key first enters its store, and so which of two equal-cost chains that
-key keeps; the tests check that the witnesses still match the full
-sweep's.
+A capped sweep keeps every chain that can still win or tie within its
+row's cap, with the cost the full sweep gives it; each row's seed slot
+is merged back in, and a row whose minimum is its seed's gets its ties
+from there, so minima and `certified` flags are the full sweep's.  A
+dropped chain can change where a kept key first enters its store, and
+so which of two equal-cost chains that key keeps; the tests check that
+the witnesses still match the full sweep's.
 
 No floating point anywhere in this module.
 """
@@ -266,7 +281,10 @@ def pick_counts(p: LatticePolygon, self_check: bool = False) -> PickCounts:
     interior count from Pick's identity A = i + b/2 - 1.  `self_check`
     re-derives both counts by classifying every lattice point of the
     bounding box against the edge half-planes and insists they agree.
+    Anything but a `LatticePolygon` raises ValidationError.
     """
+    if not isinstance(p, LatticePolygon):
+        raise ValidationError(f"pick_counts takes a LatticePolygon, got {p!r}")
     v = p.vertices
     n = len(v)
     twice_area = sum(_cross(v[i], v[(i + 1) % n]) for i in range(n))
@@ -512,8 +530,22 @@ def _later_reach(dirs: Sequence[IntVec], caps: Sequence[int]) -> list[tuple[int,
     return reach
 
 
+def _area_store_caps(row_caps: dict[int, int], k_max: int) -> list[int]:
+    """The cost cap of each store 0..k_max of an area sweep whose row k
+    keeps only the closures that sweep at most `row_caps[k]`: store s
+    takes the largest `row_caps[k] - (k - s - 1)` over the rows
+    k >= s + 1, since a chain with s edges still sweeps at least
+    k - s - 1 before it closes as a k-gon (module docstring, "Seeded cost
+    caps"); a store with no such row takes -1, so no chain enters it.
+    Store 0, the root, is never offered to."""
+    return [
+        max((c - (k - s - 1) for k, c in row_caps.items() if k > s), default=-1)
+        for s in range(k_max + 1)
+    ]
+
+
 def _sweep_areas(
-    k_max: int, coord_bound: int, cap: Optional[int], meter: SearchMeter
+    k_max: int, coord_bound: int, row_caps: Optional[dict[int, int]], meter: SearchMeter
 ) -> dict[int, AreaSlot]:
     """Run the sweep, spending its transitions on `meter`; return per
     edge-count closures in ascending k.
@@ -524,8 +556,11 @@ def _sweep_areas(
     witnesses whose boundary points are exactly the corners.  Each store
     keeps one rank per partial sum, so `found[k][True]` is exact
     whenever it equals `found[k][False]`, and otherwise may be larger or
-    missing (module docstring, "Layered stores").  `cap` is the largest
-    doubled area a chain may sweep (module docstring); None keeps the
+    missing (module docstring, "Layered stores").  `row_caps[k]` is the
+    largest doubled area of a k-gon the sweep must find, for each row k
+    it names: a chain is kept only while it can still close within some
+    row's cap (`_area_store_caps`), so rows it does not name and closures
+    above their row's cap may come out incomplete.  None keeps the
     enumeration complete up to the 8 lattice symmetries: the root starts
     chains only on the directions (1, 0) through (1, 1), angles in
     [0, pi/4].  Each layer keeps only the chains that can still close,
@@ -550,6 +585,7 @@ def _sweep_areas(
     # the origin, which only a closure reaches; a store maps a partial
     # sum to its rank (module docstring, "Layered stores")
     ranks, links = _rooted_stores(k_max + 1, (0, 0))
+    store_caps = None if row_caps is None else _area_store_caps(row_caps, k_max)
     for i, d in enumerate(dirs):
         if i == root_layers:
             ranks[0].clear()
@@ -562,6 +598,8 @@ def _sweep_areas(
             here, here_links = ranks[j], links[j]
             ahead, ahead_links = ranks[j + 1], links[j + 1]
             get = ahead.get
+            # a step from store j lands in store j + 1, under its cap
+            cap = None if store_caps is None else store_caps[j + 1]
             # the box a new partial sum must lie in to close with r more
             # edges, all on directions after d
             r = k_max - j - 1
@@ -590,13 +628,14 @@ def _sweep_areas(
                     dead.append(key)
                     continue
                 # steps 1..top stay within the cap; a run the cap breaks
-                # also counts the step that breaks it (every kept chain
-                # is within the cap, so then 0 <= top < mult_cap)
+                # also counts the step that breaks it.  Store caps need
+                # not grow with j, so top < 0 can happen; the root's
+                # steps have cr == 0 and fit all or none (cap < 0)
                 top = mult_cap
                 if cap is not None and (rank >> 1) + mult_cap * cr > cap:
-                    top = (cap - (rank >> 1)) // cr
+                    top = (cap - (rank >> 1)) // cr if cr else 0
                     ops += 1
-                    if not top:
+                    if top <= 0:
                         continue
                 ops += top
                 # step 1 keeps the rank's low bit, and is the whole run
@@ -753,11 +792,11 @@ def min_area_convex_kgon(
     Polygons are enumerated as zero-sum multisets of primitive edge
     directions whose edge vectors have coordinates within `coord_bound`
     (default 6 for k <= 8, else 10).  With `pruned`, a quick small-bound
-    sweep seeds a cost cap, and chains that already sweep the seeded
-    area are cut; with `pruned=False` the sweep has no cost cap and
-    enumerates every polygon that can close within the bound up to the
-    8 lattice symmetries, dropping only chains that cannot close and
-    chains that start after direction (1, 1) (module docstring).  The
+    sweep seeds a cost cap, and chains that can no longer close below
+    the seeded area are cut; with `pruned=False` the sweep has no cost
+    cap and enumerates every polygon that can close within the bound up
+    to the 8 lattice symmetries, dropping only chains that cannot close
+    and chains that start after direction (1, 1) (module docstring).  The
     witness comes back in canonical position, preferring one whose edges
     are all primitive when that ties the minimum.  This is the one row of
     `min_area_table(k, k, ...)`.
@@ -776,12 +815,12 @@ def min_area_table(
 ) -> list[MinAreaResult]:
     """Minimal areas for every k in [k_min, k_max] from one sweep.
 
-    With `pruned`, a small-bound seed sweep caps the full one at one
-    below the largest seeded area of the range, and each row's seed
-    slot is merged back in, so each row's minimum is the full sweep's
-    (module docstring); a row the seed misses leaves the full sweep
-    uncapped.  Every row shares one `states_explored`, the transitions
-    of both sweeps.
+    With `pruned`, a small-bound seed sweep caps each row of the full
+    one at one below that row's seeded area, and each row's seed slot is
+    merged back in, so each row's minimum is the full sweep's (module
+    docstring); a row the seed misses leaves the full sweep uncapped.
+    Every row shares one `states_explored`, the transitions of both
+    sweeps.
     """
     if not (isinstance(k_min, int) and isinstance(k_max, int) and 3 <= k_min <= k_max <= 12):
         raise ValidationError(f"need 3 <= k_min <= k_max <= 12, got {k_min!r}..{k_max!r}")
@@ -793,8 +832,8 @@ def min_area_table(
     found = _sweep_areas(k_max, seed_bound, None, meter)
     slots = [found.get(k) for k in rows]
     if seed_bound < coord_bound:
-        cap = None if None in slots else max(slot[False][0] for slot in slots) - 1
-        found = _sweep_areas(k_max, coord_bound, cap, meter)
+        caps = None if None in slots else {k: slot[False][0] - 1 for k, slot in zip(rows, slots)}
+        found = _sweep_areas(k_max, coord_bound, caps, meter)
         slots = [_merge_slots(found.get(k), slot) for k, slot in zip(rows, slots)]
     return [_min_area_result(k, slot, coord_bound, meter.spent) for k, slot in zip(rows, slots)]
 
@@ -864,8 +903,11 @@ def _sweep_symmetric(
     starts half-chains only on the directions (1, 0) through (1, 1),
     angles in [0, pi/4], and every centrally symmetric polygon has an
     image under the 8 lattice symmetries whose half-chain starts there
-    (module docstring).  `cap` is the largest cost a half-chain may
-    carry; None keeps every half-chain that starts there.  It spends as
+    (module docstring).  `cap` is the largest cost a finished half-chain
+    may carry, and store s keeps a half-chain only while its cost plus
+    (s - 1) + s + ... + (m_target - 2), the least its later edges add,
+    is within it (module docstring, "Seeded cost caps"); None keeps every
+    half-chain that starts there.  It spends as
     `_sweep_areas` does, but its stores key the all-primitive flag
     beside the sum instead of ranking it, so each sum keeps its least
     non-primitive chain for the witness pick (module docstring,
@@ -878,6 +920,12 @@ def _sweep_symmetric(
     )
     dirs = _primitive_directions(coord_bound, upper_half_only=True)
     costs, links = _rooted_stores(m_target + 1, (0, 0, True))
+    # store s's cap: the edges s + 1..m_target add at least
+    # (s - 1) + ... + (m_target - 2) to a half-chain's cost
+    store_caps = None if cap is None else [
+        cap - ((m_target - 1) * (m_target - 2) - (s - 1) * (s - 2)) // 2
+        for s in range(m_target + 1)
+    ]
     for i, d in enumerate(dirs):
         if i == root_layers:
             costs[0].clear()
@@ -893,31 +941,44 @@ def _sweep_symmetric(
             here, here_links = costs[j], links[j]
             ahead, ahead_links = costs[j + 1], links[j + 1]
             get = ahead.get
+            # a step from store j lands in store j + 1, under its cap
+            cap = None if store_caps is None else store_caps[j + 1]
             for key, cost in here.items():
                 wx, wy, prim = key
                 cr = wx * dy - wy * dx
                 # directions confined to a half-plane sweep strictly left
                 if cr <= 0 and j:
                     raise InvariantError("half-plane chain lost convexity")
-                # each step adds cr - 1: -1 from the root, >= 0 after it;
-                # runs are counted as in `_sweep_areas`
+                # each step adds cr - 1: -1 from the root, >= j - 1 after
+                # it; runs are counted as in `_sweep_areas`
                 step = cr - 1
-                top = mult_cap
-                if cap is not None and cost + mult_cap * step > cap:
-                    top = (cap - cost) // step
-                    ops += 1
-                    if not top:
-                        continue
-                ops += top
-                # step 1 keeps the primitive flag, and a longer run clears it
-                nc, nwx, nwy = cost + step, wx + dx, wy + dy
-                nkey = (nwx, nwy, prim)
+                low, top = 1, mult_cap
+                if cap is not None:
+                    if not j:
+                        # a run from the root costs -mult: the runs of
+                        # mult >= -cap fit, the longest ones
+                        low = max(1, -cap)
+                        if low > 1:
+                            ops += 1
+                            if low > mult_cap:
+                                continue
+                    elif cost + mult_cap * step > cap:
+                        # store caps grow with j, so a kept chain fits
+                        # store j + 1 and step > 0 here
+                        top = (cap - cost) // step
+                        ops += 1
+                        if not top:
+                            continue
+                ops += top - low + 1
+                # a run of 1 keeps the primitive flag, a longer one clears it
+                nc, nwx, nwy = cost + low * step, wx + low * dx, wy + low * dy
+                nkey = (nwx, nwy, prim and low == 1)
                 old = get(nkey)
                 if old is None or nc < old:
                     ahead[nkey] = nc
-                    ahead_links[nkey] = (here_links[key], d, 1)
-                if top > 1:
-                    for mult in range(2, top + 1):
+                    ahead_links[nkey] = (here_links[key], d, low)
+                if top > low:
+                    for mult in range(low + 1, top + 1):
                         nc += step
                         nwx += dx
                         nwy += dy

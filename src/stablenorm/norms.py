@@ -202,12 +202,20 @@ def hexagonal(scale: float = 1.0) -> NormSpec:
     return NormSpec(Ellipse(1.0, 0.5, 1.0), scale)
 
 
+def _number(value, what: str):
+    """`value` if it is an int or a float; bools, strings and every other
+    type raise ValidationError rather than pass as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _validate(norm: NormSpec) -> None:
-    if not (isinstance(norm.scale, (int, float)) and norm.scale > 0 and math.isfinite(norm.scale)):
+    if not (_number(norm.scale, "scale") > 0 and math.isfinite(norm.scale)):
         raise ValidationError(f"scale must be a positive finite real, got {norm.scale!r}")
     var = norm.variant
     if isinstance(var, Ellipse):
-        if not all(math.isfinite(q) for q in (var.q11, var.q12, var.q22)):
+        if not all(math.isfinite(_number(q, "ellipse entry")) for q in (var.q11, var.q12, var.q22)):
             raise ValidationError(
                 f"ellipse entries must be finite, got q11={var.q11!r}, q12={var.q12!r}, q22={var.q22!r}"
             )
@@ -217,7 +225,7 @@ def _validate(norm: NormSpec) -> None:
                 f"ellipse matrix [[{var.q11},{var.q12}],[{var.q12},{var.q22}]] is not positive definite"
             )
     elif isinstance(var, PNorm):
-        if not (1.0 < var.p < math.inf):
+        if not (1.0 < _number(var.p, "p-norm exponent") < math.inf):
             raise ValidationError(f"p-norm exponent must satisfy 1 < p < inf, got {var.p!r}")
     elif isinstance(var, ArcPolygon):
         _validate_arc_polygon(var)
@@ -230,7 +238,7 @@ def _validate_arc_polygon(var: ArcPolygon) -> None:
     n = len(verts)
     if n < 4 or n % 2 != 0:
         raise ValidationError("arc polygon needs an even vertex count >= 4")
-    if var.level <= 0 or not math.isfinite(var.level):
+    if _number(var.level, "arc polygon level") <= 0 or not math.isfinite(var.level):
         raise ValidationError(f"arc polygon level must be positive, got {var.level!r}")
     for v in verts:
         # `type(c) is int` refuses bools, which `isinstance` passes
@@ -251,7 +259,7 @@ def _validate_arc_polygon(var: ArcPolygon) -> None:
         # origin strictly left of every directed edge <=> strictly inside
         if x1 * y2 - y1 * x2 <= 0:
             raise ValidationError("origin must lie strictly inside the arc polygon")
-    if math.isinf(var.radius):
+    if math.isinf(_number(var.radius, "arc radius")):
         return
     if not (var.radius > 0 and math.isfinite(var.radius)):
         raise ValidationError(f"arc radius must be positive or math.inf, got {var.radius!r}")
@@ -290,31 +298,6 @@ def _arc_centers(verts: tuple[tuple[int, int], ...], radius: float) -> tuple[Vec
     return tuple(centers)
 
 
-def _arc_ray_length(var: ArcPolygon, centers: Optional[Sequence[Vec]], ux: float, uy: float) -> float:
-    """Distance from the origin to the bulged boundary along unit ray u.
-
-    The curve is star shaped about the origin, so the hit lies in the
-    angular sector spanned by one vertex pair; within it the arc-circle
-    intersection has the closed form t = <u,O> + sqrt(<u,O>^2 + R^2 - |O|^2).
-    `centers` are the arc centers O, `_arc_centers` of the polygon, and
-    None for straight edges (radius inf).
-    """
-    verts = var.vertices
-    n = len(verts)
-    for i in range(n):
-        v1x, v1y = verts[i]
-        v2x, v2y = verts[(i + 1) % n]
-        if _cross(v1x, v1y, ux, uy) >= 0.0 and _cross(ux, uy, v2x, v2y) >= 0.0:
-            if centers is None:
-                ex, ey = v2x - v1x, v2y - v1y
-                return _cross(v1x, v1y, ex, ey) / _cross(ux, uy, ex, ey)
-            ox, oy = centers[i]
-            beta = ux * ox + uy * oy
-            disc = beta * beta + var.radius * var.radius - (ox * ox + oy * oy)
-            return beta + math.sqrt(disc)
-    raise ValidationError(f"direction ({ux},{uy}) matched no sector of the arc polygon")
-
-
 def norm_evaluator(norm: NormSpec) -> Callable[[float, float], float]:
     """The norm as a function of two floats (x, y), its constants bound
     once: the one definition of each variant's formula, which
@@ -343,15 +326,67 @@ def norm_evaluator(norm: NormSpec) -> Callable[[float, float], float]:
             return scale * m * ((ax / m) ** p + (ay / m) ** p) ** inv_p
 
         return pnorm
+    return _arc_evaluator(var, scale)
+
+
+def _arc_evaluator(var: ArcPolygon, scale: float) -> Callable[[float, float], float]:
+    """The arc-polygon gauge: level * |v| / t(u), with t(u) the distance
+    from the origin to the bulged boundary along the unit ray u = v/|v|.
+
+    The curve is star shaped about the origin, so the hit lies in the
+    first angular sector, spanned by vertices v1 and v2, with
+    cross(v1, u) >= 0 and cross(u, v2) >= 0.  Within it, the arc-circle
+    intersection has the closed form t = <u,O> + sqrt(<u,O>^2 + R^2 - |O|^2)
+    for the arc centre O (`_arc_centers`), and a straight edge e = v2 - v1
+    (radius inf) gives t = cross(v1, e) / cross(u, e).  Each sector's
+    constants are read from one table built here.
+    """
     hypot = math.hypot
+    sqrt = math.sqrt
     gauge_level = scale * var.level
-    centers = None if math.isinf(var.radius) else _arc_centers(var.vertices, var.radius)
+    verts = var.vertices
+    n = len(verts)
+    pairs = [(*verts[i], *verts[(i + 1) % n]) for i in range(n)]
+
+    def unmatched(ux: float, uy: float) -> ValidationError:
+        return ValidationError(f"direction ({ux},{uy}) matched no sector of the arc polygon")
+
+    if math.isinf(var.radius):
+        # per sector: v1, v2, the edge e and the exact integer cross(v1, e)
+        chords = [
+            (v1x, v1y, v2x, v2y, v2x - v1x, v2y - v1y, v1x * (v2y - v1y) - v1y * (v2x - v1x))
+            for v1x, v1y, v2x, v2y in pairs
+        ]
+
+        def chord(x: float, y: float) -> float:
+            r = hypot(x, y)
+            if r == 0.0:
+                return 0.0
+            ux, uy = x / r, y / r
+            for v1x, v1y, v2x, v2y, ex, ey, reach in chords:
+                if v1x * uy - v1y * ux >= 0.0 and ux * v2y - uy * v2x >= 0.0:
+                    return gauge_level * r / (reach / (ux * ey - uy * ex))
+            raise unmatched(ux, uy)
+
+        return chord
+
+    rr = var.radius * var.radius
+    # per sector: v1, v2, the arc centre O and |O|^2
+    arcs = [
+        (v1x, v1y, v2x, v2y, ox, oy, ox * ox + oy * oy)
+        for (v1x, v1y, v2x, v2y), (ox, oy) in zip(pairs, _arc_centers(verts, var.radius))
+    ]
 
     def arc(x: float, y: float) -> float:
         r = hypot(x, y)
         if r == 0.0:
             return 0.0
-        return gauge_level * r / _arc_ray_length(var, centers, x / r, y / r)
+        ux, uy = x / r, y / r
+        for v1x, v1y, v2x, v2y, ox, oy, oo in arcs:
+            if v1x * uy - v1y * ux >= 0.0 and ux * v2y - uy * v2x >= 0.0:
+                beta = ux * ox + uy * oy
+                return gauge_level * r / (beta + sqrt(beta * beta + rr - oo))
+        raise unmatched(ux, uy)
 
     return arc
 
@@ -626,9 +661,7 @@ def norm_to_jsonable(norm: NormSpec) -> dict:
 def _json_number(value, what: str) -> float:
     """A JSON number as a float; bools and strings are refused, not
     coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"norm JSON {what} must be a number, got {value!r}")
-    return float(value)
+    return float(_number(value, f"norm JSON {what}"))
 
 
 def norm_from_jsonable(obj: dict) -> NormSpec:

@@ -197,6 +197,14 @@ class TestLatticePolygonValidation:
         with pytest.raises(ValidationError, match="not a lattice point"):
             LatticePolygon(verts)
 
+    @pytest.mark.parametrize(
+        "p", [((0, 0), (1, 0), (0, 1)), [(0, 0), (1, 0), (0, 1)], None, "square"]
+    )
+    def test_pick_counts_takes_only_a_polygon(self, p):
+        # a bare vertex tuple raised AttributeError
+        with pytest.raises(ValidationError, match="takes a LatticePolygon"):
+            pick_counts(p)
+
     def test_double_wound_loop_rejected(self):
         # every turn is a left turn and all vertices are distinct, but
         # the edge directions sweep two full revolutions
@@ -495,17 +503,18 @@ class TestWorkCounts:
     and can still close, or still finish, on the later directions.  The
     area sweeps hold one chain per partial sum, the symmetric sweep one
     per partial sum and all-primitive flag (module docstring, "Layered
-    stores").
+    stores").  The seeded searches cap each store by the seed's cost less
+    the least cost still to come (module docstring, "Seeded cost caps").
     """
 
     @pytest.mark.parametrize(
         "k,unpruned,pruned",
         [
-            (4, 23_883, 3_420),
-            (5, 45_469, 10_757),
-            (6, 83_459, 13_687),
-            (7, 129_755, 37_754),
-            (8, 198_282, 43_633),
+            (4, 23_883, 385),
+            (5, 45_469, 6_857),
+            (6, 83_459, 7_288),
+            (7, 129_755, 29_887),
+            (8, 198_282, 30_552),
         ],
     )
     def test_area_search_transitions(self, k, unpruned, pruned):
@@ -513,7 +522,7 @@ class TestWorkCounts:
         assert min_area_convex_kgon(k, coord_bound=6).states_explored == pruned
 
     @pytest.mark.parametrize(
-        "two_m,transitions", [(4, 1_320), (6, 5_451), (8, 18_042), (10, 37_202)]
+        "two_m,transitions", [(4, 1_320), (6, 4_643), (8, 14_737), (10, 29_153)]
     )
     def test_symmetric_search_transitions(self, two_m, transitions):
         assert min_interior_symmetric(two_m).states_explored == transitions
@@ -824,9 +833,31 @@ def reference_most_compact(corner_sets, translate):
 
 
 def reference_areas_capped(k_max, coord_bound, cap, meter):
-    """`reference_sweep_areas` with `_sweep_areas`'s arguments: an
-    incumbent prunes costs that reach it, a cap only those above it."""
+    """`reference_sweep_areas` with one cap, or with `_sweep_areas`'s
+    row caps read as one cap, their largest, as `min_area_table` capped
+    before its caps were kept per row and per store: an incumbent prunes
+    costs that reach it, a cap only those above it."""
+    if isinstance(cap, dict):
+        cap = max(cap.values())
     return reference_sweep_areas(k_max, coord_bound, None if cap is None else cap + 1, meter)
+
+
+def flat_row_caps(k_max, cap):
+    """One cap as `_sweep_areas`'s row caps: the same cap on every row
+    3..k_max."""
+    return None if cap is None else dict.fromkeys(range(3, k_max + 1), cap)
+
+
+#: The module's own area sweep, bound before any test patches it.
+SWEEP_AREAS = lattice_polygons._sweep_areas
+
+
+def areas_at_one_cap(k_max, coord_bound, cap, meter):
+    """`_sweep_areas` at one cap, or at the row caps that `min_area_table`
+    passes it."""
+    if not isinstance(cap, dict):
+        cap = flat_row_caps(k_max, cap)
+    return SWEEP_AREAS(k_max, coord_bound, cap, meter)
 
 
 def reference_symmetric_uncapped(m_target, coord_bound, cap, meter):
@@ -929,10 +960,12 @@ def _memo(sweep):
     cache = {}
 
     def run(size, bound, cap, meter=None):
-        if (size, bound, cap) not in cache:
+        # row caps, a dict, are keyed by their items
+        key = size, bound, tuple(cap.items()) if isinstance(cap, dict) else cap
+        if key not in cache:
             own = unbounded_meter()
-            cache[size, bound, cap] = sweep(size, bound, cap, own), own.spent
-        found, ops = cache[size, bound, cap]
+            cache[key] = sweep(size, bound, cap, own), own.spent
+        found, ops = cache[key]
         if meter is None:
             return found, ops
         meter.spend(ops)
@@ -969,7 +1002,7 @@ class TestSweepAgainstReference:
     @pytest.mark.parametrize("k_max,bound", SWEEP_CASES)
     def test_area_sweep_matches_reference(self, k_max, bound, monkeypatch):
         ref = _memo(reference_areas_capped)
-        new = _memo(lattice_polygons._sweep_areas)
+        new = _memo(areas_at_one_cap)
         seeded, _ops = ref(k_max, min(bound, 2 if k_max <= 8 else 3), None)
         best = seeded[k_max][False][0]
         # uncapped, capped far below the seed (where runs in every store
@@ -1043,6 +1076,107 @@ class TestSweepAgainstReference:
                 for prefer in (False, True)
             ]
         assert results["new"] == results["ref"]
+
+
+def _prefix_costs(link):
+    """The cost after each step of a chain, from its first: the doubled
+    area its partial sums sweep, seen from the start, or, for a
+    half-chain, that less its multiplicities."""
+    costs, (wx, wy), cost = [], (0, 0), 0
+    for (dx, dy), m in reference_steps(link):
+        cost += m * _cross((wx, wy), (dx, dy))
+        wx, wy = wx + m * dx, wy + m * dy
+        costs.append(cost)
+    return costs
+
+
+#: Uncapped sweeps, each run once for the store-cap tests.
+UNCAPPED_AREAS = _memo(areas_at_one_cap)
+UNCAPPED_HALVES = _memo(lattice_polygons._sweep_symmetric)
+
+
+class TestStoreCaps:
+    """The lower bounds behind each store's cost cap (module docstring,
+    "Seeded cost caps"), on the chains the sweeps make, and the caps'
+    edge cases: the root's zero cross products, negative caps and caps
+    that fall with the edge count."""
+
+    @pytest.mark.parametrize("k_max,bound", [(k, b) for k in range(3, 9) for b in range(2, 5)])
+    def test_rest_of_a_closure_sweeps_its_pick_floor(self, k_max, bound):
+        # a chain with s edges that closes as a k-gon still sweeps a
+        # convex lattice polygon with k - s + 1 corners
+        found, _ops = UNCAPPED_AREAS(k_max, bound, None)
+        assert found
+        for k, slot in found.items():
+            for c2, pool in slot.values():
+                for link in pool:
+                    costs = _prefix_costs(link)
+                    assert len(costs) == k and costs[-1] == c2
+                    for s, cost in enumerate(costs, 1):
+                        assert cost + (k - s - 1) <= c2 or s == k
+
+    @pytest.mark.parametrize("m,bound", [(m, b) for m in range(2, 7) for b in range(1, 5)])
+    def test_half_chain_steps_cross_at_least_their_edge_count(self, m, bound):
+        finished, _ops = UNCAPPED_HALVES(m, bound, None)
+        assert finished or bound == 1
+        for _key, (_cost, link) in finished.items():
+            w = (0, 0)
+            for before, (d, mu) in enumerate(reference_steps(link)):
+                assert _cross(w, d) >= before
+                w = (w[0] + mu * d[0], w[1] + mu * d[1])
+
+    def test_area_store_caps(self):
+        caps = lattice_polygons._area_store_caps
+        # one row: its cap less the Pick floor of the rest polygon
+        assert caps({8: 13}, 8) == [6, 7, 8, 9, 10, 11, 12, 13, -1]
+        # a row with a larger cap and fewer edges lifts the small stores,
+        # so the caps fall from store 2 to store 3
+        assert caps({3: 20, 8: 14}, 8) == [18, 19, 20, 10, 11, 12, 13, 14, -1]
+
+    @pytest.mark.parametrize("bound", range(2, 5))
+    def test_area_root_kept_iff_store_one_cap_is_not_negative(self, bound):
+        # root steps have cross product 0: a store-1 cap of 0 keeps them
+        # all, one of -1 none, without a division by that 0
+        root_layers = len(lattice_polygons._primitive_directions(bound)) // 8 + 1
+        meter = unbounded_meter()
+        assert lattice_polygons._sweep_areas(3, bound, {3: 0}, meter) == {}
+        assert meter.spent == root_layers
+        full, _ops = UNCAPPED_AREAS(3, bound, None)
+        kept, _ops = UNCAPPED_AREAS(3, bound, {3: 1})
+        assert _minima(kept) == _minima(full) == {3: {False: 1, True: 1}}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_caps_keep_every_row_minimum_within_its_cap(self, data):
+        # store caps that rise, fall or go negative with s keep every
+        # closure a named row needs, and the pooled chains close
+        k_max = data.draw(st.integers(3, 8))
+        bound = data.draw(st.integers(2, 4))
+        rows = data.draw(st.sets(st.integers(3, k_max), min_size=1))
+        row_caps = {k: data.draw(st.integers(-1, 24)) for k in sorted(rows)}
+        full, full_ops = UNCAPPED_AREAS(k_max, bound, None)
+        capped, ops = UNCAPPED_AREAS(k_max, bound, row_caps)
+        assert ops <= full_ops
+        for k, cap in row_caps.items():
+            least = full.get(k, {}).get(False, (cap + 1,))[0]
+            if least <= cap:
+                assert _minima(capped)[k] == _minima(full)[k]
+        for k, slot in capped.items():
+            for prim, (c2, pool) in slot.items():
+                for link in pool:
+                    _check_area_chain(link, k, c2, prim)
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_half_chain_caps_keep_exactly_the_chains_within_them(self, m, bound):
+        # store 1 takes cap - (m - 1)(m - 2)/2, negative for m >= 3 at
+        # small caps: the root then keeps only its runs of mult >= -cap
+        full, full_ops = UNCAPPED_HALVES(m, bound, None)
+        best = min((cost for cost, _link in full.values()), default=0)
+        for cap in sorted({-m, -1, 0, best // 2, best - 1, best, best + 3}):
+            capped, ops = UNCAPPED_HALVES(m, bound, cap)
+            assert _costs(capped) == _costs(full, cap), cap
+            assert ops <= full_ops
 
 
 class TestSelectionAgainstReference:

@@ -1,5 +1,6 @@
 """Norm evaluation, strict convexity, and class enumeration."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stablenorm.errors import ValidationError
+from stablenorm.multiplicity import construct_sharp_norm
 from stablenorm.norms import (
     ArcPolygon,
     Ellipse,
@@ -14,6 +16,7 @@ from stablenorm.norms import (
     IntegralClass,
     NormSpec,
     PNorm,
+    _arc_centers,
     enumerate_classes,
     euclidean,
     eval_norm,
@@ -21,6 +24,7 @@ from stablenorm.norms import (
     leading_primitive_classes,
     lipschitz_bound,
     make_arc_polygon,
+    norm_evaluator,
     norm_from_jsonable,
     norm_to_jsonable,
     strict_convexity_check,
@@ -142,6 +146,71 @@ class TestArcPolygonGauge:
                     level=1.0,
                 )
             )
+
+
+def reference_arc_evaluator(norm):
+    """The arc-polygon gauge as `norm_evaluator` computed it before it
+    read one sector table: each call walks the vertex pairs, and the
+    matched sector's ray length comes from its arc centre, or from its
+    chord at radius inf, in the same float operations."""
+    var = norm.variant
+    verts = var.vertices
+    n = len(verts)
+    centers = None if math.isinf(var.radius) else _arc_centers(verts, var.radius)
+    gauge_level = norm.scale * var.level
+
+    def ray_length(ux, uy):
+        for i in range(n):
+            v1x, v1y = verts[i]
+            v2x, v2y = verts[(i + 1) % n]
+            if v1x * uy - v1y * ux >= 0.0 and ux * v2y - uy * v2x >= 0.0:
+                if centers is None:
+                    ex, ey = v2x - v1x, v2y - v1y
+                    return (v1x * ey - v1y * ex) / (ux * ey - uy * ex)
+                ox, oy = centers[i]
+                beta = ux * ox + uy * oy
+                disc = beta * beta + var.radius * var.radius - (ox * ox + oy * oy)
+                return beta + math.sqrt(disc)
+        raise ValidationError(f"direction ({ux},{uy}) matched no sector of the arc polygon")
+
+    def arc(x, y):
+        r = math.hypot(x, y)
+        if r == 0.0:
+            return 0.0
+        return gauge_level * r / ray_length(x / r, y / r)
+
+    return arc
+
+
+@functools.cache
+def arc_norm(name):
+    """The sharp norms m = 2..6, and straight-edge (radius inf) gauges."""
+    if name.startswith("sharp"):
+        return construct_sharp_norm(int(name[5:]), level=1.7)
+    if name == "inf diamond":
+        return NormSpec(ArcPolygon(DIAMOND, math.inf, 1.0))
+    return NormSpec(ArcPolygon(((2, 1), (-1, 1), (-2, -1), (1, -1)), math.inf, 3.0), 2.5)
+
+
+class TestArcEvaluatorTable:
+    @pytest.mark.parametrize(
+        "name", ["sharp2", "sharp3", "sharp4", "sharp5", "sharp6", "inf diamond", "inf rhombus"]
+    )
+    @given(st.floats(0.0, 2.0 * math.pi), st.floats(1e-3, 1e3))
+    @example(0.0, 1.0)
+    @example(math.pi / 4, math.sqrt(2.0))
+    @example(math.pi, 1.0)
+    @example(3 * math.pi / 2, 7.0)
+    @settings(deadline=None)
+    def test_bit_identical_to_reference(self, name, angle, radius):
+        norm = arc_norm(name)
+        new, ref = norm_evaluator(norm), reference_arc_evaluator(norm)
+        x, y = radius * math.cos(angle), radius * math.sin(angle)
+        assert new(x, y).hex() == ref(x, y).hex()
+        # vertex directions, exact, sit on two sectors' shared boundary
+        for vx, vy in norm.variant.vertices:
+            assert new(float(vx), float(vy)).hex() == ref(float(vx), float(vy)).hex()
+        assert new(0.0, 0.0) == ref(0.0, 0.0) == 0.0
 
 
 class TestStrictConvexity:
@@ -382,3 +451,28 @@ class TestValidation:
     def test_bad_scale(self):
         with pytest.raises(ValidationError):
             NormSpec(PNorm(2.0), scale=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # a bool passed as 1.0, and a string raised TypeError
+            lambda: NormSpec(Ellipse(1.0, 0.0, 1.0), True),
+            lambda: NormSpec(Ellipse(1.0, 0.0, 1.0), "2"),
+            lambda: NormSpec(Ellipse(True, 0.0, 1.0)),
+            lambda: NormSpec(Ellipse(1.0, False, 1.0)),
+            lambda: NormSpec(Ellipse("1", 0.0, 1.0)),
+            lambda: NormSpec(Ellipse(1.0, 0.0, None)),
+            lambda: NormSpec(PNorm(True)),
+            lambda: NormSpec(PNorm("3")),
+            lambda: make_arc_polygon(DIAMOND, level=True),
+            lambda: make_arc_polygon(DIAMOND, level="1"),
+            lambda: NormSpec(ArcPolygon(DIAMOND, True, 1.0)),
+            lambda: NormSpec(ArcPolygon(DIAMOND, "inf", 1.0)),
+        ],
+    )
+    def test_non_numbers_refused(self, build):
+        with pytest.raises(ValidationError, match="must be a number"):
+            build()
+
+    def test_int_entries_accepted(self):
+        assert eval_norm(NormSpec(Ellipse(1, 0, 1), 2), (3.0, 4.0)) == 10.0
