@@ -50,6 +50,7 @@ from stablenorm.norms import (
     strict_convexity_check,
 )
 from stablenorm.periodic_metric import (
+    CanyonStage,
     PeriodicWeightedGraph,
     SpectrumResult,
     StableNormEstimate,
@@ -70,6 +71,7 @@ from stablenorm.toral_graph import (
 
 __all__ = [
     "ArcPolygon",
+    "CanyonStage",
     "ConstructionError",
     "ConvergenceReport",
     "Cycle",

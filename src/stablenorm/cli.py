@@ -53,18 +53,17 @@ from stablenorm.norms import (
     enumerate_classes,
     euclidean,
     hexagonal,
-    leading_primitive_classes,
     norm_from_jsonable,
     norm_to_jsonable,
 )
 from stablenorm.periodic_metric import (
-    build_canyon_graph,
+    CanyonStage,
     spectrum,
     spectrum_csv_rows,
     stable_norm_estimate,
     uniform_grid,
 )
-from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
+from stablenorm.toral_graph import compute_zeta_epsilon_theta
 
 _NAMED_NORMS = {"euclidean": euclidean, "hexagonal": hexagonal}
 
@@ -225,19 +224,8 @@ def _norm_of(args) -> NormSpec:
     return parse_norm(args.norm, args.scale)
 
 
-def _graph_for(k: int, norm: NormSpec):
-    classes = leading_primitive_classes(norm, k)
-    return build_graph(classes), max(length for _c, length in classes)
-
-
-def _canyon_for(args, norm: NormSpec):
-    graph, ell_k = _graph_for(args.k, norm)
-    theta = args.theta
-    if theta is None:
-        theta = compute_zeta_epsilon_theta(graph, norm, ell_k, node_budget=args.budget).theta
-    background = ell_k if args.background is None else args.background
-    canyon = build_canyon_graph(graph, theta=theta, background_systole=background, grid_resolution=args.grid_n)
-    return canyon, ell_k, background
+def _canyon_stage(args, norm: NormSpec) -> CanyonStage:
+    return CanyonStage(norm, args.k, args.grid_n, args.background, args.theta, args.budget)
 
 
 def _cmd_norm_enumerate(args) -> None:
@@ -254,12 +242,12 @@ def _cmd_norm_enumerate(args) -> None:
 
 def _cmd_graph_build(args) -> None:
     norm = _norm_of(args)
-    graph, ell_k = _graph_for(args.k, norm)
+    stage = CanyonStage(norm, args.k)
     payload = {
         "norm": norm_to_jsonable(norm),
         "k": args.k,
-        "ell_k": ell_k,
-        "graph": graph.to_jsonable(),
+        "ell_k": stage.ell_k,
+        "graph": stage.graph.to_jsonable(),
     }
     _emit(args, payload)
 
@@ -271,14 +259,14 @@ def _cmd_graph_epsilon(args) -> None:
         raise ValidationError(f"k_max must be at least k, got {args.k}..{k_max}")
     rows = []
     for k in range(args.k, k_max + 1):
-        graph, ell_k = _graph_for(k, norm)
+        stage = CanyonStage(norm, k)
         consts = compute_zeta_epsilon_theta(
-            graph, norm, ell_k, node_budget=args.budget, theta_cap=args.theta_cap
+            stage.graph, norm, stage.ell_k, node_budget=args.budget, theta_cap=args.theta_cap
         )
         rows.append({
             "norm": norm_to_jsonable(norm),
             "k": k,
-            "ell_k": ell_k,
+            "ell_k": stage.ell_k,
             "zeta": consts.zeta,
             "edge_bound": consts.edge_bound,
             "epsilon": consts.epsilon,
@@ -298,15 +286,15 @@ def _cmd_graph_epsilon(args) -> None:
 
 def _cmd_canyon_spectrum(args) -> None:
     norm = _norm_of(args)
-    canyon, ell_k, background = _canyon_for(args, norm)
-    bound = ell_k * 1.05 if args.bound is None else args.bound
-    res = spectrum(canyon, norm_bound=bound)
+    stage = _canyon_stage(args, norm)
+    bound = stage.ell_k * 1.05 if args.bound is None else args.bound
+    res = spectrum(stage.canyon, norm_bound=bound)
     payload = {
         "norm": norm_to_jsonable(norm),
         "k": args.k,
-        "grid_n": canyon.grid.n,
-        "theta": canyon.hub_budget,
-        "background": background,
+        "grid_n": stage.grid_resolution,
+        "theta": stage.hub_budget,
+        "background": stage.background_systole,
         "bound": bound,
         "spectrum": res.to_jsonable(),
     }
@@ -320,13 +308,14 @@ def _cmd_stable_norm(args) -> None:
         pg = uniform_grid(args.grid_n)
         graph_desc = {"kind": "uniform", "grid_n": pg.grid.n}
     else:
-        pg, _ell_k, background = _canyon_for(args, norm)
+        stage = _canyon_stage(args, norm)
+        pg = stage.canyon
         graph_desc = {
             "kind": "canyon",
             "k": args.k,
-            "grid_n": pg.grid.n,
-            "theta": pg.hub_budget,
-            "background": background,
+            "grid_n": stage.grid_resolution,
+            "theta": stage.hub_budget,
+            "background": stage.background_systole,
             "norm": norm_to_jsonable(norm),
         }
     est = stable_norm_estimate(pg, h, args.n_max)

@@ -28,12 +28,10 @@ from stablenorm.norms import (
     NormSpec,
     eval_norm,
     hexagonal,
-    leading_primitive_classes,
     lipschitz_bound,
 )
-from stablenorm.periodic_metric import build_canyon_graph, stable_norm_estimate
+from stablenorm.periodic_metric import CanyonStage, stable_norm_estimate
 from stablenorm.tolerances import CONVERGENCE_SLACK
-from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 DEFAULT_KS = (2, 3, 4, 5, 6)
 DEFAULT_PINNED = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
@@ -144,14 +142,8 @@ def run_convergence(
 
     stages = []
     for k in ks:
-        classes = leading_primitive_classes(norm, k)
-        graph = build_graph(classes)
-        ell_k = max(length for _c, length in classes)
-        consts = compute_zeta_epsilon_theta(graph, norm, ell_k)
-        canyon = build_canyon_graph(
-            graph, theta=consts.theta, background_systole=ell_k,
-            grid_resolution=grid_resolution,
-        )
+        stage = CanyonStage(norm, k, grid_resolution)
+        canyon, classes = stage.canyon, stage.classes
 
         devs = []
         for cls in pinned_classes:
@@ -183,8 +175,8 @@ def run_convergence(
             StageReport(
                 k=k,
                 classes=tuple(classes),
-                theta=consts.theta,
-                background=ell_k,
+                theta=stage.hub_budget,
+                background=stage.background_systole,
                 pinned=tuple(devs),
                 sup_pinned_deviation=max(p.deviation for p in devs),
                 hull_sup_deviation=hull_dev,

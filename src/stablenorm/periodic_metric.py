@@ -6,6 +6,7 @@ background grid glued on through connector edges, so that any cycle
 leaving the corridors pays a full background crossing.  Corridor
 intersections are shared nodes; switching corridors there is free,
 which keeps the switch cost within any nonnegative hub budget.
+`CanyonStage` is the one recipe from a norm to its stage-k canyon.
 
 Marked lengths come from shortest cycles with prescribed displacement
 in the Z^2 cover.  Every query bounds its search by the cost of the
@@ -65,7 +66,7 @@ from stablenorm.cover import (
     shortest_cover_cycle,
 )
 from stablenorm.errors import ConstructionError, InvariantError, SearchMeter, ValidationError
-from stablenorm.norms import IntegralClass, integral_class, tie_groups
+from stablenorm.norms import IntegralClass, NormSpec, integral_class, leading_primitive_classes, tie_groups
 from stablenorm.tolerances import (
     FLOOR_SLACK,
     GAUGE_SKIP_RTOL,
@@ -75,7 +76,7 @@ from stablenorm.tolerances import (
     SEARCH_RTOL,
     TINY_LENGTH,
 )
-from stablenorm.toral_graph import ToralGeodesicGraph
+from stablenorm.toral_graph import ToralGeodesicGraph, build_graph, compute_zeta_epsilon_theta
 
 NodeId = tuple
 IntVec = tuple[int, int]
@@ -266,7 +267,6 @@ class PeriodicWeightedGraph:
     grid: TorusGrid
     tail: tuple[PeriodicEdge, ...]
     class_lengths: Optional[tuple[tuple[IntegralClass, float], ...]] = None
-    hub_budget: Optional[float] = None
 
     def __post_init__(self):
         index = self.node_index
@@ -485,15 +485,22 @@ def build_canyon_graph(
     Corridor edges reproduce the toral graph segments with their exact
     lengths, subdivided for spatial fidelity; corridor intersections are
     shared nodes, so switching corridors is free, within any positive
-    hub budget `theta`.  Background edges cost `background_systole`
-    per unit so a grid loop around either period costs exactly that
-    much, and corridor-to-grid connectors cost half of it apiece:
-    leaving and re-entering the corridors always pays a full crossing.
+    finite hub budget `theta`, which is checked and kept nowhere.
+    Background edges cost `background_systole` per unit so a grid loop
+    around either period costs exactly that much, and corridor-to-grid
+    connectors cost half of it apiece: leaving and re-entering the
+    corridors always pays a full crossing.
     """
     ell = [length for _cls, length in graph.classes]
     ell_k = max(ell)
+    if isinstance(theta, bool) or not isinstance(theta, Real):
+        raise ValidationError(f"hub budget must be a number, got {theta!r}")
     if not theta > 0:
         raise ValidationError(f"hub budget must be positive, got {theta}")
+    if not math.isfinite(theta):
+        raise ValidationError(f"hub budget must be finite, got {theta}")
+    if isinstance(background_systole, bool) or not isinstance(background_systole, Real):
+        raise ValidationError(f"background systole must be a number, got {background_systole!r}")
     if background_systole < ell_k:
         raise ValidationError(
             f"background systole {background_systole} is below the largest "
@@ -570,8 +577,53 @@ def build_canyon_graph(
         grid=grid,
         tail=tuple(connectors),
         class_lengths=graph.classes,
-        hub_budget=float(theta),
     )
+
+
+@dataclass(frozen=True)
+class CanyonStage:
+    """Stage k of `norm`: its k leading primitive classes on a canyon.
+
+    Each part is made on its first read: `classes`, their toral `graph`
+    and largest length `ell_k`, the `hub_budget` (`theta`, else the
+    theta of a tube search of at most `node_budget` nodes), the
+    `background_systole` (`background`, else ell_k) and the `canyon`.
+    A given `theta` spares the tube search.  Each input is checked by the
+    step that reads it, so `canyon` raises what that chain raises.
+    """
+
+    norm: NormSpec
+    k: int
+    grid_resolution: int = 64
+    background: Optional[float] = None
+    theta: Optional[float] = None
+    node_budget: int = 10_000_000
+
+    @cached_property
+    def classes(self) -> list[tuple[IntegralClass, float]]:
+        return leading_primitive_classes(self.norm, self.k)
+
+    @cached_property
+    def graph(self) -> ToralGeodesicGraph:
+        return build_graph(self.classes)
+
+    @cached_property
+    def ell_k(self) -> float:
+        return max(length for _cls, length in self.classes)
+
+    @cached_property
+    def hub_budget(self) -> float:
+        if self.theta is not None:
+            return self.theta
+        return compute_zeta_epsilon_theta(self.graph, self.norm, self.ell_k, node_budget=self.node_budget).theta
+
+    @cached_property
+    def background_systole(self) -> float:
+        return self.ell_k if self.background is None else self.background
+
+    @cached_property
+    def canyon(self) -> PeriodicWeightedGraph:
+        return build_canyon_graph(self.graph, self.hub_budget, self.background_systole, self.grid_resolution)
 
 
 @dataclass(frozen=True)

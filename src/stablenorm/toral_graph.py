@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from numbers import Real
 from typing import Optional, Sequence
 
 from stablenorm.cover import SearchIndex, build_search_index, edge_block, shortest_cover_cycle
@@ -196,7 +197,8 @@ def build_graph(classes: Sequence[tuple[IntegralClass, float]]) -> ToralGeodesic
 
     Args:
         classes: pairs (h_i, ell_i); the h_i must be pairwise
-            non-proportional primitives and the lengths positive.
+            non-proportional primitive `IntegralClass`es and the
+            lengths positive finite reals, not bools.
 
     Returns:
         ToralGeodesicGraph with deterministic lexicographic vertex order
@@ -206,8 +208,12 @@ def build_graph(classes: Sequence[tuple[IntegralClass, float]]) -> ToralGeodesic
     if not classes:
         raise ValidationError("at least one class is required")
     for h, ell in classes:
+        if not isinstance(h, IntegralClass):
+            raise ValidationError(f"class must be an IntegralClass, got {h!r}")
         if not h.is_primitive:
             raise ValidationError(f"class {h} is not primitive")
+        if isinstance(ell, bool) or not isinstance(ell, Real):
+            raise ValidationError(f"class {h} length must be a real number, got {ell!r}")
         if not (ell > 0 and math.isfinite(ell)):
             raise ValidationError(f"class {h} has nonpositive length {ell!r}")
     for i in range(len(classes)):

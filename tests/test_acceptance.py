@@ -32,21 +32,16 @@ from stablenorm.norms import (
     PNorm,
     euclidean,
     hexagonal,
-    leading_primitive_classes,
 )
 from stablenorm.periodic_metric import (
-    build_canyon_graph,
+    CanyonStage,
     marked_min_length,
     spectrum,
     uniform_grid,
 )
 from stablenorm.experiments import run_convergence
 from stablenorm.tolerances import SEARCH_RTOL
-from stablenorm.toral_graph import (
-    build_graph,
-    compute_zeta_epsilon_theta,
-    minimal_cycle,
-)
+from stablenorm.toral_graph import compute_zeta_epsilon_theta, minimal_cycle
 
 
 def _cross(o, a, b):
@@ -194,12 +189,8 @@ def test_criterion_4_strict_gap_random_norms():
     combos = 0
     for norm in norms:
         for k in range(1, 7):
-            classes = leading_primitive_classes(norm, k)
-            graph = build_graph(classes)
-            ell_k = max(length for _cls, length in classes)
-            consts = compute_zeta_epsilon_theta(
-                graph, norm, ell_k, cross_check=True
-            )
+            stage = CanyonStage(norm, k)
+            consts = compute_zeta_epsilon_theta(stage.graph, norm, stage.ell_k, cross_check=True)
             assert consts.epsilon > 0, f"gap closed for {norm} at k={k}"
             combos += 1
     _done(4, t0, 120.0, f"{combos} norm/k combinations, all gaps positive")
@@ -217,17 +208,10 @@ def test_criterion_5_canyon_marked_spectrum():
     """
     t0 = time.perf_counter()
     norm = euclidean()
-    classes = leading_primitive_classes(norm, 5)
-    graph = build_graph(classes)
-    lengths = {cls: length for cls, length in classes}
-    ell_k = max(lengths.values())
+    stage = CanyonStage(norm, 5, 128)
+    graph, canyon, ell_k = stage.graph, stage.canyon, stage.ell_k
     consts = compute_zeta_epsilon_theta(graph, norm, ell_k)
-    canyon = build_canyon_graph(
-        graph,
-        theta=consts.theta,
-        background_systole=ell_k,
-        grid_resolution=128,
-    )
+    lengths = dict(stage.classes)
 
     result = spectrum(canyon, ell_k * 1.05)
     seen = {entry.cls: entry.length for entry in result.entries}
@@ -303,16 +287,6 @@ def test_criterion_7_multiplicity_sharpness():
     _done(7, t0, 120.0, f"m=2,3 with n=1; m=4 with n={f4}")
 
 
-def _canyon_for(norm: NormSpec, k: int, resolution: int):
-    classes = leading_primitive_classes(norm, k)
-    graph = build_graph(classes)
-    ell_k = max(length for _cls, length in classes)
-    consts = compute_zeta_epsilon_theta(graph, norm, ell_k)
-    pg = build_canyon_graph(graph, consts.theta, ell_k, resolution)
-    corridor = [cls for cls, _length in classes]
-    return pg, corridor
-
-
 def test_criterion_8_subadditivity_homogeneity():
     """Shortest-loop lengths behave like a seminorm on classes.
 
@@ -326,8 +300,7 @@ def test_criterion_8_subadditivity_homogeneity():
     """
     t0 = time.perf_counter()
     grid = uniform_grid(16)
-    euclid_canyon, euclid_corridor = _canyon_for(euclidean(), 3, 64)
-    hex_canyon, hex_corridor = _canyon_for(hexagonal(), 4, 64)
+    euclid3, hex4 = CanyonStage(euclidean(), 3), CanyonStage(hexagonal(), 4)
 
     base = [
         IntegralClass(a, b)
@@ -364,8 +337,8 @@ def test_criterion_8_subadditivity_homogeneity():
         return checked
 
     pairs = run(grid, base, 0.0, "grid")
-    pairs += run(euclid_canyon, euclid_corridor, 4.0 * SEARCH_RTOL, "euclid3")
-    pairs += run(hex_canyon, hex_corridor, 4.0 * SEARCH_RTOL, "hex4")
+    for label, stage in (("euclid3", euclid3), ("hex4", hex4)):
+        pairs += run(stage.canyon, [h for h, _l in stage.classes], 4.0 * SEARCH_RTOL, label)
     _done(8, t0, 60.0, f"{pairs} pair checks across 3 graphs")
 
 

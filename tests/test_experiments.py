@@ -15,11 +15,9 @@ from stablenorm.norms import (
     euclidean,
     eval_norm,
     hexagonal,
-    leading_primitive_classes,
 )
-from stablenorm.periodic_metric import build_canyon_graph, stable_norm_estimate
+from stablenorm.periodic_metric import CanyonStage, stable_norm_estimate
 from stablenorm.tolerances import CONVERGENCE_SLACK
-from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 
 def gauge(normals, u):
@@ -148,12 +146,9 @@ def test_deviation_negative_where_the_background_undercuts_an_axis_class():
     # the pinned deviations at (1, 0) and (1, -1) are negative; pinned
     # as the code stands
     norm = NormSpec(Ellipse(1.2, -0.95, 1.0))
-    classes = leading_primitive_classes(norm, 2)
-    assert [(c.a, c.b) for c, _l in classes] == [(1, 1), (0, 1)]
-    graph = build_graph(classes)
-    ell_k = max(length for _c, length in classes)
-    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
-    canyon = build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=64)
+    stage = CanyonStage(norm, 2)
+    assert [(c.a, c.b) for c, _l in stage.classes] == [(1, 1), (0, 1)]
+    canyon = stage.canyon
     devs = {
         (a, b): PinnedDeviation(
             cls=IntegralClass(a, b),

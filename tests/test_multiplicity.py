@@ -32,18 +32,16 @@ from stablenorm.norms import (
     euclidean,
     eval_norm,
     hexagonal,
-    leading_primitive_classes,
     strict_convexity_check,
 )
 from stablenorm.periodic_metric import (
+    CanyonStage,
     SpectrumEntry,
     SpectrumResult,
-    build_canyon_graph,
     spectrum,
     uniform_grid,
 )
 from stablenorm.tolerances import LEVEL_MATCH_RTOL
-from stablenorm.toral_graph import build_graph, compute_zeta_epsilon_theta
 
 
 class TestProfileGrouping:
@@ -330,12 +328,7 @@ def _least_sharp_stage(m, background=None):
     norm = construct_sharp_norm(m)
     entries = enumerate_classes(norm, f_of_m(m) + m + 3).entries
     k = sum(1 for c, v in entries if c.is_primitive and v <= 1 + LEVEL_MATCH_RTOL)
-    classes = leading_primitive_classes(norm, k)
-    graph = build_graph(classes)
-    ell_k = max(length for _c, length in classes)
-    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
-    b = ell_k if background is None else background
-    return build_canyon_graph(graph, theta=theta, background_systole=b, grid_resolution=64), k
+    return CanyonStage(norm, k, background=background).canyon, k
 
 
 def _level_one_group(stage):

@@ -32,6 +32,7 @@ from stablenorm.norms import (
     unit_circle_lower_bound,
 )
 from stablenorm.periodic_metric import (
+    CanyonStage,
     PeriodicEdge,
     PeriodicWeightedGraph,
     TorusGrid,
@@ -55,34 +56,19 @@ def grid16():
 
 @pytest.fixture(scope="module")
 def square_canyon():
-    graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0)])
-    return build_canyon_graph(graph, theta=0.14, background_systole=1.0, grid_resolution=64)
+    return CanyonStage(euclidean(), 2, theta=0.14).canyon
 
 
 @pytest.fixture(scope="module")
 def euclid3():
-    """Three shortest Euclidean primitives, their toral graph, corridor
-    constants, and the canyon built from them."""
-    norm = euclidean()
-    classes = leading_primitive_classes(norm, 3)
-    graph = build_graph(classes)
-    ell_k = max(length for _cls, length in classes)
-    consts = compute_zeta_epsilon_theta(graph, norm, ell_k)
-    canyon = build_canyon_graph(
-        graph, theta=consts.theta, background_systole=ell_k, grid_resolution=64
-    )
-    return classes, graph, consts, canyon
+    """The stage of the three shortest Euclidean primitives."""
+    return CanyonStage(euclidean(), 3)
 
 
 @pytest.fixture(scope="module")
 def hex4():
     """The canyon of the four shortest hexagonal primitives."""
-    norm = hexagonal()
-    classes = leading_primitive_classes(norm, 4)
-    graph = build_graph(classes)
-    ell_k = max(length for _cls, length in classes)
-    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
-    return build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=64)
+    return CanyonStage(hexagonal(), 4).canyon
 
 
 def _witness_steps(pg):
@@ -319,6 +305,15 @@ class TestCanyonBuild:
             (dict(theta=0.1, background_systole=0.5, grid_resolution=64), "systole"),
             (dict(theta=0.1, background_systole=1.0, grid_resolution=32), "resolution"),
             (dict(theta=0.1, background_systole=1.0, grid_resolution=64.0), "resolution"),
+            (dict(theta=True, background_systole=1.0, grid_resolution=64), "hub budget must be a number, got True"),
+            (dict(theta="0.1", background_systole=1.0, grid_resolution=64), "hub budget must be a number"),
+            (dict(theta=math.inf, background_systole=1.0, grid_resolution=64), "hub budget must be finite, got inf"),
+            (dict(theta=math.nan, background_systole=1.0, grid_resolution=64), "hub budget must be positive, got nan"),
+            (dict(theta=-math.inf, background_systole=1.0, grid_resolution=64), "positive, got -inf"),
+            (dict(theta=0.1, background_systole=True, grid_resolution=64), "systole must be a number, got True"),
+            (dict(theta=0.1, background_systole="1", grid_resolution=64), "systole must be a number"),
+            # theta is checked before the background
+            (dict(theta=0.0, background_systole=0.5, grid_resolution=64), "hub budget must be positive"),
         ],
     )
     def test_build_validation(self, kwargs, pattern):
@@ -343,6 +338,38 @@ class TestCanyonBuild:
         assert sum(1 for n in finer.nodes if n[0] == "g") == 128 * 128
 
 
+class TestCanyonStage:
+    """The stage is the chain from a norm to its canyon, made once."""
+
+    @pytest.mark.parametrize("n,background,theta", [(64, None, None), (128, 2.0, 0.1)])
+    def test_canyon_is_the_chain(self, n, background, theta):
+        stage = CanyonStage(hexagonal(), 4, n, background, theta)
+        classes = leading_primitive_classes(hexagonal(), 4)
+        graph, ell_k = build_graph(classes), max(length for _cls, length in classes)
+        tube = compute_zeta_epsilon_theta(graph, hexagonal(), ell_k)
+        assert (stage.classes, stage.graph, stage.ell_k) == (classes, graph, ell_k)
+        assert (stage.hub_budget, stage.background_systole) == (theta or tube.theta, background or ell_k)
+        chain = build_canyon_graph(graph, stage.hub_budget, stage.background_systole, n)
+        assert (stage.canyon.nodes, list(stage.canyon.edges)) == (chain.nodes, list(chain.edges))
+        assert [marked_min_length(stage.canyon, h) for h in _PANEL] == [marked_min_length(chain, h) for h in _PANEL]
+
+    def test_given_theta_runs_no_tube_search(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the tube search ran")
+
+        monkeypatch.setattr(periodic_metric, "compute_zeta_epsilon_theta", refuse)
+        stage = CanyonStage(euclidean(), 3, theta=0.1)
+        assert stage.canyon == build_canyon_graph(stage.graph, 0.1, stage.ell_k, 64)
+        assert stage.hub_budget == 0.1
+
+    @pytest.mark.parametrize("part", ["hub_budget", "canyon"])
+    def test_tube_budget_stops_theta_not_the_graph(self, part):
+        stage = CanyonStage(euclidean(), 3, node_budget=10)
+        assert stage.graph.classes == tuple(stage.classes)
+        with pytest.raises(SearchBudgetError):
+            getattr(stage, part)
+
+
 class TestCanyonMarked:
     def test_corridor_class_exact(self, square_canyon):
         entry = marked_min_length(square_canyon, (1, 0))
@@ -358,7 +385,7 @@ class TestCanyonMarked:
         assert marked_min_length(background, (1, 0)).length >= 1.0
 
     def test_prescribed_lengths_bitwise(self, euclid3):
-        classes, _graph, _consts, canyon = euclid3
+        classes, canyon = euclid3.classes, euclid3.canyon
         for cls, ell in classes:
             entry = marked_min_length(canyon, cls)
             assert entry.length == ell
@@ -367,7 +394,7 @@ class TestCanyonMarked:
     def test_corridor_witness_stays_in_corridor(self, euclid3):
         # background costs sqrt(2) > 1, so the (1,0) optimum is forced
         # through its corridor and the witness must never leave it
-        _classes, _graph, _consts, canyon = euclid3
+        canyon = euclid3.canyon
         entry = marked_min_length(canyon, (1, 0))
         edge_kinds = set()
         lookup = {}
@@ -379,20 +406,19 @@ class TestCanyonMarked:
         assert edge_kinds == {"corridor"}
 
     def test_other_classes_above_slack_floor(self, euclid3):
-        classes, _graph, consts, canyon = euclid3
-        ell_k = max(length for _cls, length in classes)
-        slack = consts.theta * consts.edge_bound
+        consts = compute_zeta_epsilon_theta(euclid3.graph, euclidean(), euclid3.ell_k)
+        canyon = euclid3.canyon
         # the canyon's background is ell_k
-        floor = ell_k - slack
+        floor = euclid3.ell_k - consts.theta * consts.edge_bound
         for ab in [(1, -1), (2, 1), (0, 2), (2, 0), (1, 2)]:
             assert marked_min_length(canyon, ab).length >= floor
 
     def test_hub_slack_within_budget(self, euclid3):
-        _classes, _graph, consts, _canyon = euclid3
+        consts = compute_zeta_epsilon_theta(euclid3.graph, euclidean(), euclid3.ell_k)
         assert consts.theta * consts.edge_bound <= consts.epsilon / 2 + 1e-12
 
     def test_symmetry_exact(self, euclid3):
-        _classes, _graph, _consts, canyon = euclid3
+        canyon = euclid3.canyon
         for ab in [(1, 1), (1, -1), (2, 1)]:
             plus = marked_min_length(canyon, ab)
             minus = marked_min_length(canyon, (-ab[0], -ab[1]))
@@ -421,7 +447,7 @@ class TestStableNormEstimate:
         assert est.estimate == min(est.ratios)
 
     def test_estimate_is_sequence_min(self, euclid3):
-        _classes, _graph, _consts, canyon = euclid3
+        canyon = euclid3.canyon
         est = stable_norm_estimate(canyon, (1, 1), 3)
         assert est.estimate == min(est.ratios)
         assert min(est.ratios) == est.ratios[-1] or est.stable
@@ -472,9 +498,8 @@ class TestSpectrum:
         assert res.entries[0].cls.is_trivial
 
     def test_canyon_end_to_end(self, euclid3):
-        classes, _graph, _consts, canyon = euclid3
-        ell_k = max(length for _cls, length in classes)
-        res = spectrum(canyon, norm_bound=ell_k * 1.05)
+        classes, canyon = euclid3.classes, euclid3.canyon
+        res = spectrum(canyon, norm_bound=euclid3.ell_k * 1.05)
         by_class = {e.cls.as_tuple(): e.length for e in res.entries}
         for cls, ell in classes:
             got = by_class[cls.canonical().as_tuple()]
@@ -556,8 +581,7 @@ class TestSearchIndex:
     result: cold, warm and differently warmed graphs answer alike."""
 
     def test_built_on_first_query_and_kept(self):
-        graph = build_graph([(IntegralClass(1, 0), 1.0), (IntegralClass(0, 1), 1.0)])
-        canyon = build_canyon_graph(graph, theta=0.14, background_systole=1.0, grid_resolution=64)
+        canyon = CanyonStage(euclidean(), 2, theta=0.14).canyon
         assert "search_index" not in vars(canyon)
         marked_min_length(canyon, (1, 0))
         index = canyon.search_index
@@ -566,7 +590,7 @@ class TestSearchIndex:
         assert canyon.search_index is index
 
     def test_repeat_query_identical(self, euclid3):
-        _classes, _graph, _consts, canyon = euclid3
+        canyon = euclid3.canyon
         cold = dataclasses.replace(canyon)
         assert "search_index" not in vars(cold)
         for ab in [(2, 1), (1, 0), (1, -2)]:
@@ -578,8 +602,7 @@ class TestSearchIndex:
                 assert other.witness == first.witness
 
     def test_spectrum_independent_of_warm_up(self, euclid3):
-        classes, _graph, _consts, canyon = euclid3
-        bound = 1.05 * max(length for _cls, length in classes)
+        canyon, bound = euclid3.canyon, 1.05 * euclid3.ell_k
         fresh = spectrum(dataclasses.replace(canyon), bound)
         warmed = dataclasses.replace(canyon)
         probes = [(a, b) for a in range(3) for b in range(-2, 3)]
@@ -593,7 +616,7 @@ class TestSearchIndex:
         # the index keeps each rate point once; the hull normals must
         # equal those over every edge, and the rates the cheapest cost
         # per unit of advance over every edge
-        _classes, _graph, _consts, canyon = euclid3
+        canyon = euclid3.canyon
         every_edge = []
         cheapest_x = cheapest_y = math.inf
         for e in canyon.edges:
@@ -624,7 +647,7 @@ class TestSearchIndex:
         """(graph, entry) for every class with |a|, |b| <= 3 on three graphs."""
         return [
             (pg, marked_min_length(pg, (a, b)))
-            for pg in (grid16, euclid3[3], hex4)
+            for pg in (grid16, euclid3.canyon, hex4)
             for a in range(-3, 4)
             for b in range(-3, 4)
         ]
@@ -642,7 +665,7 @@ class TestSearchIndex:
         # the witnesses too, each a valid closed walk of its class.  On
         # a tie with its seed the witness is the seed's walk
         panel = self._panel(grid16, euclid3, hex4)
-        steps = {id(pg): _witness_steps(pg) for pg in (grid16, euclid3[3], hex4)}
+        steps = {id(pg): _witness_steps(pg) for pg in (grid16, euclid3.canyon, hex4)}
         for pg, e in panel:
             _assert_valid_witness(pg, e, steps[id(pg)])
         rows = [(e.cls.as_tuple(), e.length.hex(), e.witness) for _pg, e in panel]
@@ -662,7 +685,7 @@ class TestSearchIndex:
     def test_exact_length_of_any_head_run(self, euclid3, hex4, data):
         # runs that start and stop inside corridor segments, walked one
         # or more times, with grid and connector edges mixed in
-        pg = data.draw(st.sampled_from([euclid3[3], hex4]))
+        pg = data.draw(st.sampled_from([euclid3.canyon, hex4]))
         first = data.draw(st.integers(0, len(pg.head) - 1))
         run = list(range(first, data.draw(st.integers(first + 1, len(pg.head)))))
         path = run * data.draw(st.integers(1, 4))
@@ -714,7 +737,7 @@ def _per_piece_length(pg, path_edges):
 def _graph(request, name):
     """The periodic graph of the module fixture `name`."""
     pg = request.getfixturevalue(name)
-    return pg[3] if name == "euclid3" else pg
+    return pg.canyon if name == "euclid3" else pg
 
 
 #: Every nonzero class with |a|, |b| <= 3, canonical.
@@ -777,7 +800,7 @@ class TestSeeds:
         assert marked_min_length(pg, (2, 2)).length == 3.0
 
     def test_corridors_built_on_first_query(self, euclid3):
-        pg = dataclasses.replace(euclid3[3])
+        pg = dataclasses.replace(euclid3.canyon)
         assert "_corridors" not in vars(pg)
         marked_min_length(pg, (2, 1))
         corridors = vars(pg)["_corridors"]
@@ -801,7 +824,7 @@ class TestSeeds:
         # corridor seed, 15626 loops of corridor (1, 0), fits under it;
         # the grid seed's count still refuses the class, and no walk of
         # either seed is begun
-        pg = dataclasses.replace(euclid3[3])
+        pg = dataclasses.replace(euclid3.canyon)
         cap = periodic_metric._MAX_SEED_STEPS
         h = IntegralClass(15626, 0)
         assert (abs(h.a) + abs(h.b)) * pg.grid.n > cap
@@ -830,7 +853,7 @@ class TestSeeds:
         huge = IntegralClass(10**6, 0)
         tracemalloc.start()
         try:
-            for seed, pg in ((periodic_metric._grid_loop_seed, grid16), (periodic_metric._corridor_seed, euclid3[3])):
+            for seed, pg in ((periodic_metric._grid_loop_seed, grid16), (periodic_metric._corridor_seed, euclid3.canyon)):
                 with pytest.raises(SearchBudgetError, match="seed of class") as info:
                     seed(pg, huge)
                 assert (info.value.nodes_expanded, info.value.budget) == (0, cap)
@@ -931,12 +954,8 @@ def _reference_canyon_edges(graph, background, n):
 
 
 def _canyon_case(norm, k, n):
-    classes = leading_primitive_classes(norm, k)
-    graph = build_graph(classes)
-    ell_k = max(length for _cls, length in classes)
-    theta = compute_zeta_epsilon_theta(graph, norm, ell_k).theta
-    pg = build_canyon_graph(graph, theta=theta, background_systole=ell_k, grid_resolution=n)
-    return pg, _reference_canyon_edges(graph, ell_k, n)
+    stage = CanyonStage(norm, k, n)
+    return stage.canyon, _reference_canyon_edges(stage.graph, stage.ell_k, n)
 
 
 def _grid_case(n):
@@ -1062,7 +1081,7 @@ class TestArithmeticGrid:
             assert marked_min_length(pg, (a, b)).length == pytest.approx((abs(a) + abs(b)), rel=1e-12)
 
     def test_copies_stay_equal(self, euclid3):
-        canyon = euclid3[3]
+        canyon = euclid3.canyon
         for copy in (pickle.loads(pickle.dumps(canyon)), dataclasses.replace(canyon)):
             assert copy == canyon
             assert marked_min_length(copy, (2, 1)) == marked_min_length(canyon, (2, 1))
@@ -1137,9 +1156,8 @@ class TestArithmeticGrid:
         # a grid-512 canyon has 524,288 grid steps; making one edge object
         # per step peaked at 136 MiB under tracemalloc (Python 3.11), the
         # arithmetic grid at 76 MiB
-        classes = leading_primitive_classes(euclidean(), 3)
-        graph = build_graph(classes)
-        ell_k = max(length for _cls, length in classes)
+        stage = CanyonStage(euclidean(), 3)
+        graph, ell_k = stage.graph, stage.ell_k
         tracemalloc.start()
         try:
             pg = build_canyon_graph(graph, theta=0.1, background_systole=ell_k, grid_resolution=512)
@@ -1233,7 +1251,7 @@ class TestHubSeparation:
     @pytest.mark.parametrize("norm,k", [(euclidean(), 12), (euclidean(), 16), (hexagonal(), 16)])
     @pytest.mark.parametrize("n", [64, 128])
     def test_canyon_hubs_match_the_pairwise_loop(self, norm, k, n):
-        graph = build_graph(leading_primitive_classes(norm, k))
+        graph = CanyonStage(norm, k).graph
         _assert_hub_check_matches(graph.vertices, graph.points, graph.denom, n)
 
 
@@ -1290,17 +1308,16 @@ class TestAgreementTheorem:
     @pytest.mark.parametrize("name", sorted(_AGREEMENT_NORMS))
     def test_spectrum_below_ell_k_is_the_norm(self, name, k):
         norm = _AGREEMENT_NORMS[name]
-        classes = leading_primitive_classes(norm, k)
-        ell_k = max(length for _cls, length in classes)
+        stage = CanyonStage(norm, k, theta=0.1)
+        classes, ell_k = stage.classes, stage.ell_k
         # the stage's stable ball is P_k = conv{+-h_i / l_i} when the
         # background l_k is at least P_k's gauge on both axes
         normals = cover.gauge_normals((h.a / ell, h.b / ell) for h, ell in classes)
         axis_gauge = max(max(ax for ax, _ay in normals), max(ay for _ax, ay in normals))
         if ell_k < axis_gauge:
             pytest.skip(f"background {ell_k} is below P_k's axis gauge {axis_gauge}")
-        pg = build_canyon_graph(build_graph(classes), theta=0.1, background_systole=ell_k, grid_resolution=64)
         bound = ell_k * (1 - _BELOW_ELL_K)
-        got = spectrum(pg, bound).entries
+        got = spectrum(stage.canyon, bound).entries
 
         box = math.ceil(bound / unit_circle_lower_bound(norm))
         want = sorted(

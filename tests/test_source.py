@@ -105,14 +105,22 @@ def _scoped(node, scope=""):
         yield from _scoped(child, scope)
 
 
+def _scopes_where(match):
+    """"module:scope" of every package node that `match` accepts, in file
+    and source order."""
+    return [
+        f"{path.name}:{scope}"
+        for path in SOURCES
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if match(node)
+    ]
+
+
 def test_one_grid_numbering():
     # the torus grid's node numbers come from `TorusGrid.node` alone;
     # its edges, search-index rows and loops and the canyon's
     # connectors read it from there, so no copy can fall out of step
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend(f"{path.name}:{scope}" for scope, node in _scoped(tree) if _is_grid_node_product(node))
+    found = _scopes_where(_is_grid_node_product)
     assert found == ["periodic_metric.py:TorusGrid.node"], found
 
 
@@ -211,11 +219,21 @@ def _calls_to(node, name) -> bool:
 def test_one_way_to_compile_a_search_index():
     # every graph compiles its cover-search index through one function,
     # from edge blocks, so no second builder can fall out of step
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend(f"{path.name}:{scope}" for scope, node in _scoped(tree) if _calls_to(node, "SearchIndex"))
+    found = _scopes_where(lambda node: _calls_to(node, "SearchIndex"))
     assert found == ["cover.py:build_search_index"], found
+
+
+def test_one_recipe_from_norm_to_canyon():
+    # a stage's classes and canyon come from `CanyonStage` alone, and its
+    # tube search from there or from `graph-epsilon`, which prints every
+    # tube constant, so no second chain can fall out of step
+    names = ("leading_primitive_classes", "compute_zeta_epsilon_theta", "build_canyon_graph")
+    found = {name: _scopes_where(lambda node, name=name: _calls_to(node, name)) for name in names}
+    assert found == {
+        "leading_primitive_classes": ["periodic_metric.py:CanyonStage.classes"],
+        "compute_zeta_epsilon_theta": ["cli.py:_cmd_graph_epsilon", "periodic_metric.py:CanyonStage.hub_budget"],
+        "build_canyon_graph": ["periodic_metric.py:CanyonStage.canyon"],
+    }, found
 
 
 def test_no_private_imports_across_modules():
@@ -258,10 +276,7 @@ def test_every_module_constant_is_read():
 def test_one_place_raises_a_search_budget_error():
     # every bounded search spends through `SearchMeter`, so its budget is
     # checked, spent and exhausted in one place
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend(f"{path.name}:{scope}" for scope, node in _scoped(tree) if _calls_to(node, "SearchBudgetError"))
+    found = _scopes_where(lambda node: _calls_to(node, "SearchBudgetError"))
     assert found == ["errors.py:SearchMeter._refuse"], found
 
 
@@ -295,12 +310,5 @@ def test_one_place_declares_the_cli_flags():
     # every subcommand and flag comes from `cli._COMMANDS` through one
     # builder, so a flag added elsewhere cannot miss the parser of the
     # one subcommand a call builds
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend(
-            f"{path.name}:{scope}"
-            for scope, node in _scoped(tree)
-            if _calls_to(node, "add_argument") or _calls_to(node, "add_parser")
-        )
+    found = _scopes_where(lambda node: _calls_to(node, "add_argument") or _calls_to(node, "add_parser"))
     assert found and set(found) == {"cli.py:_build_parser"}, found

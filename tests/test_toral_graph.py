@@ -397,13 +397,20 @@ class TestBuildGraph:
                 assert graph == reference_build_graph(classes)
                 assert graph.crossings == reference_crossings(graph)
 
-    def test_rejects_bad_classes(self):
-        with pytest.raises(ValidationError):
-            build_graph([(IntegralClass(2, 4), 1.0)])
-        with pytest.raises(ValidationError):
-            build_graph(euclid_classes((1, 2)) + [(IntegralClass(-1, -2), math.sqrt(5.0))])
-        with pytest.raises(ValidationError):
-            build_graph([(IntegralClass(1, 0), -1.0)])
+    @pytest.mark.parametrize(
+        "classes,pattern",
+        [
+            ([(IntegralClass(2, 4), 1.0)], "not primitive"),
+            (euclid_classes((1, 2)) + [(IntegralClass(-1, -2), math.sqrt(5.0))], "proportional"),
+            ([(IntegralClass(1, 0), -1.0)], "nonpositive"),
+            ([((1, 0), 1.0), ((0, 1), 1.0)], r"must be an IntegralClass, got \(1, 0\)"),
+            ([(IntegralClass(1, 0), "1.0")], "length must be a real number, got '1.0'"),
+            ([(IntegralClass(1, 0), True)], "length must be a real number, got True"),
+        ],
+    )
+    def test_rejects_bad_classes(self, classes, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            build_graph(classes)
 
     def test_jsonable_uses_rational_strings(self):
         dump = SKEW.to_jsonable()
